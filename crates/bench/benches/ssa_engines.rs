@@ -25,8 +25,8 @@ use glc_model::expr::EvalMemo;
 use glc_model::Model;
 use glc_service::codec::{self, BinaryReply};
 use glc_service::{
-    frame, session, Coordinator, EngineSpec, ExtendBackend, ModelSource, PipelinedRelay,
-    PipelinedWorker, RelayReply, SessionSpec, SessionStore, Transport, WorkOrder, WorkerPool,
+    session, EngineSpec, ExtendBackend, ModelSource, PipelinedRelay, PipelinedWorker, SessionSpec,
+    SessionStore, Transport, WorkOrder, WorkerPool,
 };
 use glc_ssa::engine::Observer;
 use glc_ssa::{
@@ -210,9 +210,9 @@ fn sampled_states(model: &CompiledModel, count: usize) -> Vec<glc_ssa::State> {
 }
 
 /// Ensemble-grid parameters for the replicate-throughput comparison.
-/// The batch is sized so per-batch protocol costs (process spawn,
-/// model compile, JSON) amortize over real simulation work instead of
-/// dominating it — a distributed deployment would batch at least this
+/// The batch is sized so per-batch protocol costs (framing, codec,
+/// merge) amortize over real simulation work instead of dominating
+/// it — a distributed deployment would batch at least this
 /// coarsely.
 const ENSEMBLE_T_END: f64 = 100.0;
 const ENSEMBLE_DT: f64 = 10.0;
@@ -291,25 +291,6 @@ fn sharded_replicates_per_second(id: &str, worker: &std::path::Path, min_wall: f
         order.base_seed += 1_000;
     }
     (replicates as f64 / elapsed, steals)
-}
-
-/// Sustained replicate throughput of the per-order round trip the
-/// pipelined fabric replaces: every batch spawns fresh `glc-worker`
-/// children, recompiles the model, and pays one full
-/// process-per-shard round trip (the PR 5 `Coordinator` path).
-fn per_order_replicates_per_second(id: &str, worker: &std::path::Path, min_wall: f64) -> f64 {
-    let mut order = ensemble_order(id);
-    let coordinator = Coordinator::new(worker, ENSEMBLE_PARALLELISM).expect("coordinator");
-    let mut replicates = 0u64;
-    let mut elapsed = 0.0f64;
-    while elapsed < min_wall {
-        let start = Instant::now();
-        coordinator.run_ensemble(&order).expect("sharded ensemble");
-        elapsed += start.elapsed().as_secs_f64();
-        replicates += ENSEMBLE_BATCH as u64;
-        order.base_seed += 1_000;
-    }
-    replicates as f64 / elapsed
 }
 
 /// The session spec the resident-service comparison runs: same grid
@@ -563,14 +544,10 @@ fn relay_replicates_per_second(id: &str, addr: &str, min_wall: f64) -> f64 {
 
 /// Durable-session overhead: sustained write-through-snapshot and
 /// reload rates for a batch-sized resident partial, plus the snapshot
-/// file size — for the GLCB snapshot the spill path writes today *and*
-/// the legacy JSON writer it replaced, measured in the same run. The
-/// GLCB/JSON write-rate ratio and the GLCB byte count are gated in
-/// `check_regression` (the acceptance criteria of the binary spill
-/// swap); the reload column is recorded only.
-/// Returns `(glcb_writes_per_sec, reloads_per_sec, glcb_bytes,
-/// json_writes_per_sec, json_bytes)`.
-fn spill_metrics(id: &str) -> (f64, f64, u64, f64, u64) {
+/// file size. The byte count is gated in `check_regression`; the rate
+/// columns are recorded only.
+/// Returns `(writes_per_sec, reloads_per_sec, bytes)`.
+fn spill_metrics(id: &str) -> (f64, f64, u64) {
     let dir = std::env::temp_dir().join(format!("glc-bench-spill-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let spec = resident_spec(id);
@@ -578,21 +555,6 @@ fn spill_metrics(id: &str) -> (f64, f64, u64, f64, u64) {
     let key = store.submit(&spec).expect("submit").session;
     store.extend(&key, ENSEMBLE_BATCH as u64).expect("extend");
     let partial = store.partial(&key).expect("resident partial");
-
-    // Legacy JSON snapshots first: `write_spill` removes a stale
-    // `.session.json` sibling after publishing its GLCB snapshot, so
-    // this column must finish before the GLCB loop starts.
-    let mut json_writes = 0u64;
-    let start = Instant::now();
-    let json_path = loop {
-        let path = session::write_spill_json(&dir, &spec, partial).expect("write JSON spill");
-        json_writes += 1;
-        if start.elapsed().as_secs_f64() >= 0.3 {
-            break path;
-        }
-    };
-    let json_writes_per_sec = json_writes as f64 / start.elapsed().as_secs_f64();
-    let json_bytes = std::fs::metadata(&json_path).map(|m| m.len()).unwrap_or(0);
 
     let mut writes = 0u64;
     let start = Instant::now();
@@ -617,49 +579,30 @@ fn spill_metrics(id: &str) -> (f64, f64, u64, f64, u64) {
     }
     let reloads_per_sec = reloads as f64 / start.elapsed().as_secs_f64();
     let _ = std::fs::remove_dir_all(&dir);
-    (
-        writes_per_sec,
-        reloads_per_sec,
-        bytes,
-        json_writes_per_sec,
-        json_bytes,
-    )
+    (writes_per_sec, reloads_per_sec, bytes)
 }
 
-/// Hot-path reply codec: microseconds to decode a batch-sized chunk
-/// reply from the legacy JSON envelope vs the GLCB binary payload —
-/// the per-chunk cost a coordinator pays on every ingress frame. Both
-/// envelopes carry the same partial (asserted bitwise before timing),
-/// and both columns come from the same run, so `decode_speedup` is a
-/// machine-independent in-run ratio; the absolute GLCB column is
-/// additionally gated with a generous ceiling in `check_regression`.
-/// Returns `(json_micros, glcb_micros, json_bytes, glcb_bytes)`.
-fn codec_metrics(id: &str) -> (f64, f64, u64, u64) {
+/// Hot-path reply codec: microseconds to decode a batch-sized GLCB
+/// chunk reply — the per-chunk cost the pool pays on every ingress
+/// frame. The round trip is asserted bitwise before timing; the
+/// absolute column is gated with a generous ceiling in
+/// `check_regression`. Returns `(glcb_micros, glcb_bytes)`.
+fn codec_metrics(id: &str) -> (f64, u64) {
     let mut store = SessionStore::new(2, ExtendBackend::InProcess).expect("store");
     let key = store.submit(&resident_spec(id)).expect("submit").session;
     store.extend(&key, ENSEMBLE_BATCH as u64).expect("extend");
     let partial = store.partial(&key).expect("resident partial");
 
-    let json =
-        frame::encode_message(7, &RelayReply::Partial(partial.clone())).expect("encode JSON reply");
     let glcb = codec::encode_reply(7, &BinaryReply::Partial(partial.clone()));
-    let (_, via_json): (u64, RelayReply) = frame::decode_message(&json).expect("decode JSON");
-    let (_, via_glcb) = codec::decode_reply(&glcb).expect("decode GLCB");
-    match (&via_json, &via_glcb) {
-        (RelayReply::Partial(a), BinaryReply::Partial(b)) => {
-            assert_eq!(a, b, "{id}: envelopes must carry identical bits")
+    match codec::decode_reply(&glcb).expect("decode GLCB") {
+        (7, BinaryReply::Partial(decoded)) => {
+            assert_eq!(
+                &decoded, partial,
+                "{id}: the reply must carry identical bits"
+            )
         }
-        other => panic!("{id}: unexpected reply variants {other:?}"),
+        other => panic!("{id}: unexpected reply {other:?}"),
     }
-
-    let mut json_decodes = 0u64;
-    let start = Instant::now();
-    while start.elapsed().as_secs_f64() < wall(0.3) {
-        let (_, reply): (u64, RelayReply) = frame::decode_message(&json).expect("decode JSON");
-        assert!(matches!(reply, RelayReply::Partial(_)));
-        json_decodes += 1;
-    }
-    let json_micros = start.elapsed().as_secs_f64() * 1e6 / json_decodes as f64;
 
     let mut glcb_decodes = 0u64;
     let start = Instant::now();
@@ -669,12 +612,7 @@ fn codec_metrics(id: &str) -> (f64, f64, u64, u64) {
         glcb_decodes += 1;
     }
     let glcb_micros = start.elapsed().as_secs_f64() * 1e6 / glcb_decodes as f64;
-    (
-        json_micros,
-        glcb_micros,
-        json.len() as u64,
-        glcb.len() as u64,
-    )
+    (glcb_micros, glcb.len() as u64)
 }
 
 /// Normals/second from the batched block path (`NormalBlock::fill`
@@ -921,19 +859,9 @@ fn throughput_report() {
                  \"shard_efficiency\":{efficiency:.3}}}"
             );
 
-            // Pipelined fabric vs the per-order round trip it
-            // replaced: same batches, same parallelism, but the
-            // per-order column respawns workers and recompiles the
-            // model every batch (the PR 5 Coordinator path). The
-            // steal count records how much work migrated between
+            // The steal count records how much work migrated between
             // slot queues during the pipelined measurement.
-            let per_order = per_order_replicates_per_second(id, worker, wall(0.5));
-            let pipeline_speedup = sharded / per_order;
-            println!(
-                "    pipeline: pipelined {sharded:.0} reps/s  \
-                 per-order {per_order:.0} reps/s  \
-                 speedup {pipeline_speedup:.2}x  steals {steals}"
-            );
+            println!("    pipeline: pipelined {sharded:.0} reps/s  steals {steals}");
             if !pipeline_rows.is_empty() {
                 pipeline_rows.push(',');
             }
@@ -941,14 +869,12 @@ fn throughput_report() {
                 pipeline_rows,
                 "\n    {{\"circuit\":\"{id}\",\
                  \"pipelined_replicates_per_sec\":{sharded:.1},\
-                 \"per_order_replicates_per_sec\":{per_order:.1},\
-                 \"pipeline_speedup\":{pipeline_speedup:.3},\
                  \"steals\":{steals}}}"
             );
 
             // Relay transport: the same batches over localhost TCP to
             // a glc-relay, at the same parallelism. relay_efficiency
-            // normalizes by the child-process column measured in this
+            // normalizes by the resident-worker column measured in this
             // run — an in-run ratio like shard_efficiency — and feeds
             // the CI regression gate at the same ≥35% floor.
             if let Some(relay) = &relay {
@@ -957,7 +883,7 @@ fn throughput_report() {
                 let relay_efficiency = relayed / sharded;
                 println!(
                     "    relay ({ENSEMBLE_PARALLELISM} TCP slots): {relayed:.0} reps/s  \
-                     vs child-process {sharded:.0} reps/s  efficiency {relay_efficiency:.2}"
+                     vs worker {sharded:.0} reps/s  efficiency {relay_efficiency:.2}"
                 );
                 if !relay_rows.is_empty() {
                     relay_rows.push(',');
@@ -973,17 +899,12 @@ fn throughput_report() {
         }
 
         // Durable-session spill: GLCB snapshot write/reload rates and
-        // size for a batch-sized partial, with the legacy JSON writer
-        // measured in the same run. snapshot_write_speedup (GLCB/JSON
-        // write rate) and the GLCB byte count are the binary-spill
-        // acceptance criteria gated in check_regression.
-        let (snapshot_writes, snapshot_reloads, snapshot_bytes, json_writes, json_bytes) =
-            spill_metrics(id);
-        let write_speedup = snapshot_writes / json_writes;
+        // size for a batch-sized partial. The byte count is gated in
+        // check_regression.
+        let (snapshot_writes, snapshot_reloads, snapshot_bytes) = spill_metrics(id);
         println!(
             "    spill: {snapshot_writes:.0} snapshot writes/s  \
-             {snapshot_reloads:.0} reloads/s  {snapshot_bytes} B/snapshot  \
-             (JSON: {json_writes:.0} writes/s, {json_bytes} B — GLCB {write_speedup:.2}x)"
+             {snapshot_reloads:.0} reloads/s  {snapshot_bytes} B/snapshot"
         );
         if !spill_rows.is_empty() {
             spill_rows.push(',');
@@ -993,20 +914,14 @@ fn throughput_report() {
             "\n    {{\"circuit\":\"{id}\",\
              \"snapshot_writes_per_sec\":{snapshot_writes:.1},\
              \"snapshot_reloads_per_sec\":{snapshot_reloads:.1},\
-             \"snapshot_bytes\":{snapshot_bytes},\
-             \"json_snapshot_writes_per_sec\":{json_writes:.1},\
-             \"json_snapshot_bytes\":{json_bytes},\
-             \"snapshot_write_speedup\":{write_speedup:.3}}}"
+             \"snapshot_bytes\":{snapshot_bytes}}}"
         );
 
-        // Hot-path reply codec: JSON vs GLCB decode cost for the same
-        // batch-sized chunk reply. decode_speedup is the in-run ratio;
-        // the absolute GLCB column carries the ceiling gate.
-        let (json_micros, glcb_micros, json_reply_bytes, glcb_reply_bytes) = codec_metrics(id);
-        let decode_speedup = json_micros / glcb_micros;
+        // Hot-path reply codec: GLCB decode cost for a batch-sized
+        // chunk reply, gated by an absolute ceiling.
+        let (glcb_micros, glcb_reply_bytes) = codec_metrics(id);
         println!(
-            "    codec: reply decode JSON {json_micros:.1} µs  GLCB {glcb_micros:.1} µs  \
-             ({decode_speedup:.1}x; payload {json_reply_bytes} B -> {glcb_reply_bytes} B)"
+            "    codec: reply decode GLCB {glcb_micros:.1} µs  (payload {glcb_reply_bytes} B)"
         );
         if !codec_rows.is_empty() {
             codec_rows.push(',');
@@ -1014,10 +929,7 @@ fn throughput_report() {
         let _ = write!(
             codec_rows,
             "\n    {{\"circuit\":\"{id}\",\
-             \"json_decode_micros\":{json_micros:.2},\
              \"glcb_decode_micros\":{glcb_micros:.2},\
-             \"decode_speedup\":{decode_speedup:.2},\
-             \"json_reply_bytes\":{json_reply_bytes},\
              \"glcb_reply_bytes\":{glcb_reply_bytes}}}"
         );
 

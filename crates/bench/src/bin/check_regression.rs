@@ -208,21 +208,6 @@ fn draws_speedups(json: &str) -> Vec<(String, f64)> {
         .collect()
 }
 
-/// `(circuit, pipeline_speedup)` rows from the `pipeline` section
-/// (`pipelined_replicates_per_sec` is the discriminator).
-fn pipeline_speedups(json: &str) -> Vec<(String, f64)> {
-    objects(json)
-        .into_iter()
-        .filter_map(|object| {
-            num_field(object, "pipelined_replicates_per_sec")?;
-            Some((
-                str_field(object, "circuit")?,
-                num_field(object, "pipeline_speedup")?,
-            ))
-        })
-        .collect()
-}
-
 /// `(circuit, engine, steps_per_sec)` rows from the `engines` section.
 fn engine_rates(json: &str) -> Vec<(String, String, f64)> {
     objects(json)
@@ -272,19 +257,6 @@ const TAU_LEAP_FLOORS: &[(&str, f64)] = &[("book_and", 1_500_000.0), ("cello_0x1
 /// one-draw-per-call) without tripping on honest machine variance.
 const LANGEVIN_FLOORS: &[(&str, f64)] = &[("book_and", 2_500_000.0), ("cello_0x1C", 2_000_000.0)];
 
-/// Absolute pipeline-speedup floors, per circuit. The pipelined worker
-/// fabric must beat the per-order spawn-and-recompile path it replaced
-/// by a clear margin on `book_and` (measured ~1.8x; 1.2 catches the
-/// fabric degenerating to per-order behavior). `cello_0x1C` is
-/// deliberately record-only: its replicates are ~12x slower, so one
-/// batch is only a handful of chunk wall-seconds and the measured
-/// speedup swings from 0.87 to 1.13 across identical code on a single
-/// shared core — a ≥1.0 floor would gate on scheduler noise, not on
-/// the fabric. The warm-pool chunk plan keeps a stealable back chunk
-/// per slot to bound the tail; the recorded row tracks whether that
-/// holds over time without failing CI on the noise band.
-const PIPELINE_SPEEDUP_FLOORS: &[(&str, f64)] = &[("book_and", 1.2)];
-
 /// Absolute shard-efficiency floors, per circuit. The pipelined worker
 /// fabric (resident framed workers, adaptive chunking) holds book_and
 /// at ≥0.80 of in-process throughput on the bench box; 0.75 catches
@@ -299,33 +271,26 @@ const ENSEMBLE_EFFICIENCY_FLOORS: &[(&str, f64)] = &[("book_and", 0.75)];
 /// Absolute relay-efficiency floors, per circuit. Relay-side partial
 /// reduction plus the GLCB reply codec lifted `cello_0x1C` (whose
 /// chunk replies are the largest in the matrix) from ~0.83 to ~0.95 of
-/// the child-process column; 0.90 catches either the reduction path or
-/// the binary codec silently dropping back to per-chunk JSON ingress
-/// while leaving room for honest runner noise. Like the shard floors,
+/// the resident-worker column; 0.90 catches the reduction path or the
+/// binary codec silently regressing to per-chunk ingress cost while
+/// leaving room for honest runner noise. Like the shard floors,
 /// this is an in-run efficiency — machine-independent by construction.
 const RELAY_EFFICIENCY_FLOORS: &[(&str, f64)] = &[("cello_0x1C", 0.90)];
 
 /// Absolute ceiling on GLCB reply-decode cost, in microseconds per
-/// batch-sized chunk reply. Measured ~5 µs on the bench box (the JSON
-/// envelope paid ~198 µs); 40 µs is an 8x margin that catches the
-/// decoder falling off its fixed-layout fast path (e.g. regressing to
-/// per-digit parsing) without tripping on shared-runner variance.
-/// Machine-dependent by design, like `TAU_LEAP_FLOORS`: a decode
-/// regression would slow the JSON column too and hide from the in-run
-/// ratio.
+/// batch-sized chunk reply. Measured ~5-17 µs on the bench box; 40 µs
+/// catches the decoder falling off its fixed-layout fast path (e.g.
+/// regressing to per-digit parsing) without tripping on shared-runner
+/// variance. Machine-dependent by design, like `TAU_LEAP_FLOORS`.
 const GLCB_DECODE_CEILING_MICROS: f64 = 40.0;
 
-/// Absolute ceiling on a GLCB snapshot's size in bytes, and floor on
-/// its write-rate advantage over the legacy JSON snapshot writer
-/// measured in the same run. The dense little-endian `ExactSum` layout
-/// shrank batch-sized snapshots from ~8000 B to ~2500 B and at least
-/// doubled write throughput; byte counts don't depend on the runner,
-/// and the write ratio is in-run, so both gate absolutely.
+/// Absolute ceiling on a GLCB snapshot's size in bytes. The dense
+/// little-endian `ExactSum` layout keeps batch-sized snapshots near
+/// ~2800 B; byte counts don't depend on the runner, so the ceiling
+/// gates absolutely.
 const SNAPSHOT_BYTES_CEILING: f64 = 3000.0;
-const SNAPSHOT_WRITE_SPEEDUP_FLOOR: f64 = 2.0;
 
-/// Per-circuit `(glcb_decode_micros, decode_speedup)` from the `codec`
-/// section.
+/// Per-circuit `glcb_decode_micros` from the `codec` section.
 fn codec_decode_stats(json: &str) -> Vec<(String, f64)> {
     objects(json)
         .into_iter()
@@ -338,17 +303,14 @@ fn codec_decode_stats(json: &str) -> Vec<(String, f64)> {
         .collect()
 }
 
-/// Per-circuit `(snapshot_bytes, snapshot_write_speedup)` from the
-/// `spill` section (`snapshot_write_speedup` is the discriminator —
-/// pre-GLCB spill rows carry `snapshot_bytes` but not the ratio).
-fn spill_stats(json: &str) -> Vec<(String, f64, f64)> {
+/// Per-circuit `snapshot_bytes` from the `spill` section.
+fn spill_stats(json: &str) -> Vec<(String, f64)> {
     objects(json)
         .into_iter()
         .filter_map(|object| {
             Some((
                 str_field(object, "circuit")?,
                 num_field(object, "snapshot_bytes")?,
-                num_field(object, "snapshot_write_speedup")?,
             ))
         })
         .collect()
@@ -557,37 +519,27 @@ fn run(baseline_path: &str, current_path: &str, threshold: f64) -> Result<(), St
     } else if !codec_decode_stats(&baseline_doc).is_empty() {
         failures.push("codec section in baseline but missing from current run".to_string());
     }
-    // GLCB snapshot gates: byte ceiling and in-run write-rate floor
-    // over the legacy JSON writer (see SNAPSHOT_BYTES_CEILING).
+    // GLCB snapshot size is gated absolutely (see
+    // SNAPSHOT_BYTES_CEILING).
     let spills = spill_stats(&current_doc);
     if !spills.is_empty() {
-        println!(
-            "bench spill gate: GLCB snapshot <= {SNAPSHOT_BYTES_CEILING:.0} B and \
-             >= {SNAPSHOT_WRITE_SPEEDUP_FLOOR:.0}x JSON write rate"
-        );
-        for (circuit, bytes, speedup) in &spills {
-            let verdict =
-                if *bytes > SNAPSHOT_BYTES_CEILING || *speedup < SNAPSHOT_WRITE_SPEEDUP_FLOOR {
-                    "FAIL"
-                } else {
-                    "ok"
-                };
-            println!("  {circuit}: {bytes:.0} B  {speedup:.2}x JSON writes  {verdict}");
+        println!("bench spill gate: GLCB snapshot <= {SNAPSHOT_BYTES_CEILING:.0} B");
+        for (circuit, bytes) in &spills {
+            let verdict = if *bytes > SNAPSHOT_BYTES_CEILING {
+                "FAIL"
+            } else {
+                "ok"
+            };
+            println!("  {circuit}: {bytes:.0} B  {verdict}");
             if *bytes > SNAPSHOT_BYTES_CEILING {
                 failures.push(format!(
                     "{circuit} [spill bytes]: GLCB snapshot is {bytes:.0} B \
                      (ceiling {SNAPSHOT_BYTES_CEILING:.0} B)"
                 ));
             }
-            if *speedup < SNAPSHOT_WRITE_SPEEDUP_FLOOR {
-                failures.push(format!(
-                    "{circuit} [spill writes]: GLCB writes only {speedup:.2}x the JSON \
-                     writer (floor {SNAPSHOT_WRITE_SPEEDUP_FLOOR:.0}x)"
-                ));
-            }
         }
     } else if !spill_stats(&baseline_doc).is_empty() {
-        failures.push("spill GLCB columns in baseline but missing from current run".to_string());
+        failures.push("spill section in baseline but missing from current run".to_string());
     }
     // Resident query service: the warm-extend/one-shot ratio gates
     // like shard efficiency (both involve timing loops with
@@ -696,40 +648,6 @@ fn run(baseline_path: &str, current_path: &str, threshold: f64) -> Result<(), St
     } else if !draws_speedups(&baseline_doc).is_empty() {
         failures.push("draws section in baseline but missing from current run".to_string());
     }
-    // Pipeline speedup: floored where the fabric's win is decisively
-    // above the noise band, recorded (printed, never failed) elsewhere
-    // — see PIPELINE_SPEEDUP_FLOORS for the cello rationale.
-    let pipelines = pipeline_speedups(&current_doc);
-    if !pipelines.is_empty() {
-        println!("bench pipeline gate: pipelined vs per-order speedup floors");
-        for (circuit, speedup) in &pipelines {
-            match PIPELINE_SPEEDUP_FLOORS
-                .iter()
-                .find(|(floored, _)| floored == circuit)
-            {
-                Some(&(_, floor)) => {
-                    let verdict = if *speedup < floor { "FAIL" } else { "ok" };
-                    println!("  {circuit}: {speedup:.2}x (floor {floor:.2})  {verdict}");
-                    if *speedup < floor {
-                        failures.push(format!(
-                            "{circuit} [pipeline floor]: {speedup:.2}x is below the \
-                             {floor:.2} floor"
-                        ));
-                    }
-                }
-                None => println!("  {circuit}: {speedup:.2}x (record-only)"),
-            }
-        }
-        for &(circuit, _) in PIPELINE_SPEEDUP_FLOORS {
-            if !pipelines.iter().any(|(c, _)| c == circuit) {
-                failures.push(format!(
-                    "{circuit} [pipeline floor]: no pipeline row in current run"
-                ));
-            }
-        }
-    } else if !pipeline_speedups(&baseline_doc).is_empty() {
-        failures.push("pipeline section in baseline but missing from current run".to_string());
-    }
     // Model-cache Submit speedup is gated absolutely: a warm Submit
     // must eliminate enough compile cost to run at least 2x the cold
     // path (measured ~130x; the floor is far below honest timing noise
@@ -816,8 +734,8 @@ mod tests {
     {"source":"box_muller","batched_normals_per_sec":40000000.0,"scalar_normals_per_sec":11000000.0,"speedup":3.6}
   ],
   "pipeline": [
-    {"circuit":"book_and","pipelined_replicates_per_sec":160.0,"per_order_replicates_per_sec":100.0,"pipeline_speedup":1.6,"steals":94},
-    {"circuit":"cello_0x1C","pipelined_replicates_per_sec":12.0,"per_order_replicates_per_sec":11.0,"pipeline_speedup":1.09,"steals":8}
+    {"circuit":"book_and","pipelined_replicates_per_sec":160.0,"steals":94},
+    {"circuit":"cello_0x1C","pipelined_replicates_per_sec":12.0,"steals":8}
   ],
   "model_cache": [
     {"circuit":"book_and","cold_submits_per_sec":1500.0,"warm_submits_per_sec":190000.0,"warm_speedup":126.0}
@@ -830,10 +748,10 @@ mod tests {
     {"circuit":"cello_0x1C","relay_replicates_per_sec":120.0,"child_replicates_per_sec":128.0,"relay_efficiency":0.938}
   ],
   "spill": [
-    {"circuit":"book_and","snapshot_writes_per_sec":6000.0,"snapshot_reloads_per_sec":9000.0,"snapshot_bytes":2400,"json_snapshot_writes_per_sec":2400.0,"json_snapshot_bytes":8000,"snapshot_write_speedup":2.5}
+    {"circuit":"book_and","snapshot_writes_per_sec":6000.0,"snapshot_reloads_per_sec":9000.0,"snapshot_bytes":2400}
   ],
   "codec": [
-    {"circuit":"book_and","json_decode_micros":198.0,"glcb_decode_micros":9.0,"decode_speedup":22.0,"json_reply_bytes":8000,"glcb_reply_bytes":2500}
+    {"circuit":"book_and","glcb_decode_micros":9.0,"glcb_reply_bytes":2500}
   ]
 }"#;
 
@@ -987,20 +905,16 @@ mod tests {
             err.contains("spill bytes") && err.contains("book_and"),
             "{err}"
         );
-        // …and so does the write-rate advantage dropping under 2x.
-        let slow = DOC.replace(
-            "\"snapshot_write_speedup\":2.5",
-            "\"snapshot_write_speedup\":1.4",
-        );
-        let err = run_gate(DOC, &slow, "spill_slow").expect_err("slow writes must fail");
-        assert!(
-            err.contains("spill writes") && err.contains("book_and"),
-            "{err}"
-        );
-        // Baselines without the GLCB columns (pre-codec spill rows)
-        // skip the gate.
-        let old = DOC.replace("\"snapshot_write_speedup\":2.5", "\"no_metric\":2.5");
-        run_gate(&old, DOC, "spill_absent").expect("absent baseline columns pass");
+        // …whatever the baseline recorded, while one at the ceiling
+        // passes.
+        let err = run_gate(&fat, &fat, "spill_fat_base").expect_err("re-baselining can't help");
+        assert!(err.contains("spill bytes"), "{err}");
+        let near = DOC.replace("\"snapshot_bytes\":2400", "\"snapshot_bytes\":3000");
+        run_gate(DOC, &near, "spill_ok").expect("at-ceiling snapshot passes");
+        // The spill row vanishing from the current run fails.
+        let gone = DOC.replace("\"snapshot_bytes\":2400", "\"no_metric\":2400");
+        let err = run_gate(DOC, &gone, "spill_gone").expect_err("missing spill row must fail");
+        assert!(err.contains("spill section"), "{err}");
     }
 
     #[test]
@@ -1099,29 +1013,6 @@ mod tests {
         );
         let err = run_gate(DOC, &gone, "draws_gone").expect_err("missing section must fail");
         assert!(err.contains("draws section in baseline"), "{err}");
-    }
-
-    #[test]
-    fn pipeline_floor_gates_book_but_records_cello() {
-        // book_and degenerating to per-order throughput fails its
-        // absolute floor…
-        let flat = DOC.replace("\"pipeline_speedup\":1.6", "\"pipeline_speedup\":1.0");
-        let err = run_gate(&flat, &flat, "pipe_floor").expect_err("sub-floor pipeline must fail");
-        assert!(
-            err.contains("pipeline floor") && err.contains("book_and"),
-            "{err}"
-        );
-        // …while cello is record-only: even the committed 0.869 noise
-        // reading passes (see PIPELINE_SPEEDUP_FLOORS for why).
-        let noisy = DOC.replace("\"pipeline_speedup\":1.09", "\"pipeline_speedup\":0.869");
-        run_gate(DOC, &noisy, "pipe_cello").expect("cello pipeline row is record-only");
-        // The book row vanishing fails.
-        let missing = DOC.replace(
-            "\"circuit\":\"book_and\",\"pipelined_replicates_per_sec\"",
-            "\"circuit\":\"renamed\",\"pipelined_replicates_per_sec\"",
-        );
-        let err = run_gate(DOC, &missing, "pipe_missing").expect_err("missing row must fail");
-        assert!(err.contains("no pipeline row"), "{err}");
     }
 
     #[test]

@@ -5,24 +5,22 @@
 //! per stdin line, and prints the response line to stdout — so a
 //! drill can `cmp` a socket transcript bitwise against the same
 //! requests piped through the stdin loop. The wire encoding is
-//! selectable, which is the point: all three codecs must produce
-//! byte-identical response lines.
+//! selectable, which is the point: both must produce byte-identical
+//! response lines.
 //!
 //! Flags:
 //!
 //! * `--connect HOST:PORT` — the `glc-serve --listen` address
 //!   (required);
-//! * `--codec line|json|glcb` — how requests travel (default `line`):
-//!   * `line` — the legacy newline protocol, bytes as-is;
-//!   * `json` — GLCF frames with raw JSON line payloads (a framed
-//!     peer that never learned GLCB);
-//!   * `glcb` — GLCF frames with GLCB `Text` payloads, negotiated in
-//!     the hello exchange.
+//! * `--codec line|glcb` — how requests travel (default `line`):
+//!   * `line` — the newline protocol, bytes as-is;
+//!   * `glcb` — GLCF frames with GLCB `Text` payloads, after the GLCB
+//!     hello exchange.
 //!
 //! Requests are sent synchronously — one line out, one response in —
 //! so the transcript order matches the stdin protocol exactly.
 
-use glc_service::codec::{self, Hello};
+use glc_service::codec;
 use glc_service::frame;
 use std::io::{BufRead as _, BufReader, Write as _};
 use std::net::TcpStream;
@@ -32,7 +30,6 @@ use std::process::ExitCode;
 #[derive(Clone, Copy, PartialEq)]
 enum Codec {
     Line,
-    Json,
     Glcb,
 }
 
@@ -52,7 +49,6 @@ fn parse_options() -> Result<Options, String> {
             "--codec" => {
                 codec = match value("--codec")?.as_str() {
                     "line" => Codec::Line,
-                    "json" => Codec::Json,
                     "glcb" => Codec::Glcb,
                     other => return Err(format!("--codec: unknown codec `{other}`")),
                 };
@@ -76,22 +72,14 @@ fn run() -> Result<(), String> {
         .map_err(|e| format!("cannot clone stream: {e}"))?;
     let mut reader = BufReader::new(stream);
 
-    if options.codec != Codec::Line {
-        // Framed modes open with the hello exchange; a `json` client
-        // sends the legacy hello and must be granted exactly that.
-        let hello = match options.codec {
-            Codec::Glcb => Hello::glcb(),
-            _ => Hello::legacy(),
-        };
-        frame::write_frame(&mut writer, &codec::hello_payload(hello))
+    if options.codec == Codec::Glcb {
+        // Framed mode opens with the hello exchange.
+        frame::write_frame(&mut writer, &codec::encode_hello(false))
             .map_err(|e| format!("sending hello: {e}"))?;
         let reply = frame::read_frame(&mut reader)
             .map_err(|e| format!("reading hello: {e}"))?
             .ok_or("server closed during hello")?;
-        let granted = codec::parse_hello(&reply).map_err(|e| format!("parsing hello: {e}"))?;
-        if options.codec == Codec::Glcb && !granted.glcb {
-            return Err("server did not grant the glcb codec".into());
-        }
+        codec::decode_hello(&reply).map_err(|e| format!("parsing hello: {e}"))?;
     }
 
     let stdin = std::io::stdin();
@@ -122,14 +110,6 @@ fn run() -> Result<(), String> {
                     return Err("server closed mid-conversation".into());
                 }
                 response.trim_end_matches('\n').to_string()
-            }
-            Codec::Json => {
-                frame::write_frame(&mut writer, line.as_bytes())
-                    .map_err(|e| format!("sending request frame: {e}"))?;
-                let payload = frame::read_frame(&mut reader)
-                    .map_err(|e| format!("reading response frame: {e}"))?
-                    .ok_or("server closed mid-conversation")?;
-                String::from_utf8(payload).map_err(|e| format!("non-UTF-8 response: {e}"))?
             }
             Codec::Glcb => {
                 frame::write_frame(&mut writer, &codec::encode_text(&line))

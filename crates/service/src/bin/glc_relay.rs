@@ -1,119 +1,66 @@
-//! `glc-relay`: a TCP shard relay — the remote-transport rung of the
+//! `glc-relay`: a TCP chunk relay — the remote-transport rung of the
 //! worker fabric.
 //!
-//! Listens on a socket, accepts connections, and serves **one
-//! newline-framed JSON [`glc_service::WorkOrder`] per line** on each
-//! connection, replying with one framed [`glc_service::RelayReply`]
-//! (the shard's `EnsemblePartial`, or the error that stopped it — a
-//! failed order never kills the relay). Each connection is served on
-//! its own thread, so a `glc-serve` holding several `TcpRelay` slots
-//! pointed at one relay runs its shards in parallel *here*, on this
-//! host's cores — which is the whole point: one front-end can fan
-//! ensemble work out to workers on other machines, and determinism
-//! (absolute replicate seeds + exact partial accumulation) guarantees
-//! the bits are identical to running everything locally.
+//! Listens on a socket and serves each accepted connection on its own
+//! thread with the framed protocol of `glc_service::frame` and
+//! `glc_service::codec`: the client sends a GLCB hello, the relay
+//! answers with its own, and then each GLCB chunk-order frame runs on
+//! a thread of its own, its reply frame going back as soon as it
+//! completes (possibly out of order; the correlation id lets the
+//! client reorder). A `glc-serve` pool slot (`PipelinedRelay`)
+//! therefore keeps several chunks in flight on one socket and they run
+//! in parallel *here*, on this host's cores — which is the whole
+//! point: one front-end can fan ensemble work out to other machines,
+//! and determinism (absolute replicate seeds + exact partial
+//! accumulation) guarantees the bits are identical to running
+//! everything locally. A failed order is answered in-band and never
+//! kills the relay; a hello or order frame that is not GLCB of this
+//! version drops the connection.
 //!
 //! On startup the relay prints exactly one line to stdout —
 //! `glc-relay listening on HOST:PORT` — so a parent that bound port 0
 //! can scrape the chosen port, then exits when its stdin reaches EOF
 //! (so a dying parent cannot leak relays).
 //!
-//! Flags:
-//!
-//! * `--listen HOST:PORT` — bind address (default `127.0.0.1:0` = any
-//!   free local port, reported on stdout);
-//! * `--workers N` — run each order over N `glc-worker` children via a
-//!   local [`glc_service::Coordinator`] (default 0 = execute in this
-//!   process on the connection's thread);
-//! * `--worker-bin PATH` — the worker binary for `--workers`
-//!   (default: `glc-worker` next to this executable).
+//! The one flag is `--listen HOST:PORT` — the bind address (default
+//! `127.0.0.1:0` = any free local port, reported on stdout).
 //!
 //! Orders execute through the process-wide compiled-model cache
 //! (`glc_ssa::ModelCache::shared`, via `WorkOrder::compile_model`): a
-//! relay hammered with shards of the same circuit — the normal sweep
+//! relay hammered with chunks of the same circuit — the normal sweep
 //! shape — compiles it once and serves every later order, on any
-//! connection thread, from the shared `Arc`.
+//! thread, from the shared `Arc`.
 //!
-//! ## GLCB and reduction mode
+//! ## Reduction
 //!
-//! Framed connections negotiate capabilities in the hello exchange
-//! (`glc_service::codec`): the relay advertises the GLCB binary codec
-//! *and* partial reduction, grants the intersection of what the client
-//! asked for, and answers each frame in its own encoding. On a
-//! reduce-granted connection, GLCB orders that finish while others are
-//! still running locally get a `Deferred` receipt (freeing the
-//! client's pipeline window) and their partials merge into one
+//! A client may ask for partial reduction in its hello, and the relay
+//! grants it. On a reducing connection, orders that finish while
+//! others are still running locally get a `Deferred` receipt (freeing
+//! the client's pipeline window) and their partials merge into one
 //! per-connection accumulator; when the local in-flight count hits
 //! zero the whole batch ships upstream as a single `Reduced` reply —
-//! coordinator ingress drops from one decode+merge per chunk to one
+//! pool ingress drops from one decode+merge per chunk to one
 //! per relay drain.
 
-use glc_service::codec::{self, BinaryReply, Hello};
-use glc_service::{frame, Coordinator, RelayReply, ServiceError, WorkOrder};
+use glc_service::codec::{self, BinaryReply};
+use glc_service::{frame, ServiceError};
 use glc_ssa::EnsemblePartial;
 use std::io::{BufReader, Read as _, Write};
 use std::net::{TcpListener, TcpStream};
-use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::{Arc, Mutex};
 
-/// Parsed command line.
-struct Options {
-    listen: String,
-    workers: usize,
-    worker_bin: Option<PathBuf>,
-}
-
-fn parse_options() -> Result<Options, String> {
-    let mut options = Options {
-        listen: "127.0.0.1:0".to_string(),
-        workers: 0,
-        worker_bin: None,
-    };
+/// The bind address from the command line.
+fn parse_listen() -> Result<String, String> {
+    let mut listen = "127.0.0.1:0".to_string();
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
-        let mut value = |flag: &str| args.next().ok_or_else(|| format!("{flag} expects a value"));
         match flag.as_str() {
-            "--listen" => options.listen = value("--listen")?,
-            "--workers" => {
-                options.workers = value("--workers")?
-                    .parse()
-                    .map_err(|e| format!("--workers: {e}"))?;
-            }
-            "--worker-bin" => {
-                options.worker_bin = Some(PathBuf::from(value("--worker-bin")?));
-            }
+            "--listen" => listen = args.next().ok_or("--listen expects a value")?,
             other => return Err(format!("unknown flag `{other}`")),
         }
     }
-    Ok(options)
-}
-
-/// How this relay executes one order.
-#[derive(Clone)]
-enum Executor {
-    /// On the connection's thread, in this process.
-    InProcess,
-    /// Over `glc-worker` children of this relay.
-    Coordinator { worker: PathBuf, workers: usize },
-}
-
-impl Executor {
-    fn run(&self, order: &WorkOrder) -> Result<EnsemblePartial, ServiceError> {
-        match self {
-            Executor::InProcess => order.execute(),
-            Executor::Coordinator { worker, workers } => {
-                Coordinator::new(worker, *workers).and_then(|coordinator| coordinator.run(order))
-            }
-        }
-    }
-
-    fn execute(&self, order: &WorkOrder) -> RelayReply {
-        match self.run(order) {
-            Ok(partial) => RelayReply::Partial(partial),
-            Err(err) => RelayReply::Error(err.to_string()),
-        }
-    }
+    Ok(listen)
 }
 
 /// The per-connection reduction accumulator: partials of locally
@@ -218,38 +165,15 @@ fn reduce_complete(
     }
 }
 
-/// Serves one connection until the peer closes, sniffing the framing
-/// from the first byte: the frame protocol's magic starts with `G`
-/// (a client that wants frames sends its hello first), while a JSON
-/// work-order line can only start with `{`, `"` or whitespace — so
-/// one port serves both the legacy line protocol and the pipelined
-/// framed protocol.
-fn serve_connection(stream: TcpStream, executor: Executor) {
+/// Serves one framed connection until the peer closes: exchange hello
+/// frames, then answer each GLCB order frame with a reply frame echoing
+/// its correlation id. Orders run on their own threads behind a
+/// mutexed writer, so replies go back **as they complete**.
+fn serve_connection(stream: TcpStream) {
     let peer = stream
         .peer_addr()
         .map(|a| a.to_string())
         .unwrap_or_else(|_| "<unknown>".into());
-    let mut first = [0u8; 1];
-    match stream.peek(&mut first) {
-        Ok(1) if first[0] == glc_service::FRAME_MAGIC[0] => {
-            serve_framed(stream, executor, &peer);
-            return;
-        }
-        Ok(_) => {}
-        Err(err) => {
-            eprintln!("glc-relay: sniffing protocol from {peer}: {err}");
-            return;
-        }
-    }
-    serve_lines(stream, executor, &peer);
-}
-
-/// The pipelined framed protocol: exchange hello frames, then answer
-/// each `Envelope<WorkOrder>` frame with an `Envelope<RelayReply>`
-/// frame echoing its correlation id. Orders run on their own threads
-/// behind a mutexed writer, so replies go back **as they complete** —
-/// possibly out of order; the id is what lets the client reorder.
-fn serve_framed(stream: TcpStream, executor: Executor, peer: &str) {
     let _ = stream.set_nodelay(true);
     let writer = match stream.try_clone() {
         Ok(writer) => Arc::new(Mutex::new(writer)),
@@ -259,9 +183,9 @@ fn serve_framed(stream: TcpStream, executor: Executor, peer: &str) {
         }
     };
     let mut reader = BufReader::new(stream);
-    let client = match frame::read_frame(&mut reader) {
-        Ok(Some(payload)) => match codec::parse_hello(&payload) {
-            Ok(client) => client,
+    let reducing = match frame::read_frame(&mut reader) {
+        Ok(Some(payload)) => match codec::decode_hello(&payload) {
+            Ok(reduce) => reduce,
             Err(err) => {
                 eprintln!("glc-relay: bad hello from {peer}: {err}");
                 return;
@@ -273,13 +197,10 @@ fn serve_framed(stream: TcpStream, executor: Executor, peer: &str) {
             return;
         }
     };
-    // Grant the intersection of what we speak and what the client
-    // asked for; a legacy client gets the byte-exact legacy hello back.
-    let granted = Hello::glcb_reducing().intersect(client);
-    let reducing = granted.glcb && granted.reduce;
+    // Grant exactly what the client asked for.
     {
         let mut writer = writer.lock().expect("relay writer poisoned");
-        if let Err(err) = frame::write_frame(&mut *writer, &codec::hello_payload(granted)) {
+        if let Err(err) = frame::write_frame(&mut *writer, &codec::encode_hello(reducing)) {
             eprintln!("glc-relay: answering hello to {peer}: {err}");
             return;
         }
@@ -295,13 +216,7 @@ fn serve_framed(stream: TcpStream, executor: Executor, peer: &str) {
                 break;
             }
         };
-        let glcb = codec::is_glcb(&payload);
-        let decoded: Result<(u64, WorkOrder), ServiceError> = if glcb {
-            codec::decode_order(&payload)
-        } else {
-            frame::decode_message(&payload)
-        };
-        let (id, order) = match decoded {
+        let (id, order) = match codec::decode_order(&payload) {
             Ok(decoded) => decoded,
             Err(err) => {
                 // An undecodable frame cannot even be answered in-band
@@ -311,13 +226,9 @@ fn serve_framed(stream: TcpStream, executor: Executor, peer: &str) {
             }
         };
         order_threads.retain(|thread| !thread.is_finished());
-        let executor = executor.clone();
         let writer = Arc::clone(&writer);
-        let peer = peer.to_string();
-        // Only GLCB orders on a reduce-granted connection join the
-        // accumulator: a JSON envelope mixed onto the same socket gets
-        // its own plain JSON reply and stays invisible to reduction.
-        if reducing && glcb {
+        let peer = peer.clone();
+        if reducing {
             let reducer = Arc::clone(&reducer);
             // Count the order in-flight *before* its thread exists, so
             // a burst of orders can never observe inflight == 0 between
@@ -325,24 +236,16 @@ fn serve_framed(stream: TcpStream, executor: Executor, peer: &str) {
             reducer.lock().expect("relay reducer poisoned").inflight += 1;
             let replicates = order.replicates;
             order_threads.push(std::thread::spawn(move || {
-                let outcome = executor.run(&order);
+                let outcome = order.execute();
                 reduce_complete(&reducer, &writer, id, replicates, outcome, &peer);
             }));
         } else {
             order_threads.push(std::thread::spawn(move || {
-                if glcb {
-                    let reply = match executor.run(&order) {
-                        Ok(partial) => BinaryReply::Partial(partial),
-                        Err(err) => BinaryReply::Error(err.to_string()),
-                    };
-                    write_reply(&writer, &codec::encode_reply(id, &reply), &peer);
-                } else {
-                    let reply = executor.execute(&order);
-                    match frame::encode_message(id, &reply) {
-                        Ok(encoded) => write_reply(&writer, &encoded, &peer),
-                        Err(err) => eprintln!("glc-relay: encoding reply for {peer}: {err}"),
-                    }
-                }
+                let reply = match order.execute() {
+                    Ok(partial) => BinaryReply::Partial(partial),
+                    Err(err) => BinaryReply::Error(err.to_string()),
+                };
+                write_reply(&writer, &codec::encode_reply(id, &reply), &peer);
             }));
         }
     }
@@ -351,73 +254,9 @@ fn serve_framed(stream: TcpStream, executor: Executor, peer: &str) {
     }
 }
 
-/// The legacy line protocol: one newline-framed JSON order per line,
-/// one reply line each, strictly in order.
-fn serve_lines(stream: TcpStream, executor: Executor, peer: &str) {
-    let mut writer = match stream.try_clone() {
-        Ok(writer) => writer,
-        Err(err) => {
-            eprintln!("glc-relay: cannot clone stream for {peer}: {err}");
-            return;
-        }
-    };
-    let mut reader = BufReader::new(stream);
-    loop {
-        // Capped at the frame payload limit so a malformed (or
-        // malicious) peer cannot balloon the relay by never sending a
-        // newline — the same fail-closed ceiling framed mode has.
-        let line = match frame::read_line_capped(&mut reader) {
-            Ok(Some(line)) => line,
-            Ok(None) => return, // Clean EOF.
-            Err(err) => {
-                eprintln!("glc-relay: reading from {peer}: {err}");
-                return;
-            }
-        };
-        if line.trim().is_empty() {
-            continue;
-        }
-        let reply = match serde_json::from_str::<WorkOrder>(line.trim()) {
-            Ok(order) => executor.execute(&order),
-            Err(err) => RelayReply::Error(format!("unparseable work order: {err}")),
-        };
-        let encoded = match serde_json::to_string(&reply) {
-            Ok(encoded) => encoded,
-            Err(err) => {
-                eprintln!("glc-relay: encoding reply for {peer}: {err}");
-                return;
-            }
-        };
-        if let Err(err) = writeln!(writer, "{encoded}").and_then(|()| writer.flush()) {
-            eprintln!("glc-relay: writing to {peer}: {err}");
-            return;
-        }
-    }
-}
-
-/// The `glc-worker` binary expected beside this executable.
-fn sibling_worker() -> Result<PathBuf, String> {
-    let mut path = std::env::current_exe().map_err(|e| format!("locating glc-relay: {e}"))?;
-    path.set_file_name("glc-worker");
-    Ok(path)
-}
-
 fn run() -> Result<(), String> {
-    let options = parse_options()?;
-    let executor = if options.workers == 0 {
-        Executor::InProcess
-    } else {
-        let worker = match options.worker_bin.clone() {
-            Some(path) => path,
-            None => sibling_worker()?,
-        };
-        Executor::Coordinator {
-            worker,
-            workers: options.workers,
-        }
-    };
-    let listener = TcpListener::bind(&options.listen)
-        .map_err(|e| format!("cannot bind {}: {e}", options.listen))?;
+    let listen = parse_listen()?;
+    let listener = TcpListener::bind(&listen).map_err(|e| format!("cannot bind {listen}: {e}"))?;
     let bound = listener
         .local_addr()
         .map_err(|e| format!("reading bound address: {e}"))?;
@@ -438,8 +277,7 @@ fn run() -> Result<(), String> {
     for stream in listener.incoming() {
         match stream {
             Ok(stream) => {
-                let executor = executor.clone();
-                std::thread::spawn(move || serve_connection(stream, executor));
+                std::thread::spawn(move || serve_connection(stream));
             }
             Err(err) => eprintln!("glc-relay: accept failed: {err}"),
         }

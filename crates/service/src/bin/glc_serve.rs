@@ -17,11 +17,12 @@
 //! it into the resident partial, `Query` finalizes figures with zero
 //! simulation work, `Stats` reports the operator snapshot (counters,
 //! latency histograms, slot health, session footprints). Extends run
-//! in-process by default, or over a worker pool mixing `glc-worker`
-//! children (`--workers`, `--worker-slot`) and remote `glc-relay`
-//! hosts (`--relay`) — the pool sizes shards by observed slot
-//! throughput and quarantines consistently failing slots, none of
-//! which can move a bit of the result. With `--spill-dir`, sessions
+//! in-process by default, or over a worker pool mixing resident
+//! `glc-worker` children (`--workers`, `--worker-slot`) and remote
+//! `glc-relay` hosts (`--relay`), every slot speaking framed GLCB —
+//! the pool homes chunks by observed slot throughput, steals, and
+//! quarantines consistently failing slots, none of which can move a
+//! bit of the result. With `--spill-dir`, sessions
 //! *and pool health* survive eviction and process death: every Extend
 //! write-through-snapshots the session and persists
 //! `pool_health.json`, and a restarted service transparently resumes
@@ -31,15 +32,15 @@
 //!
 //! * `--capacity N` — resident-session bound (default 16; LRU evicts
 //!   beyond it);
-//! * `--workers N`  — add N `glc-worker` child slots to the Extend
-//!   pool (default 0);
+//! * `--workers N`  — add N resident `glc-worker` child slots to the
+//!   Extend pool (default 0);
 //! * `--worker-bin PATH` — the worker binary for `--workers`
 //!   (default: `glc-worker` next to this executable);
-//! * `--worker-slot PATH` — add one child-process slot of exactly this
-//!   binary (repeatable; combines with `--workers`/`--relay`, which is
-//!   how a drill mixes a known-dead marker script with real workers);
-//! * `--relay HOST:PORT` — add one TCP-relay slot dialing a
-//!   `glc-relay` at that address (repeatable);
+//! * `--worker-slot PATH` — add one worker slot of exactly this binary
+//!   (repeatable; combines with `--workers`/`--relay`, which is how a
+//!   drill mixes a known-dead marker script with real workers);
+//! * `--relay HOST:PORT` — add one relay slot holding a framed
+//!   connection to a `glc-relay` at that address (repeatable);
 //! * `--quarantine-after N` — consecutive failures that quarantine a
 //!   pool slot (default 3);
 //! * `--spill-dir PATH` — durable session snapshots + pool health
@@ -52,13 +53,14 @@
 //!   scrape (`GET /metrics`) on this address; the bound address is
 //!   printed to **stderr** (`metrics listening on …`), so `:0` picks a
 //!   free port without disturbing the protocol stream;
-//! * `--listen HOST:PORT` — serve the same line protocol to many
-//!   concurrent TCP clients over a single-threaded nonblocking
-//!   readiness loop instead of stdin (see [`serve_listener`]); the
-//!   bound address is printed to **stdout** (`glc-serve listening on
-//!   …`), and the process still exits when stdin reaches EOF.
+//! * `--listen HOST:PORT` — serve the same line protocol (or GLCB
+//!   frames) to many concurrent TCP clients over a single-threaded
+//!   nonblocking readiness loop instead of stdin (see
+//!   [`serve_listener`]); the bound address is printed to **stdout**
+//!   (`glc-serve listening on …`), and the process still exits when
+//!   stdin reaches EOF.
 
-use glc_service::codec::{self, Hello};
+use glc_service::codec;
 use glc_service::{
     frame, metrics, transport, ExtendBackend, MetricsRegistry, SessionStore, Transport, WorkerPool,
 };
@@ -249,11 +251,11 @@ fn run() -> Result<(), String> {
 enum ClientMode {
     /// No bytes seen yet.
     Sniffing,
-    /// Legacy newline-delimited JSON lines.
+    /// Newline-delimited JSON lines.
     Line,
     /// Length-prefixed GLCF frames; after the hello exchange each
-    /// frame carries one session request — GLCB `Text` or a raw JSON
-    /// line — answered by one frame in the same encoding.
+    /// frame carries one session request as GLCB `Text`, answered by
+    /// one GLCB `Text` frame.
     Framed {
         decoder: frame::FrameDecoder,
         hello_done: bool,
@@ -339,18 +341,14 @@ impl ClientConn {
                     };
                     *progressed = true;
                     if !*hello_done {
-                        let client = match codec::parse_hello(&payload) {
-                            Ok(client) => client,
-                            Err(err) => {
-                                eprintln!("glc-serve: bad hello from {}: {err}", self.peer);
-                                return Err(());
-                            }
-                        };
+                        if let Err(err) = codec::decode_hello(&payload) {
+                            eprintln!("glc-serve: bad hello from {}: {err}", self.peer);
+                            return Err(());
+                        }
                         // Sessions don't reduce — that's a relay
-                        // capability — so grant at most the codec.
-                        let granted = Hello::glcb().intersect(client);
-                        let reply = codec::hello_payload(granted);
-                        metrics::count_frame_tx(granted.glcb, reply.len());
+                        // capability — so the grant never includes it.
+                        let reply = codec::encode_hello(false);
+                        metrics::count_frame_tx(reply.len());
                         match frame::encode_frame(&reply) {
                             Ok(framed) => self.write_buf.extend_from_slice(&framed),
                             Err(err) => {
@@ -361,35 +359,18 @@ impl ClientConn {
                         *hello_done = true;
                         continue;
                     }
-                    // One request per frame, answered in the frame's
-                    // own encoding; the line bytes either way are
-                    // byte-identical to the stdin protocol.
-                    let glcb = codec::is_glcb(&payload);
-                    metrics::count_frame_rx(glcb, payload.len());
-                    let line = if glcb {
-                        match codec::decode_text(&payload) {
-                            Ok(line) => line,
-                            Err(err) => {
-                                eprintln!("glc-serve: bad GLCB text from {}: {err}", self.peer);
-                                return Err(());
-                            }
-                        }
-                    } else {
-                        match String::from_utf8(payload) {
-                            Ok(line) => line,
-                            Err(err) => {
-                                eprintln!("glc-serve: non-UTF-8 frame from {}: {err}", self.peer);
-                                return Err(());
-                            }
+                    // One request per frame; the reply line bytes are
+                    // byte-identical to the stdin protocol's.
+                    metrics::count_frame_rx(payload.len());
+                    let line = match codec::decode_text(&payload) {
+                        Ok(line) => line,
+                        Err(err) => {
+                            eprintln!("glc-serve: bad GLCB text from {}: {err}", self.peer);
+                            return Err(());
                         }
                     };
-                    let encoded = store.handle_json_line(line.trim());
-                    let reply = if glcb {
-                        codec::encode_text(&encoded)
-                    } else {
-                        encoded.into_bytes()
-                    };
-                    metrics::count_frame_tx(glcb, reply.len());
+                    let reply = codec::encode_text(&store.handle_json_line(line.trim()));
+                    metrics::count_frame_tx(reply.len());
                     match frame::encode_frame(&reply) {
                         Ok(framed) => self.write_buf.extend_from_slice(&framed),
                         Err(err) => {
@@ -426,13 +407,14 @@ impl ClientConn {
 /// rest). Fairness is round-robin: each pass drains whatever complete
 /// lines every connection has accumulated.
 ///
-/// Each connection's framing is sniffed from its first byte: legacy
-/// clients keep sending newline-delimited lines (now capped at the
-/// frame payload limit), while a client that opens with a GLCF hello
-/// frame negotiates codecs and sends one request per frame — GLCB
-/// `Text` or a raw JSON line — answered by one frame in the same
-/// encoding, carrying the byte-identical response line. One socket
-/// thus serves binary, framed-JSON and line clients side by side.
+/// Each connection's framing is sniffed from its first byte: line
+/// clients send newline-delimited requests (capped at the frame
+/// payload limit), while a client that opens with a GLCF frame must
+/// complete the GLCB hello exchange and then sends one GLCB `Text`
+/// request per frame, answered by one frame carrying the
+/// byte-identical response line. A framed client whose hello is not a
+/// GLCB hello of this version is dropped. One socket thus serves
+/// binary and line clients side by side.
 ///
 /// Prints exactly one stdout banner — `glc-serve listening on
 /// HOST:PORT` — so a parent that bound port 0 can scrape the chosen

@@ -1,65 +1,31 @@
-//! `glc-worker`: one ensemble shard per process.
+//! `glc-worker`: a resident ensemble worker on stdin/stdout.
 //!
-//! Protocol: read a single [`glc_service::WorkOrder`] as JSON from
-//! **stdin** (to EOF), simulate its replicate range, write the
-//! resulting `glc_ssa::EnsemblePartial` as JSON to **stdout**. Any
-//! failure goes to stderr with a non-zero exit status.
+//! Protocol: length-prefixed GLCF frames carrying GLCB payloads (see
+//! `glc_service::frame` and `glc_service::codec`). The worker sends its
+//! hello frame, then answers each chunk-order frame with one reply
+//! frame echoing the order's correlation id: the chunk's
+//! `EnsemblePartial`, or the error that stopped it. Execution failures
+//! travel in-band as `Error` replies; only transport-level problems
+//! (unreadable stdin, a frame that is not a GLCB order) exit the
+//! process, dropping the connection. Clean EOF at a frame boundary is
+//! a normal shutdown.
 //!
-//! The binary is deliberately transport-agnostic: a local
-//! `Coordinator` drives it over pipes today, and the same bytes work
-//! over ssh, a container exec, or a job queue tomorrow. It stays the
-//! stateless shard primitive; the resident Submit/Extend/Query
-//! session protocol lives one level up, in `glc-serve`, which fans
-//! its Extend ranges out over these workers.
-//!
-//! A one-shot process compiles its model exactly once either way, but
-//! `WorkOrder::execute` still routes the compile through the
-//! process-wide `glc_ssa::ModelCache`, so any host embedding this
-//! run loop in a longer-lived process (as `glc-relay` does) gets
-//! compile reuse without changing the protocol.
-//!
-//! ## Resident mode: `glc-worker --serve`
-//!
-//! With `--serve` the process stays resident and speaks the
-//! length-prefixed frame protocol (`glc_service::frame`) on
-//! stdin/stdout instead: it sends the hello frame, then answers each
-//! framed `Envelope<WorkOrder>` with a framed `Envelope<RelayReply>`
-//! echoing the order's correlation `id`. One process thereby serves
-//! many chunk orders — the model compiles once in the process-wide
-//! `ModelCache` and every later chunk of the same circuit reuses it —
-//! and the pool keeps several orders in flight on the same pipe.
-//! Execution failures travel in-band as `RelayReply::Error` frames;
-//! only transport-level problems (unreadable stdin, a frame that
-//! fails to decode) exit the process. Clean EOF at a frame boundary
-//! is a normal shutdown.
-//!
-//! The hello advertises the GLCB binary codec (`glc_service::codec`),
-//! and each incoming frame is answered in its own payload encoding —
-//! a GLCB order gets a GLCB reply, a JSON envelope gets a JSON reply —
-//! so legacy framed clients keep working bit-for-bit.
+//! One process serves many chunk orders: the model compiles once in
+//! the process-wide `glc_ssa::ModelCache` and every later chunk of the
+//! same circuit reuses it, while the pool keeps several orders in
+//! flight on the same pipe. The binary takes no flags; a `WorkerPool`
+//! slot (`glc_service::PipelinedWorker`) spawns and drives it.
 
-use glc_service::codec::{self, BinaryReply, Hello};
-use glc_service::{frame, RelayReply, WorkOrder};
-use std::io::Read as _;
+use glc_service::codec::{self, BinaryReply};
+use glc_service::frame;
 use std::process::ExitCode;
-
-fn run() -> Result<String, String> {
-    let mut input = String::new();
-    std::io::stdin()
-        .read_to_string(&mut input)
-        .map_err(|e| format!("reading work order from stdin: {e}"))?;
-    let order: WorkOrder =
-        serde_json::from_str(input.trim()).map_err(|e| format!("parsing work order: {e}"))?;
-    let partial = order.execute().map_err(|e| e.to_string())?;
-    serde_json::to_string(&partial).map_err(|e| format!("encoding partial: {e}"))
-}
 
 fn serve() -> Result<(), String> {
     let stdin = std::io::stdin();
     let stdout = std::io::stdout();
     let mut reader = stdin.lock();
     let mut writer = stdout.lock();
-    frame::write_frame(&mut writer, &codec::hello_payload(Hello::glcb()))
+    frame::write_frame(&mut writer, &codec::encode_hello(false))
         .map_err(|e| format!("sending hello frame: {e}"))?;
     loop {
         let Some(payload) =
@@ -67,50 +33,28 @@ fn serve() -> Result<(), String> {
         else {
             return Ok(()); // Clean EOF between frames: the pool hung up.
         };
-        let glcb = codec::is_glcb(&payload);
-        let (id, order): (u64, WorkOrder) = if glcb {
-            codec::decode_order(&payload).map_err(|e| format!("decoding order frame: {e}"))?
-        } else {
-            frame::decode_message(&payload).map_err(|e| format!("decoding order frame: {e}"))?
-        };
+        let (id, order) =
+            codec::decode_order(&payload).map_err(|e| format!("decoding order frame: {e}"))?;
         // The order executes on this thread: chunk orders are sized to
         // fractions of a second and the pool pipelines across
         // *processes*, so in-process concurrency would only add
         // nondeterministic completion order for nothing.
-        let outcome = order.execute();
-        // Answer in the frame's own codec, so one connection can mix
-        // encodings and a legacy client never sees a binary byte.
-        let encoded = if glcb {
-            let reply = match outcome {
-                Ok(partial) => BinaryReply::Partial(partial),
-                Err(err) => BinaryReply::Error(err.to_string()),
-            };
-            codec::encode_reply(id, &reply)
-        } else {
-            let reply = match outcome {
-                Ok(partial) => RelayReply::Partial(partial),
-                Err(err) => RelayReply::Error(err.to_string()),
-            };
-            frame::encode_message(id, &reply).map_err(|e| format!("encoding reply frame: {e}"))?
+        let reply = match order.execute() {
+            Ok(partial) => BinaryReply::Partial(partial),
+            Err(err) => BinaryReply::Error(err.to_string()),
         };
-        frame::write_frame(&mut writer, &encoded)
+        frame::write_frame(&mut writer, &codec::encode_reply(id, &reply))
             .map_err(|e| format!("writing reply frame: {e}"))?;
     }
 }
 
 fn main() -> ExitCode {
-    let resident = std::env::args().skip(1).any(|arg| arg == "--serve");
-    let outcome = if resident {
-        serve().map(|()| None)
-    } else {
-        run().map(Some)
+    let outcome = match std::env::args().nth(1) {
+        Some(flag) => Err(format!("takes no flags (got `{flag}`)")),
+        None => serve(),
     };
     match outcome {
-        Ok(Some(json)) => {
-            println!("{json}");
-            ExitCode::SUCCESS
-        }
-        Ok(None) => ExitCode::SUCCESS,
+        Ok(()) => ExitCode::SUCCESS,
         Err(message) => {
             eprintln!("glc-worker: {message}");
             ExitCode::FAILURE

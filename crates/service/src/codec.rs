@@ -1,13 +1,12 @@
-//! GLCB: the compact binary payload codec for the frame wire and the
-//! spill path.
+//! GLCB: the binary payload codec of the frame wire and the spill
+//! path.
 //!
 //! The frame layer (`glc_service::frame`) delimits payloads but does
-//! not care what they are; historically every payload was JSON. GLCB
-//! is a second payload encoding, negotiated per connection through the
-//! existing hello exchange, that replaces the hot-path JSON documents
-//! — chunk orders, `RelayReply` partials, spill snapshots — with a
-//! dense binary layout built on `glc_ssa::wire` primitives (LEB128
-//! varints, little-endian `f64` bit patterns, length-prefixed UTF-8).
+//! not care what they are. GLCB is the one payload encoding inside
+//! them — chunk orders, chunk replies, hellos, session text lines and
+//! spill snapshots — a dense binary layout built on `glc_ssa::wire`
+//! primitives (LEB128 varints, little-endian `f64` bit patterns,
+//! length-prefixed UTF-8).
 //!
 //! # Payload layout
 //!
@@ -24,6 +23,7 @@
 //! | 2 `REPLY` | varint id, a variant byte, then the variant body |
 //! | 3 `TEXT`  | length-prefixed UTF-8 (one session-protocol JSON line) |
 //! | 4 `SNAPSHOT` | length-prefixed spec JSON + binary partial (spill files) |
+//! | 5 `HELLO` | one flags byte: bit 0 = partial reduction |
 //!
 //! Reply variants: 0 `Partial(partial)`, 1 `Error(string)`,
 //! 2 `Deferred(varint replicates)` — a reducing relay's receipt for a
@@ -31,28 +31,22 @@
 //! covered ids, partial)` — the merged partial it ships upstream,
 //! covering the envelope id plus the listed deferred ids.
 //!
-//! A GLCB payload always starts with `GLCB`, which no JSON document
-//! can (JSON starts with `{`, `"`, a digit, or whitespace), so both
-//! payload encodings coexist on one connection and every reader can
-//! [`is_glcb`]-sniff per frame. Decoding is fail-closed end to end:
-//! truncation, unknown tags/variants, trailing bytes, and structurally
-//! invalid partials (via `EnsemblePartial::validate`) are all errors.
+//! Decoding is fail-closed end to end: a missing magic, another
+//! version, truncation, unknown tags/variants/flags, trailing bytes,
+//! and structurally invalid partials (via `EnsemblePartial::validate`)
+//! are all errors.
 //!
-//! # Hello negotiation
+//! # Hello
 //!
-//! The hello frame stays a JSON object (`{"glc_frame_hello":1}`), so
-//! legacy peers keep working bit-for-bit. A GLCB-capable peer extends
-//! it with a `codecs` list (and a relay client may ask for reduction
-//! with `"reduce":true`); [`parse_hello`] accepts any object carrying
-//! `glc_frame_hello: 1` and reads the capabilities off it, and
-//! [`hello_payload`] emits the **legacy bytes exactly** when no
-//! capability is advertised — so a reply to a legacy hello is
-//! byte-identical to yesterday's.
+//! Both ends of a framed connection open with a `HELLO` payload. It
+//! carries the GLCB version in its header and one capability: a relay
+//! client asks for partial reduction, and the relay grants it. A peer
+//! whose hello is not a GLCB hello of this version — an older build's
+//! JSON hello included — fails the handshake closed.
 
 use crate::{EngineSpec, ModelSource, ServiceError, WorkOrder};
 use glc_ssa::wire::{put_f64_bits, put_string, put_varint, Reader, WireError};
 use glc_ssa::EnsemblePartial;
-use serde::Value;
 
 /// First four bytes of every GLCB payload. Distinct from the frame
 /// magic (`GLCF`): this sits *inside* a frame payload.
@@ -65,21 +59,23 @@ const TAG_ORDER: u8 = 1;
 const TAG_REPLY: u8 = 2;
 const TAG_TEXT: u8 = 3;
 const TAG_SNAPSHOT: u8 = 4;
+const TAG_HELLO: u8 = 5;
+
+const HELLO_REDUCE: u8 = 1;
 
 const REPLY_PARTIAL: u8 = 0;
 const REPLY_ERROR: u8 = 1;
 const REPLY_DEFERRED: u8 = 2;
 const REPLY_REDUCED: u8 = 3;
 
-/// Whether a frame payload is GLCB-encoded (vs JSON). Sniffable per
-/// frame: JSON can never start with the GLCB magic.
+/// Whether a payload starts with the GLCB magic.
 pub fn is_glcb(payload: &[u8]) -> bool {
     payload.len() >= 4 && payload[..4] == GLCB_MAGIC
 }
 
-/// One decoded reply payload on the chunk wire — the binary analogue
-/// of `Envelope<RelayReply>`, extended with the two reduction-mode
-/// messages a reducing relay may send instead of a plain partial.
+/// One decoded reply payload on the chunk wire: a chunk's partial or
+/// its failure, or one of the two reduction-mode messages a reducing
+/// relay may send instead of a plain partial.
 #[derive(Debug, Clone, PartialEq)]
 pub enum BinaryReply {
     /// The chunk's partial, computed and shipped verbatim.
@@ -146,8 +142,7 @@ fn expect_tag(what: &str, tag: u8, expected: u8) -> Result<(), ServiceError> {
     Ok(())
 }
 
-/// Encodes a chunk order under its correlation id — the GLCB analogue
-/// of `frame::encode_message(id, order)`.
+/// Encodes a chunk order under its correlation id.
 pub fn encode_order(id: u64, order: &WorkOrder) -> Vec<u8> {
     let mut buf = header(TAG_ORDER);
     put_varint(&mut buf, id);
@@ -242,9 +237,7 @@ pub fn decode_order(payload: &[u8]) -> Result<(u64, WorkOrder), ServiceError> {
     read().map_err(|err| protocol(what, err))
 }
 
-/// Encodes a chunk reply under its correlation id — the GLCB analogue
-/// of `frame::encode_message(id, reply)`, extended with the
-/// reduction-mode variants.
+/// Encodes a chunk reply under its correlation id.
 pub fn encode_reply(id: u64, reply: &BinaryReply) -> Vec<u8> {
     let mut buf = header(TAG_REPLY);
     put_varint(&mut buf, id);
@@ -277,8 +270,7 @@ pub fn encode_reply(id: u64, reply: &BinaryReply) -> Vec<u8> {
 }
 
 /// Decodes a GLCB chunk reply, returning `(id, reply)`. Embedded
-/// partials are structurally validated (`EnsemblePartial::validate`)
-/// exactly like the JSON path validates them.
+/// partials are structurally validated (`EnsemblePartial::validate`).
 ///
 /// # Errors
 ///
@@ -318,9 +310,9 @@ pub fn decode_reply(payload: &[u8]) -> Result<(u64, BinaryReply), ServiceError> 
 
 /// Wraps one session-protocol JSON line in a GLCB text payload. The
 /// multiplexed `glc-serve --listen` front-end serves Submit / Extend /
-/// Query this way for GLCB clients: the *line bytes* are exactly what
-/// the stdin protocol produces, so a GLCB client's responses compare
-/// byte-identical to a serial stdin run.
+/// Query this way for framed clients: the *line bytes* are exactly
+/// what the stdin protocol produces, so a framed client's responses
+/// compare byte-identical to a serial stdin run.
 pub fn encode_text(line: &str) -> Vec<u8> {
     let mut buf = header(TAG_TEXT);
     put_string(&mut buf, line);
@@ -348,8 +340,7 @@ pub fn decode_text(payload: &[u8]) -> Result<String, ServiceError> {
 
 /// Encodes a spill snapshot: the session spec as its canonical JSON
 /// (specs are tiny and their fingerprint hashes those bytes) plus the
-/// partial in the dense binary layout — the part that dominated the
-/// ~8 KB JSON snapshots.
+/// partial in the dense binary layout.
 pub fn encode_snapshot(spec_json: &str, partial: &EnsemblePartial) -> Vec<u8> {
     let mut buf = header(TAG_SNAPSHOT);
     put_string(&mut buf, spec_json);
@@ -377,108 +368,39 @@ pub fn decode_snapshot(payload: &[u8]) -> Result<(String, EnsemblePartial), Serv
     read().map_err(|err| protocol(what, err))
 }
 
-/// Capabilities carried by a hello frame.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct Hello {
-    /// The peer can encode/decode GLCB payloads.
-    pub glcb: bool,
-    /// The peer asks for (client) or grants (relay) partial reduction:
-    /// the relay merges chunk partials locally and ships one merged
-    /// partial upstream.
-    pub reduce: bool,
+/// Encodes the hello payload a framed connection opens with: the GLCB
+/// header (magic + version) and whether this side asks for (a relay
+/// client) or grants (a relay) partial reduction.
+pub fn encode_hello(reduce: bool) -> Vec<u8> {
+    let mut buf = header(TAG_HELLO);
+    buf.push(if reduce { HELLO_REDUCE } else { 0 });
+    buf
 }
 
-impl Hello {
-    /// The legacy capability set: JSON payloads only.
-    pub fn legacy() -> Self {
-        Hello::default()
-    }
-
-    /// GLCB payloads, no reduction (worker connections).
-    pub fn glcb() -> Self {
-        Hello {
-            glcb: true,
-            reduce: false,
-        }
-    }
-
-    /// GLCB payloads plus relay-side reduction (relay connections).
-    pub fn glcb_reducing() -> Self {
-        Hello {
-            glcb: true,
-            reduce: true,
-        }
-    }
-
-    /// The capabilities both sides share — what the connection
-    /// actually runs with.
-    pub fn intersect(self, other: Hello) -> Hello {
-        Hello {
-            glcb: self.glcb && other.glcb,
-            reduce: self.reduce && other.reduce,
-        }
-    }
-}
-
-/// Builds the hello payload advertising `hello`'s capabilities. With
-/// no capabilities this is **exactly** the legacy
-/// [`crate::frame::FRAME_HELLO`] bytes, so a reply to a legacy peer is
-/// bit-for-bit what it always received.
-pub fn hello_payload(hello: Hello) -> Vec<u8> {
-    if !hello.glcb && !hello.reduce {
-        return crate::frame::FRAME_HELLO.to_vec();
-    }
-    let mut entries = vec![("glc_frame_hello".to_string(), Value::Num(1.0))];
-    if hello.glcb {
-        entries.push((
-            "codecs".to_string(),
-            Value::Array(vec![Value::Str("glcb".to_string())]),
-        ));
-    }
-    if hello.reduce {
-        entries.push(("reduce".to_string(), Value::Bool(true)));
-    }
-    serde_json::to_string(&Value::Object(entries))
-        .unwrap_or_else(|_| String::from_utf8_lossy(crate::frame::FRAME_HELLO).into_owned())
-        .into_bytes()
-}
-
-/// Parses a hello payload into its capabilities. Accepts the legacy
-/// exact bytes and any JSON object carrying `glc_frame_hello: 1` —
-/// unknown fields are ignored, so hellos stay forward-extensible.
+/// Decodes a peer's hello payload, returning its reduction flag.
 ///
 /// # Errors
 ///
-/// [`ServiceError::Protocol`] when the payload is not a hello at all
-/// (the fail-closed behaviour connection setup relies on).
-pub fn parse_hello(payload: &[u8]) -> Result<Hello, ServiceError> {
-    if payload == crate::frame::FRAME_HELLO {
-        return Ok(Hello::legacy());
-    }
-    let text = std::str::from_utf8(payload)
-        .map_err(|_| ServiceError::Protocol("hello frame is not UTF-8".into()))?;
-    let value: Value = serde_json::from_str(text)
-        .map_err(|err| ServiceError::Protocol(format!("unparseable hello frame: {err}")))?;
-    match value.get("glc_frame_hello") {
-        Some(Value::Num(n)) if *n == 1.0 => {}
-        _ => {
-            return Err(ServiceError::Protocol(
-                "hello frame lacks glc_frame_hello: 1".into(),
-            ))
+/// [`ServiceError::Protocol`] for anything but a GLCB hello of this
+/// version — the fail-closed behaviour connection setup relies on.
+pub fn decode_hello(payload: &[u8]) -> Result<bool, ServiceError> {
+    let what = "GLCB hello";
+    let (mut reader, tag) = open(payload, what)?;
+    expect_tag(what, tag, TAG_HELLO)?;
+    let mut read = || -> Result<bool, WireError> {
+        let flags = reader.byte("hello flags")?;
+        if flags & !HELLO_REDUCE != 0 {
+            return Err(WireError(format!("unknown hello flags {flags:#04x}")));
         }
-    }
-    let glcb = matches!(
-        value.get("codecs"),
-        Some(Value::Array(codecs)) if codecs.iter().any(|c| matches!(c, Value::Str(s) if s == "glcb"))
-    );
-    let reduce = matches!(value.get("reduce"), Some(Value::Bool(true)));
-    Ok(Hello { glcb, reduce })
+        reader.expect_end("hello")?;
+        Ok(flags == HELLO_REDUCE)
+    };
+    read().map_err(|err| protocol(what, err))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::FRAME_HELLO;
 
     fn order() -> WorkOrder {
         WorkOrder {
@@ -548,7 +470,7 @@ mod tests {
         let mut payload = encode_reply(0, &replies[0]);
         payload[4] = 99;
         assert!(decode_reply(&payload).is_err());
-        // JSON payloads are cleanly distinguishable.
+        // JSON payloads are rejected outright.
         assert!(!is_glcb(b"{\"id\":1}"));
         assert!(decode_reply(b"{\"id\":1}").is_err());
     }
@@ -563,30 +485,30 @@ mod tests {
 
     #[test]
     fn hello_negotiation_matrix() {
-        // Legacy bytes parse as the legacy capability set, and the
-        // legacy capability set emits exactly the legacy bytes.
-        assert_eq!(parse_hello(FRAME_HELLO).unwrap(), Hello::legacy());
-        assert_eq!(hello_payload(Hello::legacy()), FRAME_HELLO.to_vec());
-        // Capability hellos round-trip.
-        for hello in [Hello::glcb(), Hello::glcb_reducing()] {
-            let payload = hello_payload(hello);
-            assert_eq!(parse_hello(&payload).unwrap(), hello);
-            // Still a valid hello to a peer that only checks the marker.
-            assert!(String::from_utf8_lossy(&payload).contains("\"glc_frame_hello\":1"));
+        // Both flags round-trip.
+        for reduce in [false, true] {
+            assert_eq!(decode_hello(&encode_hello(reduce)).unwrap(), reduce);
         }
-        // Unknown fields are ignored; missing marker fails closed.
-        let extended = b"{\"glc_frame_hello\":1,\"auth\":\"tbd\",\"codecs\":[\"glcb\",\"zstd\"]}";
-        assert_eq!(parse_hello(extended).unwrap(), Hello::glcb());
-        assert!(parse_hello(b"{\"hi\":1}").is_err());
-        assert!(parse_hello(b"GLCB").is_err());
-        // Intersection is per-capability.
-        assert_eq!(
-            Hello::glcb_reducing().intersect(Hello::glcb()),
-            Hello::glcb()
-        );
-        assert_eq!(
-            Hello::glcb_reducing().intersect(Hello::legacy()),
-            Hello::legacy()
-        );
+        // Another GLCB version, an unknown flag, a truncated or
+        // over-long hello, another tag, and an older build's JSON hello
+        // all fail closed.
+        let mut other_version = encode_hello(true);
+        other_version[4] = GLCB_VERSION + 1;
+        let mut unknown_flag = encode_hello(false);
+        unknown_flag[6] = 0x02;
+        let hello = encode_hello(true);
+        let mut trailing = hello.clone();
+        trailing.push(0);
+        for bad in [
+            other_version,
+            unknown_flag,
+            hello[..hello.len() - 1].to_vec(),
+            trailing,
+            encode_text("{}"),
+            b"{\"glc_frame_hello\":1}".to_vec(),
+            b"{\"glc_frame_hello\":1,\"codecs\":[\"glcb\"]}".to_vec(),
+        ] {
+            assert!(decode_hello(&bad).is_err(), "{bad:?}");
+        }
     }
 }

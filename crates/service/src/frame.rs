@@ -1,23 +1,18 @@
 //! Length-prefixed frame codec for the worker/relay wire.
 //!
-//! PR 5 put newline-delimited JSON on every hop of the fabric. That
-//! framing couples one connection to one work order: the reply is
-//! "whatever line comes back", so a slot that wants several orders in
-//! flight has no way to tell their replies apart, and every order pays
-//! a fresh spawn/connect. This module replaces it with a binary frame:
+//! Every hop of the fabric — pool to resident worker, pool to relay,
+//! framed client to `glc-serve --listen` — carries binary frames:
 //!
 //! ```text
 //! +----------+----------+-------------------------+
 //! | magic    | length   | payload                 |
-//! | 4 bytes  | u32 BE   | `length` bytes of JSON  |
-//! | "GLCF"   |          | (an Envelope, usually)  |
+//! | 4 bytes  | u32 BE   | `length` bytes of GLCB  |
+//! | "GLCF"   |          | (see `crate::codec`)    |
 //! +----------+----------+-------------------------+
 //! ```
 //!
-//! The payload is the same JSON the line protocol carried — typically
-//! an [`Envelope`](crate::Envelope) whose `id` correlates a reply with
-//! its in-flight order — so everything the schema tests pin about the
-//! JSON layer still holds; only the outer delimiting changed.
+//! Each payload is one GLCB message whose correlation id ties a reply
+//! to its in-flight order, so one connection pipelines many orders.
 //!
 //! Decoding **fails closed**: a bad magic, an oversized length, or an
 //! EOF inside a frame is an error, never a partial result, and an
@@ -26,15 +21,13 @@
 //! readers hand it whatever the socket had), and validates the header
 //! prefix as soon as enough bytes exist to falsify it.
 
-use crate::session::Envelope;
 use crate::ServiceError;
-use serde::{Deserialize, Serialize, Value};
 use std::io::{Read, Write};
 
-/// First four bytes of every frame. `47 4C 43 46` ("GLCF"). The line
-/// protocol can never produce this prefix — a JSON request line starts
-/// with `{`, `"` or whitespace — so a listener can sniff one byte and
-/// serve both framings on the same port.
+/// First four bytes of every frame. `47 4C 43 46` ("GLCF"). A JSON
+/// request line can never produce this prefix — it starts with `{`,
+/// `"` or whitespace — so `glc-serve --listen` sniffs one byte to tell
+/// framed clients from line clients.
 pub const FRAME_MAGIC: [u8; 4] = *b"GLCF";
 
 /// Header size: magic + big-endian u32 payload length.
@@ -45,12 +38,6 @@ pub const FRAME_HEADER_LEN: usize = 8;
 /// keeping a corrupt or hostile length prefix from driving a
 /// multi-gigabyte allocation.
 pub const MAX_FRAME_PAYLOAD: usize = 64 << 20;
-
-/// Handshake payload both ends exchange before pipelining orders. A
-/// peer that doesn't speak frames (a dead marker script, a legacy
-/// line-protocol relay) never produces it, so connection setup fails
-/// closed instead of blocking on a peer that will never frame.
-pub const FRAME_HELLO: &[u8] = b"{\"glc_frame_hello\":1}";
 
 /// Encodes one frame around `payload`.
 pub fn encode_frame(payload: &[u8]) -> Result<Vec<u8>, ServiceError> {
@@ -116,11 +103,10 @@ pub fn read_frame<R: Read>(reader: &mut R) -> Result<Option<Vec<u8>>, ServiceErr
 }
 
 /// Reads one newline-terminated line from a buffered reader, failing
-/// closed once the line exceeds [`MAX_FRAME_PAYLOAD`] bytes. The legacy
-/// line protocol had no length cap at all, so a peer streaming garbage
-/// without a newline could grow the buffer without bound; this mirrors
-/// the frame cap onto the line paths. `Ok(None)` is EOF before any
-/// byte of a line.
+/// closed once the line exceeds [`MAX_FRAME_PAYLOAD`] bytes, so a peer
+/// streaming garbage without a newline cannot grow the buffer without
+/// bound; this mirrors the frame cap onto the line paths. `Ok(None)`
+/// is EOF before any byte of a line.
 pub fn read_line_capped<R: std::io::BufRead>(
     reader: &mut R,
 ) -> Result<Option<String>, ServiceError> {
@@ -236,35 +222,6 @@ impl FrameDecoder {
     }
 }
 
-/// Encodes `body` under the envelope `id` as a frame payload. `id` is
-/// the chunk-order correlation key: replies echo it, so a slot may
-/// keep many orders in flight on one connection.
-pub fn encode_message<T: Serialize>(id: u64, body: &T) -> Result<Vec<u8>, ServiceError> {
-    let envelope = Envelope {
-        id: Some(Value::Num(id as f64)),
-        body,
-    };
-    serde_json::to_string(&envelope)
-        .map(String::into_bytes)
-        .map_err(|err| ServiceError::Protocol(format!("encoding frame envelope: {err:?}")))
-}
-
-/// Decodes a frame payload into an envelope, returning `(id, body)`.
-/// A missing or non-numeric id fails closed — an uncorrelatable reply
-/// on a pipelined connection cannot be attributed to any order.
-pub fn decode_message<T: Deserialize>(payload: &[u8]) -> Result<(u64, T), ServiceError> {
-    let text = std::str::from_utf8(payload)
-        .map_err(|err| ServiceError::Protocol(format!("frame payload is not UTF-8: {err}")))?;
-    let envelope: Envelope<T> = serde_json::from_str(text)
-        .map_err(|err| ServiceError::Protocol(format!("unparseable frame payload: {err:?}")))?;
-    match envelope.id {
-        Some(Value::Num(id)) if id >= 0.0 && id.fract() == 0.0 => Ok((id as u64, envelope.body)),
-        other => Err(ServiceError::Protocol(format!(
-            "frame envelope id {other:?} is not a non-negative integer"
-        ))),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -348,9 +305,14 @@ mod tests {
 
     #[test]
     fn envelope_messages_carry_their_correlation_id() {
-        let payload = encode_message(41, &crate::RelayReply::Error("boom".into())).unwrap();
-        let (id, reply): (u64, crate::RelayReply) = decode_message(&payload).unwrap();
+        // A framed reply payload carries the id of the order it answers,
+        // so a pipelined slot can attribute it whatever order replies
+        // arrive in.
+        let payload = crate::codec::encode_reply(41, &crate::BinaryReply::Error("boom".into()));
+        let framed = encode_frame(&payload).unwrap();
+        let read = read_frame(&mut &framed[..]).unwrap().expect("one frame");
+        let (id, reply) = crate::codec::decode_reply(&read).unwrap();
         assert_eq!(id, 41);
-        assert!(matches!(reply, crate::RelayReply::Error(msg) if msg == "boom"));
+        assert!(matches!(reply, crate::BinaryReply::Error(msg) if msg == "boom"));
     }
 }

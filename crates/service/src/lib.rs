@@ -1,31 +1,30 @@
-//! Process-level ensemble sharding: the `glc-worker` protocol.
+//! Ensemble sharding and the resident session service around
+//! Algorithm 1's simulated sweeps.
 //!
 //! The virtual-lab workload is ensemble-shaped — every noise figure,
 //! threshold estimate and propagation-delay measurement averages many
 //! stochastic replicates — and replicates are embarrassingly parallel.
-//! This crate is the first distribution rung from `ROADMAP.md`: a
-//! process-level worker protocol built on the mergeable
-//! [`EnsemblePartial`] aggregates from `glc_ssa`.
+//! This crate distributes them over the mergeable [`EnsemblePartial`]
+//! aggregates from `glc_ssa`:
 //!
-//! * [`WorkOrder`] — a self-contained JSON description of one shard:
-//!   the model (inline SBML via `glc_model::sbml`, or a catalog
-//!   circuit id), initial-amount overrides, the engine, a contiguous
-//!   replicate range, and the sampling grid;
-//! * `glc-worker` (binary) — reads one work order on **stdin**, runs
-//!   [`WorkOrder::execute`], writes the resulting [`EnsemblePartial`]
-//!   as JSON on **stdout**. No flags, no files, no network: anything
-//!   that can move bytes between processes can host a worker;
-//! * [`Coordinator`] — shards a replicate range into work orders, fans
-//!   them out over `std::process` children, merges the returned
-//!   partials in shard order and finalizes the [`Ensemble`]. A failed
-//!   shard is retried once on a different worker slot (determinism
-//!   makes the re-issued seed range idempotent) and per-worker failure
-//!   counts are surfaced through [`RunReport`];
+//! * [`WorkOrder`] — a self-contained description of one chunk of
+//!   replicates: the model (inline SBML via `glc_model::sbml`, or a
+//!   catalog circuit id), initial-amount overrides, the engine, a
+//!   contiguous replicate range, and the sampling grid;
+//! * [`transport`] — the worker fabric: a [`WorkerPool`] of slots, each
+//!   reaching its executor through one persistent [`ChunkChannel`] —
+//!   a resident `glc-worker` child ([`PipelinedWorker`]) or a
+//!   `glc-relay` socket ([`PipelinedRelay`]). The pool chunks an order,
+//!   steals, retries failed chunks on other slots and quarantines
+//!   failing slots, reporting per-slot accounting in [`RunReport`];
+//! * [`frame`] and [`codec`] — the one internal wire: length-prefixed
+//!   GLCF frames carrying GLCB binary payloads (chunk orders, replies,
+//!   hellos, and the on-disk session snapshots);
 //! * [`session`] — the **resident query service**: Submit / Extend /
 //!   Query over an LRU-bounded [`session::SessionStore`] that keeps
 //!   compiled models and partially-aggregated ensembles warm, served
-//!   by the `glc-serve` binary as line-delimited JSON. Extends fan out
-//!   over the same worker protocol; queries do zero simulation work.
+//!   by the `glc-serve` binary as line-delimited JSON. Extends run
+//!   in-process or over a worker pool; queries do zero simulation work.
 //! * [`metrics`] — the operator-grade observability layer: request and
 //!   shard latency histograms over lock-free atomics, slot health and
 //!   session footprints, exported through the extended Stats wire reply
@@ -35,13 +34,13 @@
 //! # Determinism
 //!
 //! Replicate `i` is seeded `base_seed + i` no matter which process runs
-//! it, and partial merging is exact (see `glc_ssa::exact`), so a
-//! coordinator over any number of workers reproduces the in-process
-//! `run_ensemble` aggregate **bitwise** — and a resident session
-//! extended `0..R` then `R..R+N` holds exactly the partial a fresh
-//! `0..R+N` run produces (seed-range accounting validates the merges
-//! are disjoint rather than trusting them). The integration tests
-//! assert exactly that, and CI exercises it on every push.
+//! it, and partial merging is exact (see `glc_ssa::exact`), so a pool
+//! over any number of workers reproduces the in-process `run_ensemble`
+//! aggregate **bitwise** — and a resident session extended `0..R` then
+//! `R..R+N` holds exactly the partial a fresh `0..R+N` run produces
+//! (seed-range accounting validates the merges are disjoint rather
+//! than trusting them). The integration tests assert exactly that, and
+//! CI exercises it on every push.
 //!
 //! See `crates/service/README.md` for the wire schemas with worked
 //! examples.
@@ -54,7 +53,7 @@ pub mod metrics;
 pub mod session;
 pub mod transport;
 
-pub use codec::{BinaryReply, Hello, GLCB_MAGIC, GLCB_VERSION};
+pub use codec::{BinaryReply, GLCB_MAGIC, GLCB_VERSION};
 pub use frame::{FrameDecoder, FRAME_HEADER_LEN, FRAME_MAGIC, MAX_FRAME_PAYLOAD};
 pub use metrics::{HistogramSnapshot, MetricsRegistry, RequestKind};
 pub use session::{
@@ -63,22 +62,20 @@ pub use session::{
     SpeciesNoise, Submitted,
 };
 pub use transport::{
-    ChildProcess, ChunkChannel, ChunkReply, InProcess, PipelinedRelay, PipelinedWorker,
-    PoolHealthSnapshot, RelayReply, ShardHandle, SlotHealth, SlotHealthRecord, TcpRelay, Transport,
-    WorkerPool,
+    ChunkChannel, PipelinedRelay, PipelinedWorker, PoolHealthSnapshot, SlotHealth,
+    SlotHealthRecord, Transport, WorkerPool,
 };
 
 use glc_model::Model;
 use glc_ssa::{
-    run_partial_from, CompiledModel, Direct, Engine, Ensemble, EnsemblePartial, FirstReaction,
-    Langevin, ModelCache, NextReaction, SimError, TauLeap,
+    run_partial_from, CompiledModel, Direct, Engine, EnsemblePartial, FirstReaction, Langevin,
+    ModelCache, NextReaction, SimError, TauLeap,
 };
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::path::PathBuf;
 use std::sync::Arc;
 
-/// Error raised by the worker protocol or the coordinator.
+/// Error raised by the worker fabric or the session service.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ServiceError {
     /// The work order could not be interpreted (unknown circuit,
@@ -86,9 +83,10 @@ pub enum ServiceError {
     Order(String),
     /// Simulation failed.
     Sim(SimError),
-    /// JSON (de)serialization failed.
+    /// A payload could not be encoded or decoded.
     Protocol(String),
-    /// A worker process could not be spawned or exited unsuccessfully.
+    /// A worker or relay could not be reached, failed its handshake,
+    /// broke its connection, or reported a failed chunk.
     Worker(String),
     /// The durable session store could not be read or written.
     Spill(String),
@@ -177,8 +175,9 @@ impl EngineSpec {
     }
 }
 
-/// One shard of ensemble work: everything a worker process needs to
-/// produce an [`EnsemblePartial`], as a single JSON value.
+/// One chunk of ensemble work: everything a worker needs to produce an
+/// [`EnsemblePartial`]. It travels as a GLCB order payload (see
+/// [`codec::encode_order`]).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct WorkOrder {
     /// The circuit to simulate.
@@ -289,8 +288,8 @@ impl WorkOrder {
         CompiledModel::new(&model).map_err(|e| ServiceError::Order(e.to_string()))
     }
 
-    /// Runs the shard in-process: the exact work a `glc-worker` child
-    /// performs between stdin and stdout.
+    /// Runs the chunk in-process: the exact work a `glc-worker` child
+    /// performs for each order frame.
     ///
     /// # Errors
     ///
@@ -342,52 +341,31 @@ impl WorkOrder {
     }
 }
 
-/// Fans work orders out over `glc-worker` child processes and merges
-/// their partials.
+/// Health accounting of one [`WorkerPool::run`] call.
 ///
-/// This is the stateless convenience wrapper around the transport
-/// fabric: every call builds a fresh [`WorkerPool`] of
-/// [`ChildProcess`] slots (one per worker), so no health carries over
-/// between calls and a cold pool's throughput weights degenerate to
-/// the original even split. Long-lived callers that want persistent
-/// health — quarantine of consistently failing slots, shards sized by
-/// observed throughput — hold a [`WorkerPool`] directly (as
-/// `glc-serve` does for its Extend backend).
-#[derive(Debug, Clone)]
-pub struct Coordinator {
-    worker: PathBuf,
-    workers: usize,
-}
-
-/// Health accounting of one [`WorkerPool::run`] (or
-/// [`Coordinator::run_with_report`]) call.
-///
-/// A **slot** is one transport position in the pool — a fresh child of
-/// the same binary per attempt for [`ChildProcess`] pools, a remote
-/// relay for [`TcpRelay`] slots, where it is a real per-host health
-/// signal. Re-running a seed range is idempotent — replicate seeds are
-/// absolute and partials are exact — so a retried shard's partial is
-/// bit-identical to what the failed attempt would have produced, and
-/// nothing in this report can correlate with the merged bits.
+/// A **slot** is one transport position in the pool — a resident
+/// worker child, or a relay connection, where it is a real per-host
+/// health signal. Re-running a seed range is idempotent — replicate
+/// seeds are absolute and partials are exact — so a retried chunk's
+/// partial is bit-identical to what the failed attempt would have
+/// produced, and nothing in this report can correlate with the merged
+/// bits.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RunReport {
     /// Failures observed per worker slot (first attempts and retries
     /// both count against the slot they ran on).
     pub worker_failures: Vec<u64>,
-    /// Shards that failed at least once and succeeded on a retry.
+    /// Chunks that failed at least once and succeeded on a retry.
     pub retried_shards: u64,
     /// Slots quarantined by the pool's health policy as of the end of
-    /// this run (sorted ascending; always empty for the stateless
-    /// [`Coordinator`], whose pool never lives long enough).
+    /// this run (sorted ascending).
     pub quarantined_slots: Vec<usize>,
     /// Replicates each slot contributed to the merged aggregate.
     pub slot_replicates: Vec<u64>,
-    /// Chunks a slot stole from another slot's queue (pipelined
-    /// layout only — the legacy one-chunk-per-slot layout never
-    /// steals). A load-balancing observation, not a health signal.
+    /// Chunks a slot stole from another slot's queue. A load-balancing
+    /// observation, not a health signal.
     pub steals: u64,
-    /// Chunks the order was cut into (1 per active slot in the legacy
-    /// layout; finer when any slot pipelines).
+    /// Chunks the order was cut into.
     pub chunks: u64,
 }
 
@@ -403,70 +381,9 @@ impl RunReport {
         }
     }
 
-    /// Total shard failures observed across all worker slots.
+    /// Total chunk failures observed across all worker slots.
     pub fn total_failures(&self) -> u64 {
         self.worker_failures.iter().sum()
-    }
-}
-
-impl Coordinator {
-    /// A coordinator spawning `workers` children of the `glc-worker`
-    /// binary at `worker`.
-    ///
-    /// # Errors
-    ///
-    /// [`ServiceError::Order`] for zero `workers`.
-    pub fn new(worker: impl Into<PathBuf>, workers: usize) -> Result<Self, ServiceError> {
-        if workers == 0 {
-            return Err(ServiceError::Order("workers must be >= 1".into()));
-        }
-        Ok(Coordinator {
-            worker: worker.into(),
-            workers,
-        })
-    }
-
-    /// Executes `order` sharded across the worker processes and merges
-    /// the partials in shard order, discarding the health report.
-    ///
-    /// # Errors
-    ///
-    /// See [`Coordinator::run_with_report`].
-    pub fn run(&self, order: &WorkOrder) -> Result<EnsemblePartial, ServiceError> {
-        self.run_with_report(order).map(|(partial, _)| partial)
-    }
-
-    /// Executes `order` sharded across the worker processes, merges
-    /// the partials in shard order, and reports per-worker failure
-    /// counts. Scheduling is delegated to a fresh [`WorkerPool`] of
-    /// [`ChildProcess`] slots: a shard whose child fails is re-issued
-    /// on the other slots — determinism makes every retry idempotent,
-    /// so a transiently lost worker costs latency, not correctness.
-    ///
-    /// # Errors
-    ///
-    /// [`ServiceError::Worker`] when a child (and its retries) fails
-    /// (stderr included), [`ServiceError::Protocol`] for undecodable
-    /// or structurally invalid output, and the first failing shard's
-    /// error otherwise.
-    pub fn run_with_report(
-        &self,
-        order: &WorkOrder,
-    ) -> Result<(EnsemblePartial, RunReport), ServiceError> {
-        let transports: Vec<Box<dyn Transport>> = (0..self.workers)
-            .map(|_| Box::new(ChildProcess::new(&self.worker)) as Box<dyn Transport>)
-            .collect();
-        WorkerPool::new(transports)?.run(order)
-    }
-
-    /// Like [`Coordinator::run`] but finalizes the merged partial into
-    /// an [`Ensemble`].
-    ///
-    /// # Errors
-    ///
-    /// See [`Coordinator::run`] and `EnsemblePartial::finalize`.
-    pub fn run_ensemble(&self, order: &WorkOrder) -> Result<Ensemble, ServiceError> {
-        Ok(self.run(order)?.finalize()?)
     }
 }
 
@@ -556,7 +473,6 @@ mod tests {
         let mut bad = order();
         bad.model = ModelSource::Sbml("<not-sbml/>".into());
         assert!(matches!(bad.execute(), Err(ServiceError::Order(_))));
-        assert!(Coordinator::new("glc-worker", 0).is_err());
     }
 
     #[test]

@@ -50,44 +50,32 @@ pub const LATENCY_BUCKET_BOUNDS: [f64; 14] = [
 /// (the `+Inf` bucket of the exposition format).
 const BUCKETS: usize = LATENCY_BUCKET_BOUNDS.len() + 1;
 
-/// Process-wide frame-payload byte counters, split by direction and
-/// payload codec. They live outside [`MetricsRegistry`] because the
-/// framed transports count bytes wherever they run — inside the pool,
-/// the multiplexed listener, or a test harness — without threading a
-/// registry handle through every connection; the scrape renders the
-/// one process-wide truth as `glc_frame_bytes_total{dir,codec}`.
-static FRAME_BYTES: [AtomicU64; 4] = [
-    AtomicU64::new(0), // tx json
-    AtomicU64::new(0), // tx glcb
-    AtomicU64::new(0), // rx json
-    AtomicU64::new(0), // rx glcb
-];
+/// Process-wide frame-payload byte counters, sent and received. They
+/// live outside [`MetricsRegistry`] because the framed transports count
+/// bytes wherever they run — inside the pool, the multiplexed listener,
+/// or a test harness — without threading a registry handle through
+/// every connection; the scrape renders the one process-wide truth as
+/// `glc_frame_bytes_total{dir,codec}`. GLCB is the only payload codec,
+/// so the `codec` label is constant; it stays so a scrape keeps the
+/// series names dashboards already match.
+static FRAME_BYTES_TX: AtomicU64 = AtomicU64::new(0);
+static FRAME_BYTES_RX: AtomicU64 = AtomicU64::new(0);
 
-fn frame_bytes_slot(rx: bool, glcb: bool) -> usize {
-    usize::from(rx) * 2 + usize::from(glcb)
+/// Counts `bytes` of frame payload sent by this process.
+pub fn count_frame_tx(bytes: usize) {
+    FRAME_BYTES_TX.fetch_add(bytes as u64, Ordering::Relaxed);
 }
 
-/// Counts `bytes` of frame payload sent by this process, attributed to
-/// the GLCB or JSON codec.
-pub fn count_frame_tx(glcb: bool, bytes: usize) {
-    FRAME_BYTES[frame_bytes_slot(false, glcb)].fetch_add(bytes as u64, Ordering::Relaxed);
+/// Counts `bytes` of frame payload received by this process.
+pub fn count_frame_rx(bytes: usize) {
+    FRAME_BYTES_RX.fetch_add(bytes as u64, Ordering::Relaxed);
 }
 
-/// Counts `bytes` of frame payload received by this process,
-/// attributed to the GLCB or JSON codec.
-pub fn count_frame_rx(glcb: bool, bytes: usize) {
-    FRAME_BYTES[frame_bytes_slot(true, glcb)].fetch_add(bytes as u64, Ordering::Relaxed);
-}
-
-/// The four frame-byte counters as `(dir, codec, bytes)` rows, in
-/// scrape order.
-pub fn frame_bytes_snapshot() -> [(&'static str, &'static str, u64); 4] {
-    let read = |rx, glcb| FRAME_BYTES[frame_bytes_slot(rx, glcb)].load(Ordering::Relaxed);
+/// The frame-byte counters as `(dir, bytes)` rows, in scrape order.
+pub fn frame_bytes_snapshot() -> [(&'static str, u64); 2] {
     [
-        ("tx", "json", read(false, false)),
-        ("tx", "glcb", read(false, true)),
-        ("rx", "json", read(true, false)),
-        ("rx", "glcb", read(true, true)),
+        ("tx", FRAME_BYTES_TX.load(Ordering::Relaxed)),
+        ("rx", FRAME_BYTES_RX.load(Ordering::Relaxed)),
     ]
 }
 
@@ -396,14 +384,12 @@ impl MetricsRegistry {
 
         {
             use std::fmt::Write as _;
-            out.push_str(
-                "# HELP glc_frame_bytes_total Frame payload bytes moved, by direction and codec.\n",
-            );
+            out.push_str("# HELP glc_frame_bytes_total Frame payload bytes moved, by direction.\n");
             out.push_str("# TYPE glc_frame_bytes_total counter\n");
-            for (dir, codec, bytes) in frame_bytes_snapshot() {
+            for (dir, bytes) in frame_bytes_snapshot() {
                 let _ = writeln!(
                     out,
-                    "glc_frame_bytes_total{{dir=\"{dir}\",codec=\"{codec}\"}} {bytes}"
+                    "glc_frame_bytes_total{{dir=\"{dir}\",codec=\"glcb\"}} {bytes}"
                 );
             }
         }
@@ -689,29 +675,17 @@ mod tests {
     #[test]
     fn frame_byte_counters_land_under_their_direction_and_codec() {
         let before = frame_bytes_snapshot();
-        count_frame_tx(false, 10);
-        count_frame_tx(true, 20);
-        count_frame_rx(false, 30);
-        count_frame_rx(true, 40);
+        count_frame_tx(10);
+        count_frame_rx(30);
         let after = frame_bytes_snapshot();
-        let deltas: Vec<u64> = after
-            .iter()
-            .zip(before.iter())
-            .map(|(now, was)| now.2 - was.2)
-            .collect();
         // Other tests share the process-wide counters, so assert only
         // that at least our contribution landed in each cell.
-        assert!(deltas[0] >= 10 && deltas[1] >= 20 && deltas[2] >= 30 && deltas[3] >= 40);
+        assert!(after[0].1 - before[0].1 >= 10 && after[1].1 - before[1].1 >= 30);
         let text = MetricsRegistry::new().render_prometheus();
-        for (dir, codec) in [
-            ("tx", "json"),
-            ("tx", "glcb"),
-            ("rx", "json"),
-            ("rx", "glcb"),
-        ] {
+        for dir in ["tx", "rx"] {
             assert!(
                 text.contains(&format!(
-                    "glc_frame_bytes_total{{dir=\"{dir}\",codec=\"{codec}\"}}"
+                    "glc_frame_bytes_total{{dir=\"{dir}\",codec=\"glcb\"}}"
                 )),
                 "{text}"
             );

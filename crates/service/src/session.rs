@@ -1,11 +1,10 @@
 //! The resident session protocol: Submit / Extend / Query over warm
 //! compiled models and partially-aggregated ensembles.
 //!
-//! The one-shot [`crate::WorkOrder`] protocol pays a cold start on
-//! every request: recompile the model, rerun all replicates, throw the
-//! partial away. The session protocol is the ROADMAP's next rung — a
-//! **resident query service** that keeps both expensive artifacts
-//! warm:
+//! A bare [`crate::WorkOrder`] pays a cold start on every request:
+//! recompile the model, rerun all replicates, throw the partial away.
+//! The session protocol is a **resident query service** that keeps
+//! both expensive artifacts warm:
 //!
 //! * [`Request::Submit`] — compile the model once and cache it (with
 //!   an empty [`EnsemblePartial`]) under a fingerprint key derived
@@ -30,10 +29,10 @@
 //! spilled sessions reload transparently on their next touch, and
 //! every Extend write-through-snapshots the session, so a restarted
 //! service resumes extends instead of recomputing from seed 0.
-//! Extends run in-process, over `glc-worker` children
-//! ([`ExtendBackend::Coordinator`]), or over a health-aware
-//! [`ExtendBackend::Pool`] mixing any [`crate::Transport`]s; all
-//! produce the same bits, by the same argument as the one-shot path.
+//! Extends run in-process or over a health-aware
+//! [`ExtendBackend::Pool`] of resident workers and relays; both
+//! produce the same bits, because replicate seeds are absolute and
+//! partial accumulation is exact.
 //!
 //! The `glc-serve` binary serves this protocol as line-delimited JSON
 //! on stdin/stdout, each request optionally [`Envelope`]-wrapped with
@@ -44,9 +43,7 @@
 use crate::codec;
 use crate::metrics::{HistogramSnapshot, MetricsRegistry, RequestKind};
 use crate::transport::PoolHealthSnapshot;
-use crate::{
-    Coordinator, EngineSpec, ModelSource, ServiceError, SlotHealth, WorkOrder, WorkerPool,
-};
+use crate::{EngineSpec, ModelSource, ServiceError, SlotHealth, WorkOrder, WorkerPool};
 use glc_ssa::{run_partial_from, CompiledModel, EnsemblePartial, ModelCache, Trace};
 use glc_vasim::stats::{ensemble_noise, NoisePoint};
 use serde::{DeError, Deserialize, Serialize, Value};
@@ -113,9 +110,8 @@ impl SessionSpec {
         format!("sess-{hash:016x}")
     }
 
-    /// The one-shot work order covering this spec's replicates
-    /// `first .. first + count` — how an Extend reuses the worker
-    /// sharding protocol unchanged.
+    /// The work order covering this spec's replicates
+    /// `first .. first + count` — what an Extend hands the backend.
     fn work_order(&self, first: u64, count: u64) -> WorkOrder {
         WorkOrder {
             model: self.model.clone(),
@@ -267,21 +263,18 @@ pub struct ServiceStats {
     /// Model compiles that actually ran because the store's
     /// compiled-model cache had no entry for the model fingerprint.
     pub model_cache_misses: u64,
-    /// Bytes currently held by session snapshots (`*.session.glcb`
-    /// plus legacy `*.session.json`) in the spill directory
-    /// (`pool_health.json` is deliberately excluded, so this matches a
-    /// `du` over the session files).
+    /// Bytes currently held by session snapshots (`*.session.glcb`) in
+    /// the spill directory (`pool_health.json` is deliberately
+    /// excluded, so this matches a `du` over the session files).
     pub spill_bytes: u64,
     /// Session snapshots deleted by the spill garbage collector
     /// (size/age bounds) since startup.
     pub spill_gc_evictions: u64,
-    /// Lifetime count of pool shards that failed and succeeded on a
-    /// retry (zero for the in-process and stateless-coordinator
-    /// backends).
+    /// Lifetime count of pool chunks that failed and succeeded on a
+    /// retry (zero for the in-process backend).
     pub pool_retries: u64,
     /// Lifetime count of chunks a pool slot stole from another slot's
-    /// queue (zero for non-pool backends and all-one-shot pools, whose
-    /// legacy layout never steals).
+    /// queue (zero for the in-process backend).
     pub pool_steals: u64,
     /// Request-latency histograms per request kind, when a metrics
     /// registry is attached (empty otherwise).
@@ -356,16 +349,10 @@ pub enum ExtendBackend {
     /// On the calling thread, against the session's warm compiled
     /// model (no process or compile cost).
     InProcess,
-    /// Fanned out over `glc-worker` child processes via the sharding
-    /// [`Coordinator`] (which re-ships the model; workers compile
-    /// their own copy, as the one-shot protocol always did). Stateless:
-    /// each Extend builds a fresh pool, so no health persists.
-    Coordinator(Coordinator),
-    /// Fanned out over a resident [`WorkerPool`] — any mix of
-    /// in-process, child-process and TCP-relay slots — whose health
-    /// accounting (throughput-sized shards, quarantine of consistently
-    /// failing slots) persists across Extends for the life of the
-    /// store.
+    /// Fanned out over a resident [`WorkerPool`] — any mix of worker
+    /// and relay slots — whose health accounting (throughput-sized
+    /// chunks, quarantine of consistently failing slots) persists
+    /// across Extends for the life of the store.
     Pool(WorkerPool),
 }
 
@@ -798,9 +785,6 @@ impl SessionStore {
                 )
                 .map_err(ServiceError::from)
             }
-            ExtendBackend::Coordinator(coordinator) => {
-                coordinator.run(&self.sessions[slot].spec.work_order(first, count))
-            }
             ExtendBackend::Pool(pool) => pool
                 .run(&self.sessions[slot].spec.work_order(first, count))
                 .map(|(partial, _)| partial),
@@ -959,7 +943,7 @@ impl SessionStore {
     }
 
     /// One garbage-collection pass over the spill directory's
-    /// session snapshots (both generations): drop snapshots older than
+    /// session snapshots: drop snapshots older than
     /// `spill_max_age`, then evict oldest-first (modification time,
     /// name-tiebroken) until the rest fit in `spill_max_bytes`; refresh
     /// the `spill_bytes` gauge either way. `just_written` — the
@@ -1021,57 +1005,16 @@ impl SessionStore {
     }
 }
 
-/// One serialized session: the on-disk snapshot format of the durable
-/// store. New snapshots are written in the compact GLCB binary layout
-/// to `<spill-dir>/<key>.session.glcb`; the legacy JSON document at
-/// `<key>.session.json` (this struct's serde shape) is still read on
-/// reload, so a spill directory written by an older build resumes
-/// unchanged. Either way the `partial` is the same bitwise-canonical
-/// `EnsemblePartial` the worker protocol ships, so a snapshot can
-/// also be rehydrated by anything that reads partials (e.g.
-/// `glc_vasim`'s cached-sweep loader).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SpilledSession {
-    /// The full session spec (the file name's key re-derives from it).
-    pub spec: SessionSpec,
-    /// The resident aggregate at snapshot time.
-    pub partial: EnsemblePartial,
-}
-
-/// The legacy JSON snapshot path of session `key` under `dir`.
+/// The snapshot path of session `key` under `dir`.
 pub fn spill_path(dir: &Path, key: &str) -> PathBuf {
-    dir.join(format!("{key}.session.json"))
-}
-
-/// The GLCB snapshot path of session `key` under `dir` — where new
-/// snapshots land.
-pub fn spill_path_glcb(dir: &Path, key: &str) -> PathBuf {
     dir.join(format!("{key}.session.glcb"))
 }
 
-/// Atomically publishes `bytes` at `path` via a temporary sibling and
-/// rename, so a crash mid-write leaves any previous snapshot intact.
-fn publish_spill(
-    dir: &Path,
-    path: &Path,
-    tmp_name: &str,
-    bytes: &[u8],
-) -> Result<(), ServiceError> {
-    std::fs::create_dir_all(dir)
-        .map_err(|e| ServiceError::Spill(format!("creating {}: {e}", dir.display())))?;
-    let tmp = dir.join(tmp_name);
-    std::fs::write(&tmp, bytes)
-        .map_err(|e| ServiceError::Spill(format!("writing {}: {e}", tmp.display())))?;
-    std::fs::rename(&tmp, path)
-        .map_err(|e| ServiceError::Spill(format!("publishing {}: {e}", path.display())))?;
-    Ok(())
-}
-
-/// Atomically writes a session snapshot in the GLCB binary layout
-/// (temporary sibling + rename). Creates `dir` if needed and returns
-/// the snapshot path. A stale legacy `.session.json` for the same key
-/// is removed after the rename so the directory holds one snapshot
-/// per session, whichever build wrote last.
+/// Atomically writes a session snapshot — the spec as canonical JSON
+/// plus the partial in the GLCB binary layout — via a temporary
+/// sibling and rename, so a crash mid-write leaves any previous
+/// snapshot intact. Creates `dir` if needed and returns the snapshot
+/// path.
 ///
 /// # Errors
 ///
@@ -1082,65 +1025,26 @@ pub fn write_spill(
     partial: &EnsemblePartial,
 ) -> Result<PathBuf, ServiceError> {
     let key = spec.fingerprint();
-    let path = spill_path_glcb(dir, &key);
+    let path = spill_path(dir, &key);
     let spec_json = serde_json::to_string(spec)
         .map_err(|e| ServiceError::Spill(format!("encoding snapshot `{key}`: {e}")))?;
     let bytes = codec::encode_snapshot(&spec_json, partial);
-    publish_spill(dir, &path, &format!("{key}.session.glcb.tmp"), &bytes)?;
-    let legacy = spill_path(dir, &key);
-    match std::fs::remove_file(&legacy) {
-        Ok(()) => {}
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-        Err(e) => {
-            return Err(ServiceError::Spill(format!(
-                "removing stale {}: {e}",
-                legacy.display()
-            )))
-        }
-    }
-    Ok(path)
-}
-
-/// Atomically writes a session snapshot in the legacy JSON document
-/// format — kept for older readers and for benchmarking against the
-/// GLCB path; the service itself writes [`write_spill`]. Creates `dir`
-/// if needed and returns the snapshot path.
-///
-/// # Errors
-///
-/// [`ServiceError::Spill`] for I/O or encoding failures.
-pub fn write_spill_json(
-    dir: &Path,
-    spec: &SessionSpec,
-    partial: &EnsemblePartial,
-) -> Result<PathBuf, ServiceError> {
-    let key = spec.fingerprint();
-    let path = spill_path(dir, &key);
-    // Serialize through a borrowed value tree — no need to clone the
-    // whole partial into an owned SpilledSession just to encode it.
-    let doc = Value::Object(vec![
-        ("spec".to_string(), spec.to_value()),
-        ("partial".to_string(), partial.to_value()),
-    ]);
-    let text = serde_json::to_string(&doc)
-        .map_err(|e| ServiceError::Spill(format!("encoding snapshot `{key}`: {e}")))?;
-    publish_spill(
-        dir,
-        &path,
-        &format!("{key}.session.json.tmp"),
-        text.as_bytes(),
-    )?;
+    std::fs::create_dir_all(dir)
+        .map_err(|e| ServiceError::Spill(format!("creating {}: {e}", dir.display())))?;
+    let tmp = dir.join(format!("{key}.session.glcb.tmp"));
+    std::fs::write(&tmp, bytes)
+        .map_err(|e| ServiceError::Spill(format!("writing {}: {e}", tmp.display())))?;
+    std::fs::rename(&tmp, &path)
+        .map_err(|e| ServiceError::Spill(format!("publishing {}: {e}", path.display())))?;
     Ok(path)
 }
 
 /// Reads and structurally validates the snapshot of session `key`
-/// under `dir`; `Ok(None)` when no snapshot exists. The GLCB snapshot
-/// is preferred; a legacy `.session.json` left by an older build is
-/// read when no binary snapshot exists.
+/// under `dir`; `Ok(None)` when no snapshot exists.
 ///
 /// # Errors
 ///
-/// [`ServiceError::Spill`] for I/O failures, undecodable documents,
+/// [`ServiceError::Spill`] for I/O failures, undecodable snapshots,
 /// and partials failing `EnsemblePartial::validate` — a snapshot file
 /// arrives from disk, not from this process, so nothing in it is
 /// trusted unchecked.
@@ -1148,29 +1052,9 @@ pub fn read_spill(
     dir: &Path,
     key: &str,
 ) -> Result<Option<(SessionSpec, EnsemblePartial)>, ServiceError> {
-    let binary = spill_path_glcb(dir, key);
-    match std::fs::read(&binary) {
-        Ok(bytes) => {
-            // decode_snapshot validates the partial internally.
-            let (spec_json, partial) = codec::decode_snapshot(&bytes).map_err(|e| {
-                ServiceError::Spill(format!("undecodable snapshot {}: {e}", binary.display()))
-            })?;
-            let spec: SessionSpec = serde_json::from_str(&spec_json).map_err(|e| {
-                ServiceError::Spill(format!("undecodable snapshot {}: {e}", binary.display()))
-            })?;
-            return Ok(Some((spec, partial)));
-        }
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-        Err(e) => {
-            return Err(ServiceError::Spill(format!(
-                "reading {}: {e}",
-                binary.display()
-            )))
-        }
-    }
     let path = spill_path(dir, key);
-    let text = match std::fs::read_to_string(&path) {
-        Ok(text) => text,
+    let bytes = match std::fs::read(&path) {
+        Ok(bytes) => bytes,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
         Err(e) => {
             return Err(ServiceError::Spill(format!(
@@ -1179,13 +1063,14 @@ pub fn read_spill(
             )))
         }
     };
-    let doc: SpilledSession = serde_json::from_str(&text).map_err(|e| {
-        ServiceError::Spill(format!("undecodable snapshot {}: {e}", path.display()))
-    })?;
-    doc.partial
-        .validate()
-        .map_err(|e| ServiceError::Spill(format!("invalid snapshot {}: {e}", path.display())))?;
-    Ok(Some((doc.spec, doc.partial)))
+    let undecodable =
+        |e: String| ServiceError::Spill(format!("undecodable snapshot {}: {e}", path.display()));
+    // decode_snapshot validates the partial internally.
+    let (spec_json, partial) =
+        codec::decode_snapshot(&bytes).map_err(|e| undecodable(e.to_string()))?;
+    let spec: SessionSpec =
+        serde_json::from_str(&spec_json).map_err(|e| undecodable(e.to_string()))?;
+    Ok(Some((spec, partial)))
 }
 
 /// One session snapshot file in the spill directory, as the garbage
@@ -1199,10 +1084,9 @@ struct SpillEntry {
 /// Lists the session snapshots under `dir`, sorted oldest-first by
 /// (modification time, file name) — the GC's eviction order. A missing
 /// or unreadable directory is an empty list (nothing to collect), and
-/// entries whose metadata cannot be read are skipped. Both snapshot
-/// generations count — `*.session.glcb` and legacy `*.session.json` —
-/// while `pool_health.json` and in-flight `.tmp` siblings are neither
-/// accounted nor collected.
+/// entries whose metadata cannot be read are skipped. Only
+/// `*.session.glcb` files count: `pool_health.json` and in-flight
+/// `.tmp` siblings are neither accounted nor collected.
 fn scan_spill_sessions(dir: &Path) -> Vec<SpillEntry> {
     let Ok(reader) = std::fs::read_dir(dir) else {
         return Vec::new();
@@ -1213,9 +1097,7 @@ fn scan_spill_sessions(dir: &Path) -> Vec<SpillEntry> {
             let path = entry.path();
             path.file_name()
                 .and_then(|name| name.to_str())
-                .is_some_and(|name| {
-                    name.ends_with(".session.json") || name.ends_with(".session.glcb")
-                })
+                .is_some_and(|name| name.ends_with(".session.glcb"))
                 .then_some(path)
         })
         .filter_map(|path| {

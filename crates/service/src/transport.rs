@@ -1,114 +1,86 @@
-//! Transport-abstracted worker fabric: *where* a shard runs, and the
-//! health-aware scheduler that decides *which* worker runs it.
+//! The worker fabric: *where* a chunk runs, and the health-aware
+//! scheduler that decides *which* slot runs it.
 //!
-//! The original [`crate::Coordinator`] was hard-wired to local
-//! `std::process` children with a fixed even split and a single retry.
-//! This module factors that into two seams the ROADMAP called for:
-//!
-//! * [`Transport`] — one method, [`Transport::spawn_shard`]: begin
-//!   executing a [`WorkOrder`] somewhere and hand back a
-//!   [`ShardHandle`] that joins to its [`EnsemblePartial`]. Three
-//!   implementations ship:
-//!   - [`InProcess`] — a thread of this process (no serialization, no
-//!     process cost; the baseline every other transport is measured
-//!     against);
-//!   - [`ChildProcess`] — a `glc-worker` child over pipes (the
-//!     original coordinator path, extracted verbatim);
-//!   - [`TcpRelay`] — a TCP connection to a `glc-relay` process,
-//!     which may live on another host: the order travels as one
-//!     newline-framed JSON value, the reply as a [`RelayReply`]
-//!     frame. One `glc-serve` can therefore front workers on other
-//!     machines.
+//! * [`Transport`] — how a pool slot reaches its executor. Its one
+//!   working method, [`Transport::open_channel`], opens a persistent
+//!   [`ChunkChannel`] that pipelines chunk orders as GLCF frames
+//!   carrying GLCB payloads (see [`crate::frame`] and
+//!   [`crate::codec`]). Two implementations ship:
+//!   - [`PipelinedWorker`] — one resident `glc-worker` child per slot,
+//!     spawned once and fed over its pipes;
+//!   - [`PipelinedRelay`] — one framed TCP connection per slot to a
+//!     `glc-relay`, which may live on another host, runs concurrent
+//!     frames on its own threads, and reduces chunk partials before
+//!     shipping them upstream.
 //! * [`WorkerPool`] — a scheduler over one transport per **slot**. It
-//!   sizes shards by each slot's observed replicate throughput
-//!   (unknown slots get the mean weight, so a cold pool degenerates to
-//!   the old even split), retries a failed shard on the other slots,
-//!   and **quarantines** a slot after `quarantine_after` consecutive
-//!   failures — quarantined slots get no shards and serve no retries
-//!   until every slot is quarantined, at which point the pool lifts
-//!   the quarantine (probation) rather than deadlock. Health persists
-//!   across [`WorkerPool::run`] calls, so a resident `glc-serve`
-//!   accumulates it over the session's lifetime.
+//!   cuts an order into chunks, homes them to per-slot queues by each
+//!   slot's observed replicate throughput (unknown slots get the mean
+//!   weight), lets a slot whose queue ran dry steal from the others,
+//!   re-drives a failed chunk on the other slots, and **quarantines** a
+//!   slot after `quarantine_after` consecutive failures — quarantined
+//!   slots get no chunks and serve no retries until every slot is
+//!   quarantined, at which point the pool lifts the quarantine
+//!   (probation) rather than deadlock. Health persists across
+//!   [`WorkerPool::run`] calls, so a resident `glc-serve` accumulates
+//!   it over the service's lifetime.
 //!
 //! # Determinism
 //!
 //! None of this moves a single bit: replicate seeds are absolute and
-//! partial accumulation is exact, so shard sizing, retries, transport
-//! choice and quarantine decisions affect *latency only*. The
-//! transport-equivalence tests pin `TcpRelay` ≡ `ChildProcess` ≡
-//! [`InProcess`] ≡ unsharded, bitwise, and a pool with an
-//! always-failing slot still completes with the correct bits while
-//! reporting the quarantine in [`RunReport`].
+//! partial accumulation is exact, so chunk sizing, stealing, retries,
+//! transport choice and quarantine decisions affect *latency only*.
+//! The transport-equivalence tests pin `PipelinedRelay` ≡
+//! `PipelinedWorker` ≡ the in-process backend ≡ unsharded, bitwise, and
+//! a pool with an always-failing slot still completes with the correct
+//! bits while reporting the quarantine in [`RunReport`].
 
-use crate::codec::{self, BinaryReply, Hello};
+use crate::codec::{self, BinaryReply};
 use crate::metrics::MetricsRegistry;
 use crate::{frame, metrics, RunReport, ServiceError, WorkOrder};
 use glc_ssa::EnsemblePartial;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
-use std::io::{BufRead as _, BufReader, Write as _};
+use std::io::BufReader;
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::process::{Child, ChildStdin, Command, Stdio};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// Where a shard of ensemble work executes.
+/// How a pool slot reaches the executor of its chunks.
 ///
-/// A transport is cheap to construct and stateless: spawning hands the
-/// order over (thread, child stdin, or TCP frame) and returns
-/// immediately, so a scheduler can put many shards in flight before
-/// joining any of them. All partials returned by
-/// [`ShardHandle::join`] are structurally validated
-/// (`EnsemblePartial::validate`) before they are trusted.
+/// A transport is cheap to construct and holds no connection itself:
+/// the pool opens one [`ChunkChannel`] per slot on first use, caches it
+/// across runs, and reopens it after a connection failure.
 pub trait Transport: Send {
-    /// Begins executing `order`, returning a handle that joins to the
-    /// shard's partial.
-    ///
-    /// # Errors
-    ///
-    /// [`ServiceError::Worker`] when the execution vehicle cannot be
-    /// started (missing binary, unreachable relay), and
-    /// [`ServiceError::Protocol`] when the order cannot be encoded.
-    fn spawn_shard(&self, order: &WorkOrder) -> Result<ShardHandle, ServiceError>;
-
-    /// A human-readable description of this transport, for reports and
-    /// logs (e.g. `child-process target/release/glc-worker`).
+    /// A human-readable description of this transport, for reports,
+    /// logs and durable slot health (e.g. `pipelined-worker
+    /// target/release/glc-worker`).
     fn describe(&self) -> String;
 
-    /// Opens a persistent [`ChunkChannel`] for pipelined chunk orders,
-    /// or `Ok(None)` when this transport is one-shot only — the pool
-    /// then falls back to [`Transport::spawn_shard`] per chunk. The
-    /// default is `Ok(None)`.
+    /// Opens a persistent [`ChunkChannel`] to this transport's
+    /// executor.
     ///
     /// # Errors
     ///
     /// [`ServiceError::Worker`] when the connection cannot be
     /// established (spawn failure, unreachable peer, failed frame
     /// handshake).
-    fn open_channel(&self) -> Result<Option<Box<dyn ChunkChannel>>, ServiceError> {
-        Ok(None)
-    }
-
-    /// Whether this transport keeps a persistent pipelined connection.
-    /// The pool cuts fine-grained, steal-eligible chunks only when at
-    /// least one active slot is pipelined; an all-one-shot pool keeps
-    /// the classic one-weighted-shard-per-slot layout (chunking a
-    /// one-shot transport would multiply its per-order spawn cost).
-    fn pipelined(&self) -> bool {
-        false
-    }
+    fn open_channel(&self) -> Result<Box<dyn ChunkChannel>, ServiceError>;
 }
 
 /// A persistent connection that pipelines chunk orders: many orders
-/// may be in flight at once, correlated by the envelope `id` each
-/// reply echoes.
+/// may be in flight at once, correlated by the id each reply echoes.
 ///
 /// Error semantics are two-level. The *outer* `Err` of
 /// [`ChunkChannel::submit`]/[`ChunkChannel::recv`] means the
 /// connection itself is broken — every in-flight order is lost and the
-/// channel must be dropped. An *inner* `Err` from `recv` means that
-/// one chunk failed while the connection stays serviceable.
+/// channel must be dropped. A [`BinaryReply::Error`] from `recv` means
+/// that one chunk failed while the connection stays serviceable.
+///
+/// Plain workers only ever reply `Partial` or `Error`; a relay granted
+/// reduction interleaves `Deferred` receipts with `Reduced` merged
+/// partials (see [`BinaryReply`] for the forms).
 pub trait ChunkChannel: Send {
     /// How many orders are profitably in flight at once (>= 1).
     fn window(&self) -> usize {
@@ -119,253 +91,29 @@ pub trait ChunkChannel: Send {
     fn submit(&mut self, id: u64, order: &WorkOrder) -> Result<(), ServiceError>;
 
     /// Receives the next correlated reply, in whatever order the peer
-    /// finished them. Partials are validated before they are returned
-    /// (no partial trust — same boundary as [`ShardHandle::join`]).
-    fn recv(&mut self) -> Result<(u64, ChunkReply), ServiceError>;
-}
-
-/// One correlated reply off a [`ChunkChannel`]. Plain workers only
-/// ever send `Done`; a GLCB relay granted reduction mode interleaves
-/// `Deferred` receipts with `Reduced` merged partials (see
-/// [`crate::codec::BinaryReply`] for the wire forms).
-#[derive(Debug)]
-pub enum ChunkReply {
-    /// The chunk finished: its validated partial, or its failure (an
-    /// inner error — the connection stays serviceable).
-    Done(Result<EnsemblePartial, ServiceError>),
-    /// A reducing relay absorbed this chunk's partial into its local
-    /// accumulator; the bits arrive later in a `Reduced` reply that
-    /// covers this id. The chunk stays pending but its window slot is
-    /// free.
-    Deferred {
-        /// Replicates the absorbed chunk simulated.
-        replicates: u64,
-    },
-    /// A reducing relay's merged partial, covering the correlation id
-    /// **plus** every previously deferred id in `also_covers`.
-    Reduced {
-        /// Previously deferred ids this partial also covers.
-        also_covers: Vec<u64>,
-        /// The merge of all covered chunks' partials.
-        partial: EnsemblePartial,
-    },
-}
-
-/// An in-flight shard: join it to get the partial.
-pub struct ShardHandle {
-    inner: HandleKind,
-}
-
-enum HandleKind {
-    Thread(std::thread::JoinHandle<Result<EnsemblePartial, ServiceError>>),
-    Child {
-        child: Child,
-        first_replicate: u64,
-    },
-    Relay {
-        stream: TcpStream,
-        addr: String,
-        first_replicate: u64,
-    },
-}
-
-impl ShardHandle {
-    /// Waits for the shard and returns its validated partial.
-    ///
-    /// # Errors
-    ///
-    /// [`ServiceError::Worker`] for execution failures (child exit
-    /// status, relay-reported errors, a panicked in-process shard) and
-    /// [`ServiceError::Protocol`] for undecodable or structurally
-    /// invalid replies.
-    pub fn join(self) -> Result<EnsemblePartial, ServiceError> {
-        let partial = match self.inner {
-            HandleKind::Thread(handle) => handle
-                .join()
-                .map_err(|_| ServiceError::Worker("in-process shard panicked".into()))??,
-            HandleKind::Child {
-                child,
-                first_replicate,
-            } => collect_child(child, first_replicate)?,
-            HandleKind::Relay {
-                stream,
-                addr,
-                first_replicate,
-            } => collect_relay(stream, &addr, first_replicate)?,
-        };
-        // Every reply crosses a trust boundary (JSON from a child or a
-        // socket); the in-process path pays the same cheap check for
-        // uniformity.
-        partial.validate().map_err(|e| {
-            ServiceError::Protocol(format!("shard returned an invalid partial: {e}"))
-        })?;
-        Ok(partial)
-    }
-}
-
-/// Runs shards on threads of the calling process — the zero-overhead
-/// baseline transport (no serialization, no spawn cost).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct InProcess;
-
-impl Transport for InProcess {
-    fn spawn_shard(&self, order: &WorkOrder) -> Result<ShardHandle, ServiceError> {
-        let order = order.clone();
-        Ok(ShardHandle {
-            inner: HandleKind::Thread(std::thread::spawn(move || order.execute())),
-        })
-    }
-
-    fn describe(&self) -> String {
-        "in-process".into()
-    }
-}
-
-/// Runs shards as `glc-worker` children of this process — the original
-/// coordinator path, extracted: the order goes down the child's stdin,
-/// the partial comes back on its stdout.
-#[derive(Debug, Clone)]
-pub struct ChildProcess {
-    worker: PathBuf,
-}
-
-impl ChildProcess {
-    /// A transport spawning children of the worker binary at `worker`.
-    pub fn new(worker: impl Into<PathBuf>) -> Self {
-        ChildProcess {
-            worker: worker.into(),
-        }
-    }
-}
-
-impl Transport for ChildProcess {
-    fn spawn_shard(&self, order: &WorkOrder) -> Result<ShardHandle, ServiceError> {
-        let mut child = Command::new(&self.worker)
-            .stdin(Stdio::piped())
-            .stdout(Stdio::piped())
-            .stderr(Stdio::piped())
-            .spawn()
-            .map_err(|e| {
-                ServiceError::Worker(format!("cannot spawn {}: {e}", self.worker.display()))
-            })?;
-        let payload =
-            serde_json::to_string(order).map_err(|e| ServiceError::Protocol(e.to_string()));
-        let written = payload.and_then(|payload| {
-            let mut stdin = child.stdin.take().expect("stdin piped");
-            stdin
-                .write_all(payload.as_bytes())
-                .map_err(|e| ServiceError::Worker(format!("writing work order: {e}")))
-            // Dropping stdin here sends EOF: the order is complete.
-        });
-        if let Err(err) = written {
-            let _ = child.kill();
-            let _ = child.wait();
-            return Err(err);
-        }
-        Ok(ShardHandle {
-            inner: HandleKind::Child {
-                child,
-                first_replicate: order.first_replicate,
-            },
-        })
-    }
-
-    fn describe(&self) -> String {
-        format!("child-process {}", self.worker.display())
-    }
-}
-
-/// Runs shards over TCP against a `glc-relay` process — potentially on
-/// another host. One connection per shard: the order goes out as a
-/// newline-framed JSON value, the [`RelayReply`] frame comes back when
-/// the relay finishes. Concurrency comes from the relay serving each
-/// connection on its own thread, so a pool of several `TcpRelay` slots
-/// pointed at one relay runs its shards in parallel over there.
-#[derive(Debug, Clone)]
-pub struct TcpRelay {
-    addr: String,
-}
-
-impl TcpRelay {
-    /// A transport dialing the relay at `addr` (`host:port`).
-    pub fn new(addr: impl Into<String>) -> Self {
-        TcpRelay { addr: addr.into() }
-    }
-
-    /// The relay address this transport dials.
-    pub fn addr(&self) -> &str {
-        &self.addr
-    }
-}
-
-impl Transport for TcpRelay {
-    fn spawn_shard(&self, order: &WorkOrder) -> Result<ShardHandle, ServiceError> {
-        let mut stream = TcpStream::connect(&self.addr).map_err(|e| {
-            ServiceError::Worker(format!("cannot connect to relay {}: {e}", self.addr))
-        })?;
-        let mut payload =
-            serde_json::to_string(order).map_err(|e| ServiceError::Protocol(e.to_string()))?;
-        payload.push('\n');
-        stream
-            .write_all(payload.as_bytes())
-            .and_then(|()| stream.flush())
-            .map_err(|e| {
-                ServiceError::Worker(format!("writing work order to relay {}: {e}", self.addr))
-            })?;
-        Ok(ShardHandle {
-            inner: HandleKind::Relay {
-                stream,
-                addr: self.addr.clone(),
-                first_replicate: order.first_replicate,
-            },
-        })
-    }
-
-    fn describe(&self) -> String {
-        format!("tcp-relay {}", self.addr)
-    }
-}
-
-/// One reply frame of the `glc-relay` wire protocol: the shard's
-/// partial, or the error that stopped it (the relay stays up either
-/// way — a failed order poisons nothing).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum RelayReply {
-    /// The shard completed; here is its aggregate.
-    Partial(EnsemblePartial),
-    /// The shard failed with this message.
-    Error(String),
+    /// finished them. Partials are structurally validated before they
+    /// are returned.
+    fn recv(&mut self) -> Result<(u64, BinaryReply), ServiceError>;
 }
 
 /// How long connection setup waits for the peer's hello frame before
-/// failing closed. Overridable via `GLC_FRAME_HANDSHAKE_MS` (tests and
-/// drills shorten it). Without the handshake, a peer that consumes
-/// bytes but never frames — a dead marker script, a legacy
-/// line-protocol relay — would block the slot forever instead of
-/// failing it.
-fn handshake_timeout() -> Duration {
-    std::env::var("GLC_FRAME_HANDSHAKE_MS")
-        .ok()
-        .and_then(|ms| ms.parse::<u64>().ok())
-        .map(Duration::from_millis)
-        .unwrap_or(Duration::from_secs(5))
-}
+/// failing closed. Without the handshake, a peer that consumes bytes
+/// but never frames — a wedged script, a service that is not a relay —
+/// would block the slot forever instead of failing it.
+const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Orders a resident worker keeps in flight: one executing, one queued
 /// behind it so the worker never idles waiting for the next frame.
 const WORKER_PIPELINE_WINDOW: usize = 2;
 
 /// Orders an open relay socket keeps in flight: the relay executes
-/// frames concurrently, so a deeper window keeps its worker slots fed.
+/// frames concurrently, so a deeper window keeps its cores fed.
 const RELAY_PIPELINE_WINDOW: usize = 4;
 
-/// Runs chunks on one **resident** `glc-worker --serve` child per pool
-/// slot: spawned once, kept alive on its pipes, orders pipelined as
-/// length-prefixed frames (see [`crate::frame`]) with replies
-/// correlated by envelope id. Eliminates the per-order spawn +
-/// process-lifetime JSON cost [`ChildProcess`] pays; the one-shot
-/// [`Transport::spawn_shard`] fallback (used by the retry pass)
-/// delegates to a fresh [`ChildProcess`] order.
+/// Runs chunks on one **resident** `glc-worker` child per pool slot:
+/// spawned once, kept alive on its pipes, orders pipelined as frames
+/// with replies correlated by id. The model compiles once per process
+/// and every later chunk of the same circuit reuses it.
 #[derive(Debug, Clone)]
 pub struct PipelinedWorker {
     worker: PathBuf,
@@ -382,29 +130,19 @@ impl PipelinedWorker {
 }
 
 impl Transport for PipelinedWorker {
-    fn spawn_shard(&self, order: &WorkOrder) -> Result<ShardHandle, ServiceError> {
-        ChildProcess::new(&self.worker).spawn_shard(order)
-    }
-
     fn describe(&self) -> String {
         format!("pipelined-worker {}", self.worker.display())
     }
 
-    fn open_channel(&self) -> Result<Option<Box<dyn ChunkChannel>>, ServiceError> {
-        Ok(Some(Box::new(FramedChildChannel::open(&self.worker)?)))
-    }
-
-    fn pipelined(&self) -> bool {
-        true
+    fn open_channel(&self) -> Result<Box<dyn ChunkChannel>, ServiceError> {
+        Ok(Box::new(FramedChildChannel::open(&self.worker)?))
     }
 }
 
 /// Runs chunks over one **persistent framed socket** per pool slot to
 /// a `glc-relay`: connect once, handshake, then pipeline orders as
 /// frames. The relay executes concurrent frames on its own threads and
-/// replies as they finish (out of order; the envelope id correlates).
-/// The one-shot fallback delegates to a fresh [`TcpRelay`] line-mode
-/// connection.
+/// replies as they finish (out of order; the id correlates).
 #[derive(Debug, Clone)]
 pub struct PipelinedRelay {
     addr: String,
@@ -416,83 +154,36 @@ impl PipelinedRelay {
     pub fn new(addr: impl Into<String>) -> Self {
         PipelinedRelay { addr: addr.into() }
     }
-
-    /// The relay address this transport dials.
-    pub fn addr(&self) -> &str {
-        &self.addr
-    }
 }
 
 impl Transport for PipelinedRelay {
-    fn spawn_shard(&self, order: &WorkOrder) -> Result<ShardHandle, ServiceError> {
-        TcpRelay::new(&self.addr).spawn_shard(order)
-    }
-
     fn describe(&self) -> String {
         format!("pipelined-relay {}", self.addr)
     }
 
-    fn open_channel(&self) -> Result<Option<Box<dyn ChunkChannel>>, ServiceError> {
-        Ok(Some(Box::new(FramedRelayChannel::open(&self.addr)?)))
-    }
-
-    fn pipelined(&self) -> bool {
-        true
+    fn open_channel(&self) -> Result<Box<dyn ChunkChannel>, ServiceError> {
+        Ok(Box::new(FramedRelayChannel::open(&self.addr)?))
     }
 }
 
-/// Decodes one framed reply payload — GLCB or JSON, sniffed per frame
-/// — into the channel result shape: chunk-level errors
-/// (`RelayReply::Error`, invalid partials) stay inner so the
-/// connection survives them; an uncorrelatable or undecodable payload
-/// is an outer error that poisons the connection.
-fn decode_chunk_reply(payload: &[u8]) -> Result<(u64, ChunkReply), ServiceError> {
-    let glcb = codec::is_glcb(payload);
-    metrics::count_frame_rx(glcb, payload.len());
-    if glcb {
-        // GLCB decoding validates embedded partials as it goes.
-        let (id, reply) = codec::decode_reply(payload)?;
-        let reply = match reply {
-            BinaryReply::Partial(partial) => ChunkReply::Done(Ok(partial)),
-            BinaryReply::Error(message) => ChunkReply::Done(Err(ServiceError::Worker(message))),
-            BinaryReply::Deferred { replicates } => ChunkReply::Deferred { replicates },
-            BinaryReply::Reduced {
-                also_covers,
-                partial,
-            } => ChunkReply::Reduced {
-                also_covers,
-                partial,
-            },
-        };
-        return Ok((id, reply));
-    }
-    let (id, reply): (u64, RelayReply) = frame::decode_message(payload)?;
-    match reply {
-        RelayReply::Partial(partial) => match partial.validate() {
-            Ok(()) => Ok((id, ChunkReply::Done(Ok(partial)))),
-            Err(e) => Ok((
-                id,
-                ChunkReply::Done(Err(ServiceError::Protocol(format!(
-                    "chunk returned an invalid partial: {e}"
-                )))),
-            )),
-        },
-        RelayReply::Error(message) => {
-            Ok((id, ChunkReply::Done(Err(ServiceError::Worker(message)))))
-        }
-    }
+/// Decodes one framed reply payload. GLCB decoding validates embedded
+/// partials, so an invalid partial — like an undecodable or
+/// uncorrelatable payload — is an outer error that poisons the
+/// connection; in-band `Error` replies stay chunk-level.
+fn decode_chunk_reply(payload: &[u8]) -> Result<(u64, BinaryReply), ServiceError> {
+    metrics::count_frame_rx(payload.len());
+    codec::decode_reply(payload)
 }
 
-/// Encodes one chunk order in the connection's negotiated codec and
-/// counts the payload bytes.
-fn encode_chunk_order(glcb: bool, id: u64, order: &WorkOrder) -> Result<Vec<u8>, ServiceError> {
-    let payload = if glcb {
-        codec::encode_order(id, order)
-    } else {
-        frame::encode_message(id, order)?
-    };
-    metrics::count_frame_tx(glcb, payload.len());
-    Ok(payload)
+/// Writes one chunk order as a GLCB frame and counts its bytes.
+fn send_chunk_order<W: std::io::Write>(
+    writer: &mut W,
+    id: u64,
+    order: &WorkOrder,
+) -> Result<(), ServiceError> {
+    let payload = codec::encode_order(id, order);
+    metrics::count_frame_tx(payload.len());
+    frame::write_frame(writer, &payload)
 }
 
 /// The resident-worker connection: frames down the child's stdin,
@@ -504,19 +195,15 @@ struct FramedChildChannel {
     stdin: Option<ChildStdin>,
     replies: mpsc::Receiver<Result<Vec<u8>, ServiceError>>,
     reader: Option<std::thread::JoinHandle<()>>,
-    /// Whether the worker's hello advertised GLCB — orders then go out
-    /// binary (replies are sniffed per frame either way).
-    glcb: bool,
 }
 
 impl FramedChildChannel {
     fn open(worker: &PathBuf) -> Result<Self, ServiceError> {
         let mut child = Command::new(worker)
-            .arg("--serve")
             .stdin(Stdio::piped())
             .stdout(Stdio::piped())
-            // Errors travel in-band as RelayReply::Error frames; an
-            // unread stderr pipe could wedge a chatty worker.
+            // Errors travel in-band as Error replies; an unread stderr
+            // pipe could wedge a chatty worker.
             .stderr(Stdio::null())
             .spawn()
             .map_err(|e| ServiceError::Worker(format!("cannot spawn {}: {e}", worker.display())))?;
@@ -540,26 +227,27 @@ impl FramedChildChannel {
                 }
             }
         });
-        let mut channel = FramedChildChannel {
+        let channel = FramedChildChannel {
             child,
             stdin: Some(stdin),
             replies,
             reader: Some(reader),
-            glcb: false,
         };
-        let hello = match channel.replies.recv_timeout(handshake_timeout()) {
-            Ok(Ok(payload)) => codec::parse_hello(&payload).map_err(|err| err.to_string()),
+        let hello = match channel.replies.recv_timeout(HANDSHAKE_TIMEOUT) {
+            Ok(Ok(payload)) => codec::decode_hello(&payload).map_err(|err| err.to_string()),
             Ok(Err(err)) => Err(err.to_string()),
-            Err(_) => Err(format!("no hello frame within {:?}", handshake_timeout())),
-        };
-        match hello {
-            Ok(peer) => channel.glcb = Hello::glcb().intersect(peer).glcb,
-            Err(detail) => {
-                return Err(ServiceError::Worker(format!(
-                    "worker {} did not complete the frame handshake: {detail}",
-                    worker.display()
-                )))
+            Err(mpsc::RecvTimeoutError::Timeout) => {
+                Err(format!("no hello frame within {HANDSHAKE_TIMEOUT:?}"))
             }
+            Err(mpsc::RecvTimeoutError::Disconnected) => {
+                Err("the worker exited before its hello".to_string())
+            }
+        };
+        if let Err(detail) = hello {
+            return Err(ServiceError::Worker(format!(
+                "worker {} did not complete the frame handshake: {detail}",
+                worker.display()
+            )));
         }
         Ok(channel)
     }
@@ -571,15 +259,14 @@ impl ChunkChannel for FramedChildChannel {
     }
 
     fn submit(&mut self, id: u64, order: &WorkOrder) -> Result<(), ServiceError> {
-        let payload = encode_chunk_order(self.glcb, id, order)?;
         let stdin = self
             .stdin
             .as_mut()
             .ok_or_else(|| ServiceError::Worker("worker connection already closed".into()))?;
-        frame::write_frame(stdin, &payload)
+        send_chunk_order(stdin, id, order)
     }
 
-    fn recv(&mut self) -> Result<(u64, ChunkReply), ServiceError> {
+    fn recv(&mut self) -> Result<(u64, BinaryReply), ServiceError> {
         match self.replies.recv() {
             Ok(Ok(payload)) => decode_chunk_reply(&payload),
             Ok(Err(err)) => Err(err),
@@ -601,54 +288,40 @@ impl Drop for FramedChildChannel {
     }
 }
 
-/// The persistent framed relay connection. The client speaks first
-/// (the relay sniffs the magic byte to pick framed vs line mode), then
-/// both sides exchange hello frames under a read timeout before any
-/// order is pipelined.
+/// The persistent framed relay connection. The client speaks first: it
+/// sends a hello asking for reduction, then reads the relay's hello
+/// under a read timeout before any order is pipelined.
 struct FramedRelayChannel {
     addr: String,
     reader: BufReader<TcpStream>,
     writer: TcpStream,
-    /// The capability intersection both hellos agreed on: GLCB orders
-    /// when `negotiated.glcb`, reduction-mode replies possible when
-    /// `negotiated.reduce`.
-    negotiated: Hello,
 }
 
 impl FramedRelayChannel {
     fn open(addr: &str) -> Result<Self, ServiceError> {
+        let handshake_failed = |detail: String| {
+            ServiceError::Worker(format!(
+                "relay {addr} did not complete the frame handshake: {detail}"
+            ))
+        };
         let stream = TcpStream::connect(addr)
             .map_err(|e| ServiceError::Worker(format!("cannot connect to relay {addr}: {e}")))?;
         let _ = stream.set_nodelay(true);
         stream
-            .set_read_timeout(Some(handshake_timeout()))
+            .set_read_timeout(Some(HANDSHAKE_TIMEOUT))
             .map_err(|e| ServiceError::Worker(format!("relay {addr}: set timeout: {e}")))?;
         let mut writer = stream
             .try_clone()
             .map_err(|e| ServiceError::Worker(format!("relay {addr}: cannot clone stream: {e}")))?;
-        let ours = Hello::glcb_reducing();
-        frame::write_frame(&mut writer, &codec::hello_payload(ours))?;
+        frame::write_frame(&mut writer, &codec::encode_hello(true))?;
         let mut reader = BufReader::new(stream);
-        let negotiated = match frame::read_frame(&mut reader) {
-            Ok(Some(payload)) => match codec::parse_hello(&payload) {
-                Ok(theirs) => ours.intersect(theirs),
-                Err(err) => {
-                    return Err(ServiceError::Worker(format!(
-                        "relay {addr} did not complete the frame handshake: {err}"
-                    )))
-                }
-            },
-            Ok(None) => {
-                return Err(ServiceError::Worker(format!(
-                    "relay {addr} did not complete the frame handshake: connection closed"
-                )))
+        match frame::read_frame(&mut reader) {
+            Ok(Some(payload)) => {
+                codec::decode_hello(&payload).map_err(|err| handshake_failed(err.to_string()))?;
             }
-            Err(err) => {
-                return Err(ServiceError::Worker(format!(
-                    "relay {addr} did not complete the frame handshake: {err}"
-                )))
-            }
-        };
+            Ok(None) => return Err(handshake_failed("connection closed".into())),
+            Err(err) => return Err(handshake_failed(err.to_string())),
+        }
         reader
             .get_ref()
             .set_read_timeout(None)
@@ -657,7 +330,6 @@ impl FramedRelayChannel {
             addr: addr.to_string(),
             reader,
             writer,
-            negotiated,
         })
     }
 }
@@ -668,12 +340,11 @@ impl ChunkChannel for FramedRelayChannel {
     }
 
     fn submit(&mut self, id: u64, order: &WorkOrder) -> Result<(), ServiceError> {
-        let payload = encode_chunk_order(self.negotiated.glcb, id, order)?;
-        frame::write_frame(&mut self.writer, &payload)
+        send_chunk_order(&mut self.writer, id, order)
             .map_err(|e| ServiceError::Worker(format!("relay {}: {e}", self.addr)))
     }
 
-    fn recv(&mut self) -> Result<(u64, ChunkReply), ServiceError> {
+    fn recv(&mut self) -> Result<(u64, BinaryReply), ServiceError> {
         match frame::read_frame(&mut self.reader) {
             Ok(Some(payload)) => decode_chunk_reply(&payload),
             Ok(None) => Err(ServiceError::Worker(format!(
@@ -682,55 +353,6 @@ impl ChunkChannel for FramedRelayChannel {
             ))),
             Err(err) => Err(err),
         }
-    }
-}
-
-/// Reaps a worker child's output: waits, checks the exit status, and
-/// decodes the partial.
-fn collect_child(child: Child, first_replicate: u64) -> Result<EnsemblePartial, ServiceError> {
-    let output = child
-        .wait_with_output()
-        .map_err(|e| ServiceError::Worker(format!("waiting for worker: {e}")))?;
-    if !output.status.success() {
-        let stderr = String::from_utf8_lossy(&output.stderr);
-        return Err(ServiceError::Worker(format!(
-            "shard at replicate {} exited with {}: {}",
-            first_replicate,
-            output.status,
-            stderr.trim()
-        )));
-    }
-    let text = String::from_utf8(output.stdout)
-        .map_err(|e| ServiceError::Protocol(format!("worker output not UTF-8: {e}")))?;
-    serde_json::from_str(text.trim())
-        .map_err(|e| ServiceError::Protocol(format!("undecodable partial: {e}")))
-}
-
-/// Reads and decodes the relay's one reply frame for a shard.
-fn collect_relay(
-    stream: TcpStream,
-    addr: &str,
-    first_replicate: u64,
-) -> Result<EnsemblePartial, ServiceError> {
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    reader
-        .read_line(&mut line)
-        .map_err(|e| ServiceError::Worker(format!("reading relay {addr} reply: {e}")))?;
-    if line.trim().is_empty() {
-        return Err(ServiceError::Worker(format!(
-            "relay {addr} closed the connection without a reply \
-             (shard at replicate {first_replicate})"
-        )));
-    }
-    match serde_json::from_str::<RelayReply>(line.trim()) {
-        Ok(RelayReply::Partial(partial)) => Ok(partial),
-        Ok(RelayReply::Error(message)) => Err(ServiceError::Worker(format!(
-            "relay {addr}: shard at replicate {first_replicate} failed: {message}"
-        ))),
-        Err(e) => Err(ServiceError::Protocol(format!(
-            "undecodable relay reply: {e}"
-        ))),
     }
 }
 
@@ -802,22 +424,19 @@ const WEIGHT_CLAMP: f64 = 8.0;
 struct PoolSlot {
     transport: Box<dyn Transport>,
     health: SlotHealth,
-    /// The slot's persistent pipelined connection, opened lazily on
-    /// first use and kept across [`WorkerPool::run`] calls (connection
-    /// reuse is most of what the pipelined transports buy). Dropped on
-    /// any connection-level failure; reopened on the next run. Always
-    /// `None` for one-shot transports.
+    /// The slot's persistent connection, opened lazily on first use
+    /// and kept across [`WorkerPool::run`] calls (connection reuse is
+    /// most of what the resident transports buy). Dropped on any
+    /// connection-level failure; reopened on the next use.
     channel: Option<Box<dyn ChunkChannel>>,
 }
 
 /// A health-aware scheduler over one [`Transport`] per slot.
 ///
-/// Replaces the fixed even-split + single-retry logic that used to
-/// live in `Coordinator::run_with_report`: shards are sized by each
-/// slot's observed throughput, a failed shard is retried on the other
-/// (non-quarantined) slots, and slots that fail
-/// `quarantine_after` times in a row are quarantined until the pool
-/// would otherwise be empty. Health persists across
+/// Chunks are homed by each slot's observed throughput, a failed chunk
+/// is retried on the other (non-quarantined) slots, and slots that
+/// fail `quarantine_after` times in a row are quarantined until the
+/// pool would otherwise be empty. Health persists across
 /// [`WorkerPool::run`] calls; none of it affects the merged bits (see
 /// the module docs).
 pub struct WorkerPool {
@@ -962,19 +581,17 @@ impl WorkerPool {
 
     /// Executes `order` across the pool and merges the chunk partials.
     ///
-    /// The seed range is cut into chunks (adaptive sizing when any
-    /// active slot is pipelined; the classic one-weighted-shard-per-
-    /// slot layout otherwise), seeded to per-slot queues proportional
-    /// to observed throughput, and drained by one driver per slot —
-    /// pipelined slots keep a window of orders in flight on their
-    /// persistent connection, and a slot whose own queue runs dry
-    /// **steals** from the back of the longest remaining queue, so
-    /// stragglers and mid-run failures stop gating the run. Completed
-    /// chunks stream-merge through a chunk-index reorder buffer, so
-    /// the merged partial is bitwise independent of scheduling,
-    /// stealing, transport and retry choices. Chunks that failed in
-    /// the parallel phase are retried sequentially afterwards on the
-    /// other slots, with the pre-existing rotation/quarantine rules.
+    /// The seed range is cut into chunks (see [`chunk_plan`]), seeded
+    /// to per-slot queues proportional to observed throughput, and
+    /// drained by one driver per slot — each keeps a window of orders
+    /// in flight on its slot's persistent connection, and a slot whose
+    /// own queue runs dry **steals** from the back of the longest
+    /// remaining queue, so stragglers and mid-run failures stop gating
+    /// the run. Completed chunks stream-merge through a chunk-index
+    /// reorder buffer, so the merged partial is bitwise independent of
+    /// scheduling, stealing, transport and retry choices. Chunks that
+    /// failed in the parallel phase are retried sequentially afterwards
+    /// on the other slots, through the same driver.
     ///
     /// # Errors
     ///
@@ -1001,8 +618,7 @@ impl WorkerPool {
             .iter()
             .map(|&i| self.slots[i].health.observed_throughput())
             .collect();
-        let pipelined = active.iter().any(|&i| self.slots[i].transport.pipelined());
-        let plan = chunk_plan(order.replicates, &throughputs, pipelined);
+        let plan = chunk_plan(order.replicates, &throughputs);
 
         // Cut the order into chunk orders (absolute seeds: chunk
         // boundaries cannot move a bit) and seed the per-slot queues.
@@ -1017,10 +633,7 @@ impl WorkerPool {
             seeded[active[home]].push_back(index);
             chunks.push(chunk);
         }
-        // Stealing only pays when chunks are finer than slots; in the
-        // legacy one-chunk-per-slot layout it would just reshuffle the
-        // deterministic weighted split.
-        let queue = ChunkQueue::new(seeded, pipelined);
+        let queue = ChunkQueue::new(seeded);
 
         let mut report = RunReport::new(self.slots.len());
         report.chunks = chunks.len() as u64;
@@ -1180,10 +793,9 @@ impl WorkerPool {
         }
 
         if merge_error.is_none() {
-            // Sequential retry pass, lowest replicate range first —
-            // the pre-existing rotation, quarantine and accounting
-            // rules apply unchanged (retries ride the one-shot
-            // spawn_shard path even on pipelined transports).
+            // Sequential retry pass, lowest replicate range first,
+            // under the rotation, quarantine and accounting rules of
+            // `retry`.
             pending.sort_by_key(|&(chunk, ..)| chunk);
             let mut terminal: Option<ServiceError> = None;
             for (chunk, error, failed_slot) in pending {
@@ -1226,17 +838,17 @@ impl WorkerPool {
         Ok((merged, report))
     }
 
-    /// Re-issues a failed shard on the other slots, in rotation order
+    /// Re-drives a failed chunk on the other slots, in rotation order
     /// after the failed one. Non-quarantined slots are preferred; when
     /// every other slot is quarantined (or this is a one-slot pool)
-    /// the rotation falls back to all slots so the shard still gets
+    /// the rotation falls back to all slots so the chunk still gets
     /// its retry. Re-running a seed range is idempotent — replicate
     /// seeds are absolute and partials exact — so a successful retry
     /// contributes exactly the bits the failed attempt would have.
     fn retry(
         &mut self,
         failed: usize,
-        shard: &WorkOrder,
+        chunk: &WorkOrder,
         first_err: ServiceError,
         report: &mut RunReport,
     ) -> Result<EnsemblePartial, ServiceError> {
@@ -1256,23 +868,18 @@ impl WorkerPool {
         }
         let mut last_err = first_err;
         for slot in candidates {
-            let started = Instant::now();
-            let attempt = self.slots[slot]
-                .transport
-                .spawn_shard(shard)
-                .and_then(ShardHandle::join);
-            match attempt {
-                Ok(partial) => {
+            match self.drive_one(slot, chunk) {
+                Ok((partial, elapsed_secs)) => {
                     report.retried_shards += 1;
                     self.lifetime_retried_shards += 1;
                     self.slots[slot].health.retries += 1;
-                    self.record_success(slot, shard, started.elapsed().as_secs_f64(), report);
+                    self.record_success(slot, chunk, elapsed_secs, report);
                     return Ok(partial);
                 }
                 Err(retry_err) => {
                     self.record_failure(slot, report);
                     // Prefer the later error: it is the one that
-                    // exhausted the shard's attempts (for deterministic
+                    // exhausted the chunk's attempts (for deterministic
                     // failures the messages agree anyway).
                     last_err = retry_err;
                 }
@@ -1281,19 +888,66 @@ impl WorkerPool {
         Err(last_err)
     }
 
+    /// Runs one chunk on `slot` through [`drive_slot`], the driver of
+    /// the parallel phase: a one-chunk queue homed on the slot, over
+    /// its cached connection or a freshly opened one. Returns the
+    /// partial and its round-trip seconds.
+    fn drive_one(
+        &mut self,
+        slot: usize,
+        chunk: &WorkOrder,
+    ) -> Result<(EnsemblePartial, f64), ServiceError> {
+        let mut seeded = vec![VecDeque::new(); self.slots.len()];
+        seeded[slot].push_back(0);
+        let queue = ChunkQueue::new(seeded);
+        let (tx, rx) = mpsc::channel();
+        let metrics = self.metrics.clone();
+        drive_slot(
+            slot,
+            &mut self.slots[slot],
+            &queue,
+            std::slice::from_ref(chunk),
+            &tx,
+            metrics.as_deref(),
+        );
+        drop(tx);
+        let mut outcome = Err(ServiceError::Worker(
+            "the retried chunk produced no reply".into(),
+        ));
+        for event in rx {
+            match event {
+                Event::Done {
+                    partial,
+                    elapsed_secs,
+                    ..
+                }
+                | Event::Reduced {
+                    partial,
+                    elapsed_secs,
+                    ..
+                } => outcome = Ok((partial, elapsed_secs)),
+                Event::ChunkFailed { error, .. }
+                | Event::ChunkLost { error, .. }
+                | Event::ChannelFailed { error, .. } => outcome = Err(error),
+                Event::Drained { .. } => {}
+            }
+        }
+        outcome
+    }
+
     fn record_success(
         &mut self,
         slot: usize,
-        shard: &WorkOrder,
+        chunk: &WorkOrder,
         elapsed_secs: f64,
         report: &mut RunReport,
     ) {
         let health = &mut self.slots[slot].health;
         health.successes += 1;
         health.consecutive_failures = 0;
-        health.replicates += shard.replicates;
+        health.replicates += chunk.replicates;
         health.busy_secs += elapsed_secs;
-        report.slot_replicates[slot] += shard.replicates;
+        report.slot_replicates[slot] += chunk.replicates;
         if let Some(metrics) = &self.metrics {
             metrics.observe_shard(slot, Duration::from_secs_f64(elapsed_secs));
         }
@@ -1313,8 +967,8 @@ impl WorkerPool {
 /// Sizes `total` replicates across slots proportionally to their
 /// observed throughput (largest-remainder rounding, deterministic
 /// index tie-break). Slots with no history get the mean of the known
-/// throughputs — a cold pool therefore degenerates to the even split
-/// the original coordinator used — and weights are clamped to within
+/// throughputs — a cold pool therefore splits evenly — and weights are
+/// clamped to within
 /// [`WEIGHT_CLAMP`]× of the mean so one noisy measurement cannot
 /// starve a slot.
 fn shard_sizes(total: u64, throughputs: &[Option<f64>]) -> Vec<u64> {
@@ -1364,12 +1018,12 @@ fn shard_sizes(total: u64, throughputs: &[Option<f64>]) -> Vec<u64> {
     sizes
 }
 
-/// Target wall-clock duration of one pipelined chunk. Small enough
-/// that a straggler only gates the run by a fraction of a second,
-/// large enough that framing + JSON overhead stays in the noise.
+/// Target wall-clock duration of one chunk. Small enough that a
+/// straggler only gates the run by a fraction of a second, large
+/// enough that framing and codec overhead stays in the noise.
 const TARGET_CHUNK_SECS: f64 = 0.15;
 
-/// Chunk-count bounds per slot in the pipelined layout: at least 2
+/// Chunk-count bounds per slot: at least 2
 /// (so there is always something to steal) and at most 16 (so
 /// per-chunk overhead cannot dominate a small order).
 const MIN_CHUNKS_PER_SLOT: u64 = 2;
@@ -1379,31 +1033,18 @@ const MAX_CHUNKS_PER_SLOT: u64 = 16;
 /// pairs where `home` is the index into the *active slot list* whose
 /// queue the chunk is seeded to. Zero-sized chunks are dropped.
 ///
-/// Two layouts:
-/// - **legacy** (`pipelined == false`): exactly the classic weighted
-///   one-shard-per-slot split ([`shard_sizes`]) — one-shot transports
-///   pay a spawn per chunk, so finer chunks would only add overhead,
-///   and the scheduler disables stealing for this layout.
-/// - **pipelined**: near-uniform chunks sized so each takes roughly
-///   [`TARGET_CHUNK_SECS`] at the mean observed throughput, clamped
-///   to [`MIN_CHUNKS_PER_SLOT`]..=[`MAX_CHUNKS_PER_SLOT`] chunks per
-///   slot — the lower bound holds for warm pools too, so every batch
-///   keeps a stealable back chunk per slot; contiguous runs of chunks
-///   are homed to slots proportionally to throughput.
+/// Chunks are near-uniform, sized so each takes roughly
+/// [`TARGET_CHUNK_SECS`] at the mean observed throughput, clamped to
+/// [`MIN_CHUNKS_PER_SLOT`]..=[`MAX_CHUNKS_PER_SLOT`] chunks per slot —
+/// the lower bound holds for warm pools too, so every batch keeps a
+/// stealable back chunk per slot; contiguous runs of chunks are homed
+/// to slots proportionally to throughput.
 ///
 /// Chunk boundaries never move a bit of the result — replicate seeds
 /// are absolute and the merge exact — so sizing only shapes latency.
-fn chunk_plan(total: u64, throughputs: &[Option<f64>], pipelined: bool) -> Vec<(u64, usize)> {
+fn chunk_plan(total: u64, throughputs: &[Option<f64>]) -> Vec<(u64, usize)> {
     let slots = throughputs.len() as u64;
     debug_assert!(slots > 0);
-    if !pipelined {
-        return shard_sizes(total, throughputs)
-            .into_iter()
-            .enumerate()
-            .filter(|&(_, size)| size > 0)
-            .map(|(home, size)| (size, home))
-            .collect();
-    }
     let ceil_div = |a: u64, b: u64| a.div_euclid(b) + u64::from(!a.is_multiple_of(b));
     let most = ceil_div(total, slots * MIN_CHUNKS_PER_SLOT).max(1);
     let known: Vec<f64> = throughputs.iter().flatten().copied().collect();
@@ -1448,19 +1089,15 @@ fn chunk_plan(total: u64, throughputs: &[Option<f64>], pipelined: bool) -> Vec<(
 /// Slots pop their own queue from the front; a slot whose queue ran
 /// dry steals from the *back* of the longest other queue (back-
 /// stealing takes the work farthest from the victim's cursor, lowest
-/// victim index breaks ties deterministically). Stealing is disabled
-/// in the legacy one-chunk-per-slot layout, where it would only
-/// reshuffle the deterministic weighted split.
+/// victim index breaks ties deterministically).
 struct ChunkQueue {
     deques: Mutex<Vec<VecDeque<usize>>>,
-    allow_steal: bool,
 }
 
 impl ChunkQueue {
-    fn new(seeded: Vec<VecDeque<usize>>, allow_steal: bool) -> Self {
+    fn new(seeded: Vec<VecDeque<usize>>) -> Self {
         ChunkQueue {
             deques: Mutex::new(seeded),
-            allow_steal,
         }
     }
 
@@ -1469,9 +1106,6 @@ impl ChunkQueue {
         let mut deques = self.deques.lock().expect("chunk queue poisoned");
         if let Some(chunk) = deques[slot].pop_front() {
             return Some((chunk, false));
-        }
-        if !self.allow_steal {
-            return None;
         }
         let victim = deques
             .iter()
@@ -1590,48 +1224,6 @@ enum HealthEvent {
     Failure,
 }
 
-/// A driver's execution vehicle: the transport's persistent pipelined
-/// channel, or the one-shot `spawn_shard` path behind the same
-/// submit/recv shape (window 1, spawn errors surfaced as inner chunk
-/// failures — one-shot transports have no connection to break).
-enum DriverChan<'a> {
-    Pipelined(Box<dyn ChunkChannel>),
-    OneShot {
-        transport: &'a dyn Transport,
-        pending: Option<(u64, Result<ShardHandle, ServiceError>)>,
-    },
-}
-
-impl DriverChan<'_> {
-    fn window(&self) -> usize {
-        match self {
-            DriverChan::Pipelined(channel) => channel.window().max(1),
-            DriverChan::OneShot { .. } => 1,
-        }
-    }
-
-    fn submit(&mut self, id: u64, order: &WorkOrder) -> Result<(), ServiceError> {
-        match self {
-            DriverChan::Pipelined(channel) => channel.submit(id, order),
-            DriverChan::OneShot { transport, pending } => {
-                debug_assert!(pending.is_none());
-                *pending = Some((id, transport.spawn_shard(order)));
-                Ok(())
-            }
-        }
-    }
-
-    fn recv(&mut self) -> Result<(u64, ChunkReply), ServiceError> {
-        match self {
-            DriverChan::Pipelined(channel) => channel.recv(),
-            DriverChan::OneShot { pending, .. } => {
-                let (id, spawned) = pending.take().expect("recv without a submitted order");
-                Ok((id, ChunkReply::Done(spawned.and_then(ShardHandle::join))))
-            }
-        }
-    }
-}
-
 /// Poisons a driver's connection: charges `error` to one outstanding
 /// chunk (or to the channel when nothing is outstanding) and reports
 /// every other outstanding chunk — in flight, deferred, or already
@@ -1677,9 +1269,9 @@ fn poison_connection(
 /// driver stops pulling new chunks but still drains healthy in-flight
 /// orders; a connection-level failure loses every in-flight order
 /// (first charged as the failure, the rest merely lost) and drops the
-/// channel so the next run reopens it. A healthy pipelined channel is
-/// cached back into the slot at exit — connection reuse across runs
-/// is most of what pipelining buys.
+/// channel so the next use reopens it. A healthy channel is cached
+/// back into the slot at exit — connection reuse across runs is most
+/// of what the resident transports buy.
 fn drive_slot(
     index: usize,
     slot: &mut PoolSlot,
@@ -1692,13 +1284,9 @@ fn drive_slot(
         transport, channel, ..
     } = slot;
     let mut chan = match channel.take() {
-        Some(cached) => DriverChan::Pipelined(cached),
+        Some(cached) => cached,
         None => match transport.open_channel() {
-            Ok(Some(opened)) => DriverChan::Pipelined(opened),
-            Ok(None) => DriverChan::OneShot {
-                transport: &**transport,
-                pending: None,
-            },
+            Ok(opened) => opened,
             Err(error) => {
                 let _ = tx.send(Event::ChannelFailed { slot: index, error });
                 let _ = tx.send(Event::Drained {
@@ -1709,7 +1297,7 @@ fn drive_slot(
             }
         },
     };
-    let window = chan.window();
+    let window = chan.window().max(1);
     // In-flight orders: (chunk index, submit time, stolen flag).
     let mut inflight: VecDeque<(usize, Instant, bool)> = VecDeque::new();
     // Chunks a reducing relay acknowledged as absorbed: they no longer
@@ -1771,7 +1359,7 @@ fn drive_slot(
             break;
         }
         match chan.recv() {
-            Ok((id, ChunkReply::Done(outcome))) => {
+            Ok((id, reply @ (BinaryReply::Partial(_) | BinaryReply::Error(_)))) => {
                 let Some(position) = inflight.iter().position(|&(chunk, ..)| chunk as u64 == id)
                 else {
                     // An uncorrelatable reply: the stream can no
@@ -1799,8 +1387,8 @@ fn drive_slot(
                         busy += started.elapsed().as_secs_f64();
                     }
                 }
-                match outcome {
-                    Ok(partial) => {
+                match reply {
+                    BinaryReply::Partial(partial) => {
                         let _ = tx.send(Event::Done {
                             slot: index,
                             chunk,
@@ -1809,19 +1397,22 @@ fn drive_slot(
                             partial,
                         });
                     }
-                    Err(error) => {
+                    BinaryReply::Error(message) => {
                         // One chunk failed; the connection is fine.
                         // Stop pulling new work, drain the rest.
                         failed = true;
                         let _ = tx.send(Event::ChunkFailed {
                             slot: index,
                             chunk,
-                            error,
+                            error: ServiceError::Worker(message),
                         });
+                    }
+                    BinaryReply::Deferred { .. } | BinaryReply::Reduced { .. } => {
+                        unreachable!("matched as Partial or Error above")
                     }
                 }
             }
-            Ok((id, ChunkReply::Deferred { .. })) => {
+            Ok((id, BinaryReply::Deferred { .. })) => {
                 let Some(position) = inflight.iter().position(|&(chunk, ..)| chunk as u64 == id)
                 else {
                     failed = true;
@@ -1849,7 +1440,7 @@ fn drive_slot(
             }
             Ok((
                 id,
-                ChunkReply::Reduced {
+                BinaryReply::Reduced {
                     also_covers,
                     partial,
                 },
@@ -1933,9 +1524,7 @@ fn drive_slot(
     }
 
     if !broken {
-        if let DriverChan::Pipelined(healthy) = chan {
-            *channel = Some(healthy);
-        }
+        *channel = Some(chan);
     }
     if let Some(metrics) = metrics {
         metrics.set_slot_inflight(index, 0);
@@ -1994,23 +1583,8 @@ mod tests {
     }
 
     #[test]
-    fn legacy_chunk_plans_are_the_weighted_split() {
-        // Non-pipelined pools keep the classic one-chunk-per-slot
-        // layout (zero-sized shards dropped), so every pinned
-        // assertion about the weighted split still holds.
-        assert_eq!(chunk_plan(10, &[None, None], false), vec![(5, 0), (5, 1)]);
-        assert_eq!(
-            chunk_plan(2, &[None, None, None], false),
-            vec![(1, 0), (1, 1)]
-        );
-        let weighted = chunk_plan(100, &[Some(300.0), Some(100.0)], false);
-        let sizes = shard_sizes(100, &[Some(300.0), Some(100.0)]);
-        assert_eq!(weighted, vec![(sizes[0], 0), (sizes[1], 1)]);
-    }
-
-    #[test]
     fn cold_pipelined_pools_cut_min_chunks_per_slot() {
-        let plan = chunk_plan(20, &[None, None], true);
+        let plan = chunk_plan(20, &[None, None]);
         assert_eq!(plan.len() as u64, 2 * MIN_CHUNKS_PER_SLOT);
         assert_eq!(plan.iter().map(|&(size, _)| size).sum::<u64>(), 20);
         // Homes are contiguous and cover both slots evenly.
@@ -2023,12 +1597,12 @@ mod tests {
     #[test]
     fn warm_pipelined_pools_target_chunk_seconds_within_clamps() {
         // 100 replicates/s mean throughput -> ~15-replicate chunks.
-        let plan = chunk_plan(600, &[Some(100.0), Some(100.0)], true);
+        let plan = chunk_plan(600, &[Some(100.0), Some(100.0)]);
         assert_eq!(plan.iter().map(|&(size, _)| size).sum::<u64>(), 600);
         let chunks = plan.len() as u64;
         assert!((30..=45).contains(&chunks), "{chunks} chunks: {plan:?}");
         // ...but never more than MAX_CHUNKS_PER_SLOT per slot...
-        let plan = chunk_plan(600, &[Some(1.0), Some(1.0)], true);
+        let plan = chunk_plan(600, &[Some(1.0), Some(1.0)]);
         assert!(
             plan.len() as u64 <= 2 * MAX_CHUNKS_PER_SLOT,
             "{} chunks",
@@ -2038,7 +1612,7 @@ mod tests {
         // time target, a warm pool still cuts MIN_CHUNKS_PER_SLOT
         // chunks per slot: the back chunks stay stealable, so a slot
         // the scheduler starves cannot hold its entire share hostage.
-        let plan = chunk_plan(20, &[Some(1_000_000.0), Some(1_000_000.0)], true);
+        let plan = chunk_plan(20, &[Some(1_000_000.0), Some(1_000_000.0)]);
         assert_eq!(plan, vec![(5, 0), (5, 0), (5, 1), (5, 1)]);
     }
 
@@ -2046,10 +1620,10 @@ mod tests {
     fn tiny_pipelined_orders_drop_empty_chunks() {
         // 3 replicates over 2 slots wanting 4 chunks: one chunk is
         // empty and must vanish, totals preserved.
-        let plan = chunk_plan(3, &[None, None], true);
+        let plan = chunk_plan(3, &[None, None]);
         assert_eq!(plan.iter().map(|&(size, _)| size).sum::<u64>(), 3);
         assert!(plan.iter().all(|&(size, _)| size > 0), "{plan:?}");
-        let plan = chunk_plan(1, &[None, None, None], true);
+        let plan = chunk_plan(1, &[None, None, None]);
         assert_eq!(plan, vec![(1, 0)]);
     }
 
@@ -2060,7 +1634,7 @@ mod tests {
             VecDeque::from(vec![1, 2, 3]),
             VecDeque::from(vec![4, 5]),
         ];
-        let queue = ChunkQueue::new(seeded, true);
+        let queue = ChunkQueue::new(seeded);
         assert_eq!(queue.depth(), 6);
         // Own work first, front-out.
         assert_eq!(queue.pull(0), Some((0, false)));
@@ -2073,17 +1647,9 @@ mod tests {
         assert_eq!(queue.pull(2), Some((4, false)));
         assert_eq!(queue.pull(0), None);
         assert_eq!(queue.depth(), 0);
-    }
-
-    #[test]
-    fn chunk_queues_never_steal_in_the_legacy_layout() {
-        let seeded = vec![VecDeque::new(), VecDeque::from(vec![7usize])];
-        let queue = ChunkQueue::new(seeded, false);
-        assert_eq!(queue.pull(0), None);
-        assert_eq!(queue.pull(1), Some((7, false)));
-        // Whatever is left when the drivers stop is drained with its
-        // home slot for the retry pass.
-        let queue = ChunkQueue::new(vec![VecDeque::from(vec![1usize, 2])], false);
-        assert_eq!(queue.drain_remaining(), vec![(1, 0), (2, 0)]);
+        // Whatever no driver reached is drained with its home slot for
+        // the retry pass.
+        let queue = ChunkQueue::new(vec![VecDeque::new(), VecDeque::from(vec![1usize, 2])]);
+        assert_eq!(queue.drain_remaining(), vec![(1, 1), (2, 1)]);
     }
 }

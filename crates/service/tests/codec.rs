@@ -1,18 +1,19 @@
 //! GLCB codec tests: round-trip property tests that the binary wire
-//! layer is bitwise-faithful, agrees with the JSON envelope wherever
-//! JSON can represent the value exactly, and fails closed on every
-//! truncated, trailing-garbage or structurally-invalid payload.
+//! layer is bitwise-faithful, agrees with a work order's serde JSON
+//! form wherever JSON can represent the value exactly, and fails closed
+//! on every truncated, trailing-garbage or structurally-invalid
+//! payload.
 //!
 //! The JSON-parity assertions are scoped to values below 2^53: the
-//! JSON layer carries numbers through f64, so seed ranges and ids
-//! above that lose low bits there — which is precisely why the GLCB
-//! varints exist; the binary path is exact for the full u64 range
-//! (checked here at the wrap boundary).
+//! JSON layer carries numbers through f64, so seed ranges above that
+//! lose low bits there — which is precisely why the GLCB varints exist;
+//! the binary path is exact for the full u64 range (checked here at the
+//! wrap boundary).
 //!
 //! CI runs this file on every push (`query-service` job).
 
-use glc_service::codec::{self, BinaryReply, Hello};
-use glc_service::{frame, EngineSpec, ModelSource, RelayReply, WorkOrder};
+use glc_service::codec::{self, BinaryReply};
+use glc_service::{EngineSpec, ModelSource, WorkOrder};
 use glc_ssa::{CompiledModel, EnsemblePartial, Trace};
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -77,8 +78,8 @@ fn sample_partials() -> &'static Vec<EnsemblePartial> {
 
 proptest! {
     /// Orders: GLCB round-trips bitwise for the full u64 seed space,
-    /// agrees with the JSON envelope below 2^53, and every truncation
-    /// or trailing byte fails closed.
+    /// agrees with the order's serde JSON form below 2^53, and every
+    /// truncation or trailing byte fails closed.
     #[test]
     fn glcb_orders_round_trip_and_match_json(
         seed in any_u64(),
@@ -103,11 +104,11 @@ proptest! {
         prop_assert_eq!(&back, &order);
         prop_assert_eq!(codec::encode_order(id, &back), bytes.clone(), "canonical re-encode");
 
-        if seed < (1 << 53) && first < (1 << 53) && id < (1 << 53) {
-            let json = frame::encode_message(id, &order).unwrap();
-            prop_assert!(!codec::is_glcb(&json), "JSON can never sniff as GLCB");
-            let (json_id, via_json): (u64, WorkOrder) = frame::decode_message(&json).unwrap();
-            prop_assert_eq!(json_id, id);
+        if seed < (1 << 53) && first < (1 << 53) {
+            let json = serde_json::to_string(&order).unwrap();
+            prop_assert!(!codec::is_glcb(json.as_bytes()), "JSON can never pass as GLCB");
+            prop_assert!(codec::decode_order(json.as_bytes()).is_err(), "JSON orders fail closed");
+            let via_json: WorkOrder = serde_json::from_str(&json).unwrap();
             prop_assert_eq!(&via_json, &back, "codec ≡ JSON below 2^53");
         }
 
@@ -121,9 +122,8 @@ proptest! {
 
     /// Replies: every `BinaryReply` variant — including `Reduced`
     /// covering arbitrary extra ids and partials with poisoned sums or
-    /// wrap-straddling seed ranges — round-trips bitwise, agrees with
-    /// the JSON `RelayReply` where one exists, and fails closed on
-    /// damage.
+    /// wrap-straddling seed ranges — round-trips bitwise and fails
+    /// closed on damage.
     #[test]
     fn glcb_replies_round_trip_bitwise(
         id in any_u64(),
@@ -148,29 +148,6 @@ proptest! {
         prop_assert_eq!(back_id, id);
         prop_assert_eq!(&back, &reply);
         prop_assert_eq!(codec::encode_reply(id, &back), bytes.clone(), "canonical re-encode");
-
-        // The two legacy-representable variants agree with the JSON
-        // envelope (below the f64-exact ceiling; the sample partials'
-        // wrap-range case is deliberately beyond it and skipped).
-        let json_exact = partial
-            .covered_seeds()
-            .iter()
-            .all(|&(s, c)| s < (1 << 53) && c < (1 << 53));
-        if id < (1 << 53) && variant < 2 && (variant == 1 || json_exact) {
-            let legacy = match &reply {
-                BinaryReply::Partial(p) => RelayReply::Partial(p.clone()),
-                BinaryReply::Error(e) => RelayReply::Error(e.clone()),
-                _ => unreachable!(),
-            };
-            let json = frame::encode_message(id, &legacy).unwrap();
-            let (json_id, via_json): (u64, RelayReply) = frame::decode_message(&json).unwrap();
-            prop_assert_eq!(json_id, id);
-            match (via_json, &back) {
-                (RelayReply::Partial(a), BinaryReply::Partial(b)) => prop_assert_eq!(&a, b),
-                (RelayReply::Error(a), BinaryReply::Error(b)) => prop_assert_eq!(&a, b),
-                other => prop_assert!(false, "variant mismatch: {:?}", other),
-            }
-        }
 
         for cut in (0..bytes.len()).step_by(13) {
             prop_assert!(codec::decode_reply(&bytes[..cut]).is_err());
@@ -234,17 +211,24 @@ fn cross_tag_decodes_fail_closed() {
 
 #[test]
 fn hello_negotiation_matrix_holds() {
-    // binary↔binary, binary↔legacy, legacy↔legacy: the grant is the
-    // intersection, and the legacy spelling is byte-exact.
-    let legacy = codec::hello_payload(Hello::legacy());
-    assert_eq!(legacy, frame::FRAME_HELLO.to_vec());
-    for ours in [Hello::legacy(), Hello::glcb(), Hello::glcb_reducing()] {
-        let parsed = codec::parse_hello(&codec::hello_payload(ours)).unwrap();
-        assert_eq!(parsed, ours, "hello round-trips");
-        for theirs in [Hello::legacy(), Hello::glcb(), Hello::glcb_reducing()] {
-            let granted = ours.intersect(theirs);
-            assert_eq!(granted.glcb, ours.glcb && theirs.glcb);
-            assert_eq!(granted.reduce, ours.reduce && theirs.reduce);
-        }
+    // A relay client asks for reduction and a relay grants exactly what
+    // was asked; workers and session clients never reduce. Every hello
+    // round-trips its flag, and anything but a GLCB hello of this
+    // version fails closed.
+    for reduce in [false, true] {
+        assert_eq!(
+            codec::decode_hello(&codec::encode_hello(reduce)).unwrap(),
+            reduce
+        );
+    }
+    let mut other_version = codec::encode_hello(false);
+    other_version[4] = glc_service::GLCB_VERSION.wrapping_add(1);
+    for bad in [
+        other_version,
+        b"{\"glc_frame_hello\":1}".to_vec(),
+        codec::encode_order(1, &tiny_order(2, 0, 3, EngineSpec::Direct)),
+        Vec::new(),
+    ] {
+        assert!(codec::decode_hello(&bad).is_err(), "{bad:?}");
     }
 }

@@ -5,11 +5,11 @@
 //! prefixes, truncated frames — with no panic and no partially
 //! trusted payload.
 
+use glc_service::codec::{self, BinaryReply};
 use glc_service::frame::{
-    decode_message, encode_frame, encode_message, read_frame, write_frame, FrameDecoder,
-    FRAME_HEADER_LEN, FRAME_MAGIC, MAX_FRAME_PAYLOAD,
+    encode_frame, read_frame, write_frame, FrameDecoder, FRAME_HEADER_LEN, FRAME_MAGIC,
+    MAX_FRAME_PAYLOAD,
 };
-use glc_service::RelayReply;
 use proptest::prelude::*;
 
 /// A deterministic pseudo-random payload: the vendored proptest has no
@@ -147,28 +147,27 @@ proptest! {
         prop_assert!(err.contains("bad frame magic"), "{err}");
     }
 
-    /// Interleaved correlation ids survive the envelope round trip:
+    /// Interleaved correlation ids survive the reply round trip:
     /// replies written in any order decode to exactly their own id and
     /// body, so a pipelined slot can attribute every reply.
     #[test]
     fn interleaved_ids_round_trip_unconfused(
-        ids in proptest::collection::vec(0u64..1 << 53, 2..8),
+        ids in proptest::collection::vec(0u64..u64::MAX, 2..8),
         split_seed in 0u64..u64::MAX,
     ) {
         let mut wire = Vec::new();
         for &id in &ids {
-            let body = RelayReply::Error(format!("reply-{id}"));
-            let message = encode_message(id, &body).unwrap();
-            write_frame(&mut wire, &message).unwrap();
+            let body = BinaryReply::Error(format!("reply-{id}"));
+            write_frame(&mut wire, &codec::encode_reply(id, &body)).unwrap();
         }
         let mut decoder = FrameDecoder::new();
         let frames = feed_in_splits(&mut decoder, &wire, split_seed);
         prop_assert_eq!(frames.len(), ids.len());
         for (frame, &wanted) in frames.iter().zip(&ids) {
-            let (id, reply): (u64, RelayReply) = decode_message(frame).unwrap();
+            let (id, reply) = codec::decode_reply(frame).unwrap();
             prop_assert_eq!(id, wanted);
             match reply {
-                RelayReply::Error(msg) => {
+                BinaryReply::Error(msg) => {
                     prop_assert_eq!(msg, format!("reply-{wanted}"))
                 }
                 other => prop_assert!(false, "wrong body {other:?}"),
@@ -176,28 +175,25 @@ proptest! {
         }
     }
 
-    /// Uncorrelatable or malformed envelopes fail closed: not UTF-8,
-    /// not JSON, or an id that is missing, negative or fractional all
-    /// error rather than guessing an attribution.
+    /// Uncorrelatable or malformed replies fail closed: arbitrary
+    /// bytes, an older build's JSON envelope (with or without an id),
+    /// or a GLCB reply cut short before its id all error rather than
+    /// guessing an attribution.
     #[test]
     fn uncorrelatable_replies_are_rejected(
         seed in 0u64..u64::MAX,
         shape in 0usize..4,
     ) {
         let payload: Vec<u8> = match shape {
-            // Invalid UTF-8 (0xff can never appear in UTF-8).
-            0 => vec![0xff, 0xfe, b'{', b'}'],
-            // Valid UTF-8, invalid JSON.
-            1 => payload_bytes(seed, 24)
-                .into_iter()
-                .map(|b| b'a' + (b % 26))
-                .collect(),
-            // Valid envelope JSON with no id.
-            2 => b"{\"Error\":\"no id here\"}".to_vec(),
-            // Valid envelope JSON with a fractional id.
-            _ => b"{\"id\":1.5,\"Error\":\"bad id\"}".to_vec(),
+            // Arbitrary bytes.
+            0 => payload_bytes(seed, 24),
+            // A JSON envelope without an id.
+            1 => b"{\"Error\":\"no id here\"}".to_vec(),
+            // A JSON envelope with one.
+            2 => b"{\"id\":1,\"Error\":\"boom\"}".to_vec(),
+            // A GLCB reply header with no id after it.
+            _ => codec::encode_reply(seed, &BinaryReply::Error("x".into()))[..6].to_vec(),
         };
-        let outcome: Result<(u64, RelayReply), _> = decode_message(&payload);
-        prop_assert!(outcome.is_err(), "shape {shape} decoded");
+        prop_assert!(codec::decode_reply(&payload).is_err(), "shape {shape} decoded");
     }
 }

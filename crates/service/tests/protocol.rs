@@ -1,20 +1,26 @@
-//! End-to-end worker-protocol tests: real `glc-worker` child
-//! processes, driven by the [`Coordinator`], checked **bitwise**
-//! against the in-process `run_ensemble`.
+//! End-to-end worker-protocol tests: real resident `glc-worker` child
+//! processes, driven by a [`WorkerPool`] of [`PipelinedWorker`] slots
+//! over the GLCB frame wire, checked **bitwise** against the in-process
+//! `run_ensemble`.
 //!
-//! This is the acceptance gate of the sharding refactor: the same base
+//! This is the acceptance gate of the sharding contract: the same base
 //! seed must produce the same ensemble bits whether the replicates run
-//! on one thread, many threads, or across process boundaries — CI runs
-//! this on every push (`worker-protocol` job).
+//! on one thread, many threads, or across process boundaries — and a
+//! worker lost mid-run is retried without moving a bit. CI runs this on
+//! every push (`worker-protocol` job).
 
-use glc_service::{Coordinator, EngineSpec, ModelSource, WorkOrder};
-use glc_ssa::{run_ensemble, Direct, Engine, Ensemble, Langevin};
+use glc_service::{
+    codec, frame, EngineSpec, ModelSource, PipelinedWorker, Transport, WorkOrder, WorkerPool,
+};
+use glc_ssa::{run_ensemble, Ensemble};
+use std::path::{Path, PathBuf};
 
 /// Path of the freshly built worker binary under test.
 fn worker_bin() -> &'static str {
     env!("CARGO_BIN_EXE_glc-worker")
 }
 
+/// A `book_and` order with both inputs clamped high.
 fn book_and_order(engine: EngineSpec, replicates: u64) -> WorkOrder {
     WorkOrder::new(
         ModelSource::Catalog("book_and".into()),
@@ -28,6 +34,31 @@ fn book_and_order(engine: EngineSpec, replicates: u64) -> WorkOrder {
     .with_amount("TetR", 15.0)
 }
 
+/// A pool of `slots` resident workers running `worker`.
+fn worker_pool(worker: impl Into<PathBuf>, slots: usize) -> WorkerPool {
+    let worker = worker.into();
+    let transports: Vec<Box<dyn Transport>> = (0..slots)
+        .map(|_| Box::new(PipelinedWorker::new(&worker)) as Box<dyn Transport>)
+        .collect();
+    WorkerPool::new(transports).expect("pool")
+}
+
+/// The in-process reference: `run_ensemble` over the order's range.
+fn in_process(order: &WorkOrder) -> Ensemble {
+    let model = order.compile_model().unwrap();
+    let engine = order.engine.clone();
+    run_ensemble(
+        &model,
+        || engine.build().expect("engine builds"),
+        order.replicates as usize,
+        order.t_end,
+        order.sample_dt,
+        order.base_seed,
+        3,
+    )
+    .unwrap()
+}
+
 /// Trace-level bitwise equality (PartialEq on f64 can hide ±0 / NaN
 /// differences; compare the actual bits).
 fn assert_bitwise_equal(a: &Ensemble, b: &Ensemble) {
@@ -35,10 +66,13 @@ fn assert_bitwise_equal(a: &Ensemble, b: &Ensemble) {
     for (mine, theirs) in [(&a.mean, &b.mean), (&a.std_dev, &b.std_dev)] {
         assert_eq!(mine.species(), theirs.species());
         assert_eq!(mine.len(), theirs.len());
-        for (s, _) in mine.species().iter().enumerate() {
-            let x = mine.series_at(s);
-            let y = theirs.series_at(s);
-            for (k, (va, vb)) in x.iter().zip(y).enumerate() {
+        for s in 0..mine.species().len() {
+            for (k, (va, vb)) in mine
+                .series_at(s)
+                .iter()
+                .zip(theirs.series_at(s))
+                .enumerate()
+            {
                 assert_eq!(
                     va.to_bits(),
                     vb.to_bits(),
@@ -52,58 +86,29 @@ fn assert_bitwise_equal(a: &Ensemble, b: &Ensemble) {
 #[test]
 fn coordinator_over_two_workers_matches_in_process_bitwise() {
     let order = book_and_order(EngineSpec::Direct, 12);
-    let sharded = Coordinator::new(worker_bin(), 2)
-        .unwrap()
-        .run_ensemble(&order)
-        .unwrap();
-    let model = order.compile_model().unwrap();
-    let in_process = run_ensemble(
-        &model,
-        || Box::new(Direct::new()) as Box<dyn Engine>,
-        12,
-        60.0,
-        6.0,
-        7,
-        4,
-    )
-    .unwrap();
-    assert_bitwise_equal(&sharded, &in_process);
+    let (partial, report) = worker_pool(worker_bin(), 2).run(&order).unwrap();
+    assert_eq!(report.slot_replicates.iter().sum::<u64>(), 12);
+    assert_bitwise_equal(&partial.finalize().unwrap(), &in_process(&order));
 }
 
 #[test]
 fn worker_count_does_not_change_the_bits() {
     // Langevin traces are continuous-valued: without exact partial
-    // accumulation, different shardings would differ in the last bits.
-    let order = book_and_order(EngineSpec::Langevin(0.2), 9);
-    let reference = Coordinator::new(worker_bin(), 1)
-        .unwrap()
-        .run_ensemble(&order)
-        .unwrap();
-    for workers in [2usize, 3, 5] {
-        let sharded = Coordinator::new(worker_bin(), workers)
-            .unwrap()
-            .run_ensemble(&order)
-            .unwrap();
-        assert_bitwise_equal(&sharded, &reference);
+    // accumulation, different chunkings would differ in the last bits.
+    for engine in [EngineSpec::Direct, EngineSpec::Langevin(0.2)] {
+        let order = book_and_order(engine, 9);
+        let reference = in_process(&order);
+        for slots in [1usize, 2, 3] {
+            let (partial, _) = worker_pool(worker_bin(), slots).run(&order).unwrap();
+            assert_bitwise_equal(&partial.finalize().unwrap(), &reference);
+        }
     }
-    let model = order.compile_model().unwrap();
-    let in_process = run_ensemble(
-        &model,
-        || Box::new(Langevin::new(0.2).unwrap()) as Box<dyn Engine>,
-        9,
-        60.0,
-        6.0,
-        7,
-        3,
-    )
-    .unwrap();
-    assert_bitwise_equal(&reference, &in_process);
 }
 
 #[test]
 fn sbml_work_orders_travel_whole_models() {
-    // A fully self-contained order: the model rides inside the JSON,
-    // so the worker needs no shared catalog.
+    // A fully self-contained order: the model rides inside the order
+    // payload, so the worker needs no shared catalog.
     let entry = glc_gates::catalog::by_id("book_not").unwrap();
     let mut model = entry.model.clone();
     model.set_initial_amount("LacI", 15.0);
@@ -115,141 +120,111 @@ fn sbml_work_orders_travel_whole_models() {
         30.0,
         5.0,
     );
-    let sharded = Coordinator::new(worker_bin(), 3)
-        .unwrap()
-        .run_ensemble(&order)
-        .unwrap();
-    let compiled = order.compile_model().unwrap();
-    let in_process = run_ensemble(
-        &compiled,
-        || Box::new(Direct::new()) as Box<dyn Engine>,
-        6,
-        30.0,
-        5.0,
-        11,
-        2,
-    )
-    .unwrap();
-    assert_bitwise_equal(&sharded, &in_process);
-}
-
-/// Writes an executable shell script that fails on its first
-/// invocation (creating a marker file) and execs the real worker on
-/// every later one — a deterministic "transiently lost worker".
-#[cfg(unix)]
-fn flaky_worker_script(label: &str) -> std::path::PathBuf {
-    use std::os::unix::fs::PermissionsExt as _;
-    let dir = std::env::temp_dir().join(format!("glc-flaky-{label}-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("create script dir");
-    let marker = dir.join("first-attempt-burned");
-    let _ = std::fs::remove_dir(&marker);
-    let script = dir.join("flaky-worker.sh");
-    // `mkdir` is atomic, so exactly one concurrently-spawned child
-    // claims the injected failure; stdin is drained first so the
-    // coordinator's order write never sees a broken pipe.
-    std::fs::write(
-        &script,
-        format!(
-            "#!/bin/sh\norder=$(cat)\nif mkdir '{marker}' 2>/dev/null; then\n  echo 'injected transient failure' >&2\n  exit 1\nfi\nprintf '%s' \"$order\" | '{worker}' \"$@\"\n",
-            marker = marker.display(),
-            worker = worker_bin(),
-        ),
-    )
-    .expect("write script");
-    std::fs::set_permissions(&script, std::fs::Permissions::from_mode(0o755))
-        .expect("chmod script");
-    script
-}
-
-#[cfg(unix)]
-#[test]
-fn failed_shard_is_retried_once_and_reproduces_the_bits() {
-    // One worker child dies on its first attempt; the coordinator
-    // re-issues the shard (same absolute seed range → idempotent), so
-    // the aggregate is still bitwise the in-process run, and the
-    // report carries the failure.
-    let order = book_and_order(EngineSpec::Direct, 12);
-    let coordinator = Coordinator::new(flaky_worker_script("retry"), 2).unwrap();
-    let (partial, report) = coordinator.run_with_report(&order).unwrap();
-    assert_eq!(report.total_failures(), 1, "{report:?}");
-    assert_eq!(report.retried_shards, 1, "{report:?}");
-    assert_eq!(report.worker_failures.len(), 2);
-    let model = order.compile_model().unwrap();
-    let in_process = run_ensemble(
-        &model,
-        || Box::new(Direct::new()) as Box<dyn Engine>,
-        12,
-        60.0,
-        6.0,
-        7,
-        4,
-    )
-    .unwrap();
-    assert_bitwise_equal(&partial.finalize().unwrap(), &in_process);
-}
-
-#[cfg(unix)]
-#[test]
-fn permanently_failing_worker_exhausts_its_retry() {
-    use std::os::unix::fs::PermissionsExt as _;
-    // A worker that always fails (after draining its order, so the
-    // coordinator reaches the collect path) burns the first attempt
-    // and the one retry, then surfaces the failure.
-    let dir = std::env::temp_dir().join(format!("glc-dead-worker-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("create script dir");
-    let script = dir.join("dead-worker.sh");
-    std::fs::write(
-        &script,
-        "#!/bin/sh\ncat > /dev/null\necho 'permanently broken' >&2\nexit 1\n",
-    )
-    .expect("write script");
-    std::fs::set_permissions(&script, std::fs::Permissions::from_mode(0o755))
-        .expect("chmod script");
-    let order = book_and_order(EngineSpec::Direct, 4);
-    let err = Coordinator::new(&script, 2)
-        .unwrap()
-        .run_with_report(&order)
-        .unwrap_err();
-    let text = err.to_string();
-    assert!(
-        text.contains("exited with") && text.contains("permanently broken"),
-        "{text}"
-    );
+    let (partial, _) = worker_pool(worker_bin(), 3).run(&order).unwrap();
+    assert_bitwise_equal(&partial.finalize().unwrap(), &in_process(&order));
 }
 
 #[test]
 fn healthy_runs_report_zero_failures() {
     let order = book_and_order(EngineSpec::Direct, 6);
-    let (_, report) = Coordinator::new(worker_bin(), 3)
-        .unwrap()
-        .run_with_report(&order)
-        .unwrap();
+    let (_, report) = worker_pool(worker_bin(), 3).run(&order).unwrap();
     assert_eq!(report.total_failures(), 0);
     assert_eq!(report.retried_shards, 0);
     assert_eq!(report.worker_failures, vec![0, 0, 0]);
 }
 
 #[test]
-fn worker_failures_surface_with_stderr() {
+fn worker_failures_surface_in_band() {
     let mut order = book_and_order(EngineSpec::Direct, 4);
     order.model = ModelSource::Catalog("no_such_circuit".into());
-    let err = Coordinator::new(worker_bin(), 2)
-        .unwrap()
-        .run(&order)
-        .unwrap_err();
-    let text = err.to_string();
+    let err = worker_pool(worker_bin(), 2).run(&order).unwrap_err();
     assert!(
-        text.contains("no_such_circuit"),
-        "error should carry the worker's stderr: {text}"
+        err.to_string().contains("no_such_circuit"),
+        "error should carry the worker's message: {err}"
     );
 }
 
 #[test]
 fn missing_worker_binary_is_a_clean_error() {
     let order = book_and_order(EngineSpec::Direct, 2);
-    let err = Coordinator::new("/nonexistent/glc-worker", 2)
-        .unwrap()
+    let err = worker_pool("/nonexistent/glc-worker", 2)
         .run(&order)
         .unwrap_err();
     assert!(err.to_string().contains("cannot spawn"), "{err}");
+}
+
+/// A fresh, empty temp directory for fake worker scripts.
+#[cfg(unix)]
+fn script_dir(label: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("glc-protocol-{label}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create script dir");
+    dir
+}
+
+/// Writes an executable shell script into `dir`.
+#[cfg(unix)]
+fn script(dir: &Path, body: &str) -> PathBuf {
+    use std::os::unix::fs::PermissionsExt as _;
+    let path = dir.join("worker.sh");
+    std::fs::write(&path, format!("#!/bin/sh\n{body}")).expect("write script");
+    std::fs::set_permissions(&path, std::fs::Permissions::from_mode(0o755)).expect("chmod script");
+    path
+}
+
+/// Writes `payload` as one frame to a file in `dir`, returning its
+/// path — how a fake worker script replays a hello.
+#[cfg(unix)]
+fn hello_file(dir: &Path, payload: &[u8]) -> PathBuf {
+    let path = dir.join("hello.bin");
+    std::fs::write(&path, frame::encode_frame(payload).unwrap()).expect("write frame file");
+    path
+}
+
+#[cfg(unix)]
+#[test]
+fn failed_shard_is_retried_once_and_reproduces_the_bits() {
+    // The first worker spawned completes its hello and then dies with
+    // chunks in flight (a transiently lost worker); every later spawn
+    // is the real worker. One slot, so the retry pass reopens the same
+    // slot's channel — the same absolute seed range, so idempotent —
+    // and the aggregate is still bitwise the in-process run, with the
+    // loss charged once in the report.
+    let dir = script_dir("retry");
+    let hello = hello_file(&dir, &codec::encode_hello(false));
+    let marker = dir.join("first-attempt-burned");
+    let path = script(
+        &dir,
+        &format!(
+            "if mkdir '{marker}' 2>/dev/null; then cat '{hello}'; exit 1; fi\nexec '{worker}'\n",
+            marker = marker.display(),
+            hello = hello.display(),
+            worker = worker_bin(),
+        ),
+    );
+    let order = book_and_order(EngineSpec::Direct, 12);
+    let (partial, report) = worker_pool(&path, 1).run(&order).unwrap();
+    assert_eq!(report.worker_failures, vec![1], "{report:?}");
+    assert!(report.retried_shards >= 1, "{report:?}");
+    assert_bitwise_equal(&partial.finalize().unwrap(), &in_process(&order));
+}
+
+#[cfg(unix)]
+#[test]
+fn permanently_failing_worker_exhausts_its_retry() {
+    // A worker that always dies before its hello burns every attempt
+    // and the handshake failure surfaces.
+    let order = book_and_order(EngineSpec::Direct, 4);
+    let err = worker_pool(
+        script(&script_dir("dead"), "echo 'slot is dead' >&2\nexit 1\n"),
+        2,
+    )
+    .run(&order)
+    .unwrap_err()
+    .to_string();
+    assert!(
+        err.contains("did not complete the frame handshake")
+            && err.contains("exited before its hello"),
+        "{err}"
+    );
 }

@@ -9,14 +9,14 @@
 //!   run (Direct + Langevin, `book_and` + `cello_0x1C`);
 //! * `Query` after `Extend` performs **zero simulation work** (every
 //!   response reports the replicates it simulated);
-//! * the coordinator-backed Extend reproduces the in-process bits over
-//!   worker child processes.
+//! * the pool-backed Extend reproduces the in-process bits over
+//!   resident worker processes.
 //!
 //! CI runs this file on every push (`query-service` job).
 
 use glc_service::{
-    Coordinator, EngineSpec, ExtendBackend, ExtendRequest, ModelSource, QueryRequest, Request,
-    Response, SessionSpec, SessionStore,
+    EngineSpec, ExtendBackend, ExtendRequest, ModelSource, PipelinedWorker, QueryRequest, Request,
+    Response, SessionSpec, SessionStore, Transport, WorkerPool,
 };
 use glc_ssa::run_partial_from;
 use proptest::prelude::*;
@@ -110,12 +110,17 @@ proptest! {
 }
 
 #[test]
-fn coordinator_backend_matches_in_process_extends_bitwise() {
-    // Extends fanned out over real glc-worker children merge into the
-    // same resident bits as the single-threaded in-process backend.
+fn pool_backend_matches_in_process_extends_bitwise() {
+    // Extends fanned out over real resident glc-worker processes merge
+    // into the same resident bits as the single-threaded in-process
+    // backend.
     let spec = catalog_spec("book_and", EngineSpec::Direct, 7);
-    let coordinator = Coordinator::new(worker_bin(), 2).unwrap();
-    let mut sharded = SessionStore::new(2, ExtendBackend::Coordinator(coordinator)).unwrap();
+    let pool = WorkerPool::new(vec![
+        Box::new(PipelinedWorker::new(worker_bin())) as Box<dyn Transport>,
+        Box::new(PipelinedWorker::new(worker_bin())),
+    ])
+    .unwrap();
+    let mut sharded = SessionStore::new(2, ExtendBackend::Pool(pool)).unwrap();
     let mut local = SessionStore::new(2, ExtendBackend::InProcess).unwrap();
     let session = sharded.submit(&spec).unwrap().session;
     assert_eq!(local.submit(&spec).unwrap().session, session);
@@ -254,7 +259,7 @@ fn glc_serve_end_to_end_submit_extend_query() {
 #[test]
 fn glc_serve_worker_backend_matches_fresh_run() {
     // Submit → extend ×2 → query over a glc-serve that fans extends
-    // out to glc-worker children: still bitwise the fresh run.
+    // out to resident glc-worker children: still bitwise the fresh run.
     let spec = catalog_spec("book_and", EngineSpec::Direct, 23);
     let mut client = ServeClient::spawn(&["--workers", "2", "--worker-bin", worker_bin()]);
     let Response::Submitted(submitted) = client.request(&Request::Submit(spec.clone())) else {

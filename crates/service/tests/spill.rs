@@ -108,7 +108,7 @@ fn evicted_sessions_spill_reload_and_extend_bitwise() {
     let a_key = store.submit(&a).unwrap().session;
     store.extend(&a_key, 4).unwrap();
     assert!(
-        session::spill_path_glcb(&dir, &a_key).exists(),
+        session::spill_path(&dir, &a_key).exists(),
         "extend write-through-snapshots the session (GLCB layout)"
     );
 
@@ -197,7 +197,7 @@ fn corrupt_snapshots_fail_closed() {
         let partial = store.partial(&key).unwrap().clone();
         (key, partial)
     };
-    let binary = session::spill_path_glcb(&dir, &key);
+    let binary = session::spill_path(&dir, &key);
     let clean = std::fs::read(&binary).unwrap();
 
     // A truncated GLCB snapshot fails closed.
@@ -218,26 +218,31 @@ fn corrupt_snapshots_fail_closed() {
     store.extend(&key, 2).unwrap();
     assert_eq!(store.partial(&key).unwrap(), &fresh_reference(&spec, 2));
 
-    // A legacy JSON snapshot claiming more replicates than its
-    // coverage holds fails the same validation on the fallback path.
-    std::fs::remove_file(&binary).unwrap();
-    let json_path = session::write_spill_json(&dir, &spec, &partial).unwrap();
-    let clean_json = std::fs::read_to_string(&json_path).unwrap();
-    let lying = clean_json.replace("\"replicates\":2.0", "\"replicates\":5.0");
-    assert_ne!(lying, clean_json, "fixture drifted");
-    std::fs::write(&json_path, &lying).unwrap();
+    // A well-formed snapshot filed under the wrong key (its spec
+    // fingerprints elsewhere) fails closed too.
+    let other = tiny_spec(4);
+    let written = session::write_spill(&dir, &other, &partial).unwrap();
+    std::fs::rename(&written, &binary).unwrap();
     let mut store = SessionStore::new(2, ExtendBackend::InProcess)
         .unwrap()
         .with_spill_dir(&dir);
     assert!(matches!(store.extend(&key, 1), Err(ServiceError::Spill(_))));
 
-    // Plain garbage under the binary extension is rejected the same
-    // way (and shadows any JSON sibling).
-    std::fs::write(&binary, "not a snapshot").unwrap();
-    let mut store = SessionStore::new(2, ExtendBackend::InProcess)
-        .unwrap()
-        .with_spill_dir(&dir);
-    assert!(matches!(store.extend(&key, 1), Err(ServiceError::Spill(_))));
+    // Plain garbage is rejected the same way, and so is an older
+    // build's JSON snapshot document.
+    for junk in [
+        "not a snapshot".to_string(),
+        format!(
+            "{{\"spec\":{},\"partial\":{{}}}}",
+            serde_json::to_string(&spec).unwrap()
+        ),
+    ] {
+        std::fs::write(&binary, junk).unwrap();
+        let mut store = SessionStore::new(2, ExtendBackend::InProcess)
+            .unwrap()
+            .with_spill_dir(&dir);
+        assert!(matches!(store.extend(&key, 1), Err(ServiceError::Spill(_))));
+    }
     // Unknown keys are still unknown (missing file ≠ corrupt file).
     assert!(matches!(
         store.extend("sess-0000000000000000", 1),
@@ -355,13 +360,8 @@ struct ServeClient {
 
 impl ServeClient {
     fn spawn(args: &[&str]) -> Self {
-        Self::spawn_with(args, &[])
-    }
-
-    fn spawn_with(args: &[&str], envs: &[(&str, &str)]) -> Self {
         let mut child = Command::new(serve_bin())
             .args(args)
-            .envs(envs.iter().copied())
             .stdin(Stdio::piped())
             .stdout(Stdio::piped())
             .stderr(Stdio::piped())
@@ -465,8 +465,8 @@ fn killed_and_restarted_glc_serve_resumes_extends_bitwise() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Sum of the on-disk session-snapshot sizes (both generations) — the
-/// `du` the stats counter must agree with.
+/// Sum of the on-disk session-snapshot sizes — the `du` the stats
+/// counter must agree with.
 fn du_session_files(dir: &std::path::Path) -> u64 {
     let Ok(entries) = std::fs::read_dir(dir) else {
         return 0;
@@ -474,9 +474,10 @@ fn du_session_files(dir: &std::path::Path) -> u64 {
     entries
         .flatten()
         .filter(|entry| {
-            entry.file_name().to_str().is_some_and(|name| {
-                name.ends_with(".session.json") || name.ends_with(".session.glcb")
-            })
+            entry
+                .file_name()
+                .to_str()
+                .is_some_and(|name| name.ends_with(".session.glcb"))
         })
         .filter_map(|entry| entry.metadata().ok())
         .map(|meta| meta.len())
@@ -505,7 +506,7 @@ fn spill_gc_size_bound_evicts_oldest_first_and_tracks_bytes() {
         settle_mtime();
     }
     for key in &keys {
-        assert!(session::spill_path_glcb(&dir, key).exists());
+        assert!(session::spill_path(&dir, key).exists());
     }
     assert_eq!(
         store.stats().spill_bytes,
@@ -515,22 +516,16 @@ fn spill_gc_size_bound_evicts_oldest_first_and_tracks_bytes() {
 
     // Bound the directory to one snapshot: the two oldest go, the
     // newest survives, and the accounting follows.
-    let keep = std::fs::metadata(session::spill_path_glcb(&dir, &keys[2]))
+    let keep = std::fs::metadata(session::spill_path(&dir, &keys[2]))
         .unwrap()
         .len();
     let mut store = store.with_spill_max_bytes(keep);
     assert!(
-        !session::spill_path_glcb(&dir, &keys[0]).exists(),
+        !session::spill_path(&dir, &keys[0]).exists(),
         "oldest first"
     );
-    assert!(
-        !session::spill_path_glcb(&dir, &keys[1]).exists(),
-        "then next"
-    );
-    assert!(
-        session::spill_path_glcb(&dir, &keys[2]).exists(),
-        "newest kept"
-    );
+    assert!(!session::spill_path(&dir, &keys[1]).exists(), "then next");
+    assert!(session::spill_path(&dir, &keys[2]).exists(), "newest kept");
     let stats = store.stats();
     assert_eq!(stats.spill_gc_evictions, 2, "{stats:?}");
     assert_eq!(stats.spill_bytes, keep, "{stats:?}");
@@ -541,8 +536,8 @@ fn spill_gc_size_bound_evicts_oldest_first_and_tracks_bytes() {
     // the previous survivor is the one collected.
     settle_mtime();
     store.extend(&keys[0], 1).unwrap();
-    assert!(session::spill_path_glcb(&dir, &keys[0]).exists());
-    assert!(!session::spill_path_glcb(&dir, &keys[2]).exists());
+    assert!(session::spill_path(&dir, &keys[0]).exists());
+    assert!(!session::spill_path(&dir, &keys[2]).exists());
     let stats = store.stats();
     assert_eq!(stats.spill_gc_evictions, 3, "{stats:?}");
     assert_eq!(stats.spill_bytes, du_session_files(&dir));
@@ -571,8 +566,8 @@ fn spill_gc_age_bound_collects_stale_snapshots() {
 
     // A (near-)zero age bound expires everything already on disk.
     let mut store = store.with_spill_max_age(std::time::Duration::from_nanos(1));
-    assert!(!session::spill_path_glcb(&dir, &a).exists());
-    assert!(!session::spill_path_glcb(&dir, &b).exists());
+    assert!(!session::spill_path(&dir, &a).exists());
+    assert!(!session::spill_path(&dir, &b).exists());
     let stats = store.stats();
     assert_eq!(stats.spill_gc_evictions, 2, "{stats:?}");
     assert_eq!(stats.spill_bytes, 0, "{stats:?}");
@@ -581,26 +576,22 @@ fn spill_gc_age_bound_collects_stale_snapshots() {
     // an age bound it can't possibly satisfy.
     store.extend(&a, 1).unwrap();
     assert!(
-        session::spill_path_glcb(&dir, &a).exists(),
+        session::spill_path(&dir, &a).exists(),
         "write-through snapshot must survive the GC pass that follows it"
     );
     assert_eq!(store.stats().spill_bytes, du_session_files(&dir));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A fake worker that reads its request and dies — a permanently
-/// broken pool slot for the quarantine drill.
+/// A fake worker that exits before its hello — a permanently broken
+/// pool slot for the quarantine drill.
 #[cfg(unix)]
 fn dead_worker_script(label: &str) -> PathBuf {
     use std::os::unix::fs::PermissionsExt;
     let dir = std::env::temp_dir().join(format!("glc-dead-slot-{label}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("script dir");
     let path = dir.join("dead-worker.sh");
-    std::fs::write(
-        &path,
-        "#!/bin/sh\ncat > /dev/null\necho 'slot is dead' >&2\nexit 1\n",
-    )
-    .expect("write script");
+    std::fs::write(&path, "#!/bin/sh\necho 'slot is dead' >&2\nexit 1\n").expect("write script");
     std::fs::set_permissions(&path, std::fs::Permissions::from_mode(0o755)).expect("chmod");
     path
 }
@@ -635,17 +626,14 @@ fn killed_glc_serve_restarts_with_quarantine_intact() {
     ];
     let spec = catalog_spec("book_and", EngineSpec::Direct, 23);
 
-    // The dead script never answers the frame handshake; a short
-    // timeout keeps the drill from idling out the default 5 s wait.
-    let envs = [("GLC_FRAME_HANDSHAKE_MS", "500")];
-    let mut client = ServeClient::spawn_with(&flags, &envs);
+    let mut client = ServeClient::spawn(&flags);
     let Response::Submitted(submitted) = client.request(&Request::Submit(spec.clone())) else {
         panic!("expected Submitted");
     };
     let session = submitted.session.clone();
-    // Slot 1 (the script) never completes the frame handshake, so its
-    // connection breaks, its queued chunks are stolen by the healthy
-    // worker, and the script is quarantined.
+    // Slot 1 (the script) exits before its hello, so its handshake
+    // fails on EOF, its queued chunks are stolen by the healthy worker,
+    // and the script is quarantined.
     let Response::Extended(extended) = client.request(&Request::Extend(ExtendRequest {
         session: session.clone(),
         replicates: 4,
@@ -668,7 +656,7 @@ fn killed_glc_serve_restarts_with_quarantine_intact() {
 
     // Restart on the same spill dir: the quarantine is already in
     // place before any request runs a shard.
-    let mut reborn = ServeClient::spawn_with(&flags, &envs);
+    let mut reborn = ServeClient::spawn(&flags);
     let Response::Stats(stats) = reborn.request(&Request::Stats) else {
         panic!("expected Stats");
     };
@@ -678,8 +666,8 @@ fn killed_glc_serve_restarts_with_quarantine_intact() {
     );
     assert_eq!(stats.slots[1].failures, 1, "{stats:?}");
     // Steals are a per-life throughput counter, not durable health:
-    // the reborn pool starts from zero, and nothing needed a one-shot
-    // retry in either life (the lost chunks were stolen instead).
+    // the reborn pool starts from zero, and nothing needed a retry in
+    // either life (the dead slot's chunks were stolen instead).
     assert_eq!(stats.pool_steals, 0, "{stats:?}");
     assert_eq!(stats.pool_retries, 0, "{stats:?}");
 

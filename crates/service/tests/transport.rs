@@ -1,27 +1,33 @@
-//! Transport-fabric tests: the three [`Transport`] implementations
-//! driven through real processes and sockets, checked **bitwise**
-//! against each other, plus the [`WorkerPool`]'s health-aware
-//! scheduling (retries, quarantine, throughput accounting).
+//! Transport-fabric tests: the two [`Transport`] implementations driven
+//! through real processes and sockets, checked **bitwise** against
+//! each other, plus the [`WorkerPool`]'s health-aware scheduling
+//! (stealing, retries, quarantine, throughput accounting).
 //!
-//! The acceptance gate of the transport refactor: an Extend dispatched
-//! over `TcpRelay` ≡ `ChildProcess` ≡ `InProcess` ≡ a fresh unsharded
-//! run — property-tested for Direct + Langevin on `book_and` +
-//! `cello_0x1C` — and a pool with an always-failing slot still
-//! completes with the correct bits while reporting the quarantine.
-//! CI runs this file on every push (`query-service` job).
+//! The acceptance gate of the fabric: an Extend dispatched over
+//! `PipelinedRelay` ≡ `PipelinedWorker` ≡ the in-process backend ≡ a
+//! fresh unsharded run — property-tested for Direct + Langevin on
+//! `book_and` + `cello_0x1C` — and a pool with an always-failing slot
+//! still completes with the correct bits while reporting the
+//! quarantine. The one internal wire fails **closed**: a JSON order,
+//! an older build's JSON hello or another GLCB version gets no answer.
+//! Scheduler tests never assert on what a race decided: faults fire by
+//! chunk identity, and a [`Gate`] pins which slot runs what. CI runs this file on every push
+//! (`query-service` job).
 
+use glc_service::codec::{self, BinaryReply};
 use glc_service::{
-    ChildProcess, ChunkChannel, ChunkReply, EngineSpec, ExtendBackend, InProcess, ModelSource,
-    PipelinedRelay, PipelinedWorker, ServiceError, SessionSpec, SessionStore, TcpRelay, Transport,
-    WorkOrder, WorkerPool,
+    frame, ChunkChannel, EngineSpec, Envelope, ExtendBackend, ModelSource, PipelinedRelay,
+    PipelinedWorker, ServiceError, SessionSpec, SessionStore, Transport, WorkOrder, WorkerPool,
 };
 use glc_ssa::run_partial_from;
 use proptest::prelude::*;
 use std::collections::VecDeque;
-use std::io::{BufRead as _, BufReader};
+use std::io::{BufRead as _, BufReader, Write as _};
+use std::net::{TcpListener, TcpStream};
+use std::path::{Path, PathBuf};
 use std::process::{Child, ChildStdin, Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::Duration;
 
 /// Paths of the freshly built binaries under test.
@@ -43,13 +49,12 @@ struct RelayFixture {
 }
 
 impl RelayFixture {
-    fn spawn(args: &[&str]) -> Self {
+    fn spawn() -> Self {
         let mut child = Command::new(relay_bin())
             .args(["--listen", "127.0.0.1:0"])
-            .args(args)
             .stdin(Stdio::piped())
             .stdout(Stdio::piped())
-            .stderr(Stdio::piped())
+            .stderr(Stdio::null())
             .spawn()
             .expect("spawn glc-relay");
         let stdin = child.stdin.take().expect("stdin piped");
@@ -85,7 +90,7 @@ impl Drop for RelayFixture {
 /// per case would dominate the test); it exits with this process.
 fn shared_relay_addr() -> &'static str {
     static RELAY: OnceLock<RelayFixture> = OnceLock::new();
-    &RELAY.get_or_init(|| RelayFixture::spawn(&[])).addr
+    &RELAY.get_or_init(RelayFixture::spawn).addr
 }
 
 fn catalog_spec(circuit: &str, engine: EngineSpec, base_seed: u64) -> SessionSpec {
@@ -122,25 +127,86 @@ fn fresh_reference(spec: &SessionSpec, replicates: u64) -> glc_ssa::EnsemblePart
     .expect("reference run")
 }
 
+/// A small `book_not` order for scheduler tests.
+fn book_not_order(base_seed: u64, replicates: u64) -> WorkOrder {
+    WorkOrder::new(
+        ModelSource::Catalog("book_not".into()),
+        EngineSpec::Direct,
+        base_seed,
+        replicates,
+        5.0,
+        1.0,
+    )
+    .with_amount("LacI", 15.0)
+}
+
 /// A store whose Extends run over a pool of the given transports.
 fn pooled_store(transports: Vec<Box<dyn Transport>>) -> SessionStore {
     let pool = WorkerPool::new(transports).expect("pool");
     SessionStore::new(2, ExtendBackend::Pool(pool)).expect("store")
 }
 
-/// An in-process *pipelined* transport for scheduler tests: chunks
+/// A rendezvous for scheduler tests: it opens once `parties` slots
+/// have arrived in the current round, so a test can pin which slot
+/// runs what instead of sleeping and hoping. [`Gate::reset`] starts a
+/// new round. A party that waits 30 s gives up, so a broken test fails
+/// on its assertions instead of hanging.
+struct Gate {
+    parties: u64,
+    /// (round, arrivals in this round)
+    state: Mutex<(u64, u64)>,
+    opened: Condvar,
+}
+
+impl Gate {
+    fn new(parties: u64) -> Arc<Self> {
+        Arc::new(Gate {
+            parties,
+            state: Mutex::new((0, 0)),
+            opened: Condvar::new(),
+        })
+    }
+
+    fn round(&self) -> u64 {
+        self.state.lock().unwrap().0
+    }
+
+    fn reset(&self) {
+        let mut state = self.state.lock().unwrap();
+        *state = (state.0 + 1, 0);
+    }
+
+    fn arrive(&self) {
+        let mut state = self.state.lock().unwrap();
+        state.1 += 1;
+        self.opened.notify_all();
+        let _ = self
+            .opened
+            .wait_timeout_while(state, Duration::from_secs(30), |state| {
+                state.1 < self.parties
+            })
+            .unwrap();
+    }
+}
+
+/// An in-process pipelined transport for scheduler tests: chunks
 /// execute inside `recv` (so the in-flight window and completion
 /// interleaving are real), with a configurable window, an optional
-/// per-chunk delay (a tunable straggler), and scripted failures
-/// shared across the pool — each failure credit taken by whichever
-/// recv gets there first.
+/// per-chunk delay, scripted faults, and an optional [`Gate`] the slot
+/// arrives at on its n-th submit of each gate round.
 #[derive(Clone)]
 struct TestPipelined {
+    label: &'static str,
     window: usize,
     delay: Duration,
-    /// Chunk failures left to inject (inner error: chunk fails, the
-    /// connection survives).
-    inner_failures: Arc<AtomicU64>,
+    gate: Option<(Arc<Gate>, u64)>,
+    /// Fails the first attempt of the chunk whose `first_replicate`
+    /// matches, whichever slot runs it: the credit is shared by every
+    /// clone, so a pool built from clones fails that chunk once.
+    fail_chunk: Option<(u64, Arc<AtomicU64>)>,
+    /// Fails every chunk this slot runs (inner error: the connection
+    /// survives).
+    always_fail: bool,
     /// Connection failures left to inject (outer error: the channel
     /// is broken, every in-flight chunk is lost).
     outer_failures: Arc<AtomicU64>,
@@ -149,14 +215,49 @@ struct TestPipelined {
 }
 
 impl TestPipelined {
-    fn new(window: usize, delay: Duration) -> Self {
+    fn new(window: usize) -> Self {
         TestPipelined {
+            label: "test-pipelined",
             window,
-            delay,
-            inner_failures: Arc::new(AtomicU64::new(0)),
+            delay: Duration::ZERO,
+            gate: None,
+            fail_chunk: None,
+            always_fail: false,
             outer_failures: Arc::new(AtomicU64::new(0)),
             opens: Arc::new(AtomicU64::new(0)),
         }
+    }
+
+    fn named(mut self, label: &'static str) -> Self {
+        self.label = label;
+        self
+    }
+
+    fn delayed(mut self, delay: Duration) -> Self {
+        self.delay = delay;
+        self
+    }
+
+    fn gated(mut self, gate: &Arc<Gate>, nth_submit: u64) -> Self {
+        self.gate = Some((Arc::clone(gate), nth_submit));
+        self
+    }
+
+    fn failing_chunk(mut self, first_replicate: u64) -> Self {
+        self.fail_chunk = Some((first_replicate, Arc::new(AtomicU64::new(1))));
+        self
+    }
+
+    fn always_failing(mut self) -> Self {
+        self.always_fail = true;
+        self
+    }
+
+    /// Whether the scripted chunk fault is still pending.
+    fn chunk_fault_pending(&self) -> bool {
+        self.fail_chunk
+            .as_ref()
+            .is_some_and(|(_, credits)| credits.load(Ordering::SeqCst) > 0)
     }
 
     /// Takes one failure credit from `counter`, if any is left.
@@ -168,30 +269,27 @@ impl TestPipelined {
 }
 
 impl Transport for TestPipelined {
-    fn spawn_shard(&self, order: &WorkOrder) -> Result<glc_service::ShardHandle, ServiceError> {
-        InProcess.spawn_shard(order) // Retries ride the one-shot path.
-    }
-
     fn describe(&self) -> String {
-        "test-pipelined".into()
+        self.label.into()
     }
 
-    fn open_channel(&self) -> Result<Option<Box<dyn ChunkChannel>>, ServiceError> {
+    fn open_channel(&self) -> Result<Box<dyn ChunkChannel>, ServiceError> {
         self.opens.fetch_add(1, Ordering::SeqCst);
-        Ok(Some(Box::new(TestChannel {
+        Ok(Box::new(TestChannel {
             cfg: self.clone(),
             pending: VecDeque::new(),
-        })))
-    }
-
-    fn pipelined(&self) -> bool {
-        true
+            round: None,
+            submits: 0,
+        }))
     }
 }
 
 struct TestChannel {
     cfg: TestPipelined,
     pending: VecDeque<(u64, WorkOrder)>,
+    /// The gate round `submits` counts within.
+    round: Option<u64>,
+    submits: u64,
 }
 
 impl ChunkChannel for TestChannel {
@@ -200,11 +298,22 @@ impl ChunkChannel for TestChannel {
     }
 
     fn submit(&mut self, id: u64, order: &WorkOrder) -> Result<(), ServiceError> {
+        if let Some((gate, nth)) = &self.cfg.gate {
+            let round = gate.round();
+            if self.round != Some(round) {
+                self.round = Some(round);
+                self.submits = 0;
+            }
+            self.submits += 1;
+            if self.submits == *nth {
+                gate.arrive();
+            }
+        }
         self.pending.push_back((id, order.clone()));
         Ok(())
     }
 
-    fn recv(&mut self) -> Result<(u64, ChunkReply), ServiceError> {
+    fn recv(&mut self) -> Result<(u64, BinaryReply), ServiceError> {
         let (id, order) = self
             .pending
             .pop_front()
@@ -215,24 +324,32 @@ impl ChunkChannel for TestChannel {
         if !self.cfg.delay.is_zero() {
             std::thread::sleep(self.cfg.delay);
         }
-        if TestPipelined::take(&self.cfg.inner_failures) {
-            return Ok((
-                id,
-                ChunkReply::Done(Err(ServiceError::Worker("test chunk failed".into()))),
-            ));
+        let scripted = self.cfg.always_fail
+            || self
+                .cfg
+                .fail_chunk
+                .as_ref()
+                .is_some_and(|(first, credits)| {
+                    order.first_replicate == *first && TestPipelined::take(credits)
+                });
+        if scripted {
+            return Ok((id, BinaryReply::Error("test chunk failed".into())));
         }
-        Ok((id, ChunkReply::Done(order.execute())))
+        let reply = match order.execute() {
+            Ok(partial) => BinaryReply::Partial(partial),
+            Err(err) => BinaryReply::Error(err.to_string()),
+        };
+        Ok((id, reply))
     }
 }
 
 proptest! {
     /// The acceptance property: the same extend schedule dispatched
-    /// over every transport — in-process threads, glc-worker children,
-    /// TCP relay, pipelined-framed resident workers and relay
-    /// connections, plus pipelined pools with a mid-run chunk failure
-    /// and a straggler/steal mix — leaves bitwise-identical resident
-    /// partials, all equal to the fresh unsharded run. Direct +
-    /// Langevin, book_and + cello_0x1C.
+    /// over every backend — in-process, resident framed workers, relay
+    /// connections with reduction, a pool whose first chunk fails once
+    /// (retried on the other slot), and a straggler/steal mix — leaves
+    /// bitwise-identical resident partials, all equal to the fresh
+    /// unsharded run. Direct + Langevin, book_and + cello_0x1C.
     #[test]
     fn extends_agree_bitwise_across_all_transports(
         first in 1u64..3,
@@ -248,24 +365,14 @@ proptest! {
             EngineSpec::Direct
         };
         let spec = catalog_spec(circuit, engine, seed);
-        // A pipelined pool that fails one chunk mid-run (retried on
-        // the other slots)…
-        let flaky = TestPipelined::new(2, Duration::ZERO);
-        flaky.inner_failures.store(1, Ordering::SeqCst);
-        // …and one mixing a straggler with a fast slot, so chunks can
-        // migrate by stealing.
-        let straggler = TestPipelined::new(1, Duration::from_millis(3));
+        // The chunk starting at replicate 0 fails its first attempt,
+        // whichever slot runs it…
+        let flaky = TestPipelined::new(2).failing_chunk(0);
+        // …and a straggler next to a fast slot lets chunks migrate by
+        // stealing.
+        let straggler = TestPipelined::new(1).delayed(Duration::from_millis(3));
         let mut stores = vec![
             SessionStore::new(2, ExtendBackend::InProcess).unwrap(),
-            pooled_store(vec![Box::new(InProcess), Box::new(InProcess)]),
-            pooled_store(vec![
-                Box::new(ChildProcess::new(worker_bin())),
-                Box::new(ChildProcess::new(worker_bin())),
-            ]),
-            pooled_store(vec![
-                Box::new(TcpRelay::new(shared_relay_addr())),
-                Box::new(TcpRelay::new(shared_relay_addr())),
-            ]),
             pooled_store(vec![
                 Box::new(PipelinedWorker::new(worker_bin())),
                 Box::new(PipelinedWorker::new(worker_bin())),
@@ -274,14 +381,8 @@ proptest! {
                 Box::new(PipelinedRelay::new(shared_relay_addr())),
                 Box::new(PipelinedRelay::new(shared_relay_addr())),
             ]),
-            pooled_store(vec![
-                Box::new(flaky.clone()),
-                Box::new(TestPipelined::new(2, Duration::ZERO)),
-            ]),
-            pooled_store(vec![
-                Box::new(straggler),
-                Box::new(TestPipelined::new(1, Duration::ZERO)),
-            ]),
+            pooled_store(vec![Box::new(flaky.clone()), Box::new(flaky.clone())]),
+            pooled_store(vec![Box::new(straggler), Box::new(TestPipelined::new(1))]),
         ];
         let mut partials = Vec::new();
         for store in &mut stores {
@@ -290,10 +391,7 @@ proptest! {
             store.extend(&session, growth).unwrap();
             partials.push(store.partial(&session).unwrap().clone());
         }
-        prop_assert_eq!(
-            flaky.inner_failures.load(Ordering::SeqCst), 0,
-            "the scripted chunk failure really fired"
-        );
+        prop_assert!(!flaky.chunk_fault_pending(), "the scripted chunk failure really fired");
         let reference = fresh_reference(&spec, first + growth);
         for (at, partial) in partials.iter().enumerate() {
             prop_assert_eq!(partial, &reference, "backend #{} diverged", at);
@@ -303,29 +401,20 @@ proptest! {
 
 #[test]
 fn fast_slots_steal_from_stragglers_without_moving_a_bit() {
-    // One slot sleeps 100 ms per chunk, the other runs at full speed:
-    // the fast slot must drain its own queue and then steal from the
-    // straggler's — and the merged bits must not notice.
-    let order = WorkOrder::new(
-        ModelSource::Catalog("book_not".into()),
-        EngineSpec::Direct,
-        23,
-        20,
-        5.0,
-        1.0,
-    )
-    .with_amount("LacI", 15.0);
+    // The slow slot holds its first chunk until the fast slot has
+    // drained its own queue and stolen from the slow one (its third
+    // submit): the steal is forced by the gate, not by a sleep race —
+    // and the merged bits must not notice.
+    let order = book_not_order(23, 20);
     let reference = order.execute().unwrap();
-    let slow = TestPipelined::new(1, Duration::from_millis(100));
-    let fast = TestPipelined::new(1, Duration::ZERO);
+    let gate = Gate::new(2);
+    let slow = TestPipelined::new(1).gated(&gate, 1);
+    let fast = TestPipelined::new(1).gated(&gate, 3);
     let mut pool =
         WorkerPool::new(vec![Box::new(slow) as Box<dyn Transport>, Box::new(fast)]).unwrap();
     let (partial, report) = pool.run(&order).unwrap();
     assert_eq!(partial, reference, "stealing must not move a bit");
-    assert!(
-        report.chunks >= 4,
-        "a pipelined cold pool cuts steal-eligible chunks: {report:?}"
-    );
+    assert_eq!(report.chunks, 4, "a cold pool cuts two chunks per slot");
     assert!(report.steals >= 1, "the fast slot stole work: {report:?}");
     assert_eq!(report.total_failures(), 0, "{report:?}");
     assert_eq!(pool.lifetime_steals(), report.steals);
@@ -337,53 +426,39 @@ fn fast_slots_steal_from_stragglers_without_moving_a_bit() {
 
 #[test]
 fn pipelined_chunk_failures_retry_elsewhere_and_stay_exact() {
-    // A chunk fails mid-run on a pipelined slot (the connection
-    // survives): the chunk is retried on the one-shot rotation and the
-    // result is bitwise the reference.
-    let order = WorkOrder::new(
-        ModelSource::Catalog("book_not".into()),
-        EngineSpec::Direct,
-        31,
-        12,
-        5.0,
-        1.0,
-    )
-    .with_amount("LacI", 15.0);
+    // The chunk starting at replicate 0 fails once mid-run (the
+    // connection survives), whichever slot runs it: it is re-driven on
+    // the other slot and the result is bitwise the reference.
+    let order = book_not_order(31, 12);
     let reference = order.execute().unwrap();
-    let flaky = TestPipelined::new(2, Duration::ZERO);
-    flaky.inner_failures.store(1, Ordering::SeqCst);
+    let flaky = TestPipelined::new(2).failing_chunk(0);
     let mut pool = WorkerPool::new(vec![
         Box::new(flaky.clone()) as Box<dyn Transport>,
-        Box::new(TestPipelined::new(2, Duration::ZERO)),
+        Box::new(flaky.clone()),
     ])
     .unwrap();
     let (partial, report) = pool.run(&order).unwrap();
     assert_eq!(partial, reference);
-    assert_eq!(flaky.inner_failures.load(Ordering::SeqCst), 0);
+    assert!(!flaky.chunk_fault_pending());
     assert_eq!(report.total_failures(), 1, "{report:?}");
     assert_eq!(report.retried_shards, 1, "{report:?}");
+    assert_eq!(pool.lifetime_retried_shards(), 1);
     assert!(report.quarantined_slots.is_empty(), "{report:?}");
 }
 
 #[test]
 fn broken_connections_lose_the_window_but_the_run_completes_exactly() {
-    // The connection itself breaks with a full window in flight: every
+    // The connection itself breaks with orders in flight: every
     // in-flight chunk is lost, the channel is dropped (and reopened on
     // the next run), the lost chunks are retried — and the bits are
-    // still exact, twice.
-    let order = WorkOrder::new(
-        ModelSource::Catalog("book_not".into()),
-        EngineSpec::Direct,
-        41,
-        16,
-        5.0,
-        1.0,
-    )
-    .with_amount("LacI", 15.0);
+    // still exact, twice. The gate makes both slots submit before
+    // either runs, so the brittle slot really has chunks in flight.
+    let order = book_not_order(41, 16);
     let reference = order.execute().unwrap();
-    let brittle = TestPipelined::new(2, Duration::ZERO);
+    let gate = Gate::new(2);
+    let brittle = TestPipelined::new(2).gated(&gate, 1);
     brittle.outer_failures.store(1, Ordering::SeqCst);
-    let steady = TestPipelined::new(2, Duration::ZERO);
+    let steady = TestPipelined::new(2).gated(&gate, 1);
     let mut pool = WorkerPool::new(vec![
         Box::new(brittle.clone()) as Box<dyn Transport>,
         Box::new(steady.clone()),
@@ -392,19 +467,22 @@ fn broken_connections_lose_the_window_but_the_run_completes_exactly() {
     let (partial, report) = pool.run(&order).unwrap();
     assert_eq!(partial, reference);
     assert_eq!(
-        report.total_failures(),
-        1,
+        report.worker_failures,
+        vec![1, 0],
         "a broken connection is one failure, not one per lost chunk: {report:?}"
     );
     assert!(report.retried_shards >= 1, "{report:?}");
 
     // Second run: the broken slot reopens its channel, the healthy
-    // slot reuses its cached connection.
-    let opens_before = (
-        brittle.opens.load(Ordering::SeqCst),
-        steady.opens.load(Ordering::SeqCst),
+    // slot reuses its cached connection (the retries above ran on it
+    // too).
+    assert_eq!(
+        (
+            brittle.opens.load(Ordering::SeqCst),
+            steady.opens.load(Ordering::SeqCst)
+        ),
+        (1, 1)
     );
-    assert_eq!(opens_before, (1, 1));
     let (partial, report) = pool.run(&order).unwrap();
     assert_eq!(partial, reference);
     assert_eq!(report.total_failures(), 0, "{report:?}");
@@ -422,22 +500,14 @@ fn broken_connections_lose_the_window_but_the_run_completes_exactly() {
 
 #[test]
 fn relay_reduction_merges_chunks_upstream_bitwise() {
-    // A single pipelined relay connection carrying several concurrent
-    // chunk orders: the negotiated reduce capability makes the relay
-    // answer early finishers with Deferred receipts, merge their
-    // partials locally, and ship one Reduced batch when its in-flight
-    // count drains — and the reassembled bits must equal the unsharded
-    // reference, across two runs on the same cached connection.
-    let relay = RelayFixture::spawn(&[]);
-    let order = WorkOrder::new(
-        ModelSource::Catalog("book_not".into()),
-        EngineSpec::Direct,
-        57,
-        30,
-        5.0,
-        1.0,
-    )
-    .with_amount("LacI", 15.0);
+    // A single relay connection carrying several concurrent chunk
+    // orders: reduction makes the relay answer early finishers with
+    // Deferred receipts, merge their partials locally, and ship one
+    // Reduced batch when its in-flight count drains — and the
+    // reassembled bits must equal the unsharded reference, across two
+    // runs on the same cached connection.
+    let relay = RelayFixture::spawn();
+    let order = book_not_order(57, 30);
     let reference = order.execute().unwrap();
     let mut pool = WorkerPool::new(vec![
         Box::new(PipelinedRelay::new(relay.addr.clone())) as Box<dyn Transport>
@@ -446,16 +516,10 @@ fn relay_reduction_merges_chunks_upstream_bitwise() {
     for run in 0..2 {
         let (partial, report) = pool.run(&order).unwrap();
         assert_eq!(partial, reference, "run {run}: reduction moved a bit");
-        if run == 0 {
-            // The cold pool always splits into multiple chunks, which
-            // is what puts several orders in flight on the connection
-            // and triggers the Deferred/Reduced path (a warm pool may
-            // legitimately plan one chunk and skip it).
-            assert!(
-                report.chunks >= 2,
-                "cold run needs concurrent chunks to reduce: {report:?}"
-            );
-        }
+        assert!(
+            report.chunks >= 2,
+            "run {run}: every plan cuts concurrent chunks to reduce: {report:?}"
+        );
         assert_eq!(report.total_failures(), 0, "run {run}: {report:?}");
         assert_eq!(
             report.slot_replicates[0], 30,
@@ -466,14 +530,14 @@ fn relay_reduction_merges_chunks_upstream_bitwise() {
 
 #[test]
 fn mixed_transport_pools_merge_bitwise() {
-    // One pool mixing all three transports: the shard boundaries land
-    // on different vehicles entirely, and the bits cannot tell.
-    let relay = RelayFixture::spawn(&[]);
+    // One pool mixing every kind of slot: the chunk boundaries land on
+    // different vehicles entirely, and the bits cannot tell.
+    let relay = RelayFixture::spawn();
     let spec = catalog_spec("book_and", EngineSpec::Direct, 17);
     let mut store = pooled_store(vec![
-        Box::new(InProcess),
-        Box::new(ChildProcess::new(worker_bin())),
-        Box::new(TcpRelay::new(relay.addr.clone())),
+        Box::new(TestPipelined::new(1)),
+        Box::new(PipelinedWorker::new(worker_bin())),
+        Box::new(PipelinedRelay::new(relay.addr.clone())),
     ]);
     let session = store.submit(&spec).unwrap().session;
     for batch in [7u64, 5] {
@@ -486,53 +550,36 @@ fn mixed_transport_pools_merge_bitwise() {
 }
 
 #[test]
-fn relay_with_child_workers_matches_too() {
-    // A relay that fans its orders out over its own glc-worker
-    // children (the remote-host deployment shape): still the same
-    // bits.
-    let relay = RelayFixture::spawn(&["--workers", "2", "--worker-bin", worker_bin()]);
-    let spec = catalog_spec("book_and", EngineSpec::Langevin(0.01), 29);
-    let mut store = pooled_store(vec![Box::new(TcpRelay::new(relay.addr.clone()))]);
-    let session = store.submit(&spec).unwrap().session;
-    store.extend(&session, 6).unwrap();
-    assert_eq!(store.partial(&session).unwrap(), &fresh_reference(&spec, 6));
-}
-
-#[test]
 fn relay_reports_bad_orders_and_keeps_serving() {
-    let relay = RelayFixture::spawn(&[]);
-    let transport = TcpRelay::new(relay.addr.clone());
-    let bad = WorkOrder::new(
-        ModelSource::Catalog("no_such_circuit".into()),
-        EngineSpec::Direct,
-        1,
-        2,
-        5.0,
-        1.0,
-    );
-    let err = transport
-        .spawn_shard(&bad)
-        .and_then(|handle| handle.join())
-        .unwrap_err();
-    assert!(
-        err.to_string().contains("no_such_circuit"),
-        "error carries the relay's message: {err}"
-    );
-    // The failed order poisoned nothing: a good order on the same
-    // relay still round-trips.
-    let good = WorkOrder::new(
-        ModelSource::Catalog("book_not".into()),
-        EngineSpec::Direct,
-        3,
-        2,
-        5.0,
-        1.0,
-    )
-    .with_amount("LacI", 15.0);
-    let partial = transport
-        .spawn_shard(&good)
-        .and_then(|handle| handle.join())
+    let relay = RelayFixture::spawn();
+    let mut channel = PipelinedRelay::new(relay.addr.clone())
+        .open_channel()
         .unwrap();
+    let mut bad = book_not_order(1, 2);
+    bad.model = ModelSource::Catalog("no_such_circuit".into());
+    channel.submit(0, &bad).unwrap();
+    match channel.recv().unwrap() {
+        (0, BinaryReply::Error(message)) => assert!(
+            message.contains("no_such_circuit"),
+            "error carries the relay's message: {message}"
+        ),
+        other => panic!("expected an in-band error, got {other:?}"),
+    }
+    // The failed order poisoned nothing: a good order on the same
+    // connection still round-trips (as a one-chunk reduced batch).
+    let good = book_not_order(3, 2);
+    channel.submit(1, &good).unwrap();
+    let partial = match channel.recv().unwrap() {
+        (1, BinaryReply::Partial(partial)) => partial,
+        (
+            1,
+            BinaryReply::Reduced {
+                also_covers,
+                partial,
+            },
+        ) if also_covers.is_empty() => partial,
+        other => panic!("expected the good order's partial, got {other:?}"),
+    };
     assert_eq!(partial.replicates(), 2);
     assert_eq!(partial, good.execute().unwrap());
 }
@@ -540,41 +587,49 @@ fn relay_reports_bad_orders_and_keeps_serving() {
 #[test]
 fn unreachable_relay_is_a_clean_error() {
     // Port 1 on localhost is essentially never listening.
-    let transport = TcpRelay::new("127.0.0.1:1");
-    let order = WorkOrder::new(
-        ModelSource::Catalog("book_not".into()),
-        EngineSpec::Direct,
-        1,
-        1,
-        2.0,
-        1.0,
-    );
-    let err = transport
-        .spawn_shard(&order)
-        .and_then(|handle| handle.join())
-        .unwrap_err();
+    let err = match PipelinedRelay::new("127.0.0.1:1").open_channel() {
+        Ok(_) => panic!("a relay answered on port 1"),
+        Err(err) => err,
+    };
     assert!(
         err.to_string().contains("cannot connect"),
         "unexpected error: {err}"
     );
 }
 
-/// Writes an executable shell script that drains its order and always
-/// fails — a permanently dead worker slot.
+/// A fresh, empty temp directory for fake worker scripts.
 #[cfg(unix)]
-fn dead_worker_script(label: &str) -> std::path::PathBuf {
-    use std::os::unix::fs::PermissionsExt as _;
-    let dir = std::env::temp_dir().join(format!("glc-dead-slot-{label}-{}", std::process::id()));
+fn script_dir(label: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("glc-transport-{label}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("create script dir");
-    let script = dir.join("dead-worker.sh");
-    std::fs::write(
-        &script,
-        "#!/bin/sh\ncat > /dev/null\necho 'slot is dead' >&2\nexit 1\n",
-    )
-    .expect("write script");
-    std::fs::set_permissions(&script, std::fs::Permissions::from_mode(0o755))
-        .expect("chmod script");
-    script
+    dir
+}
+
+/// Writes an executable shell script into `dir`.
+#[cfg(unix)]
+fn script(dir: &Path, body: &str) -> PathBuf {
+    use std::os::unix::fs::PermissionsExt as _;
+    let path = dir.join("worker.sh");
+    std::fs::write(&path, format!("#!/bin/sh\n{body}")).expect("write script");
+    std::fs::set_permissions(&path, std::fs::Permissions::from_mode(0o755)).expect("chmod script");
+    path
+}
+
+/// A worker script that exits at once without a hello — a permanently
+/// dead slot whose handshake fails on EOF, with no timeout.
+#[cfg(unix)]
+fn dead_worker_script(label: &str) -> PathBuf {
+    script(&script_dir(label), "echo 'slot is dead' >&2\nexit 1\n")
+}
+
+/// Writes `payload` as one frame to a file in `dir`, returning its
+/// path — how a fake worker script replays a hello.
+#[cfg(unix)]
+fn hello_file(dir: &Path, payload: &[u8]) -> PathBuf {
+    let path = dir.join("hello.bin");
+    std::fs::write(&path, frame::encode_frame(payload).unwrap()).expect("write frame file");
+    path
 }
 
 #[cfg(unix)]
@@ -596,19 +651,21 @@ fn always_failing_slot_is_quarantined_and_the_result_is_still_exact() {
     let reference = order.execute().unwrap();
 
     let mut pool = WorkerPool::new(vec![
-        Box::new(ChildProcess::new(dead_worker_script("quarantine"))) as Box<dyn Transport>,
-        Box::new(ChildProcess::new(worker_bin())),
+        Box::new(PipelinedWorker::new(dead_worker_script("quarantine"))) as Box<dyn Transport>,
+        Box::new(PipelinedWorker::new(worker_bin())),
     ])
     .unwrap()
     .with_quarantine_after(1)
     .unwrap();
 
-    // Run 1: the dead slot's shard fails once, is retried on the
-    // healthy slot, and the dead slot is quarantined.
+    // Run 1: the dead slot fails its handshake once and is
+    // quarantined; its two queued chunks are stolen by the healthy
+    // slot, not retried.
     let (partial, report) = pool.run(&order).unwrap();
-    assert_eq!(partial, reference, "retry must reproduce the exact bits");
+    assert_eq!(partial, reference, "stealing must reproduce the exact bits");
     assert_eq!(report.worker_failures, vec![1, 0], "{report:?}");
-    assert_eq!(report.retried_shards, 1, "{report:?}");
+    assert_eq!(report.retried_shards, 0, "{report:?}");
+    assert_eq!(report.steals, 2, "{report:?}");
     assert_eq!(report.quarantined_slots, vec![0], "{report:?}");
     assert_eq!(
         report.slot_replicates,
@@ -618,7 +675,7 @@ fn always_failing_slot_is_quarantined_and_the_result_is_still_exact() {
     assert!(pool.health()[0].quarantined);
     assert!(!pool.health()[1].quarantined);
 
-    // Run 2: the quarantined slot gets no shards at all — zero new
+    // Run 2: the quarantined slot gets no chunks at all — zero new
     // failures — and the bits are still exact.
     let (partial, report) = pool.run(&order).unwrap();
     assert_eq!(partial, reference);
@@ -635,18 +692,10 @@ fn fully_quarantined_pools_get_probation_not_deadlock() {
     // work (quarantine lifts when it would empty the pool) instead of
     // deadlocking or panicking.
     let script = dead_worker_script("probation");
-    let order = WorkOrder::new(
-        ModelSource::Catalog("book_not".into()),
-        EngineSpec::Direct,
-        3,
-        4,
-        5.0,
-        1.0,
-    )
-    .with_amount("LacI", 15.0);
+    let order = book_not_order(3, 4);
     let mut pool = WorkerPool::new(vec![
-        Box::new(ChildProcess::new(&script)) as Box<dyn Transport>,
-        Box::new(ChildProcess::new(&script)),
+        Box::new(PipelinedWorker::new(&script)) as Box<dyn Transport>,
+        Box::new(PipelinedWorker::new(&script)),
     ])
     .unwrap()
     .with_quarantine_after(1)
@@ -654,7 +703,7 @@ fn fully_quarantined_pools_get_probation_not_deadlock() {
     for round in 0..3 {
         let err = pool.run(&order).unwrap_err();
         assert!(
-            err.to_string().contains("slot is dead"),
+            err.to_string().contains("exited before its hello"),
             "round {round}: {err}"
         );
     }
@@ -667,33 +716,36 @@ fn fully_quarantined_pools_get_probation_not_deadlock() {
     );
 }
 
-#[cfg(unix)]
 #[test]
 fn retry_counts_accumulate_across_runs_of_a_persistent_pool() {
-    // The fix this PR pins: RunReport.retried_shards resets per run
-    // (by design), but a persistent pool's lifetime total must carry
-    // across runs — and so must the per-slot retry credit.
-    let order = WorkOrder::new(
-        ModelSource::Catalog("book_not".into()),
-        EngineSpec::Direct,
-        5,
-        4,
-        5.0,
-        1.0,
-    )
-    .with_amount("LacI", 15.0);
-    let mut pool = WorkerPool::new(vec![
-        Box::new(ChildProcess::new(dead_worker_script("lifetime"))) as Box<dyn Transport>,
-        Box::new(ChildProcess::new(worker_bin())),
-    ])
-    .unwrap()
-    // Quarantine only after 10 consecutive failures, so the dead slot
-    // keeps getting (and failing) a shard on every run.
-    .with_quarantine_after(10)
-    .unwrap();
+    // RunReport.retried_shards resets per run (by design), but a
+    // persistent pool's lifetime total must carry across runs — and so
+    // must the per-slot retry credit. Slot 0 fails every chunk it runs;
+    // the gate makes it run one per run before slot 1 can steal its
+    // queue, so each run has exactly one retry, served by slot 1.
+    let order = book_not_order(5, 4);
+    let gate = Gate::new(2);
+    let transports = |flaky_label: &'static str| -> Vec<Box<dyn Transport>> {
+        vec![
+            Box::new(
+                TestPipelined::new(1)
+                    .named(flaky_label)
+                    .always_failing()
+                    .gated(&gate, 1),
+            ),
+            Box::new(TestPipelined::new(1).named("healthy").gated(&gate, 1)),
+        ]
+    };
+    let mut pool = WorkerPool::new(transports("flaky"))
+        .unwrap()
+        // Quarantine only after 10 consecutive failures, so the flaky
+        // slot keeps getting (and failing) a chunk on every run.
+        .with_quarantine_after(10)
+        .unwrap();
 
     let reference = order.execute().unwrap();
     for round in 1u64..=3 {
+        gate.reset();
         let (partial, report) = pool.run(&order).unwrap();
         assert_eq!(partial, reference, "round {round}");
         assert_eq!(
@@ -707,7 +759,7 @@ fn retry_counts_accumulate_across_runs_of_a_persistent_pool() {
         );
     }
     let health = pool.health();
-    assert_eq!(health[0].retries, 0, "the dead slot never served a retry");
+    assert_eq!(health[0].retries, 0, "the flaky slot never served a retry");
     assert_eq!(health[1].retries, 3, "the healthy slot served every retry");
     assert_eq!(health[0].failures, 3);
 
@@ -719,13 +771,7 @@ fn retry_counts_accumulate_across_runs_of_a_persistent_pool() {
     let back: glc_service::PoolHealthSnapshot = serde_json::from_str(&json).unwrap();
     assert_eq!(back, snapshot);
 
-    let mut reborn = WorkerPool::new(vec![
-        Box::new(ChildProcess::new(dead_worker_script("lifetime"))) as Box<dyn Transport>,
-        Box::new(ChildProcess::new(worker_bin())),
-    ])
-    .unwrap()
-    .with_quarantine_after(10)
-    .unwrap();
+    let mut reborn = WorkerPool::new(transports("flaky")).unwrap();
     reborn.restore_health(&back);
     assert_eq!(reborn.lifetime_retried_shards(), 3);
     assert_eq!(reborn.health(), health, "restore by transport description");
@@ -733,13 +779,13 @@ fn retry_counts_accumulate_across_runs_of_a_persistent_pool() {
     // A pool missing one of the transports restores what matches and
     // leaves the new slot fresh.
     let mut reshaped = WorkerPool::new(vec![
-        Box::new(ChildProcess::new(worker_bin())) as Box<dyn Transport>,
-        Box::new(InProcess),
+        Box::new(TestPipelined::new(1).named("healthy")) as Box<dyn Transport>,
+        Box::new(TestPipelined::new(1).named("newcomer")),
     ])
     .unwrap();
     reshaped.restore_health(&back);
     let reshaped_health = reshaped.health();
-    assert_eq!(reshaped_health[0], health[1], "worker slot restored");
+    assert_eq!(reshaped_health[0], health[1], "healthy slot restored");
     assert_eq!(
         reshaped_health[1],
         glc_service::SlotHealth::default(),
@@ -749,18 +795,13 @@ fn retry_counts_accumulate_across_runs_of_a_persistent_pool() {
 
 #[test]
 fn pool_health_tracks_throughput_for_adaptive_sizing() {
-    let order = WorkOrder::new(
-        ModelSource::Catalog("book_not".into()),
-        EngineSpec::Direct,
-        11,
-        8,
-        5.0,
-        1.0,
-    )
-    .with_amount("LacI", 15.0);
+    // The gate makes both slots take a chunk in the first run, so both
+    // have an observed throughput afterwards.
+    let order = book_not_order(11, 8);
+    let gate = Gate::new(2);
     let mut pool = WorkerPool::new(vec![
-        Box::new(InProcess) as Box<dyn Transport>,
-        Box::new(InProcess),
+        Box::new(TestPipelined::new(1).gated(&gate, 1)) as Box<dyn Transport>,
+        Box::new(TestPipelined::new(1).gated(&gate, 1)),
     ])
     .unwrap();
     let reference = order.execute().unwrap();
@@ -772,10 +813,164 @@ fn pool_health_tracks_throughput_for_adaptive_sizing() {
         assert!(slot.observed_throughput().is_some(), "{slot:?}");
         assert_eq!(slot.failures, 0);
     }
-    // A second run sizes shards from that history — and the bits are
+    // A second run sizes chunks from that history — and the bits are
     // still the reference bits whatever the sizes were.
     let (second, report) = pool.run(&order).unwrap();
     assert_eq!(second, reference);
     assert_eq!(report.slot_replicates.iter().sum::<u64>(), 8);
-    assert_eq!(pool.describe_slots(), vec!["in-process", "in-process"]);
+    assert_eq!(
+        pool.describe_slots(),
+        vec!["test-pipelined", "test-pipelined"]
+    );
+}
+
+/// A JSON envelope around a work order: the frame payload an older
+/// build sent.
+fn json_order_payload() -> Vec<u8> {
+    let order = book_not_order(1, 2);
+    serde_json::to_string(&Envelope::with_id(serde::Value::Num(1.0), order))
+        .unwrap()
+        .into_bytes()
+}
+
+/// The JSON hello an older build opened every framed connection with.
+const LEGACY_HELLO: &[u8] = b"{\"glc_frame_hello\":1}";
+
+/// A GLCB hello of a version this build does not speak.
+fn foreign_version_hello() -> Vec<u8> {
+    let mut hello = codec::encode_hello(true);
+    hello[4] = glc_service::GLCB_VERSION.wrapping_add(1);
+    hello
+}
+
+/// Reads until the peer closes, failing if it answers with a frame.
+fn assert_no_answer(stream: &mut TcpStream, what: &str) {
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    match frame::read_frame(stream) {
+        Ok(None) | Err(_) => {}
+        Ok(Some(payload)) => panic!("{what}: peer answered with {payload:?}"),
+    }
+}
+
+#[test]
+fn json_order_frames_get_no_answer_from_the_worker() {
+    let mut child = Command::new(worker_bin())
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .unwrap();
+    let mut stdin = child.stdin.take().unwrap();
+    let mut stdout = BufReader::new(child.stdout.take().unwrap());
+    let hello = frame::read_frame(&mut stdout)
+        .unwrap()
+        .expect("hello frame");
+    assert!(
+        !codec::decode_hello(&hello).unwrap(),
+        "workers never reduce"
+    );
+    frame::write_frame(&mut stdin, &json_order_payload()).unwrap();
+    assert_eq!(
+        frame::read_frame(&mut stdout).unwrap(),
+        None,
+        "a JSON order must get no reply"
+    );
+    assert!(!child.wait().unwrap().success());
+}
+
+#[test]
+fn json_order_frames_get_no_answer_from_the_relay() {
+    let relay = RelayFixture::spawn();
+    let mut stream = TcpStream::connect(&relay.addr).unwrap();
+    frame::write_frame(&mut stream, &codec::encode_hello(false)).unwrap();
+    let hello = frame::read_frame(&mut stream).unwrap().expect("hello");
+    assert!(
+        !codec::decode_hello(&hello).unwrap(),
+        "grant what was asked"
+    );
+    frame::write_frame(&mut stream, &json_order_payload()).unwrap();
+    assert_no_answer(&mut stream, "relay after a JSON order");
+}
+
+#[test]
+fn legacy_and_foreign_version_hellos_fail_the_handshake() {
+    let bad_hellos = [LEGACY_HELLO.to_vec(), foreign_version_hello()];
+
+    // The relay server answers neither.
+    let relay = RelayFixture::spawn();
+    for hello in &bad_hellos {
+        let mut stream = TcpStream::connect(&relay.addr).unwrap();
+        frame::write_frame(&mut stream, hello).unwrap();
+        assert_no_answer(&mut stream, "relay after a bad hello");
+    }
+
+    // Neither does the framed `glc-serve --listen` path (a good hello
+    // still gets one, so the drop is the hello's fault).
+    let mut serve = Command::new(env!("CARGO_BIN_EXE_glc-serve"))
+        .args(["--listen", "127.0.0.1:0"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .unwrap();
+    let serve_stdin = serve.stdin.take().unwrap();
+    let mut banner = String::new();
+    BufReader::new(serve.stdout.take().unwrap())
+        .read_line(&mut banner)
+        .unwrap();
+    let addr = banner.trim().rsplit(' ').next().unwrap().to_string();
+    for hello in &bad_hellos {
+        let mut stream = TcpStream::connect(&addr).unwrap();
+        frame::write_frame(&mut stream, hello).unwrap();
+        assert_no_answer(&mut stream, "glc-serve after a bad hello");
+    }
+    let mut stream = TcpStream::connect(&addr).unwrap();
+    frame::write_frame(&mut stream, &codec::encode_hello(false)).unwrap();
+    let hello = frame::read_frame(&mut stream).unwrap().expect("hello");
+    assert!(!codec::decode_hello(&hello).unwrap());
+    drop(serve_stdin); // EOF stops the service.
+    let _ = serve.wait();
+
+    // The relay channel rejects a relay that answers with either.
+    for hello in &bad_hellos {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let reply = hello.clone();
+        let fake = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let _ = frame::read_frame(&mut stream);
+            let _ = frame::write_frame(&mut stream, &reply);
+            let _ = stream.flush();
+        });
+        let err = match PipelinedRelay::new(addr).open_channel() {
+            Ok(_) => panic!("the relay channel accepted {hello:?}"),
+            Err(err) => err.to_string(),
+        };
+        assert!(
+            err.contains("did not complete the frame handshake"),
+            "{err}"
+        );
+        fake.join().unwrap();
+    }
+
+    // So does the worker channel, for a worker that sends either.
+    #[cfg(unix)]
+    for (at, hello) in bad_hellos.iter().enumerate() {
+        let dir = script_dir(&format!("hello-{at}"));
+        let file = hello_file(&dir, hello);
+        let path = script(
+            &dir,
+            &format!("cat '{}'\ncat > /dev/null\n", file.display()),
+        );
+        let err = match PipelinedWorker::new(&path).open_channel() {
+            Ok(_) => panic!("the worker channel accepted {hello:?}"),
+            Err(err) => err.to_string(),
+        };
+        assert!(
+            err.contains("did not complete the frame handshake"),
+            "{err}"
+        );
+    }
 }

@@ -1,8 +1,8 @@
 //! Binary wire primitives shared by the GLCB compact codec.
 //!
-//! The service fabric's hot payloads (chunk orders, `RelayReply`
-//! partials, spill snapshots) optionally travel in "GLCB", a compact
-//! binary layout negotiated per connection. The aggregate types that
+//! The service fabric's payloads (chunk orders, chunk-reply partials,
+//! spill snapshots) travel in "GLCB", a compact binary layout. The
+//! aggregate types that
 //! dominate those payloads — [`crate::ExactSum`] and
 //! [`crate::EnsemblePartial`] — live in this crate, so the primitive
 //! encoders live here too and the service crate builds its message

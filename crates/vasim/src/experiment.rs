@@ -170,38 +170,6 @@ impl ReplicatedSweep {
         }
     }
 
-    /// Rehydrates a sweep from a serialized partial: either a bare
-    /// `EnsemblePartial` JSON document (a `glc-worker` reply) or a
-    /// `glc-serve --spill-dir` session snapshot (whose `partial` field
-    /// holds the same format; the surrounding session spec is ignored).
-    /// The partial is structurally validated before it is trusted —
-    /// file-backed snapshots arrive from disk, not from this process —
-    /// and the figures read off a reloaded partial are bitwise the
-    /// figures of the resident one (the serde round trip is canonical).
-    ///
-    /// # Errors
-    ///
-    /// [`VasimError::InvalidConfig`] for undecodable JSON or a partial
-    /// failing `EnsemblePartial::validate`.
-    pub fn from_spilled_json(
-        json: &str,
-        combos: Vec<usize>,
-        hold_time: f64,
-        total_time: f64,
-    ) -> Result<Self, VasimError> {
-        #[derive(Deserialize)]
-        struct SpillDoc {
-            partial: EnsemblePartial,
-        }
-        let partial = serde_json::from_str::<EnsemblePartial>(json)
-            .or_else(|_| serde_json::from_str::<SpillDoc>(json).map(|doc| doc.partial))
-            .map_err(|e| VasimError::InvalidConfig(format!("unreadable spilled partial: {e}")))?;
-        partial
-            .validate()
-            .map_err(|e| VasimError::InvalidConfig(format!("spilled partial rejected: {e}")))?;
-        Ok(Self::from_partial(partial, combos, hold_time, total_time))
-    }
-
     /// The resident aggregate itself (borrow it to merge, ship, or
     /// extend; every figure this type reports reads off it).
     pub fn partial(&self) -> &EnsemblePartial {
@@ -634,48 +602,6 @@ mod tests {
             Experiment::new(config).run_replicated(&model, &["I".to_string()], "Y", 9, 0, || {
                 Box::new(Direct::new())
             },),
-            Err(VasimError::InvalidConfig(_))
-        ));
-    }
-
-    #[test]
-    fn spilled_partials_rehydrate_bitwise() {
-        use glc_ssa::Direct;
-        let model = follower();
-        let config = ExperimentConfig::new(50.0, 20.0);
-        let sweep = Experiment::new(config)
-            .run_replicated(&model, &["I".to_string()], "Y", 5, 8, || {
-                Box::new(Direct::new())
-            })
-            .unwrap();
-        // Both serialized shapes rehydrate: a bare worker-reply partial
-        // and a glc-serve session snapshot wrapping the same format.
-        let bare = serde_json::to_string(sweep.partial()).unwrap();
-        let snapshot = format!("{{\"spec\":{{\"ignored\":true}},\"partial\":{bare}}}");
-        for doc in [&bare, &snapshot] {
-            let reloaded = ReplicatedSweep::from_spilled_json(
-                doc,
-                sweep.combos.clone(),
-                sweep.hold_time,
-                sweep.total_time,
-            )
-            .unwrap();
-            assert_eq!(reloaded.partial(), sweep.partial());
-            let (a, b) = (reloaded.noise("Y").unwrap(), sweep.noise("Y").unwrap());
-            for (k, (x, y)) in a.iter().zip(&b).enumerate() {
-                assert_eq!(x.mean.to_bits(), y.mean.to_bits(), "mean at {k}");
-                assert_eq!(x.std_dev.to_bits(), y.std_dev.to_bits(), "σ at {k}");
-            }
-        }
-        // Garbage and structurally corrupt documents are rejected.
-        assert!(matches!(
-            ReplicatedSweep::from_spilled_json("not json", vec![], 1.0, 1.0),
-            Err(VasimError::InvalidConfig(_))
-        ));
-        let corrupt = bare.replace("\"replicates\":8.0", "\"replicates\":9.0");
-        assert_ne!(corrupt, bare, "fixture drifted");
-        assert!(matches!(
-            ReplicatedSweep::from_spilled_json(&corrupt, vec![], 1.0, 1.0),
             Err(VasimError::InvalidConfig(_))
         ));
     }
