@@ -35,7 +35,7 @@ use glc_ssa::{
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::fmt::Write as _;
+use serde::{Serialize as _, Value};
 use std::io::BufRead as _;
 use std::path::PathBuf;
 use std::time::Instant;
@@ -456,26 +456,22 @@ fn cached_partial_footprint(id: &str) -> (f64, f64) {
 }
 
 /// Locates a `glc-service` binary next to this bench's target
-/// directory, building it through the invoking cargo if absent.
-fn service_binary(name: &str) -> Option<PathBuf> {
-    let mut dir = std::env::current_exe().ok()?; // …/target/release/deps/ssa_engines-*
+/// directory, building it through the invoking cargo if absent. Panics
+/// if it cannot: the `ensemble` and `relay` sections need both binaries.
+fn service_binary(name: &str) -> PathBuf {
+    let mut dir = std::env::current_exe().expect("bench executable path"); // …/target/release/deps/ssa_engines-*
     dir.pop(); // deps
     dir.pop(); // release
     let path = dir.join(name);
-    if path.exists() {
-        return Some(path);
+    if !path.exists() {
+        let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".into());
+        let built = std::process::Command::new(cargo)
+            .args(["build", "--release", "-p", "glc-service", "--bin", name])
+            .status()
+            .is_ok_and(|status| status.success());
+        assert!(built && path.exists(), "cannot build the {name} binary");
     }
-    let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".into());
-    let built = std::process::Command::new(cargo)
-        .args(["build", "--release", "-p", "glc-service", "--bin", name])
-        .status()
-        .map(|status| status.success())
-        .unwrap_or(false);
-    (built && path.exists()).then_some(path)
-}
-
-fn worker_binary() -> Option<PathBuf> {
-    service_binary("glc-worker")
+    path
 }
 
 /// A `glc-relay` child on a free localhost port (it exits when its
@@ -487,26 +483,31 @@ struct RelayProc {
 }
 
 impl RelayProc {
-    fn spawn() -> Option<Self> {
-        let path = service_binary("glc-relay")?;
-        let mut child = std::process::Command::new(path)
+    fn spawn() -> Self {
+        let mut child = std::process::Command::new(service_binary("glc-relay"))
             .args(["--listen", "127.0.0.1:0"])
             .stdin(std::process::Stdio::piped())
             .stdout(std::process::Stdio::piped())
             .stderr(std::process::Stdio::piped())
             .spawn()
-            .ok()?;
-        let stdin = child.stdin.take()?;
+            .expect("spawn glc-relay");
+        let stdin = child.stdin.take().expect("relay stdin");
         let mut banner = String::new();
-        std::io::BufReader::new(child.stdout.take()?)
+        std::io::BufReader::new(child.stdout.take().expect("relay stdout"))
             .read_line(&mut banner)
-            .ok()?;
-        let addr = banner.trim().rsplit(' ').next()?.to_string();
-        addr.contains(':').then_some(RelayProc {
+            .expect("read the relay banner");
+        let addr = banner
+            .trim()
+            .rsplit(' ')
+            .next()
+            .unwrap_or_default()
+            .to_string();
+        assert!(addr.contains(':'), "no listen address in {banner:?}");
+        RelayProc {
             child,
             _stdin: stdin,
             addr,
-        })
+        }
     }
 }
 
@@ -653,39 +654,58 @@ fn draws_metrics(secs: f64) -> (f64, f64) {
     (batched, scalar)
 }
 
+/// `BENCH_ssa.json`'s rows by section, in the order first written.
+type Ledger = Vec<(&'static str, Vec<Value>)>;
+
+/// One ledger row: a flat JSON object of `"field" => value` pairs.
+macro_rules! row {
+    ($($field:literal => $value:expr),* $(,)?) => {
+        Value::Object(vec![$(($field.to_string(), rounded($value.to_value()))),*])
+    };
+}
+
+/// Numbers to three decimals, far below run-to-run noise, so the ledger
+/// stays readable.
+fn rounded(value: Value) -> Value {
+    match value {
+        Value::Num(x) => Value::Num((x * 1e3).round() / 1e3),
+        other => other,
+    }
+}
+
+fn push(ledger: &mut Ledger, section: &'static str, row: Value) {
+    match ledger.iter_mut().find(|(name, _)| *name == section) {
+        Some((_, rows)) => rows.push(row),
+        None => ledger.push((section, vec![row])),
+    }
+}
+
+/// The ledger as a JSON document, one row per line.
+fn ledger_json(ledger: &Ledger) -> String {
+    let json = |value: &dyn serde::Serialize| serde_json::to_string(value).expect("encodes");
+    let sections: Vec<String> = ledger
+        .iter()
+        .map(|(section, rows)| {
+            let rows: Vec<String> = rows
+                .iter()
+                .map(|row| format!("\n    {}", json(row)))
+                .collect();
+            format!("  {}: [{}\n  ]", json(section), rows.join(","))
+        })
+        .collect();
+    let header = "\"bench\": \"ssa_engines\",\n  \"unit\": \"steps_per_second\"";
+    format!("{{\n  {header},\n{}\n}}\n", sections.join(",\n"))
+}
+
 /// Steps/second of every engine, the incremental-vs-full-recompute
-/// comparison, the batched-vs-scalar full-sweep comparison, and the
-/// in-process vs process-sharded ensemble replicate throughput; written
-/// to `BENCH_ssa.json` and printed. The `results` and `ensemble`
-/// sections are the baselines the CI `check_regression` gate compares
-/// against.
+/// comparison, the batched-vs-scalar full-sweep comparison, the
+/// in-process vs sharded vs relayed ensemble replicate throughput and the
+/// service-layer costs; written to `BENCH_ssa.json` and printed. The CI
+/// `check_regression` gate compares it against the committed baseline.
 fn throughput_report() {
-    let mut rows = String::new();
-    let mut engine_rows = String::new();
-    let mut sweep_rows = String::new();
-    let mut lane_rows = String::new();
-    let mut cache_rows = String::new();
-    let mut ensemble_rows = String::new();
-    let mut pipeline_rows = String::new();
-    let mut resident_rows = String::new();
-    let mut relay_rows = String::new();
-    let mut spill_rows = String::new();
-    let mut codec_rows = String::new();
-    let mut metrics_rows = String::new();
-    let worker = worker_binary();
-    if worker.is_none() {
-        eprintln!(
-            "  glc-worker binary unavailable; sharded ensemble throughput will be skipped \
-             (build it with `cargo build --release -p glc-service`)"
-        );
-    }
+    let mut ledger = Ledger::new();
+    let worker = service_binary("glc-worker");
     let relay = RelayProc::spawn();
-    if relay.is_none() {
-        eprintln!(
-            "  glc-relay binary unavailable; relay shard throughput will be skipped \
-             (build it with `cargo build --release -p glc-service`)"
-        );
-    }
     println!("\nthroughput: steps/second (200 t.u. horizon)");
     // Batched Gaussian source vs the scalar reference on the raw draw
     // loop itself. Like the full-sweep gate, `speedup` is floored at
@@ -698,12 +718,13 @@ fn throughput_report() {
         "  draws: batched {batched_normals:.0} normals/s  \
          scalar {scalar_normals:.0} normals/s  speedup {draws_speedup:.2}x"
     );
-    let draws_rows = format!(
-        "\n    {{\"source\":\"box_muller\",\
-         \"batched_normals_per_sec\":{batched_normals:.1},\
-         \"scalar_normals_per_sec\":{scalar_normals:.1},\
-         \"speedup\":{draws_speedup:.3}}}"
-    );
+    let draws = row! {
+        "source" => "box_muller",
+        "batched_normals_per_sec" => batched_normals,
+        "scalar_normals_per_sec" => scalar_normals,
+        "speedup" => draws_speedup,
+    };
+    push(&mut ledger, "draws", draws);
     for id in ["book_and", "cello_0x1C"] {
         let model = prepared(id);
         let bank = model.bank();
@@ -736,26 +757,20 @@ fn throughput_report() {
             "{id}: {} kinetic laws silently fell back to the VM",
             occupancy.fallback
         );
-        if !lane_rows.is_empty() {
-            lane_rows.push(',');
-        }
-        let _ = write!(
-            lane_rows,
-            "\n    {{\"circuit\":\"{id}\",\"laws\":{},\
-             \"linear\":{},\"bilinear\":{},\"hill\":{},\"sop\":{},\
-             \"term_div\":{},\"direct_scatter\":{},\"wide\":{},\
-             \"residual\":{},\"fallback\":{}}}",
-            model.reaction_count(),
-            occupancy.linear,
-            occupancy.bilinear,
-            occupancy.hill,
-            occupancy.sop,
-            occupancy.term_div,
-            occupancy.consts + occupancy.loads,
-            occupancy.wide,
-            occupancy.residual,
-            occupancy.fallback
-        );
+        let lanes = row! {
+            "circuit" => id,
+            "laws" => model.reaction_count(),
+            "linear" => occupancy.linear,
+            "bilinear" => occupancy.bilinear,
+            "hill" => occupancy.hill,
+            "sop" => occupancy.sop,
+            "term_div" => occupancy.term_div,
+            "direct_scatter" => occupancy.consts + occupancy.loads,
+            "wide" => occupancy.wide,
+            "residual" => occupancy.residual,
+            "fallback" => occupancy.fallback,
+        };
+        push(&mut ledger, "lanes", lanes);
         // Warm up before timing. The two columns below feed the CI
         // regression gate (as a ratio), so they get the longest
         // measurement windows — 1 s each — to damp shared-runner noise.
@@ -767,17 +782,14 @@ fn throughput_report() {
             "    direct: incremental {incremental:.0}/s  full-recompute {full:.0}/s  \
              speedup {speedup:.2}x"
         );
-        if !rows.is_empty() {
-            rows.push(',');
-        }
-        let _ = write!(
-            rows,
-            "\n    {{\"circuit\":\"{id}\",\"reactions\":{},\
-             \"incremental_steps_per_sec\":{incremental:.1},\
-             \"full_recompute_steps_per_sec\":{full:.1},\
-             \"speedup\":{speedup:.3}}}",
-            model.reaction_count()
-        );
+        let results = row! {
+            "circuit" => id,
+            "reactions" => model.reaction_count(),
+            "incremental_steps_per_sec" => incremental,
+            "full_recompute_steps_per_sec" => full,
+            "speedup" => speedup,
+        };
+        push(&mut ledger, "results", results);
 
         // Per-engine sustained throughput on the shared propensity set.
         // Both circuit families get tau-leap and Langevin rows (at the
@@ -798,14 +810,8 @@ fn throughput_report() {
         }
         for (name, rate) in per_engine {
             println!("    {name}: {rate:.0} steps/s");
-            if !engine_rows.is_empty() {
-                engine_rows.push(',');
-            }
-            let _ = write!(
-                engine_rows,
-                "\n    {{\"circuit\":\"{id}\",\"engine\":\"{name}\",\
-                 \"steps_per_sec\":{rate:.1}}}"
-            );
+            let row = row! { "circuit" => id, "engine" => name, "steps_per_sec" => rate };
+            push(&mut ledger, "engines", row);
         }
 
         // Full-sweep path (tau-leap/Langevin/ODE rebuilds): batched
@@ -819,17 +825,14 @@ fn throughput_report() {
             "    full sweep: batched {batched:.0}/s  scalar {scalar:.0}/s  \
              speedup {sweep_speedup:.2}x"
         );
-        if !sweep_rows.is_empty() {
-            sweep_rows.push(',');
-        }
-        let _ = write!(
-            sweep_rows,
-            "\n    {{\"circuit\":\"{id}\",\"reactions\":{},\
-             \"batched_sweeps_per_sec\":{batched:.1},\
-             \"scalar_sweeps_per_sec\":{scalar:.1},\
-             \"speedup\":{sweep_speedup:.3}}}",
-            model.reaction_count()
-        );
+        let full_sweep = row! {
+            "circuit" => id,
+            "reactions" => model.reaction_count(),
+            "batched_sweeps_per_sec" => batched,
+            "scalar_sweeps_per_sec" => scalar,
+            "speedup" => sweep_speedup,
+        };
+        push(&mut ledger, "full_sweep", full_sweep);
 
         // Ensemble replicate throughput: the in-process shard-then-
         // merge path vs the same batches fanned out over resident
@@ -837,66 +840,44 @@ fn throughput_report() {
         // sides). The efficiency ratio cancels machine speed — it
         // isolates what the worker fabric costs on top of the shared
         // run_partial core — and feeds the CI regression gate (with an
-        // absolute ≥0.75 floor for book_and).
-        if let Some(worker) = &worker {
-            ensemble_replicates_per_second(&model, 0.05); // warm-up
-            let in_process = ensemble_replicates_per_second(&model, wall(0.5));
-            let (sharded, steals) = sharded_replicates_per_second(id, worker, wall(0.5));
-            let efficiency = sharded / in_process;
-            println!(
-                "    ensemble ({ENSEMBLE_BATCH} reps × {ENSEMBLE_T_END} t.u., \
-                 {ENSEMBLE_PARALLELISM}-way): in-process {in_process:.0} reps/s  \
-                 sharded {sharded:.0} reps/s  efficiency {efficiency:.2}"
-            );
-            if !ensemble_rows.is_empty() {
-                ensemble_rows.push(',');
-            }
-            let _ = write!(
-                ensemble_rows,
-                "\n    {{\"circuit\":\"{id}\",\
-                 \"in_process_replicates_per_sec\":{in_process:.1},\
-                 \"sharded_replicates_per_sec\":{sharded:.1},\
-                 \"shard_efficiency\":{efficiency:.3}}}"
-            );
+        // absolute ≥0.75 floor for book_and). The steal count records
+        // how much work migrated between slot queues meanwhile.
+        ensemble_replicates_per_second(&model, 0.05); // warm-up
+        let in_process = ensemble_replicates_per_second(&model, wall(0.5));
+        let (sharded, steals) = sharded_replicates_per_second(id, &worker, wall(0.5));
+        let efficiency = sharded / in_process;
+        println!(
+            "    ensemble ({ENSEMBLE_BATCH} reps × {ENSEMBLE_T_END} t.u., \
+             {ENSEMBLE_PARALLELISM}-way): in-process {in_process:.0} reps/s  \
+             sharded {sharded:.0} reps/s  efficiency {efficiency:.2}  steals {steals}"
+        );
+        let ensemble = row! {
+            "circuit" => id,
+            "in_process_replicates_per_sec" => in_process,
+            "sharded_replicates_per_sec" => sharded,
+            "shard_efficiency" => efficiency,
+            "steals" => steals,
+        };
+        push(&mut ledger, "ensemble", ensemble);
 
-            // The steal count records how much work migrated between
-            // slot queues during the pipelined measurement.
-            println!("    pipeline: pipelined {sharded:.0} reps/s  steals {steals}");
-            if !pipeline_rows.is_empty() {
-                pipeline_rows.push(',');
-            }
-            let _ = write!(
-                pipeline_rows,
-                "\n    {{\"circuit\":\"{id}\",\
-                 \"pipelined_replicates_per_sec\":{sharded:.1},\
-                 \"steals\":{steals}}}"
-            );
-
-            // Relay transport: the same batches over localhost TCP to
-            // a glc-relay, at the same parallelism. relay_efficiency
-            // normalizes by the resident-worker column measured in this
-            // run — an in-run ratio like shard_efficiency — and feeds
-            // the CI regression gate at the same ≥35% floor.
-            if let Some(relay) = &relay {
-                relay_replicates_per_second(id, &relay.addr, 0.05); // warm-up
-                let relayed = relay_replicates_per_second(id, &relay.addr, wall(0.5));
-                let relay_efficiency = relayed / sharded;
-                println!(
-                    "    relay ({ENSEMBLE_PARALLELISM} TCP slots): {relayed:.0} reps/s  \
-                     vs worker {sharded:.0} reps/s  efficiency {relay_efficiency:.2}"
-                );
-                if !relay_rows.is_empty() {
-                    relay_rows.push(',');
-                }
-                let _ = write!(
-                    relay_rows,
-                    "\n    {{\"circuit\":\"{id}\",\
-                     \"relay_replicates_per_sec\":{relayed:.1},\
-                     \"child_replicates_per_sec\":{sharded:.1},\
-                     \"relay_efficiency\":{relay_efficiency:.3}}}"
-                );
-            }
-        }
+        // Relay transport: the same batches over localhost TCP to a
+        // glc-relay, at the same parallelism. relay_efficiency
+        // normalizes by the resident-worker column measured in this run
+        // (`sharded_replicates_per_sec` above) — an in-run ratio like
+        // shard_efficiency — and feeds the CI regression gate.
+        relay_replicates_per_second(id, &relay.addr, 0.05); // warm-up
+        let relayed = relay_replicates_per_second(id, &relay.addr, wall(0.5));
+        let relay_efficiency = relayed / sharded;
+        println!(
+            "    relay ({ENSEMBLE_PARALLELISM} TCP slots): {relayed:.0} reps/s  \
+             vs worker {sharded:.0} reps/s  efficiency {relay_efficiency:.2}"
+        );
+        let relay_row = row! {
+            "circuit" => id,
+            "relay_replicates_per_sec" => relayed,
+            "relay_efficiency" => relay_efficiency,
+        };
+        push(&mut ledger, "relay", relay_row);
 
         // Durable-session spill: GLCB snapshot write/reload rates and
         // size for a batch-sized partial. The byte count is gated in
@@ -906,16 +887,13 @@ fn throughput_report() {
             "    spill: {snapshot_writes:.0} snapshot writes/s  \
              {snapshot_reloads:.0} reloads/s  {snapshot_bytes} B/snapshot"
         );
-        if !spill_rows.is_empty() {
-            spill_rows.push(',');
-        }
-        let _ = write!(
-            spill_rows,
-            "\n    {{\"circuit\":\"{id}\",\
-             \"snapshot_writes_per_sec\":{snapshot_writes:.1},\
-             \"snapshot_reloads_per_sec\":{snapshot_reloads:.1},\
-             \"snapshot_bytes\":{snapshot_bytes}}}"
-        );
+        let spill = row! {
+            "circuit" => id,
+            "snapshot_writes_per_sec" => snapshot_writes,
+            "snapshot_reloads_per_sec" => snapshot_reloads,
+            "snapshot_bytes" => snapshot_bytes,
+        };
+        push(&mut ledger, "spill", spill);
 
         // Hot-path reply codec: GLCB decode cost for a batch-sized
         // chunk reply, gated by an absolute ceiling.
@@ -923,15 +901,12 @@ fn throughput_report() {
         println!(
             "    codec: reply decode GLCB {glcb_micros:.1} µs  (payload {glcb_reply_bytes} B)"
         );
-        if !codec_rows.is_empty() {
-            codec_rows.push(',');
-        }
-        let _ = write!(
-            codec_rows,
-            "\n    {{\"circuit\":\"{id}\",\
-             \"glcb_decode_micros\":{glcb_micros:.2},\
-             \"glcb_reply_bytes\":{glcb_reply_bytes}}}"
-        );
+        let codec = row! {
+            "circuit" => id,
+            "glcb_decode_micros" => glcb_micros,
+            "glcb_reply_bytes" => glcb_reply_bytes,
+        };
+        push(&mut ledger, "codec", codec);
 
         // Resident query service: warm Extend batches against the
         // session store vs the cold one-shot path (recompile every
@@ -952,19 +927,16 @@ fn throughput_report() {
              footprint {bytes_per_cell:.0} B/cell (dense {dense_bytes_per_cell:.0}, \
              {footprint_ratio:.1}x smaller)"
         );
-        if !resident_rows.is_empty() {
-            resident_rows.push(',');
-        }
-        let _ = write!(
-            resident_rows,
-            "\n    {{\"circuit\":\"{id}\",\
-             \"extend_replicates_per_sec\":{extend:.1},\
-             \"one_shot_replicates_per_sec\":{one_shot:.1},\
-             \"extend_efficiency\":{extend_efficiency:.3},\
-             \"bytes_per_cached_cell\":{bytes_per_cell:.1},\
-             \"dense_bytes_per_cell\":{dense_bytes_per_cell:.1},\
-             \"footprint_ratio\":{footprint_ratio:.2}}}"
-        );
+        let resident = row! {
+            "circuit" => id,
+            "extend_replicates_per_sec" => extend,
+            "one_shot_replicates_per_sec" => one_shot,
+            "extend_efficiency" => extend_efficiency,
+            "bytes_per_cached_cell" => bytes_per_cell,
+            "dense_bytes_per_cell" => dense_bytes_per_cell,
+            "footprint_ratio" => footprint_ratio,
+        };
+        push(&mut ledger, "resident", resident);
 
         // Fingerprint-keyed model cache: Submit against a cold store
         // (compile every time) vs a warm one (cache hit every time).
@@ -976,59 +948,35 @@ fn throughput_report() {
             "    model cache: cold submit {cold_submits:.0}/s  \
              warm submit {warm_submits:.0}/s  speedup {warm_speedup:.2}x"
         );
-        if !cache_rows.is_empty() {
-            cache_rows.push(',');
-        }
-        let _ = write!(
-            cache_rows,
-            "\n    {{\"circuit\":\"{id}\",\
-             \"cold_submits_per_sec\":{cold_submits:.1},\
-             \"warm_submits_per_sec\":{warm_submits:.1},\
-             \"warm_speedup\":{warm_speedup:.3}}}"
-        );
+        let model_cache = row! {
+            "circuit" => id,
+            "cold_submits_per_sec" => cold_submits,
+            "warm_submits_per_sec" => warm_submits,
+            "warm_speedup" => warm_speedup,
+        };
+        push(&mut ledger, "model_cache", model_cache);
 
         // Metrics surface: what an aggressive scraper costs the
-        // serving thread (recorded, not gated — a current-only section
-        // is invisible to check_regression until a baseline containing
-        // it is committed).
+        // serving thread (recorded, not gated).
         let (scrape_renders, stats_requests, scrape_bytes) = scrape_metrics(id);
         println!(
             "    metrics: {scrape_renders:.0} scrape renders/s  \
              {stats_requests:.0} stats requests/s  {scrape_bytes} B/scrape"
         );
-        if !metrics_rows.is_empty() {
-            metrics_rows.push(',');
-        }
-        let _ = write!(
-            metrics_rows,
-            "\n    {{\"circuit\":\"{id}\",\
-             \"scrape_renders_per_sec\":{scrape_renders:.1},\
-             \"stats_requests_per_sec\":{stats_requests:.1},\
-             \"scrape_bytes\":{scrape_bytes}}}"
-        );
+        let metrics = row! {
+            "circuit" => id,
+            "scrape_renders_per_sec" => scrape_renders,
+            "stats_requests_per_sec" => stats_requests,
+            "scrape_bytes" => scrape_bytes,
+        };
+        push(&mut ledger, "metrics", metrics);
     }
-    let json = format!(
-        "{{\n  \"bench\": \"ssa_engines\",\n  \"unit\": \
-         \"steps_per_second\",\n  \"results\": [{rows}\n  ],\n  \
-         \"engines\": [{engine_rows}\n  ],\n  \
-         \"lanes\": [{lane_rows}\n  ],\n  \
-         \"full_sweep\": [{sweep_rows}\n  ],\n  \
-         \"draws\": [{draws_rows}\n  ],\n  \
-         \"ensemble\": [{ensemble_rows}\n  ],\n  \
-         \"pipeline\": [{pipeline_rows}\n  ],\n  \
-         \"resident\": [{resident_rows}\n  ],\n  \
-         \"relay\": [{relay_rows}\n  ],\n  \
-         \"spill\": [{spill_rows}\n  ],\n  \
-         \"codec\": [{codec_rows}\n  ],\n  \
-         \"model_cache\": [{cache_rows}\n  ],\n  \
-         \"metrics\": [{metrics_rows}\n  ]\n}}\n"
-    );
     // CARGO_MANIFEST_DIR = crates/bench; the artifact belongs at the
     // workspace root next to ROADMAP.md.
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("../..")
         .join("BENCH_ssa.json");
-    match std::fs::write(&path, &json) {
+    match std::fs::write(&path, ledger_json(&ledger)) {
         Ok(()) => println!("  wrote {}", path.display()),
         Err(err) => eprintln!("  could not write {}: {err}", path.display()),
     }
