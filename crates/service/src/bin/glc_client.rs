@@ -74,7 +74,7 @@ fn run() -> Result<(), String> {
 
     if options.codec == Codec::Glcb {
         // Framed mode opens with the hello exchange.
-        frame::write_frame(&mut writer, &codec::encode_hello(false))
+        frame::write_frame(&mut writer, &codec::encode_hello())
             .map_err(|e| format!("sending hello: {e}"))?;
         let reply = frame::read_frame(&mut reader)
             .map_err(|e| format!("reading hello: {e}"))?

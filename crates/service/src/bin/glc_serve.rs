@@ -345,9 +345,7 @@ impl ClientConn {
                             eprintln!("glc-serve: bad hello from {}: {err}", self.peer);
                             return Err(());
                         }
-                        // Sessions don't reduce — that's a relay
-                        // capability — so the grant never includes it.
-                        let reply = codec::encode_hello(false);
+                        let reply = codec::encode_hello();
                         metrics::count_frame_tx(reply.len());
                         match frame::encode_frame(&reply) {
                             Ok(framed) => self.write_buf.extend_from_slice(&framed),

@@ -25,7 +25,7 @@ fn serve() -> Result<(), String> {
     let stdout = std::io::stdout();
     let mut reader = stdin.lock();
     let mut writer = stdout.lock();
-    frame::write_frame(&mut writer, &codec::encode_hello(false))
+    frame::write_frame(&mut writer, &codec::encode_hello())
         .map_err(|e| format!("sending hello frame: {e}"))?;
     loop {
         let Some(payload) =

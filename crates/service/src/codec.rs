@@ -23,26 +23,23 @@
 //! | 2 `REPLY` | varint id, a variant byte, then the variant body |
 //! | 3 `TEXT`  | length-prefixed UTF-8 (one session-protocol JSON line) |
 //! | 4 `SNAPSHOT` | length-prefixed spec JSON + binary partial (spill files) |
-//! | 5 `HELLO` | one flags byte: bit 0 = partial reduction |
+//! | 5 `HELLO` | empty |
 //!
-//! Reply variants: 0 `Partial(partial)`, 1 `Error(string)`,
-//! 2 `Deferred(varint replicates)` — a reducing relay's receipt for a
-//! chunk it absorbed locally — and 3 `Reduced(varint n, n varint
-//! covered ids, partial)` — the merged partial it ships upstream,
-//! covering the envelope id plus the listed deferred ids.
+//! Reply variants: 0 `Partial(partial)` and 1 `Error(string)` — one
+//! reply per chunk order.
 //!
 //! Decoding is fail-closed end to end: a missing magic, another
-//! version, truncation, unknown tags/variants/flags, trailing bytes,
-//! and structurally invalid partials (via `EnsemblePartial::validate`)
-//! are all errors.
+//! version, truncation, unknown tags/variants, trailing bytes, and
+//! structurally invalid partials (via `EnsemblePartial::validate`) are
+//! all errors.
 //!
 //! # Hello
 //!
-//! Both ends of a framed connection open with a `HELLO` payload. It
-//! carries the GLCB version in its header and one capability: a relay
-//! client asks for partial reduction, and the relay grants it. A peer
-//! whose hello is not a GLCB hello of this version — an older build's
-//! JSON hello included — fails the handshake closed.
+//! Both ends of a framed connection open with a `HELLO` payload: the
+//! GLCB header alone, so the version byte is the whole negotiation. A
+//! peer whose hello is not a bodiless GLCB hello of this version — an
+//! older build's JSON hello or flags byte included — fails the
+//! handshake closed.
 
 use crate::{EngineSpec, ModelSource, ServiceError, WorkOrder};
 use glc_ssa::wire::{put_f64_bits, put_string, put_varint, Reader, WireError};
@@ -61,12 +58,8 @@ const TAG_TEXT: u8 = 3;
 const TAG_SNAPSHOT: u8 = 4;
 const TAG_HELLO: u8 = 5;
 
-const HELLO_REDUCE: u8 = 1;
-
 const REPLY_PARTIAL: u8 = 0;
 const REPLY_ERROR: u8 = 1;
-const REPLY_DEFERRED: u8 = 2;
-const REPLY_REDUCED: u8 = 3;
 
 /// Whether a payload starts with the GLCB magic.
 pub fn is_glcb(payload: &[u8]) -> bool {
@@ -74,30 +67,13 @@ pub fn is_glcb(payload: &[u8]) -> bool {
 }
 
 /// One decoded reply payload on the chunk wire: a chunk's partial or
-/// its failure, or one of the two reduction-mode messages a reducing
-/// relay may send instead of a plain partial.
+/// its failure.
 #[derive(Debug, Clone, PartialEq)]
 pub enum BinaryReply {
     /// The chunk's partial, computed and shipped verbatim.
     Partial(EnsemblePartial),
     /// The chunk failed in-band (order invalid, simulation error).
     Error(String),
-    /// A reducing relay absorbed this chunk's partial into its local
-    /// accumulator; the merged result arrives later in a `Reduced`
-    /// reply covering this id. Carries the chunk's replicate count so
-    /// the client can keep throughput accounting without the payload.
-    Deferred {
-        /// Replicates the absorbed chunk simulated.
-        replicates: u64,
-    },
-    /// The relay's merged partial, covering the envelope id **plus**
-    /// every id listed in `also_covers` (all previously deferred).
-    Reduced {
-        /// Previously deferred chunk ids this partial also covers.
-        also_covers: Vec<u64>,
-        /// The merge of all covered chunks' partials.
-        partial: EnsemblePartial,
-    },
 }
 
 fn header(tag: u8) -> Vec<u8> {
@@ -250,21 +226,6 @@ pub fn encode_reply(id: u64, reply: &BinaryReply) -> Vec<u8> {
             buf.push(REPLY_ERROR);
             put_string(&mut buf, message);
         }
-        BinaryReply::Deferred { replicates } => {
-            buf.push(REPLY_DEFERRED);
-            put_varint(&mut buf, *replicates);
-        }
-        BinaryReply::Reduced {
-            also_covers,
-            partial,
-        } => {
-            buf.push(REPLY_REDUCED);
-            put_varint(&mut buf, also_covers.len() as u64);
-            for &covered in also_covers {
-                put_varint(&mut buf, covered);
-            }
-            partial.encode_binary(&mut buf);
-        }
     }
     buf
 }
@@ -285,21 +246,6 @@ pub fn decode_reply(payload: &[u8]) -> Result<(u64, BinaryReply), ServiceError> 
         let reply = match reader.byte("reply variant")? {
             REPLY_PARTIAL => BinaryReply::Partial(EnsemblePartial::decode_binary(&mut reader)?),
             REPLY_ERROR => BinaryReply::Error(reader.string("error message")?),
-            REPLY_DEFERRED => BinaryReply::Deferred {
-                replicates: reader.varint("deferred replicates")?,
-            },
-            REPLY_REDUCED => {
-                let count = reader.length("covered ids", 1 << 20)?;
-                let mut also_covers = Vec::with_capacity(count);
-                for _ in 0..count {
-                    also_covers.push(reader.varint("covered id")?);
-                }
-                let partial = EnsemblePartial::decode_binary(&mut reader)?;
-                BinaryReply::Reduced {
-                    also_covers,
-                    partial,
-                }
-            }
             other => return Err(WireError(format!("unknown reply variant {other}"))),
         };
         reader.expect_end("reply")?;
@@ -369,33 +315,24 @@ pub fn decode_snapshot(payload: &[u8]) -> Result<(String, EnsemblePartial), Serv
 }
 
 /// Encodes the hello payload a framed connection opens with: the GLCB
-/// header (magic + version) and whether this side asks for (a relay
-/// client) or grants (a relay) partial reduction.
-pub fn encode_hello(reduce: bool) -> Vec<u8> {
-    let mut buf = header(TAG_HELLO);
-    buf.push(if reduce { HELLO_REDUCE } else { 0 });
-    buf
+/// header (magic + version) and nothing else.
+pub fn encode_hello() -> Vec<u8> {
+    header(TAG_HELLO)
 }
 
-/// Decodes a peer's hello payload, returning its reduction flag.
+/// Checks a peer's hello payload.
 ///
 /// # Errors
 ///
-/// [`ServiceError::Protocol`] for anything but a GLCB hello of this
-/// version — the fail-closed behaviour connection setup relies on.
-pub fn decode_hello(payload: &[u8]) -> Result<bool, ServiceError> {
+/// [`ServiceError::Protocol`] for anything but a bodiless GLCB hello of
+/// this version — the fail-closed behaviour connection setup relies on.
+pub fn decode_hello(payload: &[u8]) -> Result<(), ServiceError> {
     let what = "GLCB hello";
-    let (mut reader, tag) = open(payload, what)?;
+    let (reader, tag) = open(payload, what)?;
     expect_tag(what, tag, TAG_HELLO)?;
-    let mut read = || -> Result<bool, WireError> {
-        let flags = reader.byte("hello flags")?;
-        if flags & !HELLO_REDUCE != 0 {
-            return Err(WireError(format!("unknown hello flags {flags:#04x}")));
-        }
-        reader.expect_end("hello")?;
-        Ok(flags == HELLO_REDUCE)
-    };
-    read().map_err(|err| protocol(what, err))
+    reader
+        .expect_end("hello")
+        .map_err(|err| protocol(what, err))
 }
 
 #[cfg(test)]
@@ -449,27 +386,27 @@ mod tests {
     }
 
     #[test]
-    fn replies_round_trip_including_reduction_variants() {
-        let replies = [
-            BinaryReply::Error("sim exploded".into()),
-            BinaryReply::Deferred { replicates: 640 },
-        ];
-        for (i, reply) in replies.iter().enumerate() {
-            let payload = encode_reply(i as u64, reply);
-            let (id, back) = decode_reply(&payload).unwrap();
-            assert_eq!(id, i as u64);
-            assert_eq!(&back, reply);
-            for cut in 0..payload.len() {
-                assert!(decode_reply(&payload[..cut]).is_err(), "cut {cut}");
-            }
+    fn replies_round_trip_and_retired_variants_fail_closed() {
+        let reply = BinaryReply::Error("sim exploded".into());
+        let payload = encode_reply(3, &reply);
+        assert_eq!(decode_reply(&payload).unwrap(), (3, reply.clone()));
+        for cut in 0..payload.len() {
+            assert!(decode_reply(&payload[..cut]).is_err(), "cut {cut}");
         }
         // Tag confusion fails closed: an order payload is not a reply.
         assert!(decode_reply(&encode_order(1, &order())).is_err());
-        assert!(decode_order(&encode_reply(1, &replies[0])).is_err());
+        assert!(decode_order(&payload).is_err());
         // Wrong version fails closed.
-        let mut payload = encode_reply(0, &replies[0]);
-        payload[4] = 99;
-        assert!(decode_reply(&payload).is_err());
+        let mut other_version = payload.clone();
+        other_version[4] = 99;
+        assert!(decode_reply(&other_version).is_err());
+        // The retired reduction variants (2 and 3) are unknown now; the
+        // variant byte follows the 6-byte header and the 1-byte id.
+        for variant in [2u8, 3] {
+            let mut retired = payload.clone();
+            retired[7] = variant;
+            assert!(decode_reply(&retired).is_err(), "variant {variant}");
+        }
         // JSON payloads are rejected outright.
         assert!(!is_glcb(b"{\"id\":1}"));
         assert!(decode_reply(b"{\"id\":1}").is_err());
@@ -485,25 +422,22 @@ mod tests {
 
     #[test]
     fn hello_negotiation_matrix() {
-        // Both flags round-trip.
-        for reduce in [false, true] {
-            assert_eq!(decode_hello(&encode_hello(reduce)).unwrap(), reduce);
-        }
-        // Another GLCB version, an unknown flag, a truncated or
-        // over-long hello, another tag, and an older build's JSON hello
-        // all fail closed.
-        let mut other_version = encode_hello(true);
+        let hello = encode_hello();
+        decode_hello(&hello).unwrap();
+        // Another GLCB version, an older build's flags byte (either
+        // value), a truncated hello, another tag, and an older build's
+        // JSON hello all fail closed.
+        let mut other_version = hello.clone();
         other_version[4] = GLCB_VERSION + 1;
-        let mut unknown_flag = encode_hello(false);
-        unknown_flag[6] = 0x02;
-        let hello = encode_hello(true);
-        let mut trailing = hello.clone();
-        trailing.push(0);
+        let mut flagged = hello.clone();
+        flagged.push(1);
+        let mut unflagged = hello.clone();
+        unflagged.push(0);
         for bad in [
             other_version,
-            unknown_flag,
+            flagged,
+            unflagged,
             hello[..hello.len() - 1].to_vec(),
-            trailing,
             encode_text("{}"),
             b"{\"glc_frame_hello\":1}".to_vec(),
             b"{\"glc_frame_hello\":1,\"codecs\":[\"glcb\"]}".to_vec(),

@@ -315,30 +315,6 @@ impl WorkOrder {
         )?;
         Ok(partial)
     }
-
-    /// Splits this order's replicate range into `shards` contiguous
-    /// sub-orders (at most one per replicate). Shard boundaries do not
-    /// affect the merged aggregate — exact accumulation makes partials
-    /// associative — so this is purely a load-balancing choice.
-    pub fn shard(&self, shards: u64) -> Vec<WorkOrder> {
-        let shards = shards.clamp(1, self.replicates.max(1));
-        let base = self.replicates / shards;
-        let extra = self.replicates % shards;
-        let mut orders = Vec::with_capacity(shards as usize);
-        let mut first = self.first_replicate;
-        for s in 0..shards {
-            let count = base + u64::from(s < extra);
-            if count == 0 {
-                continue;
-            }
-            let mut order = self.clone();
-            order.first_replicate = first;
-            order.replicates = count;
-            orders.push(order);
-            first += count;
-        }
-        orders
-    }
 }
 
 /// Health accounting of one [`WorkerPool::run`] call.
@@ -418,24 +394,6 @@ mod tests {
             let json = serde_json::to_string(&order).unwrap();
             let back: WorkOrder = serde_json::from_str(&json).unwrap();
             assert_eq!(back, order);
-        }
-    }
-
-    #[test]
-    fn sharding_covers_the_range_contiguously() {
-        let order = order();
-        for shards in [1u64, 2, 3, 7, 10, 25] {
-            let pieces = order.shard(shards);
-            assert!(pieces.len() as u64 <= shards.min(order.replicates));
-            let mut next = order.first_replicate;
-            let mut total = 0;
-            for piece in &pieces {
-                assert_eq!(piece.first_replicate, next, "gap at shard boundary");
-                assert!(piece.replicates > 0);
-                next += piece.replicates;
-                total += piece.replicates;
-            }
-            assert_eq!(total, order.replicates);
         }
     }
 

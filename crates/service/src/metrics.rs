@@ -214,9 +214,6 @@ pub struct MetricsRegistry {
     /// Chunks currently waiting in the worker pool's chunk queue
     /// (updated live by the slot drivers as they pull work).
     pool_queue_depth: AtomicU64,
-    /// Lifetime count of chunks a slot stole from another slot's
-    /// queue.
-    pool_steals: AtomicU64,
     /// Orders in flight per pool slot, aligned with `slot_labels`
     /// (pipelined slots keep a window > 1 in flight).
     slot_inflight: Mutex<Vec<u64>>,
@@ -257,16 +254,6 @@ impl MetricsRegistry {
     /// slot driver).
     pub fn set_pool_queue_depth(&self, depth: u64) {
         self.pool_queue_depth.store(depth, Ordering::Relaxed);
-    }
-
-    /// Counts one stolen chunk.
-    pub fn inc_pool_steals(&self) {
-        self.pool_steals.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Lifetime stolen-chunk count.
-    pub fn pool_steals(&self) -> u64 {
-        self.pool_steals.load(Ordering::Relaxed)
     }
 
     /// Sets the in-flight-orders gauge for pool slot `slot` (ignored
@@ -361,11 +348,6 @@ impl MetricsRegistry {
                 "glc_pool_queue_depth {}",
                 self.pool_queue_depth.load(Ordering::Relaxed)
             );
-            out.push_str(
-                "# HELP glc_pool_steals_total Chunks a pool slot stole from another slot's queue.\n",
-            );
-            out.push_str("# TYPE glc_pool_steals_total counter\n");
-            let _ = writeln!(out, "glc_pool_steals_total {}", self.pool_steals());
             let labels = self.slot_labels.lock().expect("metrics poisoned").clone();
             let inflight = self.slot_inflight.lock().expect("metrics poisoned").clone();
             if !labels.is_empty() {
@@ -494,6 +476,13 @@ fn render_service_gauges(out: &mut String, stats: &ServiceStats) {
     );
     let _ = writeln!(out, "# TYPE glc_pool_retried_shards_total counter");
     let _ = writeln!(out, "glc_pool_retried_shards_total {}", stats.pool_retries);
+    let _ = writeln!(
+        out,
+        "# HELP glc_pool_steals_total Chunks a pool slot stole from another slot's queue, \
+         over the pool's lifetime."
+    );
+    let _ = writeln!(out, "# TYPE glc_pool_steals_total counter");
+    let _ = writeln!(out, "glc_pool_steals_total {}", stats.pool_steals);
 
     if !stats.slots.is_empty() {
         out.push_str("# HELP glc_slot_health Worker-pool slot health accounting.\n");

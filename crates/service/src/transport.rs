@@ -9,9 +9,12 @@
 //!   - [`PipelinedWorker`] — one resident `glc-worker` child per slot,
 //!     spawned once and fed over its pipes;
 //!   - [`PipelinedRelay`] — one framed TCP connection per slot to a
-//!     `glc-relay`, which may live on another host, runs concurrent
-//!     frames on its own threads, and reduces chunk partials before
-//!     shipping them upstream.
+//!     `glc-relay`, which may live on another host and runs concurrent
+//!     frames on its own threads.
+//!
+//!   Every chunk order gets exactly one reply, its partial or its
+//!   error, so a slot never holds more than its channel's window of
+//!   orders at a time.
 //! * [`WorkerPool`] — a scheduler over one transport per **slot**. It
 //!   cuts an order into chunks, homes them to per-slot queues by each
 //!   slot's observed replicate throughput (unknown slots get the mean
@@ -77,10 +80,6 @@ pub trait Transport: Send {
 /// connection itself is broken — every in-flight order is lost and the
 /// channel must be dropped. A [`BinaryReply::Error`] from `recv` means
 /// that one chunk failed while the connection stays serviceable.
-///
-/// Plain workers only ever reply `Partial` or `Error`; a relay granted
-/// reduction interleaves `Deferred` receipts with `Reduced` merged
-/// partials (see [`BinaryReply`] for the forms).
 pub trait ChunkChannel: Send {
     /// How many orders are profitably in flight at once (>= 1).
     fn window(&self) -> usize {
@@ -90,8 +89,8 @@ pub trait ChunkChannel: Send {
     /// Sends one chunk order tagged with the correlation id `id`.
     fn submit(&mut self, id: u64, order: &WorkOrder) -> Result<(), ServiceError>;
 
-    /// Receives the next correlated reply, in whatever order the peer
-    /// finished them. Partials are structurally validated before they
+    /// Receives the next correlated reply — exactly one per submitted
+    /// order — in whatever order the peer finished them. Partials are structurally validated before they
     /// are returned.
     fn recv(&mut self) -> Result<(u64, BinaryReply), ServiceError>;
 }
@@ -289,8 +288,8 @@ impl Drop for FramedChildChannel {
 }
 
 /// The persistent framed relay connection. The client speaks first: it
-/// sends a hello asking for reduction, then reads the relay's hello
-/// under a read timeout before any order is pipelined.
+/// sends its hello, then reads the relay's hello under a read timeout
+/// before any order is pipelined.
 struct FramedRelayChannel {
     addr: String,
     reader: BufReader<TcpStream>,
@@ -313,7 +312,7 @@ impl FramedRelayChannel {
         let mut writer = stream
             .try_clone()
             .map_err(|e| ServiceError::Worker(format!("relay {addr}: cannot clone stream: {e}")))?;
-        frame::write_frame(&mut writer, &codec::encode_hello(true))?;
+        frame::write_frame(&mut writer, &codec::encode_hello())?;
         let mut reader = BufReader::new(stream);
         match frame::read_frame(&mut reader) {
             Ok(Some(payload)) => {
@@ -386,6 +385,24 @@ impl SlotHealth {
     pub fn observed_throughput(&self) -> Option<f64> {
         (self.replicates > 0 && self.busy_secs > 0.0)
             .then(|| self.replicates as f64 / self.busy_secs)
+    }
+
+    /// Credits one successful chunk of `replicates`, ending any
+    /// failure streak.
+    fn note_success(&mut self, replicates: u64) {
+        self.successes += 1;
+        self.consecutive_failures = 0;
+        self.replicates += replicates;
+    }
+
+    /// Charges one failed attempt; the slot is quarantined once its
+    /// streak reaches `quarantine_after`.
+    fn note_failure(&mut self, quarantine_after: u64) {
+        self.failures += 1;
+        self.consecutive_failures += 1;
+        if self.consecutive_failures >= quarantine_after {
+            self.quarantined = true;
+        }
     }
 }
 
@@ -645,9 +662,10 @@ impl WorkerPool {
         // Parallel phase: one driver thread per active slot, all
         // pulling from the shared queue. Drivers own their slot's
         // transport + cached channel; health and the merge stay on
-        // this thread, fed by events (per-slot event order is the
-        // slot's execution order, so consecutive-failure accounting
-        // matches the sequential scheduler's).
+        // this thread, fed by events into a copy of the slots' health
+        // that is written back once the drivers join (per-slot event
+        // order is the slot's execution order, so consecutive-failure
+        // accounting matches the sequential scheduler's).
         let is_active = {
             let mut mask = vec![false; self.slots.len()];
             for &i in &active {
@@ -657,16 +675,12 @@ impl WorkerPool {
         };
         let (tx, rx) = mpsc::channel::<Event>();
         let mut merged: Option<EnsemblePartial> = None;
-        // `None` marks a chunk whose bits arrived inside another
-        // chunk's reduced partial — the in-order merge skips it.
-        let mut buffer: BTreeMap<usize, Option<EnsemblePartial>> = BTreeMap::new();
+        let mut buffer: BTreeMap<usize, EnsemblePartial> = BTreeMap::new();
         let mut next_merge = 0usize;
         let mut merge_error: Option<ServiceError> = None;
         // (chunk index, error of the failed attempt, slot it failed on)
         let mut pending: Vec<(usize, ServiceError, usize)> = Vec::new();
-        let mut slot_events: Vec<Vec<HealthEvent>> =
-            (0..self.slots.len()).map(|_| Vec::new()).collect();
-        let mut busy_secs: Vec<f64> = vec![0.0; self.slots.len()];
+        let mut health = self.health();
         let mut last_channel_error: Option<String> = None;
 
         std::thread::scope(|scope| {
@@ -691,52 +705,17 @@ impl WorkerPool {
                         partial,
                     } => {
                         let replicates = chunks[chunk].replicates;
-                        slot_events[slot].push(HealthEvent::Success { replicates });
+                        health[slot].note_success(replicates);
                         report.slot_replicates[slot] += replicates;
-                        if stolen {
-                            report.steals += 1;
-                            if let Some(metrics) = &metrics {
-                                metrics.inc_pool_steals();
-                            }
-                        }
+                        report.steals += u64::from(stolen);
                         if let Some(metrics) = &metrics {
                             metrics.observe_shard(slot, Duration::from_secs_f64(elapsed_secs));
                         }
-                        buffer.insert(chunk, Some(partial));
-                        drain_merges(&mut buffer, &mut next_merge, &mut merged, &mut merge_error);
-                    }
-                    Event::Reduced {
-                        slot,
-                        chunks: covered,
-                        elapsed_secs,
-                        stolen,
-                        partial,
-                    } => {
-                        for &chunk in &covered {
-                            let replicates = chunks[chunk].replicates;
-                            slot_events[slot].push(HealthEvent::Success { replicates });
-                            report.slot_replicates[slot] += replicates;
-                        }
-                        report.steals += stolen;
-                        if let Some(metrics) = &metrics {
-                            for _ in 0..stolen {
-                                metrics.inc_pool_steals();
-                            }
-                            metrics.observe_shard(slot, Duration::from_secs_f64(elapsed_secs));
-                        }
-                        let mut covered = covered;
-                        covered.sort_unstable();
-                        let mut covered = covered.into_iter();
-                        if let Some(lowest) = covered.next() {
-                            buffer.insert(lowest, Some(partial));
-                            for chunk in covered {
-                                buffer.insert(chunk, None);
-                            }
-                        }
+                        buffer.insert(chunk, partial);
                         drain_merges(&mut buffer, &mut next_merge, &mut merged, &mut merge_error);
                     }
                     Event::ChunkFailed { slot, chunk, error } => {
-                        slot_events[slot].push(HealthEvent::Failure);
+                        health[slot].note_failure(self.quarantine_after);
                         report.worker_failures[slot] += 1;
                         pending.push((chunk, error, slot));
                     }
@@ -744,38 +723,18 @@ impl WorkerPool {
                         pending.push((chunk, error, slot));
                     }
                     Event::ChannelFailed { slot, error } => {
-                        slot_events[slot].push(HealthEvent::Failure);
+                        health[slot].note_failure(self.quarantine_after);
                         report.worker_failures[slot] += 1;
                         last_channel_error = Some(error.to_string());
                     }
                     Event::Drained { slot, busy } => {
-                        busy_secs[slot] += busy;
+                        health[slot].busy_secs += busy;
                     }
                 }
             }
         });
-
-        // Apply the buffered health deltas in each slot's own event
-        // order (mpsc preserves per-sender order).
-        for (index, events) in slot_events.iter().enumerate() {
-            for event in events {
-                let health = &mut self.slots[index].health;
-                match event {
-                    HealthEvent::Success { replicates } => {
-                        health.successes += 1;
-                        health.consecutive_failures = 0;
-                        health.replicates += replicates;
-                    }
-                    HealthEvent::Failure => {
-                        health.failures += 1;
-                        health.consecutive_failures += 1;
-                        if health.consecutive_failures >= self.quarantine_after {
-                            health.quarantined = true;
-                        }
-                    }
-                }
-            }
-            self.slots[index].health.busy_secs += busy_secs[index];
+        for (slot, health) in self.slots.iter_mut().zip(health) {
+            slot.health = health;
         }
         if let Some(metrics) = &metrics {
             metrics.set_pool_queue_depth(0);
@@ -804,7 +763,7 @@ impl WorkerPool {
                 }
                 match self.retry(failed_slot, &chunks[chunk], error, &mut report) {
                     Ok(partial) => {
-                        buffer.insert(chunk, Some(partial));
+                        buffer.insert(chunk, partial);
                     }
                     Err(err) => terminal = Some(err),
                 }
@@ -815,17 +774,10 @@ impl WorkerPool {
         report.quarantined_slots = (0..self.slots.len())
             .filter(|&i| self.slots[i].health.quarantined)
             .collect();
+        // Finish the in-order stream merge with the retried chunks.
+        drain_merges(&mut buffer, &mut next_merge, &mut merged, &mut merge_error);
         if let Some(failure) = merge_error {
             return Err(failure);
-        }
-        // Finish the in-order stream merge with the retried chunks.
-        while let Some(ready) = buffer.remove(&next_merge) {
-            next_merge += 1;
-            let Some(ready) = ready else { continue };
-            match &mut merged {
-                None => merged = Some(ready),
-                Some(total) => total.merge(&ready).map_err(ServiceError::from)?,
-            }
         }
         if next_merge < chunks.len() {
             return Err(ServiceError::Worker(format!(
@@ -920,11 +872,6 @@ impl WorkerPool {
                     partial,
                     elapsed_secs,
                     ..
-                }
-                | Event::Reduced {
-                    partial,
-                    elapsed_secs,
-                    ..
                 } => outcome = Ok((partial, elapsed_secs)),
                 Event::ChunkFailed { error, .. }
                 | Event::ChunkLost { error, .. }
@@ -943,9 +890,7 @@ impl WorkerPool {
         report: &mut RunReport,
     ) {
         let health = &mut self.slots[slot].health;
-        health.successes += 1;
-        health.consecutive_failures = 0;
-        health.replicates += chunk.replicates;
+        health.note_success(chunk.replicates);
         health.busy_secs += elapsed_secs;
         report.slot_replicates[slot] += chunk.replicates;
         if let Some(metrics) = &self.metrics {
@@ -954,12 +899,7 @@ impl WorkerPool {
     }
 
     fn record_failure(&mut self, slot: usize, report: &mut RunReport) {
-        let health = &mut self.slots[slot].health;
-        health.failures += 1;
-        health.consecutive_failures += 1;
-        if health.consecutive_failures >= self.quarantine_after {
-            health.quarantined = true;
-        }
+        self.slots[slot].health.note_failure(self.quarantine_after);
         report.worker_failures[slot] += 1;
     }
 }
@@ -1137,19 +1077,16 @@ impl ChunkQueue {
 }
 
 /// Advances the in-order stream merge over the reorder buffer: merges
-/// every contiguous ready chunk into the running total, skipping
-/// `None` tombstones (chunks whose bits arrived inside a reduced
-/// partial merged at a lower index). The first merge failure is
-/// latched into `merge_error`.
+/// every contiguous ready chunk into the running total. The first
+/// merge failure is latched into `merge_error`.
 fn drain_merges(
-    buffer: &mut BTreeMap<usize, Option<EnsemblePartial>>,
+    buffer: &mut BTreeMap<usize, EnsemblePartial>,
     next_merge: &mut usize,
     merged: &mut Option<EnsemblePartial>,
     merge_error: &mut Option<ServiceError>,
 ) {
     while let Some(ready) = buffer.remove(&*next_merge) {
         *next_merge += 1;
-        let Some(ready) = ready else { continue };
         let outcome = match merged {
             None => {
                 *merged = Some(ready);
@@ -1175,20 +1112,6 @@ enum Event {
         chunk: usize,
         elapsed_secs: f64,
         stolen: bool,
-        partial: EnsemblePartial,
-    },
-    /// A reducing relay completed several chunks as one merged
-    /// partial: `chunks` lists every covered chunk index. Merging the
-    /// one partial at the lowest covered index is bitwise equivalent
-    /// to merging the per-chunk partials in index order —
-    /// `EnsemblePartial::merge` is associative *and* commutative at
-    /// the bit level (the exact accumulators make it so), which is
-    /// precisely what lets the relay pre-merge at all.
-    Reduced {
-        slot: usize,
-        chunks: Vec<usize>,
-        elapsed_secs: f64,
-        stolen: u64,
         partial: EnsemblePartial,
     },
     /// One chunk failed. Counts one slot failure; the chunk joins the
@@ -1217,31 +1140,22 @@ enum Event {
     Drained { slot: usize, busy: f64 },
 }
 
-/// Buffered health delta, applied on the scheduler thread after the
-/// drivers join (the slots are mutably borrowed while they run).
-enum HealthEvent {
-    Success { replicates: u64 },
-    Failure,
-}
-
-/// Poisons a driver's connection: charges `error` to one outstanding
-/// chunk (or to the channel when nothing is outstanding) and reports
-/// every other outstanding chunk — in flight, deferred, or already
-/// resolved from an untrusted reply — as lost for the retry pass.
+/// Poisons a driver's connection: charges `error` to the `charged`
+/// chunk — or, without one, to the oldest in-flight chunk, or to the
+/// channel when nothing is in flight — and reports every other
+/// in-flight chunk as lost for the retry pass.
 fn poison_connection(
     index: usize,
     tx: &mpsc::Sender<Event>,
+    charged: Option<usize>,
     inflight: &mut VecDeque<(usize, Instant, bool)>,
-    deferred: &mut Vec<(usize, Instant, bool)>,
-    already_resolved: Vec<usize>,
     error: ServiceError,
 ) {
     let lost_error =
         || ServiceError::Worker("the connection failed with this chunk in flight".into());
-    let mut outstanding = already_resolved;
-    outstanding.extend(inflight.drain(..).map(|(chunk, ..)| chunk));
-    outstanding.extend(deferred.drain(..).map(|(chunk, ..)| chunk));
-    let mut rest = outstanding.into_iter();
+    let mut rest = charged
+        .into_iter()
+        .chain(inflight.drain(..).map(|(chunk, ..)| chunk));
     match rest.next() {
         Some(chunk) => {
             let _ = tx.send(Event::ChunkFailed {
@@ -1300,16 +1214,10 @@ fn drive_slot(
     let window = chan.window().max(1);
     // In-flight orders: (chunk index, submit time, stolen flag).
     let mut inflight: VecDeque<(usize, Instant, bool)> = VecDeque::new();
-    // Chunks a reducing relay acknowledged as absorbed: they no longer
-    // occupy the window, but stay pending until a Reduced reply covers
-    // them (and are lost with the connection otherwise).
-    let mut deferred: Vec<(usize, Instant, bool)> = Vec::new();
     let mut busy = 0.0f64;
     let mut window_started: Option<Instant> = None;
     let mut failed = false;
     let mut broken = false;
-    let lost_error =
-        || ServiceError::Worker("the connection failed with this chunk in flight".into());
 
     loop {
         while !failed && inflight.len() < window {
@@ -1331,26 +1239,15 @@ fn drive_slot(
                 }
                 Err(error) => {
                     // Connection broken mid-submit: this chunk takes
-                    // the failure, everything already in flight or
-                    // deferred is lost with it.
+                    // the failure, everything already in flight is
+                    // lost with it.
                     failed = true;
                     broken = true;
-                    let _ = tx.send(Event::ChunkFailed {
-                        slot: index,
-                        chunk,
-                        error,
-                    });
-                    for (lost, ..) in inflight.drain(..).chain(deferred.drain(..)) {
-                        let _ = tx.send(Event::ChunkLost {
-                            slot: index,
-                            chunk: lost,
-                            error: lost_error(),
-                        });
-                    }
+                    poison_connection(index, tx, Some(chunk), &mut inflight, error);
                 }
             }
         }
-        if inflight.is_empty() && deferred.is_empty() {
+        if inflight.is_empty() {
             // The fill loop found the queue dry (it only ever shrinks)
             // or a failure emptied the window: this driver is done.
             if let Some(started) = window_started.take() {
@@ -1359,7 +1256,7 @@ fn drive_slot(
             break;
         }
         match chan.recv() {
-            Ok((id, reply @ (BinaryReply::Partial(_) | BinaryReply::Error(_)))) => {
+            Ok((id, reply)) => {
                 let Some(position) = inflight.iter().position(|&(chunk, ..)| chunk as u64 == id)
                 else {
                     // An uncorrelatable reply: the stream can no
@@ -1370,9 +1267,8 @@ fn drive_slot(
                     poison_connection(
                         index,
                         tx,
+                        None,
                         &mut inflight,
-                        &mut deferred,
-                        Vec::new(),
                         ServiceError::Protocol(format!("reply id {id} matches no in-flight chunk")),
                     );
                     continue;
@@ -1382,7 +1278,7 @@ fn drive_slot(
                 if let Some(metrics) = metrics {
                     metrics.set_slot_inflight(index, inflight.len() as u64);
                 }
-                if inflight.is_empty() && deferred.is_empty() {
+                if inflight.is_empty() {
                     if let Some(started) = window_started.take() {
                         busy += started.elapsed().as_secs_f64();
                     }
@@ -1407,110 +1303,7 @@ fn drive_slot(
                             error: ServiceError::Worker(message),
                         });
                     }
-                    BinaryReply::Deferred { .. } | BinaryReply::Reduced { .. } => {
-                        unreachable!("matched as Partial or Error above")
-                    }
                 }
-            }
-            Ok((id, BinaryReply::Deferred { .. })) => {
-                let Some(position) = inflight.iter().position(|&(chunk, ..)| chunk as u64 == id)
-                else {
-                    failed = true;
-                    broken = true;
-                    poison_connection(
-                        index,
-                        tx,
-                        &mut inflight,
-                        &mut deferred,
-                        Vec::new(),
-                        ServiceError::Protocol(format!(
-                            "deferred receipt id {id} matches no in-flight chunk"
-                        )),
-                    );
-                    continue;
-                };
-                // The chunk leaves the window (the relay holds its
-                // bits now) but stays pending until a Reduced reply
-                // covers it.
-                let entry = inflight.remove(position).expect("position is in range");
-                deferred.push(entry);
-                if let Some(metrics) = metrics {
-                    metrics.set_slot_inflight(index, inflight.len() as u64);
-                }
-            }
-            Ok((
-                id,
-                BinaryReply::Reduced {
-                    also_covers,
-                    partial,
-                },
-            )) => {
-                let mut ids = Vec::with_capacity(also_covers.len() + 1);
-                ids.push(id);
-                ids.extend(also_covers);
-                let mut covered = Vec::with_capacity(ids.len());
-                let mut earliest: Option<Instant> = None;
-                let mut stolen = 0u64;
-                let mut unknown = None;
-                for cid in ids {
-                    let entry = inflight
-                        .iter()
-                        .position(|&(chunk, ..)| chunk as u64 == cid)
-                        .map(|p| inflight.remove(p).expect("position is in range"))
-                        .or_else(|| {
-                            deferred
-                                .iter()
-                                .position(|&(chunk, ..)| chunk as u64 == cid)
-                                .map(|p| deferred.remove(p))
-                        });
-                    match entry {
-                        Some((chunk, started, was_stolen)) => {
-                            covered.push(chunk);
-                            stolen += u64::from(was_stolen);
-                            earliest = Some(match earliest {
-                                Some(at) if at <= started => at,
-                                _ => started,
-                            });
-                        }
-                        None => {
-                            unknown = Some(cid);
-                            break;
-                        }
-                    }
-                }
-                if let Some(cid) = unknown {
-                    // Coverage of an id we never sent (or covered
-                    // twice): the stream — and the chunks this reply
-                    // claimed — can no longer be trusted.
-                    failed = true;
-                    broken = true;
-                    poison_connection(
-                        index,
-                        tx,
-                        &mut inflight,
-                        &mut deferred,
-                        covered,
-                        ServiceError::Protocol(format!(
-                            "reduced reply covers unknown chunk id {cid}"
-                        )),
-                    );
-                    continue;
-                }
-                if let Some(metrics) = metrics {
-                    metrics.set_slot_inflight(index, inflight.len() as u64);
-                }
-                if inflight.is_empty() && deferred.is_empty() {
-                    if let Some(started) = window_started.take() {
-                        busy += started.elapsed().as_secs_f64();
-                    }
-                }
-                let _ = tx.send(Event::Reduced {
-                    slot: index,
-                    chunks: covered,
-                    elapsed_secs: earliest.map_or(0.0, |at| at.elapsed().as_secs_f64()),
-                    stolen,
-                    partial,
-                });
             }
             Err(error) => {
                 failed = true;
@@ -1518,7 +1311,7 @@ fn drive_slot(
                 if let Some(started) = window_started.take() {
                     busy += started.elapsed().as_secs_f64();
                 }
-                poison_connection(index, tx, &mut inflight, &mut deferred, Vec::new(), error);
+                poison_connection(index, tx, None, &mut inflight, error);
             }
         }
     }

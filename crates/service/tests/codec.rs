@@ -120,27 +120,20 @@ proptest! {
         prop_assert!(codec::decode_order(&trailing).is_err());
     }
 
-    /// Replies: every `BinaryReply` variant — including `Reduced`
-    /// covering arbitrary extra ids and partials with poisoned sums or
-    /// wrap-straddling seed ranges — round-trips bitwise and fails
-    /// closed on damage.
+    /// Replies: both `BinaryReply` variants — partials with poisoned
+    /// sums or wrap-straddling seed ranges included — round-trip
+    /// bitwise and fail closed on damage, and the retired reduction
+    /// variant bytes (2 and 3) are unknown.
     #[test]
     fn glcb_replies_round_trip_bitwise(
         id in any_u64(),
         case in 0usize..4,
-        variant in 0usize..4,
-        replicates in any_u64(),
-        covers in proptest::collection::vec(any_u64(), 0..4),
+        partial_reply in any::<bool>(),
     ) {
-        let partial = &sample_partials()[case];
-        let reply = match variant {
-            0 => BinaryReply::Partial(partial.clone()),
-            1 => BinaryReply::Error("chunk exploded: §π💥".into()),
-            2 => BinaryReply::Deferred { replicates },
-            _ => BinaryReply::Reduced {
-                also_covers: covers,
-                partial: partial.clone(),
-            },
+        let reply = if partial_reply {
+            BinaryReply::Partial(sample_partials()[case].clone())
+        } else {
+            BinaryReply::Error("chunk exploded: §π💥".into())
         };
         let bytes = codec::encode_reply(id, &reply);
         prop_assert!(codec::is_glcb(&bytes));
@@ -151,6 +144,13 @@ proptest! {
 
         for cut in (0..bytes.len()).step_by(13) {
             prop_assert!(codec::decode_reply(&bytes[..cut]).is_err());
+        }
+        // The variant byte follows the 6-byte header and the varint id.
+        let variant_at = codec::encode_reply(id, &BinaryReply::Error(String::new())).len() - 2;
+        for retired in [2u8, 3] {
+            let mut bytes = bytes.clone();
+            bytes[variant_at] = retired;
+            prop_assert!(codec::decode_reply(&bytes).is_err(), "variant {}", retired);
         }
         let mut trailing = bytes;
         trailing.push(0);
@@ -211,20 +211,16 @@ fn cross_tag_decodes_fail_closed() {
 
 #[test]
 fn hello_negotiation_matrix_holds() {
-    // A relay client asks for reduction and a relay grants exactly what
-    // was asked; workers and session clients never reduce. Every hello
-    // round-trips its flag, and anything but a GLCB hello of this
-    // version fails closed.
-    for reduce in [false, true] {
-        assert_eq!(
-            codec::decode_hello(&codec::encode_hello(reduce)).unwrap(),
-            reduce
-        );
-    }
-    let mut other_version = codec::encode_hello(false);
+    // Every peer sends the same bodiless hello, and anything but a
+    // GLCB hello of this version — an older build's flags byte
+    // included — fails closed.
+    codec::decode_hello(&codec::encode_hello()).unwrap();
+    let mut other_version = codec::encode_hello();
     other_version[4] = glc_service::GLCB_VERSION.wrapping_add(1);
+    let flagged = [codec::encode_hello(), vec![1]].concat();
     for bad in [
         other_version,
+        flagged,
         b"{\"glc_frame_hello\":1}".to_vec(),
         codec::encode_order(1, &tiny_order(2, 0, 3, EngineSpec::Direct)),
         Vec::new(),

@@ -191,7 +191,7 @@ fn failed_shard_is_retried_once_and_reproduces_the_bits() {
     // and the aggregate is still bitwise the in-process run, with the
     // loss charged once in the report.
     let dir = script_dir("retry");
-    let hello = hello_file(&dir, &codec::encode_hello(false));
+    let hello = hello_file(&dir, &codec::encode_hello());
     let marker = dir.join("first-attempt-burned");
     let path = script(
         &dir,

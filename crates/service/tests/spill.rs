@@ -29,9 +29,9 @@ use glc_service::{
 };
 use glc_ssa::run_partial_from;
 use proptest::prelude::*;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::path::PathBuf;
-use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
+use std::process::{Child, ChildStderr, ChildStdin, ChildStdout, Command, Stdio};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn serve_bin() -> &'static str {
@@ -356,6 +356,7 @@ struct ServeClient {
     child: Child,
     stdin: ChildStdin,
     stdout: BufReader<ChildStdout>,
+    stderr: BufReader<ChildStderr>,
 }
 
 impl ServeClient {
@@ -369,11 +370,37 @@ impl ServeClient {
             .expect("spawn glc-serve");
         let stdin = child.stdin.take().expect("stdin piped");
         let stdout = BufReader::new(child.stdout.take().expect("stdout piped"));
+        let stderr = BufReader::new(child.stderr.take().expect("stderr piped"));
         ServeClient {
             child,
             stdin,
             stdout,
+            stderr,
         }
+    }
+
+    /// Reads the `--metrics-addr` banner off stderr and returns the
+    /// value of the scrape's unlabeled sample `family`.
+    fn scrape_value(&mut self, family: &str) -> f64 {
+        let mut banner = String::new();
+        while !banner.contains("metrics listening on") {
+            banner.clear();
+            let read = self.stderr.read_line(&mut banner).expect("read stderr");
+            assert!(read > 0, "glc-serve printed no metrics banner");
+        }
+        let addr = banner.trim().rsplit(' ').next().expect("address token");
+        let mut stream = std::net::TcpStream::connect(addr).expect("connect to scrape");
+        stream
+            .write_all(b"GET /metrics HTTP/1.1\r\nHost: glc\r\nConnection: close\r\n\r\n")
+            .expect("send scrape request");
+        let mut response = String::new();
+        stream.read_to_string(&mut response).expect("read scrape");
+        response
+            .lines()
+            .find_map(|line| line.strip_prefix(family)?.strip_prefix(' '))
+            .unwrap_or_else(|| panic!("no {family} sample in:\n{response}"))
+            .parse()
+            .expect("numeric sample")
     }
 
     fn request(&mut self, request: &Request) -> Response {
@@ -623,6 +650,8 @@ fn killed_glc_serve_restarts_with_quarantine_intact() {
         script_arg.as_str(),
         "--quarantine-after",
         "1",
+        "--metrics-addr",
+        "127.0.0.1:0",
     ];
     let spec = catalog_spec("book_and", EngineSpec::Direct, 23);
 
@@ -648,6 +677,11 @@ fn killed_glc_serve_restarts_with_quarantine_intact() {
     assert!(stats.slots[1].quarantined, "{stats:?}");
     assert_eq!(stats.slots[1].failures, 1, "{stats:?}");
     assert!(stats.pool_steals >= 1, "{stats:?}");
+    // The scrape renders the same steal counter Stats publishes.
+    assert_eq!(
+        client.scrape_value("glc_pool_steals_total"),
+        stats.pool_steals as f64
+    );
     assert!(
         session::pool_health_path(&dir).exists(),
         "extend persists pool health beside the snapshots"

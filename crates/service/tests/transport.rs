@@ -345,8 +345,8 @@ impl ChunkChannel for TestChannel {
 
 proptest! {
     /// The acceptance property: the same extend schedule dispatched
-    /// over every backend — in-process, resident framed workers, relay
-    /// connections with reduction, a pool whose first chunk fails once
+    /// over every backend — in-process, resident framed workers,
+    /// pipelined relay connections, a pool whose first chunk fails once
     /// (retried on the other slot), and a straggler/steal mix — leaves
     /// bitwise-identical resident partials, all equal to the fresh
     /// unsharded run. Direct + Langevin, book_and + cello_0x1C.
@@ -499,11 +499,9 @@ fn broken_connections_lose_the_window_but_the_run_completes_exactly() {
 }
 
 #[test]
-fn relay_reduction_merges_chunks_upstream_bitwise() {
+fn one_relay_connection_pipelines_chunks_bitwise() {
     // A single relay connection carrying several concurrent chunk
-    // orders: reduction makes the relay answer early finishers with
-    // Deferred receipts, merge their partials locally, and ship one
-    // Reduced batch when its in-flight count drains — and the
+    // orders, each answered with its own partial as it finishes: the
     // reassembled bits must equal the unsharded reference, across two
     // runs on the same cached connection.
     let relay = RelayFixture::spawn();
@@ -515,15 +513,15 @@ fn relay_reduction_merges_chunks_upstream_bitwise() {
     .unwrap();
     for run in 0..2 {
         let (partial, report) = pool.run(&order).unwrap();
-        assert_eq!(partial, reference, "run {run}: reduction moved a bit");
+        assert_eq!(partial, reference, "run {run}: pipelining moved a bit");
         assert!(
             report.chunks >= 2,
-            "run {run}: every plan cuts concurrent chunks to reduce: {report:?}"
+            "run {run}: every plan cuts concurrent chunks: {report:?}"
         );
         assert_eq!(report.total_failures(), 0, "run {run}: {report:?}");
         assert_eq!(
             report.slot_replicates[0], 30,
-            "run {run}: every replicate accounted through the reduced batch: {report:?}"
+            "run {run}: every replicate credited to the relay slot: {report:?}"
         );
     }
 }
@@ -566,18 +564,11 @@ fn relay_reports_bad_orders_and_keeps_serving() {
         other => panic!("expected an in-band error, got {other:?}"),
     }
     // The failed order poisoned nothing: a good order on the same
-    // connection still round-trips (as a one-chunk reduced batch).
+    // connection still round-trips.
     let good = book_not_order(3, 2);
     channel.submit(1, &good).unwrap();
     let partial = match channel.recv().unwrap() {
         (1, BinaryReply::Partial(partial)) => partial,
-        (
-            1,
-            BinaryReply::Reduced {
-                also_covers,
-                partial,
-            },
-        ) if also_covers.is_empty() => partial,
         other => panic!("expected the good order's partial, got {other:?}"),
     };
     assert_eq!(partial.replicates(), 2);
@@ -836,9 +827,14 @@ fn json_order_payload() -> Vec<u8> {
 /// The JSON hello an older build opened every framed connection with.
 const LEGACY_HELLO: &[u8] = b"{\"glc_frame_hello\":1}";
 
+/// The GLCB hello an older build sent: the header plus a flags byte.
+fn flagged_hello() -> Vec<u8> {
+    [codec::encode_hello(), vec![1]].concat()
+}
+
 /// A GLCB hello of a version this build does not speak.
 fn foreign_version_hello() -> Vec<u8> {
-    let mut hello = codec::encode_hello(true);
+    let mut hello = codec::encode_hello();
     hello[4] = glc_service::GLCB_VERSION.wrapping_add(1);
     hello
 }
@@ -867,10 +863,7 @@ fn json_order_frames_get_no_answer_from_the_worker() {
     let hello = frame::read_frame(&mut stdout)
         .unwrap()
         .expect("hello frame");
-    assert!(
-        !codec::decode_hello(&hello).unwrap(),
-        "workers never reduce"
-    );
+    codec::decode_hello(&hello).unwrap();
     frame::write_frame(&mut stdin, &json_order_payload()).unwrap();
     assert_eq!(
         frame::read_frame(&mut stdout).unwrap(),
@@ -884,19 +877,20 @@ fn json_order_frames_get_no_answer_from_the_worker() {
 fn json_order_frames_get_no_answer_from_the_relay() {
     let relay = RelayFixture::spawn();
     let mut stream = TcpStream::connect(&relay.addr).unwrap();
-    frame::write_frame(&mut stream, &codec::encode_hello(false)).unwrap();
+    frame::write_frame(&mut stream, &codec::encode_hello()).unwrap();
     let hello = frame::read_frame(&mut stream).unwrap().expect("hello");
-    assert!(
-        !codec::decode_hello(&hello).unwrap(),
-        "grant what was asked"
-    );
+    codec::decode_hello(&hello).unwrap();
     frame::write_frame(&mut stream, &json_order_payload()).unwrap();
     assert_no_answer(&mut stream, "relay after a JSON order");
 }
 
 #[test]
 fn legacy_and_foreign_version_hellos_fail_the_handshake() {
-    let bad_hellos = [LEGACY_HELLO.to_vec(), foreign_version_hello()];
+    let bad_hellos = [
+        LEGACY_HELLO.to_vec(),
+        flagged_hello(),
+        foreign_version_hello(),
+    ];
 
     // The relay server answers neither.
     let relay = RelayFixture::spawn();
@@ -927,9 +921,9 @@ fn legacy_and_foreign_version_hellos_fail_the_handshake() {
         assert_no_answer(&mut stream, "glc-serve after a bad hello");
     }
     let mut stream = TcpStream::connect(&addr).unwrap();
-    frame::write_frame(&mut stream, &codec::encode_hello(false)).unwrap();
+    frame::write_frame(&mut stream, &codec::encode_hello()).unwrap();
     let hello = frame::read_frame(&mut stream).unwrap().expect("hello");
-    assert!(!codec::decode_hello(&hello).unwrap());
+    codec::decode_hello(&hello).unwrap();
     drop(serve_stdin); // EOF stops the service.
     let _ = serve.wait();
 
