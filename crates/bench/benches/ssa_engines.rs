@@ -736,17 +736,8 @@ fn throughput_report() {
             bank.fallback_len()
         );
         println!(
-            "    lanes: {} linear  {} bilinear  {} hill  {} sop  {} term-div  \
-             ({} const/load, {} wide, {} residual, {} fallback)",
-            occupancy.linear,
-            occupancy.bilinear,
-            occupancy.hill,
-            occupancy.sop,
-            occupancy.term_div,
-            occupancy.consts + occupancy.loads,
-            occupancy.wide,
-            occupancy.residual,
-            occupancy.fallback
+            "    lanes: {} linear  {} hill  {} sop  {} term-div  {} fallback",
+            occupancy.linear, occupancy.hill, occupancy.sop, occupancy.term_div, occupancy.fallback
         );
         // Every law of the two reference circuits fits a shaped lane
         // group; a VM fallback appearing here means the bank's shape
@@ -761,13 +752,9 @@ fn throughput_report() {
             "circuit" => id,
             "laws" => model.reaction_count(),
             "linear" => occupancy.linear,
-            "bilinear" => occupancy.bilinear,
             "hill" => occupancy.hill,
             "sop" => occupancy.sop,
             "term_div" => occupancy.term_div,
-            "direct_scatter" => occupancy.consts + occupancy.loads,
-            "wide" => occupancy.wide,
-            "residual" => occupancy.residual,
             "fallback" => occupancy.fallback,
         };
         push(&mut ledger, "lanes", lanes);

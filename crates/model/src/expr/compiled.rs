@@ -222,21 +222,16 @@ impl Term {
 /// The shape class of a compiled kinetic law, decided once at compile
 /// time so the hot loop can skip VM dispatch for the common shapes.
 ///
-/// Ordered roughly by dispatch cost. `Const`/`Load`/`Linear`/`Bilinear`
-/// cover mass-action laws (`k`, `k * A`, `k * A * B`); `Hill` covers the
-/// single-promoter gate response; `SumOfProducts` covers tandem-promoter
-/// sums of responses and longer mass-action chains; `General` is the
-/// postfix VM fallback for everything else.
+/// `Linear` covers the two-operand mass-action law `k * A`; `Hill`
+/// covers the single-promoter gate response; `SumOfProducts` covers
+/// tandem-promoter sums of responses, longer mass-action chains
+/// (`k * A * B` multiplies left to right like the VM) and lone operands
+/// (a one-factor term); `TermDiv` covers the book models' cooperative
+/// binding; `General` is the postfix VM fallback for everything else.
 #[derive(Debug, Clone, PartialEq)]
 pub enum KineticForm {
-    /// A lone literal.
-    Const(f64),
-    /// A lone identifier: `values[slot]`.
-    Load(usize),
     /// `a * b`.
     Linear(Operand, Operand),
-    /// `(a * b) * c`.
-    Bilinear(Operand, Operand, Operand),
     /// `base + span * hill(x…, k, n)` — the Cello gate response law.
     Hill {
         /// The leak term (`ymin`).
@@ -268,29 +263,18 @@ impl KineticForm {
     /// Classifies `expr` against `table`. Only called after successful
     /// compilation, so every identifier is known to resolve.
     fn classify(expr: &Expr, table: &SymbolTable) -> KineticForm {
-        // Lone operands.
-        match operand_of(expr, table) {
-            Some(Operand::Num(value)) => return KineticForm::Const(value),
-            Some(Operand::Slot(slot)) => return KineticForm::Load(slot),
-            None => {}
+        // Lone operands: a one-factor term, which returns the operand.
+        if let Some(operand) = operand_of(expr, table) {
+            return KineticForm::SumOfProducts(vec![Term {
+                factors: vec![Factor::Op(operand)],
+            }]);
         }
 
-        // Pure left-associated operand products: Linear / Bilinear.
+        // Left-associated products: `a * b` is Linear, every other
+        // product multiplies left to right on the sum-of-products walk.
         if let Some(term) = term_of(expr, table) {
-            let operands: Option<Vec<Operand>> = term
-                .factors
-                .iter()
-                .map(|f| match f {
-                    Factor::Op(op) => Some(*op),
-                    Factor::Hill(_) | Factor::MaxZero(_) => None,
-                })
-                .collect();
-            if let Some(ops) = operands {
-                match ops.as_slice() {
-                    [a, b] => return KineticForm::Linear(*a, *b),
-                    [a, b, c] => return KineticForm::Bilinear(*a, *b, *c),
-                    _ => {}
-                }
+            if let [Factor::Op(a), Factor::Op(b)] = term.factors.as_slice() {
+                return KineticForm::Linear(*a, *b);
             }
             return KineticForm::SumOfProducts(vec![term]);
         }
@@ -428,8 +412,8 @@ fn max_zero_call_of(expr: &Expr, table: &SymbolTable) -> Option<MaxZeroCall> {
 }
 
 /// `expr` as a product term, accepting a lone factor as a one-factor
-/// term (used by the `TermDiv` numerator, where `X / 2` is as valid as
-/// `k * X / 2`).
+/// term (used by sum terms and by the `TermDiv` numerator, where `X / 2`
+/// is as valid as `k * X / 2`).
 fn term_or_factor_of(expr: &Expr, table: &SymbolTable) -> Option<Term> {
     if let Some(term) = term_of(expr, table) {
         return Some(term);
@@ -445,20 +429,12 @@ fn sum_of_terms(expr: &Expr, table: &SymbolTable) -> Option<Vec<Term>> {
     fn terms_of(expr: &Expr, table: &SymbolTable, out: &mut Vec<Term>) -> Option<()> {
         if let Expr::Bin(BinOp::Add, lhs, rhs) = expr {
             terms_of(lhs, table, out)?;
-            out.push(single_term_of(rhs, table)?);
+            out.push(term_or_factor_of(rhs, table)?);
             Some(())
         } else {
-            out.push(single_term_of(expr, table)?);
+            out.push(term_or_factor_of(expr, table)?);
             Some(())
         }
-    }
-    fn single_term_of(expr: &Expr, table: &SymbolTable) -> Option<Term> {
-        if let Some(term) = term_of(expr, table) {
-            return Some(term);
-        }
-        factor_of(expr, table).map(|factor| Term {
-            factors: vec![factor],
-        })
     }
     if !matches!(expr, Expr::Bin(BinOp::Add, _, _)) {
         return None;
@@ -468,23 +444,13 @@ fn sum_of_terms(expr: &Expr, table: &SymbolTable) -> Option<Vec<Term>> {
     Some(terms)
 }
 
-/// Chunk width of the batched evaluator: how many reactions a
-/// [`KineticFormBank`] group processes per gather/compute round.
-///
-/// Eight `f64` lanes fill two AVX2 registers (or one AVX-512 register);
-/// the per-lane arithmetic below is written so the autovectorizer can
-/// use them, but correctness never depends on it — lane math is the
-/// exact scalar op sequence of [`CompiledExpr::eval_fast`].
-pub const BANK_LANES: usize = 8;
-
-/// Sentinel in [`OperandLanes::slots`] marking a literal operand.
+/// Sentinel in [`OperandLanes::lanes`] marking a literal operand.
 const NO_SLOT: u32 = u32::MAX;
 
 /// Structure-of-arrays storage for one operand position across every
 /// law of a group: one `(slot, literal)` pair per lane. A single
-/// paired array (rather than parallel `slots`/`consts` vectors) halves
-/// the bounds checks on the scalar load path, which the fused residual
-/// pass takes for every operand.
+/// paired array (rather than parallel `slots`/`literals` vectors)
+/// halves the bounds checks on every operand load.
 #[derive(Debug, Clone, Default)]
 struct OperandLanes {
     /// `(value-vector slot, literal)` per lane; slot [`NO_SLOT`] marks
@@ -513,31 +479,8 @@ impl OperandLanes {
             values[slot as usize]
         }
     }
-
-    /// Gathers the full-width chunk `at..at + BANK_LANES` into `out`.
-    /// The fixed trip count lets the compiler unroll the loop completely
-    /// (partial chunks never reach this path — the build-time cost model
-    /// either folds them into the residual pass or the caller handles
-    /// the tail with scalar [`OperandLanes::load`]s).
-    #[inline]
-    fn gather8(&self, at: usize, values: &[f64], out: &mut [f64; BANK_LANES]) {
-        let lanes = &self.lanes[at..at + BANK_LANES];
-        for lane in 0..BANK_LANES {
-            let (slot, literal) = lanes[lane];
-            out[lane] = if slot == NO_SLOT {
-                literal
-            } else {
-                values[slot as usize]
-            };
-        }
-    }
 }
 
-/// Read/write access to the per-caller Hill response memo during a
-/// sweep. Two implementations: [`NoMemo`] (the zero-cost "always
-/// recompute" policy of [`KineticFormBank::eval_one`]) and the slice
-/// behind [`EvalMemo`]. Monomorphization keeps both free of dynamic
-/// dispatch.
 /// One 8-lane batch of the Hill response chain, the vector core of
 /// [`KineticFormBank::warm_hills`]: `exp(n * ln x)` with an `x == 0`
 /// select replacing [`crate::fastmath::pow`]'s early return, then one
@@ -563,6 +506,11 @@ fn hill_kernel8(
     }
 }
 
+/// Read/write access to the per-caller Hill response memo during a
+/// sweep. Two implementations: [`NoMemo`] (the zero-cost "always
+/// recompute" policy of [`KineticFormBank::eval_one`]) and the slice
+/// behind [`EvalMemo`]. Monomorphization keeps both free of dynamic
+/// dispatch.
 trait HillMemo {
     /// The memoized response for `slot` if it was computed for exactly
     /// these regulator bits.
@@ -652,10 +600,7 @@ impl EvalMemo {
 /// which lane within that group's SoA arrays.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum LaneRef {
-    Const(u32),
-    Load(u32),
     Linear(u32),
-    Bilinear(u32),
     Hill(u32),
     Sop(u32),
     TermDiv(u32),
@@ -774,8 +719,7 @@ fn load_encoded(slot: u32, literal: f64, values: &[f64]) -> f64 {
     }
 }
 
-/// One multiplicand inside a factor stream ([`SopGroup`] /
-/// [`TermDivGroup`]).
+/// One multiplicand inside a [`SopGroup`] factor stream.
 ///
 /// Operand and clamp factors carry their data *inline* rather than
 /// indexing side arrays: a factor evaluation is then one match plus at
@@ -879,15 +823,6 @@ struct LinearGroup {
     idx: Vec<u32>,
     a: OperandLanes,
     b: OperandLanes,
-}
-
-/// `k * A * B` laws: `out = (a * b) * c`.
-#[derive(Debug, Clone, Default)]
-struct BilinearGroup {
-    idx: Vec<u32>,
-    a: OperandLanes,
-    b: OperandLanes,
-    c: OperandLanes,
 }
 
 /// Single-regulator gate-response laws:
@@ -1012,17 +947,12 @@ impl SopGroup {
     }
 }
 
-/// Fused product-term laws with a trailing division,
-/// `f0 * f1 * … / d`, in a CSR layout over shared factor lanes — the
-/// book-model cooperative-binding shape, which previously ran the
-/// postfix VM on every propensity update.
+/// Product-term laws with a trailing division, `f0 * f1 * … / d` —
+/// the book-model cooperative-binding shape. The numerator is one
+/// single-term law of a [`SopGroup`], so the factor walk is shared.
 #[derive(Debug, Clone, Default)]
 struct TermDivGroup {
-    idx: Vec<u32>,
-    /// Law lane `l` owns factors `starts[l]..starts[l + 1]`.
-    starts: Vec<u32>,
-    factors: Vec<FactorRef>,
-    lanes: FactorLanes,
+    products: SopGroup,
     divisor: OperandLanes,
 }
 
@@ -1030,19 +960,7 @@ impl TermDivGroup {
     /// Adds a law, returning its lane — or `None` if any factor has no
     /// flat layout (nothing committed).
     fn push(&mut self, index: u32, term: &Term, divisor: Operand) -> Option<u32> {
-        if !term.factors.iter().all(FactorLanes::is_regular) {
-            return None;
-        }
-        if self.starts.is_empty() {
-            self.starts.push(0);
-        }
-        let lane = self.idx.len() as u32;
-        self.idx.push(index);
-        for factor in &term.factors {
-            let factor = self.lanes.push(factor).expect("validated regular");
-            self.factors.push(factor);
-        }
-        self.starts.push(self.factors.len() as u32);
+        let lane = self.products.push(index, std::slice::from_ref(term))?;
         self.divisor.push(divisor);
         Some(lane)
     }
@@ -1052,86 +970,28 @@ impl TermDivGroup {
     /// [`KineticForm::TermDiv`] on the scalar path (and of the VM).
     #[inline]
     fn eval_law<M: HillMemo + ?Sized>(&self, lane: usize, values: &[f64], memo: &mut M) -> f64 {
-        let f0 = self.starts[lane] as usize;
-        let f1 = self.starts[lane + 1] as usize;
-        let product = self.eval_product(f0, f1, values, memo);
+        // Every law here is one term, so law lane `lane` owns term `lane`.
+        let starts = &self.products.term_starts;
+        let (f0, f1) = (starts[lane] as usize, starts[lane + 1] as usize);
+        let product = self.products.eval_term(f0, f1, values, memo);
         BinOp::Div.apply(product, self.divisor.load(lane, values))
-    }
-
-    /// Multiplies factors `f0..f1` left to right.
-    #[inline]
-    fn eval_product<M: HillMemo + ?Sized>(
-        &self,
-        f0: usize,
-        f1: usize,
-        values: &[f64],
-        memo: &mut M,
-    ) -> f64 {
-        let (&first, rest) = self.factors[f0..f1]
-            .split_first()
-            .expect("terms are non-empty");
-        let mut product = self.lanes.eval(first, values, memo);
-        for &factor in rest {
-            product *= self.lanes.eval(factor, values, memo);
-        }
-        product
-    }
-
-    /// Walks every law of the group in lane order, scattering into
-    /// `out` — one zipped pass over the CSR arrays and divisor lanes,
-    /// so no per-law bounds checks. Identical op sequence to per-lane
-    /// [`TermDivGroup::eval_law`] calls.
-    #[inline]
-    fn eval_all_into<M: HillMemo + ?Sized>(&self, values: &[f64], out: &mut [f64], memo: &mut M) {
-        for (((&index, &f0), &f1), &(d_slot, d_literal)) in self
-            .idx
-            .iter()
-            .zip(&self.starts)
-            .zip(self.starts.iter().skip(1))
-            .zip(&self.divisor.lanes)
-        {
-            let product = self.eval_product(f0 as usize, f1 as usize, values, memo);
-            out[index as usize] =
-                BinOp::Div.apply(product, load_encoded(d_slot, d_literal, values));
-        }
     }
 }
 
 /// Batched, structure-of-arrays evaluator over a set of compiled
 /// kinetic laws.
 ///
-/// Construction groups the laws by [`KineticForm`] shape; regular
-/// shapes (`Const`, `Load`, `Linear`, `Bilinear`, single-regulator
-/// `Hill`, and `SumOfProducts`/`TermDiv` over operand, single-regulator
-/// Hill, or `max(…, 0)` clamp factors) are exploded into
-/// parallel flat arrays of rate constants, species slots and Hill
-/// coefficients. [`KineticFormBank::eval_all`] then evaluates each
-/// group [`BANK_LANES`] laws at a time over flat `f64` lanes — one
-/// gather pass, one arithmetic pass, one scatter pass per chunk for the
-/// mass-action groups; contiguous lane walks for the `powf`-bound Hill
-/// and sum-of-products groups, with `k^n` hoisted to build time for
-/// literal Hill constants — instead of dispatching on every law's form
-/// and chasing its `CompiledExpr` allocations. Irregular laws
-/// (multi-regulator `Hill`, `General`) fall back to a retained
-/// [`CompiledExpr`] per law, which itself falls back to the postfix VM
-/// for `General` shapes.
-///
-/// # Build-time cost model
-///
-/// A chunked kernel only pays off once a group is wide enough to fill
-/// its chunks: a three-lane group still pays the gather/scatter round
-/// trip, the partial-chunk zero-init, and a separate loop's worth of
-/// setup for what amounts to three multiplies. Construction therefore
-/// applies a simple cost model: groups with at least [`BANK_LANES`]
-/// lanes keep their dedicated kernel (explicitly eight-wide
-/// gather→compute→scatter rounds with scalar tails for the mass-action
-/// groups, contiguous CSR walks for the rest), while every law in a
-/// shorter group is folded into a single fused **residual pass** — one
-/// scalar loop over the laws in original order, dispatching each
-/// through its lane record. The residual pass evaluates the exact same
-/// lane math, so placement is purely a scheduling decision; it never
-/// affects results. [`KineticFormBank::occupancy`] reports where each
-/// law landed.
+/// Construction groups the laws by [`KineticForm`] shape; the regular
+/// shapes (`Linear`, single-regulator `Hill`, and
+/// `SumOfProducts`/`TermDiv` over operand, single-regulator Hill, or
+/// `max(…, 0)` clamp factors) are exploded into parallel flat arrays of
+/// rate constants, species slots and Hill coefficients, with `k^n`
+/// hoisted to build time for literal Hill constants.
+/// [`KineticFormBank::eval_all`] then walks each group contiguously
+/// instead of dispatching on every law's form and chasing its
+/// `CompiledExpr` allocations. Irregular laws (multi-regulator Hill
+/// calls, `General`) fall back to a retained [`CompiledExpr`] per law,
+/// which itself falls back to the postfix VM for `General` shapes.
 ///
 /// Hill-response lanes with literal coefficients additionally memoize
 /// their last `(regulator bits, response)` pair in a caller-owned
@@ -1149,25 +1009,12 @@ impl TermDivGroup {
 pub struct KineticFormBank {
     /// Per-law dispatch record, indexed by the law's original position.
     lanes: Vec<LaneRef>,
-    consts: Vec<(u32, f64)>,
-    loads: Vec<(u32, u32)>,
     linear: LinearGroup,
-    bilinear: BilinearGroup,
     hill: HillGroup,
     sop: SopGroup,
     term_div: TermDivGroup,
     /// `(original index, law)` for shapes with no SoA layout.
     fallback: Vec<(u32, CompiledExpr)>,
-    /// Laws whose group fell below the cost-model threshold, folded
-    /// into one fused scalar pass (original law indices, law order).
-    residual: Vec<u32>,
-    /// Whether each group kept its dedicated kernel (see the cost
-    /// model in the type docs).
-    linear_wide: bool,
-    bilinear_wide: bool,
-    hill_wide: bool,
-    sop_batched: bool,
-    term_div_batched: bool,
     /// Total [`EvalMemo`] slots across the bank's three Hill lane
     /// stores (standalone group, sum-of-products, term-div).
     hill_memo_slots: u32,
@@ -1187,69 +1034,30 @@ impl KineticFormBank {
         for (index, law) in laws.iter().enumerate() {
             let index = u32::try_from(index).expect("law index fits u32");
             let lane = match law.kinetic_form() {
-                KineticForm::Const(value) => {
-                    let pos = bank.consts.len() as u32;
-                    bank.consts.push((index, *value));
-                    LaneRef::Const(pos)
-                }
-                KineticForm::Load(slot) => {
-                    let pos = bank.loads.len() as u32;
-                    bank.loads
-                        .push((index, u32::try_from(*slot).expect("slot fits u32")));
-                    LaneRef::Load(pos)
-                }
                 KineticForm::Linear(a, b) => {
                     let lane = bank.linear.idx.len() as u32;
                     bank.linear.idx.push(index);
                     bank.linear.a.push(*a);
                     bank.linear.b.push(*b);
-                    LaneRef::Linear(lane)
+                    Some(LaneRef::Linear(lane))
                 }
-                KineticForm::Bilinear(a, b, c) => {
-                    let lane = bank.bilinear.idx.len() as u32;
-                    bank.bilinear.idx.push(index);
-                    bank.bilinear.a.push(*a);
-                    bank.bilinear.b.push(*b);
-                    bank.bilinear.c.push(*c);
-                    LaneRef::Bilinear(lane)
-                }
-                KineticForm::Hill { base, span, hill } => match bank.hill.hills.push(hill) {
-                    Some(lane) => {
-                        bank.hill.idx.push(index);
-                        bank.hill.base.push(*base);
-                        bank.hill.span.push(*span);
-                        LaneRef::Hill(lane)
-                    }
-                    None => {
-                        let lane = bank.fallback.len() as u32;
-                        bank.fallback.push((index, law.clone()));
-                        LaneRef::Fallback(lane)
-                    }
-                },
-                KineticForm::SumOfProducts(terms) => match bank.sop.push(index, terms) {
-                    Some(lane) => LaneRef::Sop(lane),
-                    None => {
-                        let lane = bank.fallback.len() as u32;
-                        bank.fallback.push((index, law.clone()));
-                        LaneRef::Fallback(lane)
-                    }
-                },
-                KineticForm::TermDiv { term, divisor } => {
-                    match bank.term_div.push(index, term, *divisor) {
-                        Some(lane) => LaneRef::TermDiv(lane),
-                        None => {
-                            let lane = bank.fallback.len() as u32;
-                            bank.fallback.push((index, law.clone()));
-                            LaneRef::Fallback(lane)
-                        }
-                    }
-                }
-                KineticForm::General => {
-                    let lane = bank.fallback.len() as u32;
-                    bank.fallback.push((index, law.clone()));
-                    LaneRef::Fallback(lane)
-                }
+                KineticForm::Hill { base, span, hill } => bank.hill.hills.push(hill).map(|lane| {
+                    bank.hill.idx.push(index);
+                    bank.hill.base.push(*base);
+                    bank.hill.span.push(*span);
+                    LaneRef::Hill(lane)
+                }),
+                KineticForm::SumOfProducts(terms) => bank.sop.push(index, terms).map(LaneRef::Sop),
+                KineticForm::TermDiv { term, divisor } => bank
+                    .term_div
+                    .push(index, term, *divisor)
+                    .map(LaneRef::TermDiv),
+                KineticForm::General => None,
             };
+            let lane = lane.unwrap_or_else(|| {
+                bank.fallback.push((index, law.clone()));
+                LaneRef::Fallback(bank.fallback.len() as u32 - 1)
+            });
             bank.lanes.push(lane);
         }
 
@@ -1257,42 +1065,14 @@ impl KineticFormBank {
         // fixed order so a lane's slot is stable for the bank's life.
         let hill_lanes = bank.hill.hills.len();
         let sop_hills = bank.sop.lanes.hills.len();
-        let term_div_hills = bank.term_div.lanes.hills.len();
+        let term_div_hills = bank.term_div.products.lanes.hills.len();
         bank.hill.hills.memo_base = 0;
         bank.sop.lanes.hills.memo_base = u32::try_from(hill_lanes).expect("lanes fit u32");
-        bank.term_div.lanes.hills.memo_base =
+        bank.term_div.products.lanes.hills.memo_base =
             u32::try_from(hill_lanes + sop_hills).expect("lanes fit u32");
         bank.hill_memo_slots =
             u32::try_from(hill_lanes + sop_hills + term_div_hills).expect("lanes fit u32");
         bank.bank_id = NEXT_BANK_ID.fetch_add(1, Ordering::Relaxed);
-
-        // Cost model: a group keeps its dedicated kernel only when it
-        // can fill at least one full chunk (or, for the CSR groups,
-        // amortize a separate walk); everything shorter folds into the
-        // fused residual pass.
-        bank.linear_wide = bank.linear.idx.len() >= BANK_LANES;
-        bank.bilinear_wide = bank.bilinear.idx.len() >= BANK_LANES;
-        bank.hill_wide = bank.hill.idx.len() >= BANK_LANES;
-        bank.sop_batched = bank.sop.idx.len() >= BANK_LANES;
-        bank.term_div_batched = bank.term_div.idx.len() >= BANK_LANES;
-        // The residual list is ordered group by group (not law order) so
-        // the dispatch in the fused pass takes each match arm in a
-        // predictable run instead of ping-ponging between lane kinds.
-        // Placement and order are scheduling only — each law writes its
-        // own output slot, so results are unaffected.
-        let folded: [(bool, &[u32]); 5] = [
-            (bank.linear_wide, &bank.linear.idx),
-            (bank.bilinear_wide, &bank.bilinear.idx),
-            (bank.hill_wide, &bank.hill.idx),
-            (bank.sop_batched, &bank.sop.idx),
-            (bank.term_div_batched, &bank.term_div.idx),
-        ];
-        let residual: Vec<u32> = folded
-            .into_iter()
-            .filter(|(kept, _)| !kept)
-            .flat_map(|(_, idx)| idx.iter().copied())
-            .collect();
-        bank.residual = residual;
         bank
     }
 
@@ -1318,11 +1098,9 @@ impl KineticFormBank {
     }
 
     /// Evaluates every law against `values`, writing law `i`'s result
-    /// to `out[i]`. Wide groups are processed [`BANK_LANES`] at a time,
-    /// short groups through the fused residual pass; `stack` is the
-    /// operand stack for fallback laws that hit the VM, and `memo`
-    /// carries the caller's Hill response memo (rebound to this bank on
-    /// first use).
+    /// to `out[i]`, group by group; `stack` is the operand stack for
+    /// fallback laws that hit the VM, and `memo` carries the caller's
+    /// Hill response memo (rebound to this bank on first use).
     ///
     /// # Panics
     ///
@@ -1367,7 +1145,7 @@ impl KineticFormBank {
         let stores = [
             &self.hill.hills,
             &self.sop.lanes.hills,
-            &self.term_div.lanes.hills,
+            &self.term_div.products.lanes.hills,
         ];
         let mut xs = [[0.0f64; 8]; BATCHES];
         let mut ns = [[0.0f64; 8]; BATCHES];
@@ -1420,71 +1198,16 @@ impl KineticFormBank {
         memo: &mut M,
     ) {
         assert_eq!(out.len(), self.lanes.len(), "output length mismatch");
-        for &(index, value) in &self.consts {
-            out[index as usize] = value;
-        }
-        for &(index, slot) in &self.loads {
-            out[index as usize] = values[slot as usize];
-        }
-
-        // Linear: for each full chunk, gather the two operand lanes,
-        // multiply, scatter. The fixed-width gather/compute split keeps
-        // the multiply loop free of branches so it can unroll and
-        // vectorize. Lanes past the last full chunk — the whole group
-        // when it is below the cost-model threshold — run the scalar
-        // residual loop instead: a partial chunk would pay the
-        // zero-init and gather round trip for a handful of multiplies.
-        let n = self.linear.idx.len();
-        let mut at = 0;
-        if self.linear_wide {
-            while at + BANK_LANES <= n {
-                let mut a = [0.0f64; BANK_LANES];
-                let mut b = [0.0f64; BANK_LANES];
-                self.linear.a.gather8(at, values, &mut a);
-                self.linear.b.gather8(at, values, &mut b);
-                let idx = &self.linear.idx[at..at + BANK_LANES];
-                for lane in 0..BANK_LANES {
-                    out[idx[lane] as usize] = a[lane] * b[lane];
-                }
-                at += BANK_LANES;
-            }
-        }
-        for lane in at..n {
+        for lane in 0..self.linear.idx.len() {
             out[self.linear.idx[lane] as usize] =
                 self.linear.a.load(lane, values) * self.linear.b.load(lane, values);
         }
 
-        // Bilinear: (a * b) * c, the association `eval_fast` uses.
-        let n = self.bilinear.idx.len();
-        let mut at = 0;
-        if self.bilinear_wide {
-            while at + BANK_LANES <= n {
-                let mut a = [0.0f64; BANK_LANES];
-                let mut b = [0.0f64; BANK_LANES];
-                let mut c = [0.0f64; BANK_LANES];
-                self.bilinear.a.gather8(at, values, &mut a);
-                self.bilinear.b.gather8(at, values, &mut b);
-                self.bilinear.c.gather8(at, values, &mut c);
-                let idx = &self.bilinear.idx[at..at + BANK_LANES];
-                for lane in 0..BANK_LANES {
-                    out[idx[lane] as usize] = a[lane] * b[lane] * c[lane];
-                }
-                at += BANK_LANES;
-            }
-        }
-        for lane in at..n {
-            out[self.bilinear.idx[lane] as usize] = self.bilinear.a.load(lane, values)
-                * self.bilinear.b.load(lane, values)
-                * self.bilinear.c.load(lane, values);
-        }
-
         // Warm the Hill memo before the group walks: every
         // literal-coefficient response for the current state is
-        // computed in one fixed-width batched pass per store, so the
-        // walks below replay stored values instead of hitting the
-        // scalar miss path lane by lane. The wide/residual split on
-        // these groups stays bookkeeping for the occupancy report —
-        // the batching happens here, ahead of the walk.
+        // computed in one fixed-width batched pass, so the walks below
+        // replay stored values instead of hitting the scalar miss path
+        // lane by lane.
         self.warm_hills(values, memo);
 
         for lane in 0..self.hill.idx.len() {
@@ -1494,8 +1217,10 @@ impl KineticFormBank {
         // Sum-of-products: CSR walk over the flat factor stream.
         self.sop.eval_all_into(values, out, memo);
 
-        // Fused term-with-division laws: CSR walk, one division each.
-        self.term_div.eval_all_into(values, out, memo);
+        // Term-with-division laws: the same walk, one division each.
+        for (lane, &index) in self.term_div.products.idx.iter().enumerate() {
+            out[index as usize] = self.term_div.eval_law(lane, values, memo);
+        }
 
         for (index, law) in &self.fallback {
             out[*index as usize] = law.eval_fast(values, stack);
@@ -1511,35 +1236,14 @@ impl KineticFormBank {
     /// be mixed freely.
     #[inline]
     pub fn eval_one(&self, index: usize, values: &[f64], stack: &mut Vec<f64>) -> f64 {
-        self.eval_lane(self.lanes[index], values, stack, &mut NoMemo)
-    }
-
-    /// Scalar dispatch shared by [`KineticFormBank::eval_one`] and the
-    /// residual pass of [`KineticFormBank::eval_all`].
-    #[inline]
-    fn eval_lane<M: HillMemo + ?Sized>(
-        &self,
-        lane: LaneRef,
-        values: &[f64],
-        stack: &mut Vec<f64>,
-        memo: &mut M,
-    ) -> f64 {
-        match lane {
-            LaneRef::Const(pos) => self.consts[pos as usize].1,
-            LaneRef::Load(pos) => values[self.loads[pos as usize].1 as usize],
+        match self.lanes[index] {
             LaneRef::Linear(lane) => {
                 let lane = lane as usize;
                 self.linear.a.load(lane, values) * self.linear.b.load(lane, values)
             }
-            LaneRef::Bilinear(lane) => {
-                let lane = lane as usize;
-                self.bilinear.a.load(lane, values)
-                    * self.bilinear.b.load(lane, values)
-                    * self.bilinear.c.load(lane, values)
-            }
-            LaneRef::Hill(lane) => self.eval_hill_lane(lane as usize, values, memo),
-            LaneRef::Sop(lane) => self.sop.eval_law(lane as usize, values, memo),
-            LaneRef::TermDiv(lane) => self.term_div.eval_law(lane as usize, values, memo),
+            LaneRef::Hill(lane) => self.eval_hill_lane(lane as usize, values, &mut NoMemo),
+            LaneRef::Sop(lane) => self.sop.eval_law(lane as usize, values, &mut NoMemo),
+            LaneRef::TermDiv(lane) => self.term_div.eval_law(lane as usize, values, &mut NoMemo),
             LaneRef::Fallback(pos) => self.fallback[pos as usize].1.eval_fast(values, stack),
         }
     }
@@ -1558,58 +1262,29 @@ impl KineticFormBank {
         self.hill.base.load(lane, values) + self.hill.span.load(lane, values) * response
     }
 
-    /// Where the build-time cost model placed each law.
+    /// How many laws landed in each lane group.
     pub fn occupancy(&self) -> LaneOccupancy {
-        let groups = [
-            (self.linear_wide, self.linear.idx.len()),
-            (self.bilinear_wide, self.bilinear.idx.len()),
-            (self.hill_wide, self.hill.idx.len()),
-            (self.sop_batched, self.sop.idx.len()),
-            (self.term_div_batched, self.term_div.idx.len()),
-        ];
         LaneOccupancy {
-            consts: self.consts.len(),
-            loads: self.loads.len(),
             linear: self.linear.idx.len(),
-            bilinear: self.bilinear.idx.len(),
             hill: self.hill.idx.len(),
             sop: self.sop.idx.len(),
-            term_div: self.term_div.idx.len(),
-            wide: groups
-                .iter()
-                .filter(|(kept, _)| *kept)
-                .map(|(_, n)| n)
-                .sum(),
-            residual: self.residual.len(),
+            term_div: self.term_div.products.idx.len(),
             fallback: self.fallback.len(),
         }
     }
 }
 
-/// How a bank's build-time cost model placed its laws — group sizes
-/// plus the wide/residual/fallback split. `wide + residual` covers the
-/// five shaped groups (`linear` through `term_div`); `consts`, `loads`
-/// and `fallback` are outside both scheduling classes.
+/// How a bank placed its laws: one count per lane group.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LaneOccupancy {
-    /// Constant laws (direct scatter).
-    pub consts: usize,
-    /// Single-load laws (direct scatter).
-    pub loads: usize,
-    /// `k * A` lanes.
+    /// `a * b` lanes.
     pub linear: usize,
-    /// `k * A * B` lanes.
-    pub bilinear: usize,
     /// Single-regulator gate-response lanes.
     pub hill: usize,
     /// Sum-of-products lanes.
     pub sop: usize,
-    /// Fused term-with-division lanes.
+    /// Term-with-division lanes.
     pub term_div: usize,
-    /// Laws in groups that kept their dedicated chunked/batched kernel.
-    pub wide: usize,
-    /// Laws folded into the fused scalar residual pass.
-    pub residual: usize,
     /// Irregular laws retained as [`CompiledExpr`] fallbacks (VM-bound
     /// for `General` shapes).
     pub fallback: usize,
@@ -1779,10 +1454,7 @@ impl CompiledExpr {
     #[inline]
     pub fn eval_fast(&self, values: &[f64], stack: &mut Vec<f64>) -> f64 {
         match &self.form {
-            KineticForm::Const(value) => *value,
-            KineticForm::Load(slot) => values[*slot],
             KineticForm::Linear(a, b) => a.load(values) * b.load(values),
-            KineticForm::Bilinear(a, b, c) => a.load(values) * b.load(values) * c.load(values),
             KineticForm::Hill { base, span, hill } => {
                 base.load(values) + span.load(values) * hill.eval(values)
             }
@@ -1933,15 +1605,22 @@ mod tests {
     #[test]
     fn kinetic_forms_classify_the_common_laws() {
         let table = table_of(&["A", "B", "k"]);
-        assert_eq!(form_of("3.5", &table), KineticForm::Const(3.5));
-        assert_eq!(form_of("k", &table), KineticForm::Load(2));
+        let product = |ops: &[Operand]| {
+            KineticForm::SumOfProducts(vec![Term {
+                factors: ops.iter().copied().map(Factor::Op).collect(),
+            }])
+        };
+        // Lone operands are one-factor terms.
+        assert_eq!(form_of("3.5", &table), product(&[Operand::Num(3.5)]));
+        assert_eq!(form_of("k", &table), product(&[Operand::Slot(2)]));
         assert_eq!(
             form_of("k * A", &table),
             KineticForm::Linear(Operand::Slot(2), Operand::Slot(0))
         );
+        // Longer operand products multiply left to right on the walk.
         assert_eq!(
             form_of("0.5 * A * B", &table),
-            KineticForm::Bilinear(Operand::Num(0.5), Operand::Slot(0), Operand::Slot(1))
+            product(&[Operand::Num(0.5), Operand::Slot(0), Operand::Slot(1)])
         );
         assert!(matches!(
             form_of("0.03 + 3.7 * hillr(A, 20, 2)", &table),
@@ -1989,10 +1668,10 @@ mod tests {
     /// irregular laws that must take the fallback lane.
     fn mixed_laws(table: &SymbolTable) -> Vec<CompiledExpr> {
         [
-            "2.5",                                                         // Const
-            "k",                                                           // Load
+            "2.5",                                                         // one-factor SoP
+            "k",                                                           // one-factor SoP
             "k * A",                                                       // Linear
-            "0.5 * A * B",                                                 // Bilinear
+            "0.5 * A * B",                                                 // SoP product
             "0.03 + 3.7 * hillr(A, 20, 2)",                                // Hill (repression)
             "0.1 + 2.9 * hilla(B, 7, 2.8)",                                // Hill (activation)
             "0.1 + 2.9 * hilla(A + B, 7, 2.8)", // multi-regulator → fallback
@@ -2002,7 +1681,7 @@ mod tests {
             "0.2 + 1.5 * hilla(A + B, 7, 2) + k * A", // SoP with multi-x Hill → fallback
             "A - B / (k + 1)",                  // General → fallback (VM)
             "k * B",                            // Linear again (second lane)
-            "1.5 * B * A",                      // Bilinear again
+            "1.5 * B * A",                      // SoP product again
             "k * A * B * max(B - 1, 0) * max(B - 2, 0) / 6", // book binding → TermDiv
             "k * max(A - 1, 0)",                // SoP term with a clamp factor
             "A / 2",                            // lone-factor TermDiv
@@ -2021,13 +1700,38 @@ mod tests {
         assert!(!bank.is_empty());
         assert_eq!(bank.fallback_len(), 3); // multi-x Hill, SoP w/ multi-x factor, General
         assert_eq!(bank.batched_len(), laws.len() - 3);
+        assert_eq!(
+            bank.occupancy(),
+            LaneOccupancy {
+                linear: 2,
+                hill: 2,
+                sop: 8,
+                term_div: 2,
+                fallback: 3,
+            }
+        );
+    }
+
+    /// A wide linear group: 19 `k * A` laws.
+    fn linear_laws(table: &SymbolTable) -> Vec<CompiledExpr> {
+        (0..19)
+            .map(|i| {
+                let source = format!("{}.5 * {}", i, if i % 2 == 0 { "A" } else { "B" });
+                Expr::parse(&source).unwrap().compile(table).unwrap()
+            })
+            .collect()
     }
 
     #[test]
     fn bank_eval_all_and_eval_one_are_bitwise_identical_to_eval_fast() {
         let table = table_of(&["A", "B", "k"]);
-        let laws = mixed_laws(&table);
-        let bank = KineticFormBank::new(&laws);
+        for laws in [mixed_laws(&table), linear_laws(&table)] {
+            assert_bank_matches_eval_fast(&laws);
+        }
+    }
+
+    fn assert_bank_matches_eval_fast(laws: &[CompiledExpr]) {
+        let bank = KineticFormBank::new(laws);
         let mut stack = Vec::new();
         let mut memo = EvalMemo::new();
         let mut out = vec![0.0; laws.len()];
@@ -2086,78 +1790,6 @@ mod tests {
             assert_eq!(
                 out[0].to_bits(),
                 hill_b[0].eval_fast(&values, &mut stack).to_bits()
-            );
-        }
-    }
-
-    #[test]
-    fn cost_model_folds_short_groups_and_keeps_wide_ones() {
-        let table = table_of(&["A", "B", "k"]);
-        // Three Linear laws: below the chunk width, so all residual.
-        let short: Vec<CompiledExpr> = (0..3)
-            .map(|i| {
-                Expr::parse(&format!("{i}.5 * A"))
-                    .unwrap()
-                    .compile(&table)
-                    .unwrap()
-            })
-            .collect();
-        let bank = KineticFormBank::new(&short);
-        let occ = bank.occupancy();
-        assert_eq!((occ.linear, occ.residual, occ.wide), (3, 3, 0));
-
-        // Nine Linear laws: one full chunk plus a tail, kernel kept.
-        let wide: Vec<CompiledExpr> = (0..9)
-            .map(|i| {
-                Expr::parse(&format!("{i}.5 * A"))
-                    .unwrap()
-                    .compile(&table)
-                    .unwrap()
-            })
-            .collect();
-        let bank = KineticFormBank::new(&wide);
-        let occ = bank.occupancy();
-        assert_eq!((occ.linear, occ.residual, occ.wide), (9, 0, 9));
-        assert_eq!(occ.fallback, 0);
-
-        // Either placement evaluates identically.
-        let values = [3.0, 7.0, 0.5];
-        let mut stack = Vec::new();
-        let mut memo = EvalMemo::new();
-        for (laws, len) in [(&short, 3), (&wide, 9)] {
-            let bank = KineticFormBank::new(laws);
-            let mut out = vec![0.0; len];
-            bank.eval_all(&values, &mut out, &mut stack, &mut memo);
-            for (r, law) in laws.iter().enumerate() {
-                assert_eq!(
-                    out[r].to_bits(),
-                    law.eval_fast(&values, &mut stack).to_bits()
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn bank_chunking_covers_partial_and_multiple_chunks() {
-        // 19 Linear laws: two full 8-lane chunks plus a 3-lane tail.
-        let table = table_of(&["A", "B", "k"]);
-        let laws: Vec<CompiledExpr> = (0..19)
-            .map(|i| {
-                let source = format!("{}.5 * {}", i, if i % 2 == 0 { "A" } else { "B" });
-                Expr::parse(&source).unwrap().compile(&table).unwrap()
-            })
-            .collect();
-        let bank = KineticFormBank::new(&laws);
-        assert_eq!(bank.batched_len(), 19);
-        let values = [3.0, 7.0, 0.5];
-        let mut stack = Vec::new();
-        let mut out = vec![0.0; laws.len()];
-        bank.eval_all(&values, &mut out, &mut stack, &mut EvalMemo::new());
-        for (r, law) in laws.iter().enumerate() {
-            assert_eq!(
-                out[r].to_bits(),
-                law.eval_fast(&values, &mut stack).to_bits(),
-                "law {r}"
             );
         }
     }

@@ -22,7 +22,7 @@ mod parser;
 
 pub use compiled::{
     CompiledExpr, EvalMemo, Factor, HillCall, KineticForm, KineticFormBank, LaneOccupancy,
-    MaxZeroCall, Operand, SymbolTable, Term, BANK_LANES,
+    MaxZeroCall, Operand, SymbolTable, Term,
 };
 pub use eval::Env;
 

@@ -5,8 +5,10 @@
 //! models the paper simulates.
 
 use genetic_logic::gates::catalog;
-use genetic_logic::model::expr::EvalMemo;
-use genetic_logic::model::Model;
+use genetic_logic::model::expr::{
+    CompiledExpr, EvalMemo, KineticFormBank, LaneOccupancy, SymbolTable,
+};
+use genetic_logic::model::{Expr, Model};
 use genetic_logic::ssa::engine::Observer;
 use genetic_logic::ssa::ipq::IndexedPriorityQueue;
 use genetic_logic::ssa::propensity::PropensitySet;
@@ -207,6 +209,50 @@ fn batched_sweep_matches_scalar_sweep_bitwise_on_catalog_circuits() {
     }
 }
 
+/// Where each catalog circuit's kinetic laws land in the bank, as
+/// `(id, linear, hill, sop, term_div, fallback)`.
+const LANE_CENSUS: [(&str, usize, usize, usize, usize, usize); 15] = [
+    ("book_not", 2, 0, 1, 1, 0),
+    // book_nor and book_or keep `tx_P1 = ktx * P1 + kleak * (P1_boundL +
+    // P1_boundT)` on the VM: its `(a + b)` factor has no lane. A factor-sum
+    // lane was measured and rejected: it slowed the cello Direct step
+    // (cello_0x1C 175.9 -> 184.6 ns/event, cello_0xB3 143.5 -> 151.5) and
+    // did not speed up book_or, the circuit that has the law.
+    ("book_nor", 3, 0, 0, 2, 1),
+    ("book_nand", 3, 0, 2, 2, 0),
+    ("book_or", 5, 0, 1, 3, 1),
+    ("book_and", 5, 0, 3, 3, 0),
+    ("cello_0x0B", 4, 1, 3, 0, 0),
+    ("cello_0x04", 3, 2, 1, 0, 0),
+    ("cello_0x1C", 5, 2, 3, 0, 0),
+    ("cello_0x41", 5, 2, 3, 0, 0),
+    ("cello_0x70", 4, 1, 3, 0, 0),
+    ("cello_0x07", 3, 0, 3, 0, 0),
+    ("cello_0xB3", 5, 3, 2, 0, 0),
+    ("cello_0xF4", 3, 1, 2, 0, 0),
+    ("cello_0x06", 5, 2, 3, 0, 0),
+    ("cello_0x08", 4, 3, 1, 0, 0),
+];
+
+/// Every catalog circuit's lane placement is pinned, so a law that
+/// silently moves lanes (or falls back to the VM) fails here.
+#[test]
+fn catalog_lane_census_is_pinned() {
+    let ids: Vec<String> = catalog::all().into_iter().map(|entry| entry.id).collect();
+    let census_ids: Vec<&str> = LANE_CENSUS.iter().map(|row| row.0).collect();
+    assert_eq!(ids, census_ids, "the census covers the whole catalog");
+    for (id, linear, hill, sop, term_div, fallback) in LANE_CENSUS {
+        let expected = LaneOccupancy {
+            linear,
+            hill,
+            sop,
+            term_div,
+            fallback,
+        };
+        assert_eq!(prepared(id).bank().occupancy(), expected, "{id}");
+    }
+}
+
 /// Distance in representable doubles between two non-negative finite
 /// values.
 fn ulps_apart(a: f64, b: f64) -> u64 {
@@ -315,6 +361,120 @@ proptest! {
             prop_assert_eq!(batched[r].to_bits(), scalar[r].to_bits(), "reaction {}", r);
             // The incrementally maintained cache agrees with both.
             prop_assert_eq!(set.propensity(r).to_bits(), scalar[r].to_bits());
+        }
+    }
+}
+
+/// Literals the law grammar draws from.
+const LITERALS: [&str; 5] = ["0.5", "2", "3.7", "15", "1e-3"];
+
+fn pick<'a>(rng: &mut StdRng, choices: &[&'a str]) -> &'a str {
+    choices[rng.gen_range(0..choices.len())]
+}
+
+fn operand(rng: &mut StdRng) -> String {
+    match rng.gen_range(0..3) {
+        0 => pick(rng, &LITERALS),
+        1 => pick(rng, &["A", "B", "C"]),
+        _ => pick(rng, &["k", "n"]),
+    }
+    .to_string()
+}
+
+/// `hillr`/`hilla` over one to three summed regulators, with literal or
+/// slot `k` and `n`.
+fn hill_call(rng: &mut StdRng) -> String {
+    let func = pick(rng, &["hillr", "hilla"]);
+    let regulators: Vec<&str> = (0..rng.gen_range(1..4))
+        .map(|_| pick(rng, &["A", "B", "C"]))
+        .collect();
+    let k = pick(rng, &["k", "7", "20"]);
+    let n = pick(rng, &["n", "1", "2.8"]);
+    format!("{func}({}, {k}, {n})", regulators.join(" + "))
+}
+
+fn factor(rng: &mut StdRng) -> String {
+    match rng.gen_range(0..5) {
+        0 | 1 => operand(rng),
+        2 => hill_call(rng),
+        3 => match rng.gen_range(0..2) {
+            0 => format!("max({} - {}, 0)", operand(rng), operand(rng)),
+            _ => format!("max({}, 0)", operand(rng)),
+        },
+        _ => format!("({} + {})", operand(rng), operand(rng)),
+    }
+}
+
+/// Joins `parts` with `op`, left-nested (`a op b op c`, the parser's
+/// association) or right-nested (`a op (b op c)`).
+fn nest(parts: Vec<String>, op: &str, right: bool) -> String {
+    if !right {
+        return parts.join(op);
+    }
+    let mut parts = parts.into_iter().rev();
+    let last = parts.next().expect("at least one part");
+    parts.fold(last, |inner, part| format!("{part}{op}({inner})"))
+}
+
+fn product(rng: &mut StdRng) -> String {
+    let factors = (0..rng.gen_range(1..5)).map(|_| factor(rng)).collect();
+    nest(factors, " * ", rng.gen())
+}
+
+/// One law from a small grammar of SBML-shaped kinetics: products and
+/// sums nested either way, gate responses, and a trailing division.
+fn random_law(rng: &mut StdRng) -> String {
+    match rng.gen_range(0..4) {
+        0 => product(rng),
+        1 => {
+            let terms = (0..rng.gen_range(2..4)).map(|_| product(rng)).collect();
+            nest(terms, " + ", rng.gen())
+        }
+        2 => format!("{} + {} * {}", operand(rng), operand(rng), hill_call(rng)),
+        _ => format!("{} / {}", product(rng), pick(rng, &["6", "k", "n"])),
+    }
+}
+
+proptest! {
+    /// Random laws outside the catalog's shapes evaluate bit-for-bit the
+    /// same through the bank sweep, the bank's single-law path, the
+    /// kinetics fast path and the postfix VM. States repeat, so the Hill
+    /// memo's hits, misses and overwrites are all covered.
+    #[test]
+    fn random_laws_agree_bitwise_on_every_evaluation_path(seed in 0u64..1_000_000) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut table = SymbolTable::new();
+        for name in ["A", "B", "C", "k", "n"] {
+            table.intern(name);
+        }
+        let sources: Vec<String> = (0..rng.gen_range(1..13)).map(|_| random_law(&mut rng)).collect();
+        let laws: Vec<CompiledExpr> = sources
+            .iter()
+            .map(|source| source.parse::<Expr>().unwrap().compile(&table).unwrap())
+            .collect();
+        let bank = KineticFormBank::new(&laws);
+        let states: Vec<[f64; 5]> = (0..4)
+            .map(|_| {
+                [
+                    f64::from(rng.gen_range(0u32..40)),
+                    f64::from(rng.gen_range(0u32..40)),
+                    f64::from(rng.gen_range(0u32..40)),
+                    pick(&mut rng, &["0.5", "7", "20"]).parse().unwrap(),
+                    pick(&mut rng, &["1", "2", "2.8"]).parse().unwrap(),
+                ]
+            })
+            .collect();
+        let (mut out, mut stack, mut memo) = (vec![0.0; laws.len()], Vec::new(), EvalMemo::new());
+        for state in [0, 0, 1, 2, 1, 3, 0] {
+            let values = &states[state];
+            bank.eval_all(values, &mut out, &mut stack, &mut memo);
+            for (r, law) in laws.iter().enumerate() {
+                let vm = law.eval_with(values, &mut stack).to_bits();
+                let source = &sources[r];
+                prop_assert_eq!(law.eval_fast(values, &mut stack).to_bits(), vm, "eval_fast `{}`", source);
+                prop_assert_eq!(bank.eval_one(r, values, &mut stack).to_bits(), vm, "eval_one `{}`", source);
+                prop_assert_eq!(out[r].to_bits(), vm, "eval_all `{}` at {:?}", source, values);
+            }
         }
     }
 }
