@@ -1725,9 +1725,19 @@ mod tests {
     #[test]
     fn bank_eval_all_and_eval_one_are_bitwise_identical_to_eval_fast() {
         let table = table_of(&["A", "B", "k"]);
-        for laws in [mixed_laws(&table), linear_laws(&table)] {
-            assert_bank_matches_eval_fast(&laws);
-        }
+        assert_bank_matches_eval_fast(&mixed_laws(&table));
+    }
+
+    #[test]
+    fn bank_chunking_covers_partial_and_multiple_chunks() {
+        // 19 Linear laws in one lane: a long run of one shape, not a
+        // multiple of any power-of-two width.
+        let table = table_of(&["A", "B", "k"]);
+        let laws = linear_laws(&table);
+        let bank = KineticFormBank::new(&laws);
+        assert_eq!(bank.batched_len(), 19);
+        assert_eq!(bank.occupancy().linear, 19);
+        assert_bank_matches_eval_fast(&laws);
     }
 
     fn assert_bank_matches_eval_fast(laws: &[CompiledExpr]) {
