@@ -506,29 +506,18 @@ fn hill_kernel8(
     }
 }
 
-/// Read/write access to the per-caller Hill response memo during a
-/// sweep. Two implementations: [`NoMemo`] (the zero-cost "always
-/// recompute" policy of [`KineticFormBank::eval_one`]) and the slice
-/// behind [`EvalMemo`]. Monomorphization keeps both free of dynamic
-/// dispatch.
+/// Read/write access to the per-caller Hill response memo. Two
+/// implementations: the one-entry `(x_bits, response)` pair slice that
+/// full sweeps ([`KineticFormBank::eval_all`]) use, and the whole
+/// [`EvalMemo`] — copy-number table first, pair second — that the
+/// single-law path ([`KineticFormBank::eval_one`]) uses.
+/// Monomorphization keeps both free of dynamic dispatch.
 trait HillMemo {
     /// The memoized response for `slot` if it was computed for exactly
     /// these regulator bits.
     fn lookup(&mut self, slot: usize, x_bits: u64) -> Option<f64>;
     /// Records the response computed for `slot` at these regulator bits.
     fn store(&mut self, slot: usize, x_bits: u64, response: f64);
-}
-
-/// The no-op memo policy: every lookup misses, nothing is stored.
-struct NoMemo;
-
-impl HillMemo for NoMemo {
-    #[inline]
-    fn lookup(&mut self, _slot: usize, _x_bits: u64) -> Option<f64> {
-        None
-    }
-    #[inline]
-    fn store(&mut self, _slot: usize, _x_bits: u64, _response: f64) {}
 }
 
 impl HillMemo for [(u64, f64)] {
@@ -543,56 +532,114 @@ impl HillMemo for [(u64, f64)] {
     }
 }
 
+impl HillMemo for EvalMemo {
+    #[inline]
+    fn lookup(&mut self, slot: usize, x_bits: u64) -> Option<f64> {
+        match table_index(slot, x_bits) {
+            Some(at) => {
+                let response = self.table[at];
+                (response.to_bits() != EMPTY_BITS).then_some(response)
+            }
+            None => self.hill.lookup(slot, x_bits),
+        }
+    }
+    #[inline]
+    fn store(&mut self, slot: usize, x_bits: u64, response: f64) {
+        match table_index(slot, x_bits) {
+            Some(at) => self.table[at] = response,
+            None => self.hill.store(slot, x_bits, response),
+        }
+    }
+}
+
+/// Entries per Hill memo slot in [`EvalMemo`]'s response table: one per
+/// regulator copy number `0..HILL_TABLE_LEN`.
+const HILL_TABLE_LEN: usize = 1024;
+
+/// The all-ones NaN: the key of an empty pair and the value of an empty
+/// table entry. A clamped regulator is never NaN; a response that
+/// carries this pattern just reads back as a miss and is recomputed.
+const EMPTY_BITS: u64 = u64::MAX;
+
+/// Position of regulator `x_bits` in memo slot `slot`'s table, or
+/// `None` when it is not a copy number the table covers (non-integral,
+/// `-0.0`, or at least [`HILL_TABLE_LEN`]).
+#[inline]
+fn table_index(slot: usize, x_bits: u64) -> Option<usize> {
+    let i = f64::from_bits(x_bits) as usize;
+    (i < HILL_TABLE_LEN && (i as f64).to_bits() == x_bits).then_some(slot * HILL_TABLE_LEN + i)
+}
+
 /// Caller-owned memo for the bank's Hill response lanes.
 ///
-/// `powf` dominates every Hill evaluation, yet gate-circuit sweeps keep
-/// presenting the same regulator values: input species are clamped
-/// constant for a whole experiment, and dynamic species frequently
-/// revisit recent copy numbers between leaps. Each Hill lane with
-/// literal `k`/`n` therefore remembers the last `(x.to_bits(),
-/// response)` pair it produced; on a hit the stored response is
-/// returned without touching `powf`.
+/// `powf` dominates every Hill evaluation, and a literal-coefficient
+/// Hill lane's response is a pure function of its clamped regulator.
+/// Each such lane gets two memos:
+///
+/// - a dense table of 1024 (`HILL_TABLE_LEN`) responses indexed by integral
+///   copy number, read by [`KineticFormBank::eval_one`]. The exact
+///   engines re-evaluate a dependent exactly when its regulator has
+///   just changed, so a "last value" memo misses there; but gate
+///   circuits' copy numbers stay in a small integer range (cello
+///   repressors peak near 220), so the table hits on almost every
+///   update once warm.
+/// - one `(x.to_bits(), response)` pair, read by full sweeps
+///   ([`KineticFormBank::eval_all`]) and by `eval_one` for regulators
+///   the table does not cover. Sweeps keep the pair alone: clamped
+///   inputs hit it on every step, and a prototype that also read the
+///   table in sweeps slowed Langevin down.
 ///
 /// # Bitwise contract
 ///
 /// A hit replays a value previously produced by the exact canonical
 /// operation sequence for bit-identical inputs — `powf` and the
 /// follow-on divides are pure functions of their operand bits — so
-/// memoized sweeps stay bitwise identical to scalar evaluation. The
-/// key is taken *after* the `x.max(0.0)` clamp, which can never yield a
-/// NaN, so the all-ones NaN bit pattern is a safe "empty" sentinel.
+/// memoized evaluation stays bitwise identical to scalar evaluation.
+/// The key is taken *after* the `x.max(0.0)` clamp, which can never
+/// yield a NaN, so the all-ones NaN bit pattern is a safe "empty"
+/// sentinel for the pairs. The table marks an empty entry with the same
+/// pattern.
 ///
 /// The memo lives with the *caller* (engines keep one per propensity
 /// scratch), never inside the bank: [`KineticFormBank`] stays immutable
 /// and shareable across threads, e.g. behind the `Arc` of a compiled
 /// model cache. Each memo is stamped with the identity of the bank it
-/// was filled against and resets itself when handed to a different
-/// bank, so one scratch can serve models of any shape over its
-/// lifetime.
+/// was filled against and resets itself — pairs and table — when handed
+/// to a different bank, so one scratch can serve models of any shape
+/// over its lifetime. The table costs 8 KiB per Hill lane (80 KiB for
+/// the largest catalog circuit), allocated and filled once per binding.
 #[derive(Debug, Clone, Default)]
 pub struct EvalMemo {
     /// Identity stamp of the bank the slots belong to.
     bank_id: u64,
     /// Per-hill-lane `(x_bits, response)` pairs.
     hill: Vec<(u64, f64)>,
+    /// Per-hill-lane response tables, [`HILL_TABLE_LEN`] entries each;
+    /// lane slot `s` owns `table[s * HILL_TABLE_LEN..][..HILL_TABLE_LEN]`.
+    table: Vec<f64>,
 }
 
 impl EvalMemo {
-    /// An empty memo; sized (and re-sized) by the first sweep of each
-    /// bank it is used with.
+    /// An empty memo; sized (and re-sized) by the first evaluation
+    /// against each bank it is used with.
     pub fn new() -> Self {
         EvalMemo::default()
     }
 
     /// Binds the memo to `bank_id` with `slots` Hill lanes, clearing
-    /// every entry unless already bound to that exact bank.
+    /// every pair and table entry unless already bound to that exact
+    /// bank.
+    #[inline]
     fn ensure(&mut self, bank_id: u64, slots: usize) {
         if self.bank_id == bank_id && self.hill.len() == slots {
             return;
         }
         self.bank_id = bank_id;
         self.hill.clear();
-        self.hill.resize(slots, (u64::MAX, 0.0));
+        self.hill.resize(slots, (EMPTY_BITS, 0.0));
+        self.table.clear();
+        self.table
+            .resize(slots * HILL_TABLE_LEN, f64::from_bits(EMPTY_BITS));
     }
 }
 
@@ -994,9 +1041,10 @@ impl TermDivGroup {
 /// which itself falls back to the postfix VM for `General` shapes.
 ///
 /// Hill-response lanes with literal coefficients additionally memoize
-/// their last `(regulator bits, response)` pair in a caller-owned
-/// [`EvalMemo`], eliding the `powf` when a sweep re-presents the same
-/// regulator value (constant circuit inputs do this on every step).
+/// their responses in a caller-owned [`EvalMemo`], eliding the `powf`:
+/// [`KineticFormBank::eval_one`] reads a table indexed by integral copy
+/// number, and [`KineticFormBank::eval_all`] the last `(regulator bits,
+/// response)` pair (constant circuit inputs hit it on every sweep).
 ///
 /// # Bitwise contract
 ///
@@ -1228,22 +1276,32 @@ impl KineticFormBank {
     }
 
     /// Evaluates the single law at original position `index` out of its
-    /// SoA lane (or retained fallback expression).
+    /// SoA lane (or retained fallback expression). Literal-coefficient
+    /// Hill responses read `memo`'s copy-number table first, then its
+    /// one-entry pair (see [`EvalMemo`]); `memo` is rebound to this bank
+    /// on first use.
     ///
     /// Bitwise identical to [`CompiledExpr::eval_fast`] on the law, and
     /// to what [`KineticFormBank::eval_all`] writes at `out[index]` —
     /// incremental (per-dependent) and full-sweep updates can therefore
-    /// be mixed freely.
+    /// be mixed freely, on one memo or several.
     #[inline]
-    pub fn eval_one(&self, index: usize, values: &[f64], stack: &mut Vec<f64>) -> f64 {
+    pub fn eval_one(
+        &self,
+        index: usize,
+        values: &[f64],
+        stack: &mut Vec<f64>,
+        memo: &mut EvalMemo,
+    ) -> f64 {
+        memo.ensure(self.bank_id, self.hill_memo_slots as usize);
         match self.lanes[index] {
             LaneRef::Linear(lane) => {
                 let lane = lane as usize;
                 self.linear.a.load(lane, values) * self.linear.b.load(lane, values)
             }
-            LaneRef::Hill(lane) => self.eval_hill_lane(lane as usize, values, &mut NoMemo),
-            LaneRef::Sop(lane) => self.sop.eval_law(lane as usize, values, &mut NoMemo),
-            LaneRef::TermDiv(lane) => self.term_div.eval_law(lane as usize, values, &mut NoMemo),
+            LaneRef::Hill(lane) => self.eval_hill_lane(lane as usize, values, memo),
+            LaneRef::Sop(lane) => self.sop.eval_law(lane as usize, values, memo),
+            LaneRef::TermDiv(lane) => self.term_div.eval_law(lane as usize, values, memo),
             LaneRef::Fallback(pos) => self.fallback[pos as usize].1.eval_fast(values, stack),
         }
     }
@@ -1765,7 +1823,7 @@ mod tests {
                     "law {r} at {values:?}: batched {} vs scalar {scalar}",
                     out[r]
                 );
-                let one = bank.eval_one(r, &values, &mut stack);
+                let one = bank.eval_one(r, &values, &mut stack, &mut memo);
                 assert_eq!(one.to_bits(), scalar.to_bits(), "eval_one law {r}");
             }
         }
@@ -1802,6 +1860,73 @@ mod tests {
                 hill_b[0].eval_fast(&values, &mut stack).to_bits()
             );
         }
+    }
+
+    /// `eval_one` through one memo, at regulators on each side of the
+    /// table's edges, matches `eval_fast` bit for bit on a miss and on
+    /// the hit that follows; rebinding the memo to a bank with the same
+    /// slot count but other `k`/`n` clears the table.
+    #[test]
+    fn eval_one_table_hits_match_eval_fast_and_rebinding_clears_them() {
+        let table = table_of(&["A", "B", "k"]);
+        let compile = |sources: &[&str]| -> Vec<CompiledExpr> {
+            sources
+                .iter()
+                .map(|s| Expr::parse(s).unwrap().compile(&table).unwrap())
+                .collect()
+        };
+        let first = compile(&[
+            "0.03 + 3.7 * hillr(A, 20, 2)",
+            "0.03 + 3.7 * hillr(A, 20, 2) + 0.1 + 2.9 * hilla(B, 7, 2.8)",
+            "k * hilla(A, 7, 2.8) / 6",
+        ]);
+        let second = compile(&[
+            "0.2 + 1.1 * hillr(A, 12, 1.9)",
+            "0.1 + 2.5 * hilla(A, 5, 2) + 0.2 + 1.1 * hillr(B, 30, 3)",
+            "k * hilla(A, 9, 1.5) / 6",
+        ]);
+        let regulators = [
+            0.0,
+            -0.0,
+            1.0,
+            15.0,
+            220.0,
+            1023.0,
+            1024.0,
+            5000.0,
+            2.5,
+            1e6 + 0.5,
+        ];
+        let mut memo = EvalMemo::new();
+        let mut stack = Vec::new();
+        for laws in [&first, &second, &first] {
+            let bank = KineticFormBank::new(laws);
+            let occupancy = bank.occupancy();
+            assert_eq!(
+                (occupancy.hill, occupancy.sop, occupancy.term_div),
+                (1, 1, 1)
+            );
+            for x in regulators {
+                let values = [x, x, 0.5];
+                for pass in ["miss", "hit"] {
+                    for (r, law) in laws.iter().enumerate() {
+                        let one = bank.eval_one(r, &values, &mut stack, &mut memo);
+                        let fast = law.eval_fast(&values, &mut stack);
+                        assert_eq!(one.to_bits(), fast.to_bits(), "law {r} at {x} ({pass})");
+                    }
+                }
+            }
+            // Four Hill lanes, each filled at the five in-table counts
+            // (-0.0 either clamps to 0.0 or takes the pair).
+            let filled = memo.table.iter().filter(|v| v.to_bits() != EMPTY_BITS);
+            assert_eq!(filled.count(), 4 * 5);
+        }
+        // A hit is a table read: a planted entry comes back verbatim.
+        let bank = KineticFormBank::new(&first);
+        bank.eval_one(0, &[15.0, 0.0, 0.5], &mut stack, &mut memo);
+        memo.table[15] = 0.25;
+        let planted = bank.eval_one(0, &[15.0, 0.0, 0.5], &mut stack, &mut memo);
+        assert_eq!(planted.to_bits(), (0.03 + 3.7 * 0.25f64).to_bits());
     }
 
     #[test]

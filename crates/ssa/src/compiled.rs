@@ -174,7 +174,7 @@ impl CompiledModel {
     }
 
     /// Evaluates the propensity of reaction `r`, reusing `stack` as
-    /// scratch space.
+    /// scratch space and `memo` as the Hill response memo.
     ///
     /// # Errors
     ///
@@ -185,13 +185,17 @@ impl CompiledModel {
         r: usize,
         state: &State,
         stack: &mut Vec<f64>,
+        memo: &mut EvalMemo,
     ) -> Result<f64, SimError> {
         // The bank reads the law out of its structure-of-arrays lane
         // (mass-action and Hill shapes with zero dispatch; irregular
         // laws through the retained `CompiledExpr`, which falls back to
-        // the postfix VM on `stack`). All paths are bitwise identical,
-        // so this is a pure constant-factor win.
-        let value = self.bank.eval_one(r, &state.values, stack);
+        // the postfix VM on `stack`). Literal-coefficient Hill responses
+        // replay from `memo`'s copy-number table, so a dependent whose
+        // regulator just moved to a count seen before skips `powf`. All
+        // paths are bitwise identical, so this is a pure constant-factor
+        // win.
+        let value = self.bank.eval_one(r, &state.values, stack, memo);
         self.check_propensity(r, value, state.t)
     }
 
@@ -533,10 +537,12 @@ mod tests {
         let compiled = sample();
         let state = compiled.initial_state();
         let mut stack = Vec::new();
-        let a0 = compiled.propensity_with(0, &state, &mut stack).unwrap();
+        let mut memo = EvalMemo::new();
+        let a0 = compiled
+            .propensity_with(0, &state, &mut stack, &mut memo)
+            .unwrap();
         assert_eq!(a0, 0.5 * 10.0 * 100.0);
         let mut all = Vec::new();
-        let mut memo = EvalMemo::new();
         let total = compiled
             .propensities_into(&state, &mut all, &mut stack, &mut memo)
             .unwrap();
@@ -638,7 +644,9 @@ mod tests {
         let compiled = CompiledModel::new(&model).unwrap();
         let state = compiled.initial_state();
         let mut stack = Vec::new();
-        let err = compiled.propensity_with(0, &state, &mut stack).unwrap_err();
+        let err = compiled
+            .propensity_with(0, &state, &mut stack, &mut EvalMemo::new())
+            .unwrap_err();
         assert!(matches!(err, SimError::NonFinitePropensity { .. }));
     }
 
@@ -653,7 +661,9 @@ mod tests {
         let compiled = CompiledModel::new(&model).unwrap();
         let state = compiled.initial_state();
         let mut stack = Vec::new();
-        let err = compiled.propensity_with(0, &state, &mut stack).unwrap_err();
+        let err = compiled
+            .propensity_with(0, &state, &mut stack, &mut EvalMemo::new())
+            .unwrap_err();
         assert!(matches!(
             err,
             SimError::NegativePropensity { value, .. } if value == -1.0

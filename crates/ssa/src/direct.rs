@@ -3,7 +3,7 @@
 //! At each step the total propensity `a0 = Σ a_j` determines an
 //! exponentially distributed waiting time `τ ~ Exp(a0)`, and the firing
 //! reaction is chosen with probability `a_j / a0` (Gillespie 1977, the
-//! algorithm the paper cites as reference [7]).
+//! algorithm the paper cites as reference \[7\]).
 //!
 //! Propensities live in a [`PropensitySet`]: after each firing only the
 //! reactions in `dependents(fired)` are re-evaluated and selection is

@@ -23,7 +23,7 @@
 //! The sum is `Σ digits[i] · 2^(32·i - 1074)`: base-2^32 digits
 //! starting at the least significant bit of the smallest subnormal
 //! (2^-1074) and covering past the largest finite `f64` (< 2^1024).
-//! Conceptually there are [`DIGITS`] = 67 digit positions, but only a
+//! Conceptually there are `DIGITS` = 67 digit positions, but only a
 //! **window** of them is materialized: `lo` is the conceptual index of
 //! the first stored digit and `digits` holds the contiguous run that is
 //! (possibly) non-zero. A sum of same-magnitude inputs — the ensemble

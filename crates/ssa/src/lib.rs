@@ -1,7 +1,7 @@
 //! Stochastic simulation of reaction-network models.
 //!
 //! Genetic circuits involve small, discrete molecule counts, so the paper
-//! (following Gillespie [7] and McAdams & Arkin [6]) simulates them with a
+//! (following Gillespie \[7\] and McAdams & Arkin \[6\]) simulates them with a
 //! stochastic simulation algorithm rather than ODEs. This crate provides:
 //!
 //! * [`compiled`] — a [`compiled::CompiledModel`]: kinetic laws compiled to

@@ -1,7 +1,7 @@
 //! Deterministic reaction-rate integration (classic RK4).
 //!
 //! The paper stresses that ODEs are the *wrong* model for small molecule
-//! counts [6]; this integrator exists as a cross-check — the stochastic
+//! counts \[6\]; this integrator exists as a cross-check — the stochastic
 //! mean of a linear (or weakly nonlinear) circuit should track the ODE
 //! solution — and for quick, noise-free previews of circuit behaviour.
 

@@ -57,8 +57,8 @@ pub struct PropensitySet {
     scratch: Vec<f64>,
     /// Operand stack for kinetic laws that fall back to the postfix VM.
     stack: Vec<f64>,
-    /// Hill-response memo threaded through full sweeps (see
-    /// [`EvalMemo`]; rebinds itself if the model changes).
+    /// Hill-response memo threaded through full sweeps and dependent
+    /// updates (see [`EvalMemo`]; rebinds itself if the model changes).
     memo: EvalMemo,
 }
 
@@ -105,7 +105,10 @@ impl PropensitySet {
     /// are untouched — their kinetic laws read no slot the firing
     /// changed. Each dependent is read out of its bank lane
     /// ([`CompiledModel::propensity_with`]); dependent sets are small
-    /// and scattered, so per-lane reads beat re-gathering a chunk.
+    /// and scattered, so per-lane reads beat re-gathering a chunk. A
+    /// Hill dependent replays its response from the memo's copy-number
+    /// table when its regulator count was seen before, which skips
+    /// `powf` on almost every cello update.
     ///
     /// # Errors
     ///
@@ -144,7 +147,7 @@ impl PropensitySet {
     ) -> Result<(), SimError> {
         for &dep in model.dependents(fired) {
             let old = self.tree.get(dep);
-            let value = model.propensity_with(dep, state, &mut self.stack)?;
+            let value = model.propensity_with(dep, state, &mut self.stack, &mut self.memo)?;
             self.tree.set(dep, value);
             visit(dep, old, value);
         }

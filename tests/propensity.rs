@@ -80,6 +80,21 @@ fn first_reaction_is_deterministic_on_catalog_circuits() {
     assert_eq!(a.0, b.0);
 }
 
+/// One `Direct` reused across circuits keeps its propensity memo, whose
+/// copy-number tables must not carry responses from one model to the
+/// next. cello_0x0B and cello_0xB3 both have seven Hill memo slots, so
+/// only the bank identity stamp tells their tables apart.
+#[test]
+fn reused_direct_matches_fresh_engines_across_circuits() {
+    let mut reused = Direct::new();
+    for id in ["cello_0x0B", "cello_0xB3", "cello_0x0B"] {
+        let model = prepared(id);
+        let warm = bit_trace(&mut reused, &model, 42);
+        let fresh = bit_trace(&mut Direct::new(), &model, 42);
+        assert_eq!(warm.0, fresh.0, "{id}");
+    }
+}
+
 /// The pre-port next-reaction loop, kept verbatim as a reference: a
 /// private propensity vector maintained with per-law evaluations,
 /// exactly as the engine worked before it moved onto the shared
@@ -99,12 +114,15 @@ fn reference_next_reaction(model: &CompiledModel, seed: u64, t_end: f64) -> BitT
     let mut rng = StdRng::seed_from_u64(seed);
     let mut trace = BitTrace::default();
     let mut stack = Vec::new();
+    let mut memo = EvalMemo::new();
 
     let m = model.reaction_count();
     let mut propensities = vec![0.0f64; m];
     let mut times = vec![f64::INFINITY; m];
     for r in 0..m {
-        propensities[r] = model.propensity_with(r, &state, &mut stack).unwrap();
+        propensities[r] = model
+            .propensity_with(r, &state, &mut stack, &mut memo)
+            .unwrap();
         times[r] = draw_time(&mut rng, state.t, propensities[r]);
     }
     let mut queue = IndexedPriorityQueue::new(times);
@@ -121,7 +139,9 @@ fn reference_next_reaction(model: &CompiledModel, seed: u64, t_end: f64) -> BitT
             if dep == fired {
                 continue;
             }
-            let a_new = model.propensity_with(dep, &state, &mut stack).unwrap();
+            let a_new = model
+                .propensity_with(dep, &state, &mut stack, &mut memo)
+                .unwrap();
             let a_old = propensities[dep];
             let t_dep = queue.key(dep);
             let updated = if a_new <= 0.0 {
@@ -135,7 +155,9 @@ fn reference_next_reaction(model: &CompiledModel, seed: u64, t_end: f64) -> BitT
             queue.update(dep, updated);
         }
 
-        let a_fired = model.propensity_with(fired, &state, &mut stack).unwrap();
+        let a_fired = model
+            .propensity_with(fired, &state, &mut stack, &mut memo)
+            .unwrap();
         propensities[fired] = a_fired;
         queue.update(fired, draw_time(&mut rng, state.t, a_fired));
     }
@@ -439,7 +461,10 @@ proptest! {
     /// Random laws outside the catalog's shapes evaluate bit-for-bit the
     /// same through the bank sweep, the bank's single-law path, the
     /// kinetics fast path and the postfix VM. States repeat, so the Hill
-    /// memo's hits, misses and overwrites are all covered.
+    /// memo's hits, misses and overwrites are all covered: the sweep's
+    /// pairs on one memo, and the single-law path's copy-number table on
+    /// another. Two extra states put every regulator off the table, one
+    /// non-integral and one above its cap.
     #[test]
     fn random_laws_agree_bitwise_on_every_evaluation_path(seed in 0u64..1_000_000) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -453,7 +478,7 @@ proptest! {
             .map(|source| source.parse::<Expr>().unwrap().compile(&table).unwrap())
             .collect();
         let bank = KineticFormBank::new(&laws);
-        let states: Vec<[f64; 5]> = (0..4)
+        let mut states: Vec<[f64; 5]> = (0..4)
             .map(|_| {
                 [
                     f64::from(rng.gen_range(0u32..40)),
@@ -464,15 +489,19 @@ proptest! {
                 ]
             })
             .collect();
+        let (k, n) = (states[0][3], states[0][4]);
+        states.push([2.5, 17.25, 0.75, k, n]);
+        states.push([1024.0, 5000.0, 1e6 + 0.5, k, n]);
         let (mut out, mut stack, mut memo) = (vec![0.0; laws.len()], Vec::new(), EvalMemo::new());
-        for state in [0, 0, 1, 2, 1, 3, 0] {
+        let mut one_memo = EvalMemo::new();
+        for state in [0, 0, 1, 2, 1, 3, 0, 4, 5, 4, 5, 0] {
             let values = &states[state];
             bank.eval_all(values, &mut out, &mut stack, &mut memo);
             for (r, law) in laws.iter().enumerate() {
                 let vm = law.eval_with(values, &mut stack).to_bits();
                 let source = &sources[r];
                 prop_assert_eq!(law.eval_fast(values, &mut stack).to_bits(), vm, "eval_fast `{}`", source);
-                prop_assert_eq!(bank.eval_one(r, values, &mut stack).to_bits(), vm, "eval_one `{}`", source);
+                prop_assert_eq!(bank.eval_one(r, values, &mut stack, &mut one_memo).to_bits(), vm, "eval_one `{}`", source);
                 prop_assert_eq!(out[r].to_bits(), vm, "eval_all `{}` at {:?}", source, values);
             }
         }
