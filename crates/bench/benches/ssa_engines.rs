@@ -25,8 +25,8 @@ use glc_model::expr::EvalMemo;
 use glc_model::Model;
 use glc_service::codec::{self, BinaryReply};
 use glc_service::{
-    session, EngineSpec, ExtendBackend, ModelSource, PipelinedRelay, PipelinedWorker, SessionSpec,
-    SessionStore, Transport, WorkOrder, WorkerPool,
+    session, EngineSpec, ExtendBackend, ModelSource, PipelinedWorker, SessionSpec, SessionStore,
+    Transport, WorkOrder, WorkerPool,
 };
 use glc_ssa::engine::Observer;
 use glc_ssa::{
@@ -37,7 +37,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Serialize as _, Value};
 use std::io::BufRead as _;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 fn prepared(id: &str) -> CompiledModel {
@@ -455,10 +455,11 @@ fn cached_partial_footprint(id: &str) -> (f64, f64) {
     (per_cell, dense_per_cell)
 }
 
-/// Locates a `glc-service` binary next to this bench's target
+/// Locates the `glc-worker` binary next to this bench's target
 /// directory, building it through the invoking cargo if absent. Panics
-/// if it cannot: the `ensemble` and `relay` sections need both binaries.
-fn service_binary(name: &str) -> PathBuf {
+/// if it cannot: the `ensemble` and `relay` sections need it.
+fn worker_binary() -> PathBuf {
+    let name = "glc-worker";
     let mut dir = std::env::current_exe().expect("bench executable path"); // …/target/release/deps/ssa_engines-*
     dir.pop(); // deps
     dir.pop(); // release
@@ -474,8 +475,9 @@ fn service_binary(name: &str) -> PathBuf {
     path
 }
 
-/// A `glc-relay` child on a free localhost port (it exits when its
-/// stdin — held here — closes, so it cannot outlive the bench).
+/// A `glc-worker --listen` child on a free localhost port (it exits
+/// when its stdin — held here — closes, so it cannot outlive the
+/// bench).
 struct RelayProc {
     child: std::process::Child,
     _stdin: std::process::ChildStdin,
@@ -483,14 +485,14 @@ struct RelayProc {
 }
 
 impl RelayProc {
-    fn spawn() -> Self {
-        let mut child = std::process::Command::new(service_binary("glc-relay"))
+    fn spawn(worker: &Path) -> Self {
+        let mut child = std::process::Command::new(worker)
             .args(["--listen", "127.0.0.1:0"])
             .stdin(std::process::Stdio::piped())
             .stdout(std::process::Stdio::piped())
             .stderr(std::process::Stdio::piped())
             .spawn()
-            .expect("spawn glc-relay");
+            .expect("spawn glc-worker --listen");
         let stdin = child.stdin.take().expect("relay stdin");
         let mut banner = String::new();
         std::io::BufReader::new(child.stdout.take().expect("relay stdout"))
@@ -519,16 +521,16 @@ impl Drop for RelayProc {
 }
 
 /// Sustained replicate throughput of the same batches dispatched over
-/// TCP to a local `glc-relay` on persistent framed connections
-/// ([`PipelinedRelay`]: connect once, then pipeline chunk orders over
-/// the socket — the end-to-end cost of fronting workers on another
-/// host, minus real network latency). Parallelism matches the other
-/// columns: one relay slot per worker slot, each order served on its
-/// own relay-side thread.
+/// TCP to a local `glc-worker --listen` on persistent framed
+/// connections ([`PipelinedWorker::connect`]: connect once, then
+/// pipeline chunk orders over the socket — the end-to-end cost of
+/// fronting workers on another host, minus real network latency).
+/// Parallelism matches the other columns: one relay slot per worker
+/// slot.
 fn relay_replicates_per_second(id: &str, addr: &str, min_wall: f64) -> f64 {
     let mut order = ensemble_order(id);
     let transports: Vec<Box<dyn Transport>> = (0..ENSEMBLE_PARALLELISM)
-        .map(|_| Box::new(PipelinedRelay::new(addr)) as Box<dyn Transport>)
+        .map(|_| Box::new(PipelinedWorker::connect(addr)) as Box<dyn Transport>)
         .collect();
     let mut pool = WorkerPool::new(transports).expect("relay pool");
     let mut replicates = 0u64;
@@ -704,8 +706,8 @@ fn ledger_json(ledger: &Ledger) -> String {
 /// `check_regression` gate compares it against the committed baseline.
 fn throughput_report() {
     let mut ledger = Ledger::new();
-    let worker = service_binary("glc-worker");
-    let relay = RelayProc::spawn();
+    let worker = worker_binary();
+    let relay = RelayProc::spawn(&worker);
     println!("\nthroughput: steps/second (200 t.u. horizon)");
     // Batched Gaussian source vs the scalar reference on the raw draw
     // loop itself. Like the full-sweep gate, `speedup` is floored at
@@ -848,7 +850,7 @@ fn throughput_report() {
         push(&mut ledger, "ensemble", ensemble);
 
         // Relay transport: the same batches over localhost TCP to a
-        // glc-relay, at the same parallelism. relay_efficiency
+        // glc-worker --listen, at the same parallelism. relay_efficiency
         // normalizes by the resident-worker column measured in this run
         // (`sharded_replicates_per_sec` above) — an in-run ratio like
         // shard_efficiency — and feeds the CI regression gate.

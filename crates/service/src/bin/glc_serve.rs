@@ -18,8 +18,8 @@
 //! simulation work, `Stats` reports the operator snapshot (counters,
 //! latency histograms, slot health, session footprints). Extends run
 //! in-process by default, or over a worker pool mixing resident
-//! `glc-worker` children (`--workers`, `--worker-slot`) and remote
-//! `glc-relay` hosts (`--relay`), every slot speaking framed GLCB —
+//! `glc-worker` children (`--workers`, `--worker-slot`) and sockets to
+//! `glc-worker --listen` hosts (`--relay`), every slot speaking framed GLCB —
 //! the pool homes chunks by observed slot throughput, steals, and
 //! quarantines consistently failing slots, none of which can move a
 //! bit of the result. With `--spill-dir`, sessions
@@ -40,7 +40,9 @@
 //!   (repeatable; combines with `--workers`/`--relay`, which is how a
 //!   drill mixes a known-dead marker script with real workers);
 //! * `--relay HOST:PORT` — add one relay slot holding a framed
-//!   connection to a `glc-relay` at that address (repeatable);
+//!   connection to a `glc-worker --listen` at that address
+//!   (repeatable; each slot is one connection, and the worker runs one
+//!   order per connection at a time);
 //! * `--quarantine-after N` — consecutive failures that quarantine a
 //!   pool slot (default 3);
 //! * `--spill-dir PATH` — durable session snapshots + pool health
@@ -189,7 +191,7 @@ fn run() -> Result<(), String> {
             transports.push(Box::new(transport::PipelinedWorker::new(slot)));
         }
         for relay in &options.relays {
-            transports.push(Box::new(transport::PipelinedRelay::new(relay.clone())));
+            transports.push(Box::new(transport::PipelinedWorker::connect(relay.clone())));
         }
         let mut pool = WorkerPool::new(transports).map_err(|e| e.to_string())?;
         if let Some(failures) = options.quarantine_after {

@@ -1,7 +1,8 @@
-//! Length-prefixed frame codec for the worker/relay wire.
+//! Length-prefixed frame codec for the worker wire.
 //!
-//! Every hop of the fabric — pool to resident worker, pool to relay,
-//! framed client to `glc-serve --listen` — carries binary frames:
+//! Every hop of the fabric — pool to `glc-worker` over its pipes or a
+//! socket, framed client to `glc-serve --listen` — carries binary
+//! frames, and the client speaks first with its hello:
 //!
 //! ```text
 //! +----------+----------+-------------------------+

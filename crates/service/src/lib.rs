@@ -12,11 +12,12 @@
 //!   catalog circuit id), initial-amount overrides, the engine, a
 //!   contiguous replicate range, and the sampling grid;
 //! * [`transport`] — the worker fabric: a [`WorkerPool`] of slots, each
-//!   reaching its executor through one persistent [`ChunkChannel`] —
-//!   a resident `glc-worker` child ([`PipelinedWorker`]) or a
-//!   `glc-relay` socket ([`PipelinedRelay`]). The pool chunks an order,
-//!   steals, retries failed chunks on other slots and quarantines
-//!   failing slots, reporting per-slot accounting in [`RunReport`];
+//!   reaching a `glc-worker` through one persistent [`ChunkChannel`]
+//!   ([`PipelinedWorker`]) — a resident child on its pipes, or a socket
+//!   to a `glc-worker --listen` on this or another host. The pool
+//!   chunks an order, steals, retries failed chunks on other slots and
+//!   quarantines failing slots, reporting per-slot accounting in
+//!   [`RunReport`];
 //! * [`frame`] and [`codec`] — the one internal wire: length-prefixed
 //!   GLCF frames carrying GLCB binary payloads (chunk orders, replies,
 //!   hellos, and the on-disk session snapshots);
@@ -62,8 +63,8 @@ pub use session::{
     SpeciesNoise, Submitted,
 };
 pub use transport::{
-    ChunkChannel, PipelinedRelay, PipelinedWorker, PoolHealthSnapshot, SlotHealth,
-    SlotHealthRecord, Transport, WorkerPool,
+    ChunkChannel, PipelinedWorker, PoolHealthSnapshot, SlotHealth, SlotHealthRecord, Transport,
+    WorkerPool,
 };
 
 use glc_model::Model;
@@ -249,7 +250,8 @@ impl WorkOrder {
     /// Materializes and compiles the model with overrides applied,
     /// through the process-wide shared [`ModelCache`]: repeat orders
     /// for the same model and overrides (every shard of a sweep, every
-    /// order a relay serves for a hot circuit) reuse one compile.
+    /// order a `glc-worker` serves for a hot circuit, on any of its
+    /// connections) reuse one compile.
     ///
     /// # Errors
     ///

@@ -5,16 +5,18 @@
 //!   working method, [`Transport::open_channel`], opens a persistent
 //!   [`ChunkChannel`] that pipelines chunk orders as GLCF frames
 //!   carrying GLCB payloads (see [`crate::frame`] and
-//!   [`crate::codec`]). Two implementations ship:
-//!   - [`PipelinedWorker`] — one resident `glc-worker` child per slot,
-//!     spawned once and fed over its pipes;
-//!   - [`PipelinedRelay`] — one framed TCP connection per slot to a
-//!     `glc-relay`, which may live on another host and runs concurrent
-//!     frames on its own threads.
+//!   [`crate::codec`]). One implementation ships, [`PipelinedWorker`],
+//!   with one channel per slot to a `glc-worker` from either of two
+//!   constructors:
+//!   - [`PipelinedWorker::new`] — a resident child, spawned once and
+//!     fed over its pipes;
+//!   - [`PipelinedWorker::connect`] — a framed TCP connection to a
+//!     `glc-worker --listen`, which may live on another host.
 //!
-//!   Every chunk order gets exactly one reply, its partial or its
-//!   error, so a slot never holds more than its channel's window of
-//!   orders at a time.
+//!   Both streams carry the same handshake (the client's hello first,
+//!   then the worker's) and the same window. Every chunk order gets
+//!   exactly one reply, its partial or its error, so a slot never holds
+//!   more than its channel's window of orders at a time.
 //! * [`WorkerPool`] — a scheduler over one transport per **slot**. It
 //!   cuts an order into chunks, homes them to per-slot queues by each
 //!   slot's observed replicate throughput (unknown slots get the mean
@@ -32,8 +34,8 @@
 //! None of this moves a single bit: replicate seeds are absolute and
 //! partial accumulation is exact, so chunk sizing, stealing, retries,
 //! transport choice and quarantine decisions affect *latency only*.
-//! The transport-equivalence tests pin `PipelinedRelay` ≡
-//! `PipelinedWorker` ≡ the in-process backend ≡ unsharded, bitwise, and
+//! The transport-equivalence tests pin socket slots ≡ child slots ≡ the
+//! in-process backend ≡ unsharded, bitwise, and
 //! a pool with an always-failing slot still completes with the correct
 //! bits while reporting the quarantine in [`RunReport`].
 
@@ -43,10 +45,10 @@ use crate::{frame, metrics, RunReport, ServiceError, WorkOrder};
 use glc_ssa::EnsemblePartial;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
-use std::io::BufReader;
-use std::net::TcpStream;
+use std::io::{BufReader, Read, Write};
+use std::net::{Shutdown, TcpStream};
 use std::path::PathBuf;
-use std::process::{Child, ChildStdin, Command, Stdio};
+use std::process::{Child, Command, Stdio};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -97,25 +99,43 @@ pub trait ChunkChannel: Send {
 
 /// How long connection setup waits for the peer's hello frame before
 /// failing closed. Without the handshake, a peer that consumes bytes
-/// but never frames — a wedged script, a service that is not a relay —
+/// but never frames — a wedged script, a service that is not a worker —
 /// would block the slot forever instead of failing it.
 const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(5);
 
-/// Orders a resident worker keeps in flight: one executing, one queued
-/// behind it so the worker never idles waiting for the next frame.
-const WORKER_PIPELINE_WINDOW: usize = 2;
+/// Orders a channel keeps in flight: one executing, one queued behind
+/// it so the worker never idles waiting for the next frame.
+const PIPELINE_WINDOW: usize = 2;
 
-/// Orders an open relay socket keeps in flight: the relay executes
-/// frames concurrently, so a deeper window keeps its cores fed.
-const RELAY_PIPELINE_WINDOW: usize = 4;
-
-/// Runs chunks on one **resident** `glc-worker` child per pool slot:
-/// spawned once, kept alive on its pipes, orders pipelined as frames
-/// with replies correlated by id. The model compiles once per process
-/// and every later chunk of the same circuit reuses it.
+/// Runs chunks on one `glc-worker` connection per pool slot: a
+/// **resident** child spawned once and fed over its pipes
+/// ([`PipelinedWorker::new`]), or a **persistent socket** to a
+/// `glc-worker --listen`, possibly on another host
+/// ([`PipelinedWorker::connect`]). Either way orders are pipelined as
+/// frames with replies correlated by id, and the model compiles once
+/// per worker process.
 #[derive(Debug, Clone)]
 pub struct PipelinedWorker {
-    worker: PathBuf,
+    endpoint: Endpoint,
+}
+
+/// Where a [`PipelinedWorker`]'s executor lives.
+#[derive(Debug, Clone)]
+enum Endpoint {
+    /// A worker binary to spawn as a child.
+    Spawn(PathBuf),
+    /// A `host:port` a `glc-worker --listen` serves.
+    Connect(String),
+}
+
+/// How errors name an endpoint.
+impl std::fmt::Display for Endpoint {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Endpoint::Spawn(worker) => write!(f, "worker {}", worker.display()),
+            Endpoint::Connect(addr) => write!(f, "worker at {addr}"),
+        }
+    }
 }
 
 impl PipelinedWorker {
@@ -123,96 +143,94 @@ impl PipelinedWorker {
     /// `worker`.
     pub fn new(worker: impl Into<PathBuf>) -> Self {
         PipelinedWorker {
-            worker: worker.into(),
+            endpoint: Endpoint::Spawn(worker.into()),
+        }
+    }
+
+    /// A transport keeping one framed connection to the
+    /// `glc-worker --listen` at `addr` (`host:port`).
+    pub fn connect(addr: impl Into<String>) -> Self {
+        PipelinedWorker {
+            endpoint: Endpoint::Connect(addr.into()),
         }
     }
 }
 
 impl Transport for PipelinedWorker {
+    /// `pipelined-worker PATH` or `pipelined-relay ADDR`: the labels
+    /// `pool_health.json` records slots under.
     fn describe(&self) -> String {
-        format!("pipelined-worker {}", self.worker.display())
+        match &self.endpoint {
+            Endpoint::Spawn(worker) => format!("pipelined-worker {}", worker.display()),
+            Endpoint::Connect(addr) => format!("pipelined-relay {addr}"),
+        }
     }
 
     fn open_channel(&self) -> Result<Box<dyn ChunkChannel>, ServiceError> {
-        Ok(Box::new(FramedChildChannel::open(&self.worker)?))
+        Ok(Box::new(FramedChannel::open(&self.endpoint)?))
     }
 }
 
-/// Runs chunks over one **persistent framed socket** per pool slot to
-/// a `glc-relay`: connect once, handshake, then pipeline orders as
-/// frames. The relay executes concurrent frames on its own threads and
-/// replies as they finish (out of order; the id correlates).
-#[derive(Debug, Clone)]
-pub struct PipelinedRelay {
-    addr: String,
+/// What a [`FramedChannel`] owns for teardown.
+enum Peer {
+    Child(Child),
+    Socket(TcpStream),
 }
 
-impl PipelinedRelay {
-    /// A transport keeping one framed connection to the relay at
-    /// `addr` (`host:port`).
-    pub fn new(addr: impl Into<String>) -> Self {
-        PipelinedRelay { addr: addr.into() }
-    }
-}
-
-impl Transport for PipelinedRelay {
-    fn describe(&self) -> String {
-        format!("pipelined-relay {}", self.addr)
-    }
-
-    fn open_channel(&self) -> Result<Box<dyn ChunkChannel>, ServiceError> {
-        Ok(Box::new(FramedRelayChannel::open(&self.addr)?))
-    }
-}
-
-/// Decodes one framed reply payload. GLCB decoding validates embedded
-/// partials, so an invalid partial — like an undecodable or
-/// uncorrelatable payload — is an outer error that poisons the
-/// connection; in-band `Error` replies stay chunk-level.
-fn decode_chunk_reply(payload: &[u8]) -> Result<(u64, BinaryReply), ServiceError> {
-    metrics::count_frame_rx(payload.len());
-    codec::decode_reply(payload)
-}
-
-/// Writes one chunk order as a GLCB frame and counts its bytes.
-fn send_chunk_order<W: std::io::Write>(
-    writer: &mut W,
-    id: u64,
-    order: &WorkOrder,
-) -> Result<(), ServiceError> {
-    let payload = codec::encode_order(id, order);
-    metrics::count_frame_tx(payload.len());
-    frame::write_frame(writer, &payload)
-}
-
-/// The resident-worker connection: frames down the child's stdin,
-/// reply frames read off its stdout by a dedicated reader thread (the
-/// thread is what gives connection setup a handshake *timeout* — pipes
-/// have no native read timeout).
-struct FramedChildChannel {
-    child: Child,
-    stdin: Option<ChildStdin>,
-    replies: mpsc::Receiver<Result<Vec<u8>, ServiceError>>,
+/// One framed connection to a worker: order frames go down a boxed
+/// writer, reply frames come back through a dedicated reader thread.
+/// The thread is what gives connection setup one handshake *timeout*
+/// on both streams — pipes have no native read timeout.
+struct FramedChannel {
+    peer: Peer,
+    writer: Box<dyn Write + Send>,
+    frames: mpsc::Receiver<Result<Vec<u8>, ServiceError>>,
     reader: Option<std::thread::JoinHandle<()>>,
 }
 
-impl FramedChildChannel {
-    fn open(worker: &PathBuf) -> Result<Self, ServiceError> {
-        let mut child = Command::new(worker)
-            .stdin(Stdio::piped())
-            .stdout(Stdio::piped())
-            // Errors travel in-band as Error replies; an unread stderr
-            // pipe could wedge a chatty worker.
-            .stderr(Stdio::null())
-            .spawn()
-            .map_err(|e| ServiceError::Worker(format!("cannot spawn {}: {e}", worker.display())))?;
-        let stdin = child.stdin.take().expect("stdin piped");
-        let stdout = child.stdout.take().expect("stdout piped");
-        let (tx, replies) = mpsc::channel();
+impl FramedChannel {
+    /// Spawns or connects, then handshakes. The client speaks first: it
+    /// sends its hello, then waits for the worker's. A failed hello
+    /// write defers to the reader: a worker that died first surfaces
+    /// there as EOF, which names the real cause.
+    fn open(endpoint: &Endpoint) -> Result<Self, ServiceError> {
+        let (peer, stream, writer): (Peer, Box<dyn Read + Send>, Box<dyn Write + Send>) =
+            match endpoint {
+                Endpoint::Spawn(worker) => {
+                    let mut child = Command::new(worker)
+                        .stdin(Stdio::piped())
+                        .stdout(Stdio::piped())
+                        // Errors travel in-band as Error replies; an
+                        // unread stderr pipe could wedge a chatty worker.
+                        .stderr(Stdio::null())
+                        .spawn()
+                        .map_err(|e| {
+                            ServiceError::Worker(format!("cannot spawn {}: {e}", worker.display()))
+                        })?;
+                    let stdin = child.stdin.take().expect("stdin piped");
+                    let stdout = child.stdout.take().expect("stdout piped");
+                    (Peer::Child(child), Box::new(stdout), Box::new(stdin))
+                }
+                Endpoint::Connect(addr) => {
+                    let socket = TcpStream::connect(addr).map_err(|e| {
+                        ServiceError::Worker(format!("cannot connect to worker at {addr}: {e}"))
+                    })?;
+                    let _ = socket.set_nodelay(true);
+                    let clone = || {
+                        socket.try_clone().map_err(|e| {
+                            ServiceError::Worker(format!(
+                                "worker at {addr}: cannot clone stream: {e}"
+                            ))
+                        })
+                    };
+                    (Peer::Socket(clone()?), Box::new(clone()?), Box::new(socket))
+                }
+            };
+        let (tx, frames) = mpsc::channel();
         let reader = std::thread::spawn(move || {
-            let mut stdout = BufReader::new(stdout);
+            let mut stream = BufReader::new(stream);
             loop {
-                match frame::read_frame(&mut stdout) {
+                match frame::read_frame(&mut stream) {
                     Ok(Some(payload)) => {
                         if tx.send(Ok(payload)).is_err() {
                             break;
@@ -226,131 +244,76 @@ impl FramedChildChannel {
                 }
             }
         });
-        let channel = FramedChildChannel {
-            child,
-            stdin: Some(stdin),
-            replies,
+        let mut channel = FramedChannel {
+            peer,
+            writer,
+            frames,
             reader: Some(reader),
         };
-        let hello = match channel.replies.recv_timeout(HANDSHAKE_TIMEOUT) {
-            Ok(Ok(payload)) => codec::decode_hello(&payload).map_err(|err| err.to_string()),
-            Ok(Err(err)) => Err(err.to_string()),
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                Err(format!("no hello frame within {HANDSHAKE_TIMEOUT:?}"))
-            }
-            Err(mpsc::RecvTimeoutError::Disconnected) => {
-                Err("the worker exited before its hello".to_string())
-            }
+        let sent = frame::write_frame(&mut channel.writer, &codec::encode_hello());
+        let hello = match channel.frames.recv_timeout(HANDSHAKE_TIMEOUT) {
+            Ok(Ok(payload)) => sent.and_then(|()| codec::decode_hello(&payload)),
+            Ok(Err(err)) => Err(err),
+            Err(mpsc::RecvTimeoutError::Timeout) => Err(ServiceError::Worker(format!(
+                "no hello frame within {HANDSHAKE_TIMEOUT:?}"
+            ))),
+            Err(mpsc::RecvTimeoutError::Disconnected) => Err(ServiceError::Worker(
+                "the worker exited before its hello".into(),
+            )),
         };
-        if let Err(detail) = hello {
+        if let Err(err) = hello {
             return Err(ServiceError::Worker(format!(
-                "worker {} did not complete the frame handshake: {detail}",
-                worker.display()
+                "{endpoint} did not complete the frame handshake: {err}"
             )));
         }
         Ok(channel)
     }
 }
 
-impl ChunkChannel for FramedChildChannel {
+impl ChunkChannel for FramedChannel {
     fn window(&self) -> usize {
-        WORKER_PIPELINE_WINDOW
+        PIPELINE_WINDOW
     }
 
     fn submit(&mut self, id: u64, order: &WorkOrder) -> Result<(), ServiceError> {
-        let stdin = self
-            .stdin
-            .as_mut()
-            .ok_or_else(|| ServiceError::Worker("worker connection already closed".into()))?;
-        send_chunk_order(stdin, id, order)
+        let payload = codec::encode_order(id, order);
+        metrics::count_frame_tx(payload.len());
+        frame::write_frame(&mut self.writer, &payload)
     }
 
+    /// Decodes the next reply frame. GLCB decoding validates embedded
+    /// partials, so an invalid partial — like an undecodable or
+    /// uncorrelatable payload — is an outer error that poisons the
+    /// connection; in-band `Error` replies stay chunk-level.
     fn recv(&mut self) -> Result<(u64, BinaryReply), ServiceError> {
-        match self.replies.recv() {
-            Ok(Ok(payload)) => decode_chunk_reply(&payload),
+        match self.frames.recv() {
+            Ok(Ok(payload)) => {
+                metrics::count_frame_rx(payload.len());
+                codec::decode_reply(&payload)
+            }
             Ok(Err(err)) => Err(err),
             Err(_) => Err(ServiceError::Worker(
-                "resident worker closed its connection".into(),
+                "the worker closed its connection".into(),
             )),
         }
     }
 }
 
-impl Drop for FramedChildChannel {
+impl Drop for FramedChannel {
     fn drop(&mut self) {
-        drop(self.stdin.take()); // EOF: a healthy worker exits cleanly.
-        let _ = self.child.kill(); // A wedged one does not get to linger.
-        let _ = self.child.wait();
+        // Closing the writer is EOF: a healthy worker exits cleanly.
+        self.writer = Box::new(std::io::sink());
+        match &mut self.peer {
+            Peer::Child(child) => {
+                let _ = child.kill(); // A wedged one does not get to linger.
+                let _ = child.wait();
+            }
+            Peer::Socket(socket) => {
+                let _ = socket.shutdown(Shutdown::Both);
+            }
+        }
         if let Some(reader) = self.reader.take() {
             let _ = reader.join();
-        }
-    }
-}
-
-/// The persistent framed relay connection. The client speaks first: it
-/// sends its hello, then reads the relay's hello under a read timeout
-/// before any order is pipelined.
-struct FramedRelayChannel {
-    addr: String,
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-}
-
-impl FramedRelayChannel {
-    fn open(addr: &str) -> Result<Self, ServiceError> {
-        let handshake_failed = |detail: String| {
-            ServiceError::Worker(format!(
-                "relay {addr} did not complete the frame handshake: {detail}"
-            ))
-        };
-        let stream = TcpStream::connect(addr)
-            .map_err(|e| ServiceError::Worker(format!("cannot connect to relay {addr}: {e}")))?;
-        let _ = stream.set_nodelay(true);
-        stream
-            .set_read_timeout(Some(HANDSHAKE_TIMEOUT))
-            .map_err(|e| ServiceError::Worker(format!("relay {addr}: set timeout: {e}")))?;
-        let mut writer = stream
-            .try_clone()
-            .map_err(|e| ServiceError::Worker(format!("relay {addr}: cannot clone stream: {e}")))?;
-        frame::write_frame(&mut writer, &codec::encode_hello())?;
-        let mut reader = BufReader::new(stream);
-        match frame::read_frame(&mut reader) {
-            Ok(Some(payload)) => {
-                codec::decode_hello(&payload).map_err(|err| handshake_failed(err.to_string()))?;
-            }
-            Ok(None) => return Err(handshake_failed("connection closed".into())),
-            Err(err) => return Err(handshake_failed(err.to_string())),
-        }
-        reader
-            .get_ref()
-            .set_read_timeout(None)
-            .map_err(|e| ServiceError::Worker(format!("relay {addr}: clear timeout: {e}")))?;
-        Ok(FramedRelayChannel {
-            addr: addr.to_string(),
-            reader,
-            writer,
-        })
-    }
-}
-
-impl ChunkChannel for FramedRelayChannel {
-    fn window(&self) -> usize {
-        RELAY_PIPELINE_WINDOW
-    }
-
-    fn submit(&mut self, id: u64, order: &WorkOrder) -> Result<(), ServiceError> {
-        send_chunk_order(&mut self.writer, id, order)
-            .map_err(|e| ServiceError::Worker(format!("relay {}: {e}", self.addr)))
-    }
-
-    fn recv(&mut self) -> Result<(u64, BinaryReply), ServiceError> {
-        match frame::read_frame(&mut self.reader) {
-            Ok(Some(payload)) => decode_chunk_reply(&payload),
-            Ok(None) => Err(ServiceError::Worker(format!(
-                "relay {} closed the framed connection",
-                self.addr
-            ))),
-            Err(err) => Err(err),
         }
     }
 }
@@ -598,13 +561,14 @@ impl WorkerPool {
 
     /// Executes `order` across the pool and merges the chunk partials.
     ///
-    /// The seed range is cut into chunks (see [`chunk_plan`]), seeded
-    /// to per-slot queues proportional to observed throughput, and
-    /// drained by one driver per slot — each keeps a window of orders
-    /// in flight on its slot's persistent connection, and a slot whose
-    /// own queue runs dry **steals** from the back of the longest
-    /// remaining queue, so stragglers and mid-run failures stop gating
-    /// the run. Completed chunks stream-merge through a chunk-index
+    /// The seed range is cut into near-uniform chunks (sized to a
+    /// fraction of a second at the observed throughput, 2–16 per
+    /// slot), seeded to per-slot queues proportional to observed
+    /// throughput, and drained by one driver per slot — each keeps a
+    /// window of orders in flight on its slot's persistent connection,
+    /// and a slot whose own queue runs dry **steals** from the back of
+    /// the longest remaining queue, so stragglers and mid-run failures
+    /// stop gating the run. Completed chunks stream-merge through a chunk-index
     /// reorder buffer, so the merged partial is bitwise independent of
     /// scheduling, stealing, transport and retry choices. Chunks that
     /// failed in the parallel phase are retried sequentially afterwards
@@ -1418,6 +1382,48 @@ mod tests {
         assert!(plan.iter().all(|&(size, _)| size > 0), "{plan:?}");
         let plan = chunk_plan(1, &[None, None, None]);
         assert_eq!(plan, vec![(1, 0)]);
+    }
+
+    #[test]
+    fn describe_labels_restore_pool_health_to_the_matching_slot() {
+        // `pool_health.json` matches slots by these exact strings, so a
+        // health file written by an older build must keep restoring.
+        let spawned = PipelinedWorker::new("target/release/glc-worker");
+        let connected = PipelinedWorker::connect("10.0.0.7:4815");
+        assert_eq!(
+            spawned.describe(),
+            "pipelined-worker target/release/glc-worker"
+        );
+        assert_eq!(connected.describe(), "pipelined-relay 10.0.0.7:4815");
+
+        let quarantined = SlotHealth {
+            failures: 3,
+            consecutive_failures: 3,
+            quarantined: true,
+            ..SlotHealth::default()
+        };
+        let healthy = SlotHealth {
+            successes: 5,
+            replicates: 40,
+            busy_secs: 2.0,
+            ..SlotHealth::default()
+        };
+        let record = |transport: &str, health: &SlotHealth| SlotHealthRecord {
+            transport: transport.into(),
+            health: health.clone(),
+        };
+        // Recorded in the opposite slot order: matching is by label.
+        let snapshot = PoolHealthSnapshot {
+            retried_shards: 2,
+            slots: vec![
+                record("pipelined-relay 10.0.0.7:4815", &quarantined),
+                record("pipelined-worker target/release/glc-worker", &healthy),
+            ],
+        };
+        let mut pool = WorkerPool::new(vec![Box::new(spawned), Box::new(connected)]).unwrap();
+        pool.restore_health(&snapshot);
+        assert_eq!(pool.health(), vec![healthy, quarantined]);
+        assert_eq!(pool.lifetime_retried_shards(), 2);
     }
 
     #[test]

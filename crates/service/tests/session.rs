@@ -354,16 +354,17 @@ fn glc_serve_echoes_request_ids() {
 
 #[test]
 fn glc_serve_relay_backend_matches_fresh_run() {
-    // One extend driven through a real glc-relay over localhost TCP
-    // (the remote-transport deployment shape): submit → extend → query
-    // against `glc-serve --relay` is still bitwise the fresh run.
-    let mut relay = Command::new(env!("CARGO_BIN_EXE_glc-relay"))
+    // One extend driven through a real `glc-worker --listen` over
+    // localhost TCP (the remote-transport deployment shape): submit →
+    // extend → query against `glc-serve --relay` is still bitwise the
+    // fresh run.
+    let mut relay = Command::new(env!("CARGO_BIN_EXE_glc-worker"))
         .args(["--listen", "127.0.0.1:0"])
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
         .spawn()
-        .expect("spawn glc-relay");
+        .expect("spawn glc-worker --listen");
     let mut banner = String::new();
     BufReader::new(relay.stdout.take().expect("stdout piped"))
         .read_line(&mut banner)

@@ -1,11 +1,12 @@
-//! Transport-fabric tests: the two [`Transport`] implementations driven
-//! through real processes and sockets, checked **bitwise** against
-//! each other, plus the [`WorkerPool`]'s health-aware scheduling
-//! (stealing, retries, quarantine, throughput accounting).
+//! Transport-fabric tests: [`PipelinedWorker`]'s child and socket
+//! channels driven through real processes and sockets, checked
+//! **bitwise** against each other, plus the [`WorkerPool`]'s
+//! health-aware scheduling (stealing, retries, quarantine, throughput
+//! accounting).
 //!
 //! The acceptance gate of the fabric: an Extend dispatched over
-//! `PipelinedRelay` ≡ `PipelinedWorker` ≡ the in-process backend ≡ a
-//! fresh unsharded run — property-tested for Direct + Langevin on
+//! `PipelinedWorker::connect` ≡ `PipelinedWorker::new` ≡ the in-process
+//! backend ≡ a fresh unsharded run — property-tested for Direct + Langevin on
 //! `book_and` + `cello_0x1C` — and a pool with an always-failing slot
 //! still completes with the correct bits while reporting the
 //! quarantine. The one internal wire fails **closed**: a JSON order,
@@ -16,8 +17,8 @@
 
 use glc_service::codec::{self, BinaryReply};
 use glc_service::{
-    frame, ChunkChannel, EngineSpec, Envelope, ExtendBackend, ModelSource, PipelinedRelay,
-    PipelinedWorker, ServiceError, SessionSpec, SessionStore, Transport, WorkOrder, WorkerPool,
+    frame, ChunkChannel, EngineSpec, Envelope, ExtendBackend, ModelSource, PipelinedWorker,
+    ServiceError, SessionSpec, SessionStore, Transport, WorkOrder, WorkerPool,
 };
 use glc_ssa::run_partial_from;
 use proptest::prelude::*;
@@ -35,13 +36,9 @@ fn worker_bin() -> &'static str {
     env!("CARGO_BIN_EXE_glc-worker")
 }
 
-fn relay_bin() -> &'static str {
-    env!("CARGO_BIN_EXE_glc-relay")
-}
-
-/// A `glc-relay` child bound to a free localhost port. The relay
-/// exits when its stdin closes, so even a leaked fixture dies with
-/// this test process.
+/// A `glc-worker --listen` child bound to a free localhost port (the
+/// relay). It exits when its stdin closes, so even a leaked fixture
+/// dies with this test process.
 struct RelayFixture {
     child: Child,
     _stdin: ChildStdin,
@@ -50,13 +47,13 @@ struct RelayFixture {
 
 impl RelayFixture {
     fn spawn() -> Self {
-        let mut child = Command::new(relay_bin())
+        let mut child = Command::new(worker_bin())
             .args(["--listen", "127.0.0.1:0"])
             .stdin(Stdio::piped())
             .stdout(Stdio::piped())
             .stderr(Stdio::null())
             .spawn()
-            .expect("spawn glc-relay");
+            .expect("spawn glc-worker --listen");
         let stdin = child.stdin.take().expect("stdin piped");
         let mut stdout = BufReader::new(child.stdout.take().expect("stdout piped"));
         let mut line = String::new();
@@ -378,8 +375,8 @@ proptest! {
                 Box::new(PipelinedWorker::new(worker_bin())),
             ]),
             pooled_store(vec![
-                Box::new(PipelinedRelay::new(shared_relay_addr())),
-                Box::new(PipelinedRelay::new(shared_relay_addr())),
+                Box::new(PipelinedWorker::connect(shared_relay_addr())),
+                Box::new(PipelinedWorker::connect(shared_relay_addr())),
             ]),
             pooled_store(vec![Box::new(flaky.clone()), Box::new(flaky.clone())]),
             pooled_store(vec![Box::new(straggler), Box::new(TestPipelined::new(1))]),
@@ -500,15 +497,15 @@ fn broken_connections_lose_the_window_but_the_run_completes_exactly() {
 
 #[test]
 fn one_relay_connection_pipelines_chunks_bitwise() {
-    // A single relay connection carrying several concurrent chunk
-    // orders, each answered with its own partial as it finishes: the
+    // A single relay connection carrying several pipelined chunk
+    // orders, each answered with its own partial: the
     // reassembled bits must equal the unsharded reference, across two
     // runs on the same cached connection.
     let relay = RelayFixture::spawn();
     let order = book_not_order(57, 30);
     let reference = order.execute().unwrap();
     let mut pool = WorkerPool::new(vec![
-        Box::new(PipelinedRelay::new(relay.addr.clone())) as Box<dyn Transport>
+        Box::new(PipelinedWorker::connect(relay.addr.clone())) as Box<dyn Transport>
     ])
     .unwrap();
     for run in 0..2 {
@@ -535,7 +532,7 @@ fn mixed_transport_pools_merge_bitwise() {
     let mut store = pooled_store(vec![
         Box::new(TestPipelined::new(1)),
         Box::new(PipelinedWorker::new(worker_bin())),
-        Box::new(PipelinedRelay::new(relay.addr.clone())),
+        Box::new(PipelinedWorker::connect(relay.addr.clone())),
     ]);
     let session = store.submit(&spec).unwrap().session;
     for batch in [7u64, 5] {
@@ -550,7 +547,7 @@ fn mixed_transport_pools_merge_bitwise() {
 #[test]
 fn relay_reports_bad_orders_and_keeps_serving() {
     let relay = RelayFixture::spawn();
-    let mut channel = PipelinedRelay::new(relay.addr.clone())
+    let mut channel = PipelinedWorker::connect(relay.addr.clone())
         .open_channel()
         .unwrap();
     let mut bad = book_not_order(1, 2);
@@ -578,7 +575,7 @@ fn relay_reports_bad_orders_and_keeps_serving() {
 #[test]
 fn unreachable_relay_is_a_clean_error() {
     // Port 1 on localhost is essentially never listening.
-    let err = match PipelinedRelay::new("127.0.0.1:1").open_channel() {
+    let err = match PipelinedWorker::connect("127.0.0.1:1").open_channel() {
         Ok(_) => panic!("a relay answered on port 1"),
         Err(err) => err,
     };
@@ -860,6 +857,7 @@ fn json_order_frames_get_no_answer_from_the_worker() {
         .unwrap();
     let mut stdin = child.stdin.take().unwrap();
     let mut stdout = BufReader::new(child.stdout.take().unwrap());
+    frame::write_frame(&mut stdin, &codec::encode_hello()).unwrap();
     let hello = frame::read_frame(&mut stdout)
         .unwrap()
         .expect("hello frame");
@@ -900,6 +898,26 @@ fn legacy_and_foreign_version_hellos_fail_the_handshake() {
         assert_no_answer(&mut stream, "relay after a bad hello");
     }
 
+    // Nor does a worker on its stdio: no frame, and a non-zero exit.
+    for hello in &bad_hellos {
+        let mut child = Command::new(worker_bin())
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::null())
+            .spawn()
+            .unwrap();
+        let mut stdin = child.stdin.take().unwrap();
+        frame::write_frame(&mut stdin, hello).unwrap();
+        drop(stdin);
+        let mut stdout = child.stdout.take().unwrap();
+        assert_eq!(
+            frame::read_frame(&mut stdout).unwrap(),
+            None,
+            "worker after the bad hello {hello:?}"
+        );
+        assert!(!child.wait().unwrap().success(), "{hello:?}");
+    }
+
     // Neither does the framed `glc-serve --listen` path (a good hello
     // still gets one, so the drop is the hello's fault).
     let mut serve = Command::new(env!("CARGO_BIN_EXE_glc-serve"))
@@ -938,7 +956,7 @@ fn legacy_and_foreign_version_hellos_fail_the_handshake() {
             let _ = frame::write_frame(&mut stream, &reply);
             let _ = stream.flush();
         });
-        let err = match PipelinedRelay::new(addr).open_channel() {
+        let err = match PipelinedWorker::connect(addr).open_channel() {
             Ok(_) => panic!("the relay channel accepted {hello:?}"),
             Err(err) => err.to_string(),
         };
