@@ -552,9 +552,21 @@ impl HillMemo for EvalMemo {
     }
 }
 
-/// Entries per Hill memo slot in [`EvalMemo`]'s response table: one per
-/// regulator copy number `0..HILL_TABLE_LEN`.
-const HILL_TABLE_LEN: usize = 1024;
+/// Entries in every dense copy-number table: one per copy number
+/// `0..COPY_TABLE_LEN`. Shared by [`EvalMemo`]'s Hill response tables
+/// and the exact engines' per-law propensity tables in `glc_ssa`.
+/// Gate circuits' copy numbers stay well inside it (cello repressors
+/// peak near 220, inputs sit at 0 or 15).
+pub const COPY_TABLE_LEN: usize = 1024;
+
+/// `x` as a copy-number table index: `Some(i)` when `x` is exactly the
+/// integer `i < COPY_TABLE_LEN`, `None` for anything else (fractions,
+/// `-0.0`, NaN, counts of [`COPY_TABLE_LEN`] or more).
+#[inline]
+pub fn copy_number(x: f64) -> Option<usize> {
+    let i = x as usize;
+    (i < COPY_TABLE_LEN && (i as f64).to_bits() == x.to_bits()).then_some(i)
+}
 
 /// The all-ones NaN: the key of an empty pair and the value of an empty
 /// table entry. A clamped regulator is never NaN; a response that
@@ -562,12 +574,10 @@ const HILL_TABLE_LEN: usize = 1024;
 const EMPTY_BITS: u64 = u64::MAX;
 
 /// Position of regulator `x_bits` in memo slot `slot`'s table, or
-/// `None` when it is not a copy number the table covers (non-integral,
-/// `-0.0`, or at least [`HILL_TABLE_LEN`]).
+/// `None` when it is not a copy number the table covers.
 #[inline]
 fn table_index(slot: usize, x_bits: u64) -> Option<usize> {
-    let i = f64::from_bits(x_bits) as usize;
-    (i < HILL_TABLE_LEN && (i as f64).to_bits() == x_bits).then_some(slot * HILL_TABLE_LEN + i)
+    copy_number(f64::from_bits(x_bits)).map(|i| slot * COPY_TABLE_LEN + i)
 }
 
 /// Caller-owned memo for the bank's Hill response lanes.
@@ -576,7 +586,7 @@ fn table_index(slot: usize, x_bits: u64) -> Option<usize> {
 /// Hill lane's response is a pure function of its clamped regulator.
 /// Each such lane gets two memos:
 ///
-/// - a dense table of 1024 (`HILL_TABLE_LEN`) responses indexed by integral
+/// - a dense table of [`COPY_TABLE_LEN`] responses indexed by integral
 ///   copy number, read by [`KineticFormBank::eval_one`]. The exact
 ///   engines re-evaluate a dependent exactly when its regulator has
 ///   just changed, so a "last value" memo misses there; but gate
@@ -614,8 +624,8 @@ pub struct EvalMemo {
     bank_id: u64,
     /// Per-hill-lane `(x_bits, response)` pairs.
     hill: Vec<(u64, f64)>,
-    /// Per-hill-lane response tables, [`HILL_TABLE_LEN`] entries each;
-    /// lane slot `s` owns `table[s * HILL_TABLE_LEN..][..HILL_TABLE_LEN]`.
+    /// Per-hill-lane response tables, [`COPY_TABLE_LEN`] entries each;
+    /// lane slot `s` owns `table[s * COPY_TABLE_LEN..][..COPY_TABLE_LEN]`.
     table: Vec<f64>,
 }
 
@@ -639,7 +649,7 @@ impl EvalMemo {
         self.hill.resize(slots, (EMPTY_BITS, 0.0));
         self.table.clear();
         self.table
-            .resize(slots * HILL_TABLE_LEN, f64::from_bits(EMPTY_BITS));
+            .resize(slots * COPY_TABLE_LEN, f64::from_bits(EMPTY_BITS));
     }
 }
 
@@ -1927,6 +1937,25 @@ mod tests {
         memo.table[15] = 0.25;
         let planted = bank.eval_one(0, &[15.0, 0.0, 0.5], &mut stack, &mut memo);
         assert_eq!(planted.to_bits(), (0.03 + 3.7 * 0.25f64).to_bits());
+    }
+
+    #[test]
+    fn copy_number_accepts_only_exact_counts_below_the_bound() {
+        assert_eq!(copy_number(0.0), Some(0));
+        assert_eq!(copy_number(15.0), Some(15));
+        let top = COPY_TABLE_LEN - 1;
+        assert_eq!(copy_number(top as f64), Some(top));
+        for x in [
+            -0.0,
+            -1.0,
+            2.5,
+            COPY_TABLE_LEN as f64,
+            1e6 + 0.5,
+            f64::NAN,
+            f64::INFINITY,
+        ] {
+            assert_eq!(copy_number(x), None, "{x}");
+        }
     }
 
     #[test]

@@ -21,8 +21,8 @@ mod eval;
 mod parser;
 
 pub use compiled::{
-    CompiledExpr, EvalMemo, Factor, HillCall, KineticForm, KineticFormBank, LaneOccupancy,
-    MaxZeroCall, Operand, SymbolTable, Term,
+    copy_number, CompiledExpr, EvalMemo, Factor, HillCall, KineticForm, KineticFormBank,
+    LaneOccupancy, MaxZeroCall, Operand, SymbolTable, Term, COPY_TABLE_LEN,
 };
 pub use eval::Env;
 

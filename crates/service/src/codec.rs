@@ -49,8 +49,17 @@ use glc_ssa::EnsemblePartial;
 /// magic (`GLCF`): this sits *inside* a frame payload.
 pub const GLCB_MAGIC: [u8; 4] = *b"GLCB";
 
-/// Current GLCB layout version.
-pub const GLCB_VERSION: u8 = 1;
+/// Current GLCB version: the layout *and* the bits it stands for.
+///
+/// The byte must change whenever two builds would answer the same work
+/// order with different bits — a new layout, or an engine drawing
+/// another stream for the same seed. Otherwise an older worker could
+/// join a pool and mix its partials into a sharded run, or an older
+/// `.session.glcb` snapshot could be extended under a different
+/// stream; both break sharded ≡ unsharded and resumed ≡ uninterrupted.
+/// Version 2: `Direct` sums and selects over a flat propensity vector
+/// instead of a sum tree.
+pub const GLCB_VERSION: u8 = 2;
 
 const TAG_ORDER: u8 = 1;
 const TAG_REPLY: u8 = 2;
@@ -429,12 +438,16 @@ mod tests {
         // JSON hello all fail closed.
         let mut other_version = hello.clone();
         other_version[4] = GLCB_VERSION + 1;
+        // Version 1 builds drew another Direct stream.
+        let mut previous_stream = hello.clone();
+        previous_stream[4] = 1;
         let mut flagged = hello.clone();
         flagged.push(1);
         let mut unflagged = hello.clone();
         unflagged.push(0);
         for bad in [
             other_version,
+            previous_stream,
             flagged,
             unflagged,
             hello[..hello.len() - 1].to_vec(),

@@ -212,14 +212,19 @@ fn cross_tag_decodes_fail_closed() {
 #[test]
 fn hello_negotiation_matrix_holds() {
     // Every peer sends the same bodiless hello, and anything but a
-    // GLCB hello of this version — an older build's flags byte
-    // included — fails closed.
+    // GLCB hello of this version — an older build's flags byte, or
+    // version 1, whose Direct engine drew another stream, included —
+    // fails closed.
     codec::decode_hello(&codec::encode_hello()).unwrap();
-    let mut other_version = codec::encode_hello();
-    other_version[4] = glc_service::GLCB_VERSION.wrapping_add(1);
+    let version_hello = |version: u8| {
+        let mut hello = codec::encode_hello();
+        hello[4] = version;
+        hello
+    };
     let flagged = [codec::encode_hello(), vec![1]].concat();
     for bad in [
-        other_version,
+        version_hello(glc_service::GLCB_VERSION.wrapping_add(1)),
+        version_hello(1),
         flagged,
         b"{\"glc_frame_hello\":1}".to_vec(),
         codec::encode_order(1, &tiny_order(2, 0, 3, EngineSpec::Direct)),

@@ -829,12 +829,17 @@ fn flagged_hello() -> Vec<u8> {
     [codec::encode_hello(), vec![1]].concat()
 }
 
-/// A GLCB hello of a version this build does not speak.
-fn foreign_version_hello() -> Vec<u8> {
+/// A GLCB hello of `version`, which this build does not speak.
+fn foreign_version_hello(version: u8) -> Vec<u8> {
+    assert_ne!(version, glc_service::GLCB_VERSION);
     let mut hello = codec::encode_hello();
-    hello[4] = glc_service::GLCB_VERSION.wrapping_add(1);
+    hello[4] = version;
     hello
 }
+
+/// The GLCB version of builds whose Direct engine drew another stream:
+/// their workers must not join a pool of this build.
+const PREVIOUS_STREAM_VERSION: u8 = 1;
 
 /// Reads until the peer closes, failing if it answers with a frame.
 fn assert_no_answer(stream: &mut TcpStream, what: &str) {
@@ -887,7 +892,8 @@ fn legacy_and_foreign_version_hellos_fail_the_handshake() {
     let bad_hellos = [
         LEGACY_HELLO.to_vec(),
         flagged_hello(),
-        foreign_version_hello(),
+        foreign_version_hello(glc_service::GLCB_VERSION.wrapping_add(1)),
+        foreign_version_hello(PREVIOUS_STREAM_VERSION),
     ];
 
     // The relay server answers neither.

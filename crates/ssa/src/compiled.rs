@@ -52,6 +52,10 @@ pub struct CompiledModel {
     bank: KineticFormBank,
     deltas: Vec<Vec<(usize, i64)>>,
     dependents: Vec<Vec<usize>>,
+    /// Per law: `(slot, lane)` when the law reads exactly one slot that
+    /// some firing changes — its copy-number table is lane `lane` of
+    /// the engines' `PropensitySet` tables — else `None`.
+    tables: Vec<Option<(usize, usize)>>,
     initial_values: Vec<f64>,
 }
 
@@ -109,6 +113,24 @@ impl CompiledModel {
             dependents.push(deps);
         }
 
+        // A law that reads exactly one slot some firing changes is,
+        // within one run, a function of that copy number alone:
+        // everything else it reads (parameters, boundary inputs) only
+        // changes between runs, and engines rebuild after that.
+        let changing: BTreeSet<usize> = deltas.iter().flatten().map(|&(slot, _)| slot).collect();
+        let mut lanes = 0;
+        let tables = refs
+            .iter()
+            .map(|reads| {
+                let mut read = reads.intersection(&changing);
+                let (Some(&slot), None) = (read.next(), read.next()) else {
+                    return None;
+                };
+                lanes += 1;
+                Some((slot, lanes - 1))
+            })
+            .collect();
+
         let bank = KineticFormBank::new(&kinetics);
         Ok(CompiledModel {
             id: model.id().to_string(),
@@ -119,6 +141,7 @@ impl CompiledModel {
             bank,
             deltas,
             dependents,
+            tables,
             initial_values: model.initial_values(),
         })
     }
@@ -171,6 +194,27 @@ impl CompiledModel {
     /// Reactions whose propensity may change when reaction `r` fires.
     pub fn dependents(&self, r: usize) -> &[usize] {
         &self.dependents[r]
+    }
+
+    /// The one slot reaction `r`'s kinetic law reads that some firing
+    /// changes, or `None` when it reads none or several. Within one
+    /// run such a law's propensity is a function of that slot alone,
+    /// so the exact engines table it by copy number (see
+    /// [`crate::propensity`]).
+    pub fn table_slot(&self, r: usize) -> Option<usize> {
+        self.tables[r].map(|(slot, _)| slot)
+    }
+
+    /// `(slot, lane)` of reaction `r`'s copy-number table, if it has
+    /// one; lanes number the tabled laws `0..tabled_law_count()`.
+    #[inline]
+    pub(crate) fn table_key(&self, r: usize) -> Option<(usize, usize)> {
+        self.tables[r]
+    }
+
+    /// Number of laws with a [`CompiledModel::table_slot`].
+    pub fn tabled_law_count(&self) -> usize {
+        self.tables.iter().flatten().count()
     }
 
     /// Evaluates the propensity of reaction `r`, reusing `stack` as
@@ -530,6 +574,31 @@ mod tests {
         assert_eq!(compiled.dependents(1), &[1]);
         // r2 changes A; r0 reads A.
         assert_eq!(compiled.dependents(2), &[0]);
+    }
+
+    #[test]
+    fn table_slots_name_the_one_changing_slot_a_law_reads() {
+        let compiled = sample();
+        // r0 reads A, I and k; only A changes (I is a boundary input).
+        assert_eq!(compiled.table_slot(0), Some(1));
+        // r1 reads B and k; B changes.
+        assert_eq!(compiled.table_slot(1), Some(2));
+        // r2 reads only the parameter k.
+        assert_eq!(compiled.table_slot(2), None);
+        assert_eq!(compiled.tabled_law_count(), 2);
+        assert_eq!(compiled.table_key(1), Some((2, 1)));
+
+        // Two changing slots: no table.
+        let model = ModelBuilder::new("m")
+            .species("A", 1.0)
+            .species("B", 1.0)
+            .reaction("bind", &["A", "B"], &[], "A * B")
+            .unwrap()
+            .build()
+            .unwrap();
+        let compiled = CompiledModel::new(&model).unwrap();
+        assert_eq!(compiled.table_slot(0), None);
+        assert_eq!(compiled.tabled_law_count(), 0);
     }
 
     #[test]

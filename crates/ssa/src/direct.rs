@@ -6,13 +6,16 @@
 //! algorithm the paper cites as reference \[7\]).
 //!
 //! Propensities live in a [`PropensitySet`]: after each firing only the
-//! reactions in `dependents(fired)` are re-evaluated and selection is
-//! an O(log R) sum-tree descent. [`Direct::with_full_recompute`] keeps
-//! the naive O(R)-per-step path callable — it re-evaluates every
-//! propensity every step through the same set, which by the set's
-//! history-independence invariant produces **bitwise-identical
-//! trajectories** for the same seed. Benchmarks report the two side by
-//! side; tests assert the equivalence.
+//! reactions in `dependents(fired)` are re-evaluated (most from the
+//! set's copy-number tables), `a0` is the in-order sum of the cached
+//! values, and selection is a linear CDF scan — O(R) on both, which at
+//! the catalog's 4–11 reactions is cheaper than maintaining a tree.
+//! [`Direct::with_full_recompute`] keeps the naive recompute-all path
+//! callable — it re-evaluates every propensity every step through the
+//! same set, which by the set's cache- and table-coherence invariants
+//! produces **bitwise-identical trajectories** for the same seed.
+//! Benchmarks report the two side by side; tests assert the
+//! equivalence.
 
 use crate::compiled::{CompiledModel, State};
 use crate::engine::{Engine, Observer, DEFAULT_STEP_LIMIT};
@@ -49,11 +52,9 @@ impl Direct {
     ///
     /// Exists for benchmarking old-vs-new and for equivalence tests;
     /// trajectories are bitwise identical to [`Direct::new`] for the
-    /// same seed. Note this reproduces the *schedule* of the
-    /// pre-incremental engine, not its exact arithmetic: totals and
-    /// selection go through the sum tree here, where the old engine
-    /// summed sequentially and scanned linearly, so pre-PR trajectories
-    /// differed in fp round-off.
+    /// same seed. Each step is one batched sweep through the kinetic
+    /// bank, so the copy-number tables are never filled and every
+    /// rebuild resets nothing.
     pub fn with_full_recompute() -> Self {
         Direct {
             step_limit: DEFAULT_STEP_LIMIT,
@@ -114,7 +115,7 @@ impl Engine for Direct {
             if t_next >= t_end {
                 break;
             }
-            // Pick reaction j with probability a_j / a0: O(log R) descent.
+            // Pick reaction j with probability a_j / a0: linear CDF scan.
             let target = rng.gen::<f64>() * a0;
             let fired = self.propensities.select(target);
             observer.on_advance(t_next, &state.values);

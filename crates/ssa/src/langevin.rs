@@ -24,13 +24,14 @@ pub use crate::draws::{standard_normal, NormalCarry};
 ///
 /// Every Euler–Maruyama step needs all `R` propensities, so the engine
 /// fills a flat propensity slice with one batched kinetic-form-bank
-/// sweep per step (no sum tree — nothing here selects reactions). The
-/// step itself then runs as three contiguous passes: *compact* the
-/// active (non-quiescent) reactions into dense `drift`/`sigma` slices,
-/// *fill* one standard normal per active reaction from the batched
-/// [`NormalBlock`] source, and a *fused* increment-and-scatter loop
-/// `drift[i] + sigma[i]·z[i]` through `model.delta`. All scratch lives
-/// on the engine, so steady-state stepping allocates nothing.
+/// sweep per step (no `PropensitySet` — nothing here selects
+/// reactions). The step itself then runs as three contiguous passes:
+/// *compact* the active (non-quiescent) reactions into dense
+/// `drift`/`sigma` slices, *fill* one standard normal per active
+/// reaction from the batched [`NormalBlock`] source, and a *fused*
+/// increment-and-scatter loop `drift[i] + sigma[i]·z[i]` through
+/// `model.delta`. All scratch lives on the engine, so steady-state
+/// stepping allocates nothing.
 #[derive(Debug, Clone)]
 pub struct Langevin {
     dt: f64,

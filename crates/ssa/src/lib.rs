@@ -9,11 +9,12 @@
 //!   structure-of-arrays evaluator (`glc_model::expr::KineticFormBank`),
 //!   per-reaction state deltas (boundary species excluded), and the
 //!   reaction dependency graph;
-//! * [`propensity`] / [`sum_tree`] — the incremental propensity engine
-//!   shared by **all** engines: cached propensities updated only for
-//!   `dependents(fired)` after each firing (full-sweep engines rebuild
-//!   through one batched bank sweep), with O(log R) reaction selection
-//!   through a flat binary sum tree;
+//! * [`propensity`] — the incremental propensity engine shared by the
+//!   exact engines: one flat vector of cached propensities, updated
+//!   only for `dependents(fired)` after each firing (from per-run
+//!   copy-number tables where a law reads one changing species), with
+//!   the total summed in reaction order and a linear CDF scan for
+//!   reaction selection;
 //! * [`draws`] — the batched Gaussian source (pairwise Box–Muller over
 //!   block-refilled uniforms, with a carry slot for odd draw counts)
 //!   behind the Langevin engine and tau-leap's large-λ normal branch;
@@ -69,7 +70,6 @@ pub mod langevin;
 pub mod next_reaction;
 pub mod ode;
 pub mod propensity;
-pub mod sum_tree;
 pub mod tau_leap;
 pub mod trace;
 pub mod wire;
@@ -88,7 +88,6 @@ pub use first_reaction::FirstReaction;
 pub use langevin::Langevin;
 pub use next_reaction::NextReaction;
 pub use propensity::PropensitySet;
-pub use sum_tree::SumTree;
 pub use tau_leap::TauLeap;
 pub use trace::{Trace, TraceRecorder};
 

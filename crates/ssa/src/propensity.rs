@@ -6,34 +6,45 @@
 //! engines did — costs O(R·|expr|) even though a firing only changes a
 //! few species. [`PropensitySet`] instead:
 //!
-//! * caches the propensity of every reaction;
+//! * caches the propensity of every reaction in one flat vector;
 //! * after reaction `r` fires, re-evaluates **only**
 //!   [`CompiledModel::dependents`]`(r)` — the Gibson–Bruck dependency
 //!   set: reactions whose kinetic law reads a slot that firing `r`
 //!   changed;
-//! * maintains the values as leaves of a [`SumTree`], so the total is
-//!   the root and selection is an O(log R) descent instead of an O(R)
-//!   scan.
+//! * serves a dependent whose law reads exactly one changing slot
+//!   ([`CompiledModel::table_slot`]) from a per-run table indexed by
+//!   that slot's copy number, so a regulator returning to a count seen
+//!   earlier in the run costs one load instead of a law evaluation;
+//! * sums the values in reaction order on every [`PropensitySet::total`]
+//!   and selects by a linear CDF scan (the flat select of the sorting
+//!   direct method, McCollum et al., *Comput. Biol. Chem.* 30(1):39–49,
+//!   2006). Catalog circuits have 4–11 reactions, where an O(R) scan
+//!   beats maintaining a tree.
 //!
-//! # Update/selection invariants
+//! # Invariants
 //!
 //! 1. **Cache coherence**: after [`PropensitySet::rebuild`] and any
 //!    sequence of [`PropensitySet::update_after`] calls that mirrors
 //!    the actual firings applied to `state`, every cached propensity
 //!    equals a fresh evaluation of its kinetic law against `state` —
 //!    bitwise. This holds because the dependency graph is sound (a
-//!    reaction not in `dependents(r)` reads no slot that `r` writes,
-//!    and kinetic laws are pure functions of the value vector) and
-//!    evaluation itself is deterministic.
-//! 2. **History independence**: the sum tree recomputes ancestors as
-//!    `left + right` on every leaf write, so tree state is a pure
-//!    function of the cached leaves. Together with (1): an engine that
-//!    rebuilds from scratch every step and one that updates
-//!    incrementally walk through bitwise-identical totals and
-//!    selections, and hence — for a fixed seed — produce identical
-//!    trajectories. `Direct::with_full_recompute` exists precisely to
-//!    exercise this equivalence (and to serve as the benchmark
-//!    baseline).
+//!    reaction not in `dependents(r)` reads no slot that `r` writes),
+//!    kinetic laws are pure functions of the value vector, and
+//!    evaluation itself is deterministic. Totals and selections read
+//!    only the cached values, so an engine that rebuilds from scratch
+//!    every step and one that updates incrementally walk through
+//!    bitwise-identical totals and selections, and hence — for a fixed
+//!    seed — identical trajectories. `Direct::with_full_recompute`
+//!    exists precisely to exercise this equivalence (and to serve as
+//!    the benchmark baseline).
+//! 2. **Table coherence**: a table entry for copy number `x` holds the
+//!    value the canonical path ([`CompiledModel::propensity_with`],
+//!    checks included) returned for its law at `x` since the last
+//!    rebuild. Between rebuilds nothing else the law reads can change
+//!    (parameters are constant, and boundary inputs are only edited
+//!    between runs), so the value is a pure function of `x` and a hit
+//!    replays the canonical bits. `rebuild` empties every entry filled
+//!    since the previous rebuild.
 //! 3. **External edits require a rebuild**: callers that mutate state
 //!    outside [`CompiledModel::apply`] (input clamping between run
 //!    segments) must call `rebuild`; engines do this at the top of
@@ -42,24 +53,29 @@
 
 use crate::compiled::{CompiledModel, State};
 use crate::error::SimError;
-use crate::sum_tree::SumTree;
-use glc_model::expr::EvalMemo;
+use glc_model::expr::{copy_number, EvalMemo, COPY_TABLE_LEN};
 
-/// Cached per-reaction propensities with an incremental sum tree.
+/// Cached per-reaction propensities plus per-run copy-number tables.
 ///
 /// Owned by an engine as scratch state; resized to the model on every
 /// [`PropensitySet::rebuild`], so one set can serve models of any size
 /// over the engine's lifetime.
 #[derive(Debug, Clone, Default)]
 pub struct PropensitySet {
-    tree: SumTree,
-    /// Scratch for full recomputes (kept to avoid per-rebuild allocs).
-    scratch: Vec<f64>,
+    /// Cached propensity of every reaction, in reaction order.
+    values: Vec<f64>,
     /// Operand stack for kinetic laws that fall back to the postfix VM.
     stack: Vec<f64>,
     /// Hill-response memo threaded through full sweeps and dependent
     /// updates (see [`EvalMemo`]; rebinds itself if the model changes).
     memo: EvalMemo,
+    /// One [`COPY_TABLE_LEN`]-entry table per tabled law, lane `l` at
+    /// `tables[l * COPY_TABLE_LEN..][..COPY_TABLE_LEN]`; NaN marks an
+    /// empty entry (a valid propensity is never NaN).
+    tables: Vec<f64>,
+    /// Indices into `tables` filled since the last rebuild, so a
+    /// rebuild resets only those instead of clearing every table.
+    filled: Vec<usize>,
 }
 
 impl PropensitySet {
@@ -70,19 +86,19 @@ impl PropensitySet {
 
     /// Number of tracked reactions.
     pub fn len(&self) -> usize {
-        self.tree.len()
+        self.values.len()
     }
 
     /// Whether the set tracks no reactions.
     pub fn is_empty(&self) -> bool {
-        self.tree.is_empty()
+        self.values.is_empty()
     }
 
     /// Fully re-evaluates every propensity against `state` — one batched
     /// structure-of-arrays sweep through the model's
-    /// [`glc_model::expr::KineticFormBank`] — and rebuilds the tree.
-    /// Call at the start of every engine run and whenever `state` was
-    /// edited outside [`CompiledModel::apply`].
+    /// [`glc_model::expr::KineticFormBank`] — and empties the
+    /// copy-number tables. Call at the start of every engine run and
+    /// whenever `state` was edited outside [`CompiledModel::apply`].
     ///
     /// # Errors
     ///
@@ -91,24 +107,28 @@ impl PropensitySet {
     /// [`SimError::NonFinitePropensity`]), like the scalar loop it
     /// replaces.
     pub fn rebuild(&mut self, model: &CompiledModel, state: &State) -> Result<(), SimError> {
-        let reactions = model.reaction_count();
-        if self.tree.len() != reactions {
-            self.tree.reset(reactions);
+        let entries = model.tabled_law_count() * COPY_TABLE_LEN;
+        if self.tables.len() == entries {
+            for &at in &self.filled {
+                self.tables[at] = f64::NAN;
+            }
+        } else {
+            self.tables.clear();
+            self.tables.resize(entries, f64::NAN);
         }
-        model.propensities_into(state, &mut self.scratch, &mut self.stack, &mut self.memo)?;
-        self.tree.fill_from(&self.scratch);
+        self.filled.clear();
+        model.propensities_into(state, &mut self.values, &mut self.stack, &mut self.memo)?;
         Ok(())
     }
 
     /// Re-evaluates the propensities of `dependents(fired)` after
     /// reaction `fired` was applied to `state`. All other cached values
     /// are untouched — their kinetic laws read no slot the firing
-    /// changed. Each dependent is read out of its bank lane
-    /// ([`CompiledModel::propensity_with`]); dependent sets are small
-    /// and scattered, so per-lane reads beat re-gathering a chunk. A
-    /// Hill dependent replays its response from the memo's copy-number
-    /// table when its regulator count was seen before, which skips
-    /// `powf` on almost every cello update.
+    /// changed. A tabled dependent whose changing slot holds a copy
+    /// number below [`COPY_TABLE_LEN`] replays its table entry; every
+    /// other evaluation reads the law out of its bank lane
+    /// ([`CompiledModel::propensity_with`]), where Hill responses
+    /// replay from the memo's copy-number table.
     ///
     /// # Errors
     ///
@@ -146,36 +166,82 @@ impl PropensitySet {
         mut visit: impl FnMut(usize, f64, f64),
     ) -> Result<(), SimError> {
         for &dep in model.dependents(fired) {
-            let old = self.tree.get(dep);
-            let value = model.propensity_with(dep, state, &mut self.stack, &mut self.memo)?;
-            self.tree.set(dep, value);
+            let old = self.values[dep];
+            let value = self.evaluate(model, state, dep)?;
+            self.values[dep] = value;
             visit(dep, old, value);
         }
         Ok(())
     }
 
-    /// Total propensity `a0` (the sum-tree root).
+    /// Propensity of reaction `r` against `state`: from its copy-number
+    /// table when it has one covering the current count, otherwise
+    /// through [`CompiledModel::propensity_with`] — storing the result
+    /// when the table covers the count but had no entry yet.
+    #[inline]
+    fn evaluate(
+        &mut self,
+        model: &CompiledModel,
+        state: &State,
+        r: usize,
+    ) -> Result<f64, SimError> {
+        let at = model.table_key(r).and_then(|(slot, lane)| {
+            copy_number(state.values[slot]).map(|x| lane * COPY_TABLE_LEN + x)
+        });
+        let Some(at) = at else {
+            return model.propensity_with(r, state, &mut self.stack, &mut self.memo);
+        };
+        let cached = self.tables[at];
+        if !cached.is_nan() {
+            return Ok(cached);
+        }
+        let value = model.propensity_with(r, state, &mut self.stack, &mut self.memo)?;
+        self.tables[at] = value;
+        self.filled.push(at);
+        Ok(value)
+    }
+
+    /// Total propensity `a0`: the sequential sum in reaction order, the
+    /// same sum [`CompiledModel::propensities_into`] returns.
     #[inline]
     pub fn total(&self) -> f64 {
-        self.tree.total()
+        let mut total = 0.0;
+        for &value in &self.values {
+            total += value;
+        }
+        total
     }
 
     /// Cached propensity of reaction `r`.
     #[inline]
     pub fn propensity(&self, r: usize) -> f64 {
-        self.tree.get(r)
+        self.values[r]
     }
 
     /// All cached propensities, in reaction order.
     pub fn as_slice(&self) -> &[f64] {
-        self.tree.leaves()
+        &self.values
     }
 
     /// Selects the reaction hit by `target ∈ [0, total())` under the
-    /// inverse-CDF walk, in O(log R).
+    /// inverse-CDF scan: the first reaction whose cumulative propensity
+    /// exceeds `target`. When round-off leaves nothing selected (or
+    /// `target` is at or past the total) it returns the last reaction
+    /// with a positive propensity, so a zero-propensity reaction is
+    /// never chosen. With no positive propensity at all — a quiescent
+    /// system, which engines never select in — it returns 0.
     #[inline]
-    pub fn select(&self, target: f64) -> usize {
-        self.tree.select(target)
+    pub fn select(&self, mut target: f64) -> usize {
+        for (r, &value) in self.values.iter().enumerate() {
+            if target < value {
+                return r;
+            }
+            target -= value;
+        }
+        self.values
+            .iter()
+            .rposition(|&value| value > 0.0)
+            .unwrap_or(0)
     }
 }
 
@@ -183,6 +249,16 @@ impl PropensitySet {
 mod tests {
     use super::*;
     use glc_model::ModelBuilder;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// A set holding exactly `values`, as if a rebuild had produced them.
+    fn set_of(values: &[f64]) -> PropensitySet {
+        PropensitySet {
+            values: values.to_vec(),
+            ..PropensitySet::default()
+        }
+    }
 
     fn three_reaction_model() -> CompiledModel {
         let model = ModelBuilder::new("m")
@@ -236,6 +312,149 @@ mod tests {
     }
 
     #[test]
+    fn totals_are_the_sequential_sum_after_updates() {
+        let mut set = set_of(&[1.0, 2.0, 3.0, 4.0, 5.0]);
+        assert_eq!(set.total(), 15.0);
+        set.values[2] = 0.0;
+        assert_eq!(set.total(), 12.0);
+
+        // Along a firing sequence the total is bit for bit the sum a
+        // full sweep returns, term order included.
+        let model = three_reaction_model();
+        let mut state = model.initial_state();
+        state.values[2] = 0.1; // k: make the sums round
+        set.rebuild(&model, &state).unwrap();
+        let (mut out, mut stack, mut memo) = (Vec::new(), Vec::new(), EvalMemo::new());
+        for fired in [0usize, 2, 0, 1, 2, 2, 0, 1] {
+            model.apply(fired, &mut state);
+            set.update_after(&model, &state, fired).unwrap();
+            let swept = model
+                .propensities_into(&state, &mut out, &mut stack, &mut memo)
+                .unwrap();
+            assert_eq!(set.total().to_bits(), swept.to_bits(), "after {fired}");
+        }
+    }
+
+    #[test]
+    fn selection_walks_the_cdf_skipping_zero_propensities() {
+        // Zeros at both ends and in the middle; dyadic values keep the
+        // prefix sums exact, so the expected reaction is unambiguous.
+        let values = [0.0, 2.5, 0.0, 1.25, 4.0, 0.25, 0.0, 1.0, 3.5, 0.0];
+        let set = set_of(&values);
+        let total = set.total();
+        assert_eq!(total, 12.5);
+        let mut target = 0.0;
+        while target < total {
+            let mut prefix = 0.0;
+            let expected = values
+                .iter()
+                .position(|&value| {
+                    prefix += value;
+                    prefix > target
+                })
+                .unwrap();
+            assert_eq!(set.select(target), expected, "target {target}");
+            target += 0.125;
+        }
+        // At or past the total: the last positive reaction, not the
+        // trailing zero.
+        assert_eq!(set.select(total), 8);
+        assert_eq!(set.select(total + 10.0), 8);
+        // A single reaction takes every target.
+        let single = set_of(&[2.0]);
+        assert_eq!(single.select(0.0), 0);
+        assert_eq!(single.select(1.9), 0);
+    }
+
+    #[test]
+    fn no_target_below_the_total_selects_a_zero_propensity() {
+        // Awkward magnitudes on purpose: the scan's running subtraction
+        // rounds, and the fallback must still land on a live reaction.
+        let values = [
+            0.0,
+            0.1,
+            1e-9,
+            0.0,
+            3.7e5,
+            2.2250738585072014e-308,
+            0.0,
+            42.0,
+            7.5,
+            0.0,
+        ];
+        let set = set_of(&values);
+        let total = set.total();
+        let below_total = total.next_down();
+        let mut rng = StdRng::seed_from_u64(5);
+        let targets = [0.0, 0.1, 0.1 + 1e-9, 3.7e5, below_total]
+            .into_iter()
+            .chain((0..10_000).map(|_| rng.gen::<f64>() * total));
+        for target in targets {
+            let selected = set.select(target);
+            assert!(values[selected] > 0.0, "target {target} chose {selected}");
+        }
+        assert_eq!(set.select(below_total), 8);
+        assert_eq!(set.select(total), 8);
+    }
+
+    #[test]
+    fn empty_and_quiescent_sets_are_benign() {
+        let set = PropensitySet::new();
+        assert!(set.is_empty());
+        assert_eq!(set.len(), 0);
+        assert_eq!(set.total(), 0.0);
+        assert_eq!(set.as_slice(), &[] as &[f64]);
+        assert_eq!(set.select(0.0), 0);
+        let quiescent = set_of(&[0.0, 0.0, 0.0]);
+        assert_eq!(quiescent.total(), 0.0);
+        assert_eq!(quiescent.select(0.0), 0);
+    }
+
+    #[test]
+    fn tables_replay_filled_entries_until_the_next_rebuild() {
+        let model = three_reaction_model();
+        let mut state = model.initial_state();
+        let mut set = PropensitySet::new();
+        set.rebuild(&model, &state).unwrap();
+        // a_to_b reads A and b_gone reads B; a_in reads only k.
+        assert_eq!(set.tables.len(), 2 * COPY_TABLE_LEN);
+        model.apply(2, &mut state); // A: 10 -> 11
+        set.update_after(&model, &state, 2).unwrap();
+        assert_eq!(set.filled, vec![11]);
+        assert_eq!(set.tables[11], 0.5 * 11.0);
+
+        // A hit is a table read: a planted entry comes back verbatim.
+        set.tables[11] = 0.125;
+        model.apply(0, &mut state); // A: 11 -> 10, B: 0 -> 1
+        set.update_after(&model, &state, 0).unwrap();
+        assert_eq!(set.filled, vec![11, 10, COPY_TABLE_LEN + 1]);
+        model.apply(2, &mut state); // A: 10 -> 11
+        set.update_after(&model, &state, 2).unwrap();
+        assert_eq!(set.propensity(0), 0.125);
+
+        // A rebuild empties every filled entry and recomputes.
+        set.rebuild(&model, &state).unwrap();
+        assert!(set.filled.is_empty());
+        assert!(set.tables.iter().all(|value| value.is_nan()));
+        assert_eq!(set.propensity(0), 0.5 * 11.0);
+    }
+
+    #[test]
+    fn counts_off_the_table_take_the_canonical_path() {
+        let model = three_reaction_model();
+        let mut state = model.initial_state();
+        for a in [10.5, COPY_TABLE_LEN as f64 - 1.0] {
+            state.values[0] = a;
+            let mut set = PropensitySet::new();
+            set.rebuild(&model, &state).unwrap();
+            model.apply(2, &mut state); // A: a -> a + 1, off the table
+            set.update_after(&model, &state, 2).unwrap();
+            assert!(set.filled.is_empty(), "A = {a}");
+            assert_eq!(set.propensity(0), 0.5 * (a + 1.0));
+        }
+    }
+
+    #[test]
     fn selection_covers_the_cdf() {
         let model = three_reaction_model();
         let state = model.initial_state();
@@ -281,5 +500,6 @@ mod tests {
         set.rebuild(&small, &small.initial_state()).unwrap();
         assert_eq!(set.len(), 1);
         assert_eq!(set.total(), 1.0);
+        assert_eq!(set.tables.len(), COPY_TABLE_LEN);
     }
 }

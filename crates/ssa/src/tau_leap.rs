@@ -17,8 +17,8 @@ use rand::Rng;
 /// The tau-leaping engine.
 ///
 /// Unlike the exact engines, a leap touches every reaction every step,
-/// so there is nothing for the incremental `PropensitySet`/sum-tree
-/// machinery to save: the engine keeps a flat propensity slice filled
+/// so there is nothing for the incremental `PropensitySet` machinery
+/// to save: the engine keeps a flat propensity slice filled
 /// by one batched bank sweep per leap, and draws firings in a single
 /// chunked loop over precomputed means. All per-step scratch (the
 /// slices, the VM stack, the Hill memo, the per-reaction Poisson
@@ -187,7 +187,7 @@ impl Engine for TauLeap {
             // dependency sets approaches all of R anyway: one batched
             // structure-of-arrays sweep through the model's
             // kinetic-form bank is the right granularity, and no
-            // selection happens, so no sum tree is maintained.
+            // selection happens, so no `PropensitySet` is kept.
             model.propensities_into(
                 state,
                 &mut self.propensities,

@@ -1,8 +1,8 @@
 //! Cross-crate acceptance tests for the incremental propensity engine:
-//! the dependency-driven updates and sum-tree selection must be
-//! indistinguishable — bitwise for trajectories, within an ulp for
-//! aggregate sums — from a naive full recompute, on the real circuit
-//! models the paper simulates.
+//! the dependency-driven updates, copy-number tables and flat selection
+//! must be bitwise indistinguishable — per propensity, per total and per
+//! trajectory — from a naive full recompute, on the real circuit models
+//! the paper simulates.
 
 use genetic_logic::gates::catalog;
 use genetic_logic::model::expr::{
@@ -12,7 +12,10 @@ use genetic_logic::model::{Expr, Model};
 use genetic_logic::ssa::engine::Observer;
 use genetic_logic::ssa::ipq::IndexedPriorityQueue;
 use genetic_logic::ssa::propensity::PropensitySet;
-use genetic_logic::ssa::{CompiledModel, Direct, Engine, FirstReaction, NextReaction, State};
+use genetic_logic::ssa::{
+    CompiledModel, Direct, Engine, FirstReaction, InputSchedule, NextReaction, ScheduleRunner,
+    State,
+};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -66,6 +69,48 @@ fn direct_incremental_matches_full_recompute_bitwise() {
                 "{id} seed {seed}: step counts diverged"
             );
             assert_eq!(incremental.0, full.0, "{id} seed {seed}");
+        }
+    }
+}
+
+/// The copy-number tables hold values for one run's boundary inputs,
+/// so every input edit between runs must empty them. For every catalog
+/// circuit, one sweep over all input combinations (each held 50 t.u.,
+/// inputs at 0 or 15) through `ScheduleRunner` must record the same
+/// trace bits with incremental updates as with a full recompute every
+/// step, which never reads a table.
+#[test]
+fn schedule_sweeps_match_full_recompute_bitwise_on_every_circuit() {
+    const HOLD: f64 = 50.0;
+    for entry in catalog::all() {
+        let model = CompiledModel::new(&entry.model).expect("compiles");
+        let slots: Vec<usize> = entry
+            .inputs
+            .iter()
+            .map(|name| model.species_slot(name).expect("input species"))
+            .collect();
+        let n = slots.len();
+        let mut schedule = InputSchedule::new();
+        for combo in 0..1usize << n {
+            for (j, &slot) in slots.iter().enumerate() {
+                let high = (combo >> (n - 1 - j)) & 1 == 1;
+                schedule.set(combo as f64 * HOLD, slot, if high { 15.0 } else { 0.0 });
+            }
+        }
+        let t_end = (1usize << n) as f64 * HOLD;
+        let runner = ScheduleRunner::new(schedule, 0.5).expect("valid schedule");
+        for seed in [1u64, 42] {
+            let bits = |mut engine: Direct| -> Vec<Vec<u64>> {
+                let trace = runner
+                    .run(&model, &mut engine, t_end, seed)
+                    .expect("simulation succeeds");
+                (0..trace.species().len())
+                    .map(|s| trace.series_at(s).iter().map(|v| v.to_bits()).collect())
+                    .collect()
+            };
+            let incremental = bits(Direct::new());
+            let full = bits(Direct::with_full_recompute());
+            assert_eq!(incremental, full, "{} seed {seed}", entry.id);
         }
     }
 }
@@ -256,6 +301,38 @@ const LANE_CENSUS: [(&str, usize, usize, usize, usize, usize); 15] = [
     ("cello_0x08", 4, 3, 1, 0, 0),
 ];
 
+/// How many of each catalog circuit's kinetic laws read exactly one
+/// changing species, and so get a copy-number propensity table.
+const TABLE_CENSUS: [(&str, usize); 15] = [
+    ("book_not", 3),
+    ("book_nor", 5),
+    ("book_nand", 5),
+    ("book_or", 7),
+    ("book_and", 7),
+    ("cello_0x0B", 5),
+    ("cello_0x04", 5),
+    ("cello_0x1C", 7),
+    ("cello_0x41", 5),
+    ("cello_0x70", 6),
+    ("cello_0x07", 3),
+    ("cello_0xB3", 5),
+    ("cello_0xF4", 5),
+    ("cello_0x06", 7),
+    ("cello_0x08", 5),
+];
+
+/// Every catalog circuit's tabled-law count is pinned, so a law that
+/// silently gains or loses its table fails here.
+#[test]
+fn catalog_table_census_is_pinned() {
+    let ids: Vec<String> = catalog::all().into_iter().map(|entry| entry.id).collect();
+    let census_ids: Vec<&str> = TABLE_CENSUS.iter().map(|row| row.0).collect();
+    assert_eq!(ids, census_ids, "the census covers the whole catalog");
+    for (id, tabled) in TABLE_CENSUS {
+        assert_eq!(prepared(id).tabled_law_count(), tabled, "{id}");
+    }
+}
+
 /// Every catalog circuit's lane placement is pinned, so a law that
 /// silently moves lanes (or falls back to the VM) fails here.
 #[test]
@@ -273,13 +350,6 @@ fn catalog_lane_census_is_pinned() {
         };
         assert_eq!(prepared(id).bank().occupancy(), expected, "{id}");
     }
-}
-
-/// Distance in representable doubles between two non-negative finite
-/// values.
-fn ulps_apart(a: f64, b: f64) -> u64 {
-    assert!(a >= 0.0 && b >= 0.0 && a.is_finite() && b.is_finite());
-    a.to_bits().abs_diff(b.to_bits())
 }
 
 /// Walks `steps` propensity-guided random firings and checks the
@@ -314,13 +384,12 @@ fn check_incremental_invariant(model: &CompiledModel, seed: u64, steps: usize) {
                 "step {step}: reaction {r} drifted"
             );
         }
-        // The root is a pairwise (tree) sum, the reference a sequential
-        // sum; the term sets are bitwise identical, so the two may
-        // differ only by fp reassociation — a handful of ulps for the
-        // ~20 terms of the largest catalog circuit.
-        assert!(
-            ulps_apart(set.total(), full_total) <= 8,
-            "step {step}: root {} vs sequential {}",
+        // Both totals are the sequential sum in reaction order over
+        // bitwise-equal terms.
+        assert_eq!(
+            set.total().to_bits(),
+            full_total.to_bits(),
+            "step {step}: total {} vs sweep {}",
             set.total(),
             full_total
         );
@@ -329,7 +398,7 @@ fn check_incremental_invariant(model: &CompiledModel, seed: u64, steps: usize) {
 
 proptest! {
     /// Satellite property: after N random firings from random seeds the
-    /// incrementally maintained propensities and sum-tree root equal a
+    /// incrementally maintained propensities and their total equal a
     /// full `propensities_into` recompute, on a mass-action book
     /// circuit.
     #[test]
