@@ -336,37 +336,6 @@ mod tests {
     }
 
     #[test]
-    fn selection_walks_the_cdf_skipping_zero_propensities() {
-        // Zeros at both ends and in the middle; dyadic values keep the
-        // prefix sums exact, so the expected reaction is unambiguous.
-        let values = [0.0, 2.5, 0.0, 1.25, 4.0, 0.25, 0.0, 1.0, 3.5, 0.0];
-        let set = set_of(&values);
-        let total = set.total();
-        assert_eq!(total, 12.5);
-        let mut target = 0.0;
-        while target < total {
-            let mut prefix = 0.0;
-            let expected = values
-                .iter()
-                .position(|&value| {
-                    prefix += value;
-                    prefix > target
-                })
-                .unwrap();
-            assert_eq!(set.select(target), expected, "target {target}");
-            target += 0.125;
-        }
-        // At or past the total: the last positive reaction, not the
-        // trailing zero.
-        assert_eq!(set.select(total), 8);
-        assert_eq!(set.select(total + 10.0), 8);
-        // A single reaction takes every target.
-        let single = set_of(&[2.0]);
-        assert_eq!(single.select(0.0), 0);
-        assert_eq!(single.select(1.9), 0);
-    }
-
-    #[test]
     fn no_target_below_the_total_selects_a_zero_propensity() {
         // Awkward magnitudes on purpose: the scan's running subtraction
         // rounds, and the fallback must still land on a live reaction.
