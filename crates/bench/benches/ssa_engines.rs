@@ -144,8 +144,8 @@ fn steps_per_second(engine: &mut dyn Engine, model: &CompiledModel, min_wall: f6
 /// Measures sustained full-propensity-sweep throughput (sweeps/second)
 /// over a cycle of states sampled along a direct-method trajectory —
 /// the evaluation pattern of the tau-leap/Langevin/ODE full-sweep path.
-/// `batched` selects the kinetic-form-bank sweep; otherwise the scalar
-/// per-law reference sweep.
+/// `batched` selects the memoized sweep (Hill memo and batched Hill
+/// pre-pass); otherwise the memo-free per-law sweep.
 fn sweeps_per_second(model: &CompiledModel, states: &[glc_ssa::State], batched: bool) -> f64 {
     let mut out = Vec::new();
     let mut stack = Vec::new();
@@ -729,20 +729,14 @@ fn throughput_report() {
     push(&mut ledger, "draws", draws);
     for id in ["book_and", "cello_0x1C"] {
         let model = prepared(id);
-        let bank = model.bank();
-        let occupancy = bank.occupancy();
+        let occupancy = model.bank().occupancy();
+        println!("  {id}: {} reactions", model.reaction_count());
         println!(
-            "  {id}: {} reactions ({} in SoA groups, {} fallback)",
-            model.reaction_count(),
-            bank.batched_len(),
-            bank.fallback_len()
-        );
-        println!(
-            "    lanes: {} linear  {} hill  {} sop  {} term-div  {} fallback",
+            "    forms: {} linear  {} hill  {} sop  {} term-div  {} fallback",
             occupancy.linear, occupancy.hill, occupancy.sop, occupancy.term_div, occupancy.fallback
         );
-        // Every law of the two reference circuits fits a shaped lane
-        // group; a VM fallback appearing here means the bank's shape
+        // Every law of the two reference circuits classifies as a shaped
+        // kinetic form; a VM fallback appearing here means the shape
         // recognizer regressed, and must fail loudly rather than bench
         // a silently slower path (also gated in `check_regression`).
         assert_eq!(
@@ -803,8 +797,8 @@ fn throughput_report() {
             push(&mut ledger, "engines", row);
         }
 
-        // Full-sweep path (tau-leap/Langevin/ODE rebuilds): batched
-        // bank sweep vs the scalar per-law reference.
+        // Full-sweep path (tau-leap/Langevin/ODE rebuilds): the
+        // memoized sweep vs the memo-free per-law sweep.
         let states = sampled_states(&model, 64);
         sweeps_per_second(&model, &states, true); // warm-up
         let batched = sweeps_per_second(&model, &states, true);

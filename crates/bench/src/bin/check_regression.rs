@@ -55,12 +55,12 @@ const GATES: &[Gate] = &[
     // The sparse ExactSum swap promised a cached cell ≥5x smaller than the
     // retired dense form; byte counts don't depend on the runner.
     Gate("resident", EVERY, "footprint_ratio", Floor, 5.0),
-    // The batched bank sweep exists only because it beats (or ties) the
-    // per-law scalar reference: a losing sweep is a regression to fix, not
-    // a baseline to ratchet.
+    // The Hill memo and its batched pre-pass exist only because the
+    // memoized sweep beats (or ties) the memo-free per-law sweep: a losing
+    // sweep is a regression to fix, not a baseline to ratchet.
     Gate("full_sweep", EVERY, "speedup", Floor, 1.0),
-    // Every law of the reference circuits has a shaped lane, so a VM
-    // fallback means the bank's recognizer regressed.
+    // Every law of the reference circuits classifies as a shaped kinetic
+    // form, so a `General` (VM) law means the form recognizer regressed.
     Gate("lanes", EVERY, "fallback", Ceiling, 0.0),
     // Measured >2x above (~4M steps/s on book_and, ~1.6M on cello_0x1C).
     // Machine-dependent by design: a fall off the vectorized sweep path

@@ -1,24 +1,24 @@
 //! Bitwise-equivalence acceptance tests for the vectorized hot paths.
 //!
-//! The batched kinetic-form-bank sweep and the chunked tau-leap /
-//! Langevin draw loops are *performance* rewrites: every one of them
-//! promises the exact floating-point op sequence and RNG draw sequence
-//! of its scalar reference. These tests hold them to it on the two
+//! The memoized propensity sweep and the chunked tau-leap / Langevin
+//! draw loops are *performance* rewrites: every one of them promises
+//! the exact floating-point op sequence and RNG draw sequence of its
+//! scalar reference. These tests hold them to it on the two
 //! reference circuits (the Figure 1 mass-action AND gate and the
 //! largest Hill-kinetics Cello circuit), for the standard pinned seeds
 //! and then across proptest-drawn seeds:
 //!
 //! * tau-leap trajectories against a reference loop built from
-//!   [`glc_ssa::CompiledModel::propensities_into_scalar`] and the
-//!   un-memoized [`glc_ssa::tau_leap::poisson`] sampler;
-//! * Langevin trajectories against a reference loop built from scalar
+//!   postfix-VM sweeps ([`vm_sweep`]) and the un-memoized
+//!   [`glc_ssa::tau_leap::poisson`] sampler;
+//! * Langevin trajectories against a reference loop built from VM
 //!   sweeps and the paired [`glc_ssa::draws::standard_normal`] (whose
 //!   carry spans the run, exactly as the engine's batched source);
 //! * `Direct` with incremental updates against the full-recompute
 //!   schedule (the exact-engine counterpart of the same contract);
-//! * the batched bank sweep against the scalar sweep on the
-//!   *continuous* states a Langevin trajectory visits (the root-level
-//!   propensity suite only walks integer SSA states).
+//! * the memoized sweep against the VM sweep on the *continuous*
+//!   states a Langevin trajectory visits (the root-level propensity
+//!   suite only walks integer SSA states).
 //!
 //! Each trajectory comparison also checks the final RNG fingerprint:
 //! the fast path must consume exactly the same number of draws, not
@@ -92,8 +92,26 @@ fn engine_run(
     (trace, bits, rng.gen::<u64>())
 }
 
+/// The postfix-VM reference sweep: every law through
+/// `CompiledExpr::eval_with`, totalled in reaction order. The engines'
+/// sweep shares no code with it beyond the arithmetic primitives.
+fn vm_sweep(
+    model: &CompiledModel,
+    values: &[f64],
+    out: &mut Vec<f64>,
+    stack: &mut Vec<f64>,
+) -> f64 {
+    out.clear();
+    let mut total = 0.0;
+    for law in model.bank().laws() {
+        out.push(law.eval_with(values, stack));
+        total += out[out.len() - 1];
+    }
+    total
+}
+
 /// The scalar tau-leap reference: the engine's loop re-derived from
-/// first principles with the per-law scalar sweep and the un-memoized
+/// first principles with the per-law VM sweep and the un-memoized
 /// Poisson sampler. Any divergence in the engine's batched sweep,
 /// precomputed λ slice, or memoized thresholds shows up here.
 fn reference_tau_leap(model: &CompiledModel, tau: f64, seed: u64) -> (BitTrace, Vec<u64>, u64) {
@@ -106,9 +124,7 @@ fn reference_tau_leap(model: &CompiledModel, tau: f64, seed: u64) -> (BitTrace, 
     let mut carry = NormalCarry::new();
     while state.t < T_END {
         let t_next = (state.t + tau).min(T_END);
-        model
-            .propensities_into_scalar(&state, &mut propensities, &mut stack)
-            .expect("scalar sweep");
+        vm_sweep(model, &state.values, &mut propensities, &mut stack);
         trace.on_advance(t_next, &state.values);
         let dt = t_next - state.t;
         for (r, &a) in propensities.iter().enumerate() {
@@ -132,7 +148,7 @@ fn reference_tau_leap(model: &CompiledModel, tau: f64, seed: u64) -> (BitTrace, 
     (trace, bits, rng.gen::<u64>())
 }
 
-/// The scalar Langevin reference: Euler–Maruyama with per-law scalar
+/// The scalar Langevin reference: Euler–Maruyama with per-law VM
 /// sweeps, scalar paired-Box–Muller draws, and inline drift/noise
 /// arithmetic in the exact association the engine's compacted
 /// `drift`/`sigma`/`z` slices replay. Quiescent reactions draw nothing,
@@ -148,9 +164,7 @@ fn reference_langevin(model: &CompiledModel, dt: f64, seed: u64) -> (BitTrace, V
     while state.t < T_END {
         let h = dt.min(T_END - state.t);
         let t_next = state.t + h;
-        model
-            .propensities_into_scalar(&state, &mut propensities, &mut stack)
-            .expect("scalar sweep");
+        vm_sweep(model, &state.values, &mut propensities, &mut stack);
         trace.on_advance(t_next, &state.values);
         let sqrt_h = h.sqrt();
         for (r, &a) in propensities.iter().enumerate() {
@@ -227,14 +241,14 @@ fn direct_incremental_matches_full_recompute_on_standard_seeds() {
 }
 
 proptest! {
-    /// The memoized, chunked tau-leap draw loop over the batched sweep
+    /// The memoized, chunked tau-leap draw loop over the memoized sweep
     /// replays the scalar reference bitwise for arbitrary seeds.
     #[test]
     fn tau_leap_matches_scalar_reference(seed in 0u64..1_000_000, cello in any::<bool>()) {
         assert_tau_leap_matches(if cello { "cello_0x1C" } else { "book_and" }, seed);
     }
 
-    /// The precomputed drift/σ Langevin step over the batched sweep
+    /// The precomputed drift/σ Langevin step over the memoized sweep
     /// replays the scalar reference bitwise for arbitrary seeds.
     #[test]
     fn langevin_matches_scalar_reference(seed in 0u64..1_000_000, cello in any::<bool>()) {
@@ -247,10 +261,10 @@ proptest! {
         assert_direct_matches(if cello { "cello_0x1C" } else { "book_and" }, seed);
     }
 
-    /// Batched bank sweep ≡ scalar sweep on the continuous (fractional)
-    /// states a Langevin trajectory visits: the root-level propensity
-    /// suite only exercises integer SSA states, but the full-sweep
-    /// engines feed the bank non-integer amounts every step.
+    /// Memoized sweep ≡ VM sweep on the continuous (fractional) states a
+    /// Langevin trajectory visits: the root-level propensity suite only
+    /// exercises integer SSA states, but the full-sweep engines feed the
+    /// laws non-integer amounts every step.
     #[test]
     fn batched_sweep_matches_scalar_on_continuous_states(
         seed in 0u64..1_000_000,
@@ -263,7 +277,7 @@ proptest! {
         struct SweepCheck<'m> {
             model: &'m CompiledModel,
             batched: Vec<f64>,
-            scalar: Vec<f64>,
+            vm: Vec<f64>,
             stack: Vec<f64>,
             memo: EvalMemo,
             template: glc_ssa::State,
@@ -277,15 +291,12 @@ proptest! {
                     .model
                     .propensities_into(&state, &mut self.batched, &mut self.stack, &mut self.memo)
                     .expect("batched sweep");
-                let scalar_total = self
-                    .model
-                    .propensities_into_scalar(&state, &mut self.scalar, &mut self.stack)
-                    .expect("scalar sweep");
-                assert_eq!(batched_total.to_bits(), scalar_total.to_bits());
+                let vm_total = vm_sweep(self.model, values, &mut self.vm, &mut self.stack);
+                assert_eq!(batched_total.to_bits(), vm_total.to_bits());
                 for r in 0..self.model.reaction_count() {
                     assert_eq!(
                         self.batched[r].to_bits(),
-                        self.scalar[r].to_bits(),
+                        self.vm[r].to_bits(),
                         "reaction {r} at t {t}"
                     );
                 }
@@ -295,7 +306,7 @@ proptest! {
         let mut check = SweepCheck {
             model: &model,
             batched: Vec::new(),
-            scalar: Vec::new(),
+            vm: Vec::new(),
             stack: Vec::new(),
             memo: EvalMemo::new(),
             template: model.initial_state(),

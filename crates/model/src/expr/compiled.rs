@@ -18,10 +18,12 @@
 //! The fast paths are constructed to be **bitwise identical** to the VM:
 //! classification only matches left-associated `+`/`*` spines (the shape
 //! the parser produces), evaluates factors and terms in the same order
-//! the postfix program would, and routes Hill responses through the very
-//! same [`Func::apply`]. Simulation results therefore do not depend on
-//! which path evaluated a propensity — the property the incremental
-//! propensity engine in `glc_ssa` relies on.
+//! the postfix program would, and replays the operation sequence of
+//! [`Func::apply`] for Hill responses. A [`KineticFormBank`] holds one
+//! model's laws and adds a caller-owned Hill response memo
+//! ([`EvalMemo`]) on the same evaluator. Simulation results therefore
+//! do not depend on which path evaluated a propensity — the property
+//! the incremental propensity engine in `glc_ssa` relies on.
 
 use super::{BinOp, Expr, Func};
 use crate::error::EvalError;
@@ -122,6 +124,14 @@ impl Operand {
 /// Covers the promoter response laws the gate compiler emits, including
 /// tandem-promoter laws where the repressor amounts are summed inside
 /// the call: `hillr(R_a + R_b, K, n)`.
+///
+/// When `k` and `n` are both literals — true for every law the gate
+/// compiler emits — `k^n` is hoisted to compile time:
+/// [`crate::fastmath::pow`] is a pure function of its operand bits, so
+/// the stored value is bitwise identical to evaluating it on every
+/// call, and the response costs one `pow` instead of two. The response
+/// of such a call is then a pure function of its clamped regulator, so
+/// it memoizes in the [`EvalMemo`] slot its [`KineticFormBank`] gives it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HillCall {
     /// `true` for `hilla`, `false` for `hillr`.
@@ -132,23 +142,53 @@ pub struct HillCall {
     pub k: Operand,
     /// Hill coefficient.
     pub n: Operand,
+    /// `k^n` when `k` and `n` are literals.
+    kn: Option<f64>,
+    /// Memo slot of a literal-coefficient call, numbered by the bank
+    /// that holds the law (0 outside a bank).
+    slot: u32,
 }
 
 impl HillCall {
+    /// The regulator amount, before the clamp.
     #[inline]
-    fn eval(&self, values: &[f64]) -> f64 {
+    fn regulator(&self, values: &[f64]) -> f64 {
         let mut x = self.xs[0].load(values);
         for operand in &self.xs[1..] {
             x += operand.load(values);
         }
-        // Same primitive the VM dispatches to, so results are bitwise
-        // identical between the two paths.
-        let func = if self.activation {
-            Func::HillActivation
-        } else {
-            Func::HillRepression
+        x
+    }
+
+    /// The exact operation sequence of [`Func::apply`] on `[x, k, n]`,
+    /// with `k^n` read from the hoisted value when there is one. Those
+    /// calls consult `memo` first: replaying a response stored for the
+    /// same clamped regulator bits is bitwise identical to recomputing
+    /// it (see [`EvalMemo`]).
+    #[inline]
+    fn eval<M: HillMemo + ?Sized>(&self, values: &[f64], memo: &mut M) -> f64 {
+        let x = self.regulator(values);
+        let Some(kn) = self.kn else {
+            let func = if self.activation {
+                Func::HillActivation
+            } else {
+                Func::HillRepression
+            };
+            return func.apply(&[x, self.k.load(values), self.n.load(values)]);
         };
-        func.apply(&[x, self.k.load(values), self.n.load(values)])
+        let x = x.max(0.0);
+        let (slot, x_bits) = (self.slot as usize, x.to_bits());
+        if let Some(response) = memo.lookup(slot, x_bits) {
+            return response;
+        }
+        let xn = crate::fastmath::pow(x, self.n.load(values));
+        let response = if self.activation {
+            xn / (kn + xn)
+        } else {
+            kn / (kn + xn)
+        };
+        memo.store(slot, x_bits, response);
+        response
     }
 }
 
@@ -191,10 +231,10 @@ pub enum Factor {
 
 impl Factor {
     #[inline]
-    fn eval(&self, values: &[f64]) -> f64 {
+    fn eval<M: HillMemo + ?Sized>(&self, values: &[f64], memo: &mut M) -> f64 {
         match self {
             Factor::Op(operand) => operand.load(values),
-            Factor::Hill(hill) => hill.eval(values),
+            Factor::Hill(hill) => hill.eval(values, memo),
             Factor::MaxZero(clamp) => clamp.eval(values),
         }
     }
@@ -210,10 +250,10 @@ pub struct Term {
 
 impl Term {
     #[inline]
-    fn eval(&self, values: &[f64]) -> f64 {
-        let mut product = self.factors[0].eval(values);
+    fn eval<M: HillMemo + ?Sized>(&self, values: &[f64], memo: &mut M) -> f64 {
+        let mut product = self.factors[0].eval(values, memo);
         for factor in &self.factors[1..] {
-            product *= factor.eval(values);
+            product *= factor.eval(values, memo);
         }
         product
     }
@@ -223,11 +263,11 @@ impl Term {
 /// time so the hot loop can skip VM dispatch for the common shapes.
 ///
 /// `Linear` covers the two-operand mass-action law `k * A`; `Hill`
-/// covers the single-promoter gate response; `SumOfProducts` covers
-/// tandem-promoter sums of responses, longer mass-action chains
-/// (`k * A * B` multiplies left to right like the VM) and lone operands
-/// (a one-factor term); `TermDiv` covers the book models' cooperative
-/// binding; `General` is the postfix VM fallback for everything else.
+/// covers the gate response; `SumOfProducts` covers tandem-promoter
+/// sums of responses, longer mass-action chains (`k * A * B` multiplies
+/// left to right like the VM) and lone operands (a one-factor term);
+/// `TermDiv` covers the book models' cooperative binding; `General` is
+/// the postfix VM fallback for everything else.
 #[derive(Debug, Clone, PartialEq)]
 pub enum KineticForm {
     /// `a * b`.
@@ -308,6 +348,22 @@ impl KineticForm {
 
         KineticForm::General
     }
+
+    /// Every Hill call of the form, in evaluation order.
+    fn hill_calls_mut(&mut self) -> impl Iterator<Item = &mut HillCall> {
+        let (lone, terms): (Option<&mut HillCall>, &mut [Term]) = match self {
+            KineticForm::Hill { hill, .. } => (Some(hill), &mut []),
+            KineticForm::SumOfProducts(terms) => (None, terms),
+            KineticForm::TermDiv { term, .. } => (None, std::slice::from_mut(term)),
+            KineticForm::Linear(..) | KineticForm::General => (None, &mut []),
+        };
+        let factors = terms.iter_mut().flat_map(|term| &mut term.factors);
+        lone.into_iter()
+            .chain(factors.filter_map(|factor| match factor {
+                Factor::Hill(hill) => Some(hill),
+                _ => None,
+            }))
+    }
 }
 
 /// `expr` as a single operand, if it is a literal or identifier.
@@ -334,11 +390,18 @@ fn hill_call_of(expr: &Expr, table: &SymbolTable) -> Option<HillCall> {
         return None;
     };
     let xs = operand_sum_of(x, table)?;
+    let (k, n) = (operand_of(k, table)?, operand_of(n, table)?);
+    let kn = match (k, n) {
+        (Operand::Num(k), Operand::Num(n)) => Some(crate::fastmath::pow(k, n)),
+        _ => None,
+    };
     Some(HillCall {
         activation,
         xs,
-        k: operand_of(k, table)?,
-        n: operand_of(n, table)?,
+        k,
+        n,
+        kn,
+        slot: 0,
     })
 }
 
@@ -444,48 +507,11 @@ fn sum_of_terms(expr: &Expr, table: &SymbolTable) -> Option<Vec<Term>> {
     Some(terms)
 }
 
-/// Sentinel in [`OperandLanes::lanes`] marking a literal operand.
-const NO_SLOT: u32 = u32::MAX;
-
-/// Structure-of-arrays storage for one operand position across every
-/// law of a group: one `(slot, literal)` pair per lane. A single
-/// paired array (rather than parallel `slots`/`literals` vectors)
-/// halves the bounds checks on every operand load.
-#[derive(Debug, Clone, Default)]
-struct OperandLanes {
-    /// `(value-vector slot, literal)` per lane; slot [`NO_SLOT`] marks
-    /// a literal operand (literal is 0.0 otherwise).
-    lanes: Vec<(u32, f64)>,
-}
-
-impl OperandLanes {
-    fn push(&mut self, operand: Operand) {
-        match operand {
-            Operand::Num(value) => self.lanes.push((NO_SLOT, value)),
-            Operand::Slot(slot) => self
-                .lanes
-                .push((u32::try_from(slot).expect("slot fits u32"), 0.0)),
-        }
-    }
-
-    /// Loads lane `lane` against `values` — the SoA equivalent of
-    /// [`Operand::load`], bit-for-bit.
-    #[inline]
-    fn load(&self, lane: usize, values: &[f64]) -> f64 {
-        let (slot, literal) = self.lanes[lane];
-        if slot == NO_SLOT {
-            literal
-        } else {
-            values[slot as usize]
-        }
-    }
-}
-
 /// One 8-lane batch of the Hill response chain, the vector core of
 /// [`KineticFormBank::warm_hills`]: `exp(n * ln x)` with an `x == 0`
 /// select replacing [`crate::fastmath::pow`]'s early return, then one
 /// division with the numerator chosen by the lane kind. Per lane this
-/// is exactly the operation sequence of [`HillLanes::eval`]'s miss
+/// is exactly the operation sequence of [`HillCall::eval`]'s miss
 /// path, so the results are bitwise identical to the scalar walk; the
 /// compile-time trip count is what lets the whole chain vectorize.
 #[inline]
@@ -506,18 +532,29 @@ fn hill_kernel8(
     }
 }
 
-/// Read/write access to the per-caller Hill response memo. Two
-/// implementations: the one-entry `(x_bits, response)` pair slice that
-/// full sweeps ([`KineticFormBank::eval_all`]) use, and the whole
-/// [`EvalMemo`] — copy-number table first, pair second — that the
-/// single-law path ([`KineticFormBank::eval_one`]) uses.
-/// Monomorphization keeps both free of dynamic dispatch.
+/// Read/write access to a Hill response memo, passed down the one
+/// evaluator ([`CompiledExpr::eval_memo`]): [`NoMemo`] for
+/// [`CompiledExpr::eval_fast`], the `(x_bits, response)` pair slice for
+/// [`KineticFormBank::eval_all`], and the whole [`EvalMemo`] (table
+/// first, pair second) for [`KineticFormBank::eval_one`].
 trait HillMemo {
     /// The memoized response for `slot` if it was computed for exactly
     /// these regulator bits.
     fn lookup(&mut self, slot: usize, x_bits: u64) -> Option<f64>;
     /// Records the response computed for `slot` at these regulator bits.
     fn store(&mut self, slot: usize, x_bits: u64, response: f64);
+}
+
+/// The memo of a law evaluated outside a bank: every lookup misses.
+struct NoMemo;
+
+impl HillMemo for NoMemo {
+    #[inline]
+    fn lookup(&mut self, _: usize, _: u64) -> Option<f64> {
+        None
+    }
+    #[inline]
+    fn store(&mut self, _: usize, _: u64, _: f64) {}
 }
 
 impl HillMemo for [(u64, f64)] {
@@ -580,11 +617,12 @@ fn table_index(slot: usize, x_bits: u64) -> Option<usize> {
     copy_number(f64::from_bits(x_bits)).map(|i| slot * COPY_TABLE_LEN + i)
 }
 
-/// Caller-owned memo for the bank's Hill response lanes.
+/// Caller-owned memo for a bank's literal-coefficient Hill calls.
 ///
-/// `powf` dominates every Hill evaluation, and a literal-coefficient
-/// Hill lane's response is a pure function of its clamped regulator.
-/// Each such lane gets two memos:
+/// `pow` dominates every Hill evaluation, and the response of a Hill
+/// call with literal `k` and `n` is a pure function of its clamped
+/// regulator (summed first, for a multi-regulator call). Each such call
+/// owns one memo slot, and each slot gets two memos:
 ///
 /// - a dense table of [`COPY_TABLE_LEN`] responses indexed by integral
 ///   copy number, read by [`KineticFormBank::eval_one`]. The exact
@@ -602,9 +640,9 @@ fn table_index(slot: usize, x_bits: u64) -> Option<usize> {
 /// # Bitwise contract
 ///
 /// A hit replays a value previously produced by the exact canonical
-/// operation sequence for bit-identical inputs — `powf` and the
+/// operation sequence for bit-identical inputs — `pow` and the
 /// follow-on divides are pure functions of their operand bits — so
-/// memoized evaluation stays bitwise identical to scalar evaluation.
+/// memoized evaluation stays bitwise identical to the postfix VM.
 /// The key is taken *after* the `x.max(0.0)` clamp, which can never
 /// yield a NaN, so the all-ones NaN bit pattern is a safe "empty"
 /// sentinel for the pairs. The table marks an empty entry with the same
@@ -616,16 +654,16 @@ fn table_index(slot: usize, x_bits: u64) -> Option<usize> {
 /// model cache. Each memo is stamped with the identity of the bank it
 /// was filled against and resets itself — pairs and table — when handed
 /// to a different bank, so one scratch can serve models of any shape
-/// over its lifetime. The table costs 8 KiB per Hill lane (80 KiB for
+/// over its lifetime. The table costs 8 KiB per slot (80 KiB for
 /// the largest catalog circuit), allocated and filled once per binding.
 #[derive(Debug, Clone, Default)]
 pub struct EvalMemo {
     /// Identity stamp of the bank the slots belong to.
     bank_id: u64,
-    /// Per-hill-lane `(x_bits, response)` pairs.
+    /// Per-slot `(x_bits, response)` pairs.
     hill: Vec<(u64, f64)>,
-    /// Per-hill-lane response tables, [`COPY_TABLE_LEN`] entries each;
-    /// lane slot `s` owns `table[s * COPY_TABLE_LEN..][..COPY_TABLE_LEN]`.
+    /// Per-slot response tables, [`COPY_TABLE_LEN`] entries each; slot
+    /// `s` owns `table[s * COPY_TABLE_LEN..][..COPY_TABLE_LEN]`.
     table: Vec<f64>,
 }
 
@@ -636,7 +674,7 @@ impl EvalMemo {
         EvalMemo::default()
     }
 
-    /// Binds the memo to `bank_id` with `slots` Hill lanes, clearing
+    /// Binds the memo to `bank_id` with `slots` Hill calls, clearing
     /// every pair and table entry unless already bound to that exact
     /// bank.
     #[inline]
@@ -653,512 +691,73 @@ impl EvalMemo {
     }
 }
 
-/// Where a law landed inside a [`KineticFormBank`]: which group, and at
-/// which lane within that group's SoA arrays.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum LaneRef {
-    Linear(u32),
-    Hill(u32),
-    Sop(u32),
-    TermDiv(u32),
-    Fallback(u32),
-}
-
-/// SoA lanes for single-regulator Hill response calls, shared by the
-/// standalone gate-response group and by product terms inside sums.
+/// The compiled kinetic laws of one model, with every
+/// literal-coefficient Hill call numbered by [`EvalMemo`] slot.
 ///
-/// When a lane's `k` and `n` are both literals — true for every law the
-/// gate compiler emits — `k^n` is hoisted to build time: `powf` is a
-/// pure function of its operand bits, so the precomputed value is
-/// bitwise identical to evaluating it on every call, and the response
-/// costs one `powf` instead of two.
-#[derive(Debug, Clone, Default)]
-struct HillLanes {
-    x: OperandLanes,
-    k: OperandLanes,
-    n: OperandLanes,
-    /// `k^n` for lanes with literal `k` and `n` (0.0 otherwise).
-    kn: Vec<f64>,
-    /// Whether `kn` holds the precomputed value for this lane.
-    kn_ready: Vec<bool>,
-    /// `true` → `hilla`, `false` → `hillr` (per lane).
-    activation: Vec<bool>,
-    /// First [`EvalMemo`] slot of this lane store; lane `l` memoizes at
-    /// `memo_base + l`. Assigned once when the bank finishes building.
-    memo_base: u32,
-    /// Whether any lane has a non-literal `k` or `n` (disables the
-    /// [`HillLanes::warm`] pre-pass for the whole store).
-    dynamic: bool,
-}
-
-impl HillLanes {
-    fn len(&self) -> usize {
-        self.activation.len()
-    }
-    /// Adds `hill` as a lane, returning its position — or `None` for
-    /// multi-regulator calls, which have no flat lane layout.
-    fn push(&mut self, hill: &HillCall) -> Option<u32> {
-        let [x] = hill.xs.as_slice() else {
-            return None;
-        };
-        let pos = self.activation.len() as u32;
-        self.x.push(*x);
-        self.k.push(hill.k);
-        self.n.push(hill.n);
-        if let (Operand::Num(k), Operand::Num(n)) = (hill.k, hill.n) {
-            self.kn.push(crate::fastmath::pow(k, n));
-            self.kn_ready.push(true);
-        } else {
-            self.kn.push(0.0);
-            self.kn_ready.push(false);
-            self.dynamic = true;
-        }
-        self.activation.push(hill.activation);
-        Some(pos)
-    }
-
-    /// Evaluates lane `lane`: the exact operation sequence of
-    /// [`Func::apply`] on `[x, k, n]`, with `k^n` read from the
-    /// precomputed lane when available.
-    ///
-    /// Lanes with literal `k` and `n` consult `memo` first: the
-    /// response is then a pure function of the clamped regulator bits,
-    /// so replaying a stored value is bitwise identical to recomputing
-    /// it (see [`EvalMemo`]).
-    #[inline]
-    fn eval<M: HillMemo + ?Sized>(&self, lane: usize, values: &[f64], memo: &mut M) -> f64 {
-        let x = self.x.load(lane, values).max(0.0);
-        if self.kn_ready[lane] {
-            let x_bits = x.to_bits();
-            let slot = self.memo_base as usize + lane;
-            if let Some(response) = memo.lookup(slot, x_bits) {
-                return response;
-            }
-            let n = self.n.load(lane, values);
-            let kn = self.kn[lane];
-            let xn = crate::fastmath::pow(x, n);
-            let response = if self.activation[lane] {
-                xn / (kn + xn)
-            } else {
-                kn / (kn + xn)
-            };
-            memo.store(slot, x_bits, response);
-            response
-        } else {
-            let n = self.n.load(lane, values);
-            let kn = crate::fastmath::pow(self.k.load(lane, values), n);
-            let xn = crate::fastmath::pow(x, n);
-            if self.activation[lane] {
-                xn / (kn + xn)
-            } else {
-                kn / (kn + xn)
-            }
-        }
-    }
-}
-
-/// Encodes an operand as an inline `(slot, literal)` pair — slot
-/// [`NO_SLOT`] marks a literal (the [`OperandLanes`] convention).
-fn encode_operand(operand: Operand) -> (u32, f64) {
-    match operand {
-        Operand::Num(value) => (NO_SLOT, value),
-        Operand::Slot(slot) => (u32::try_from(slot).expect("slot fits u32"), 0.0),
-    }
-}
-
-/// Loads an inline-encoded operand — bit-for-bit [`Operand::load`].
-#[inline]
-fn load_encoded(slot: u32, literal: f64, values: &[f64]) -> f64 {
-    if slot == NO_SLOT {
-        literal
-    } else {
-        values[slot as usize]
-    }
-}
-
-/// One multiplicand inside a [`SopGroup`] factor stream.
-///
-/// Operand and clamp factors carry their data *inline* rather than
-/// indexing side arrays: a factor evaluation is then one match plus at
-/// most one `values` read, matching the scalar path's inline
-/// `Factor` layout — the CSR walks were measurably slower when every
-/// factor paid extra bounds checks against shared lane arrays. Hill
-/// factors still reference [`HillLanes`] (they need the precomputed
-/// `k^n` and a stable memo slot).
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum FactorRef {
-    /// Inline operand: `(slot-or-NO_SLOT, literal)`.
-    Op(u32, f64),
-    /// Hill call at this position of the group's Hill lanes.
-    Hill(u32),
-    /// Inline clamp call `max(x - shift, 0)` (or `max(x, 0)` when
-    /// `has_shift` is false): `x` and `shift` operands inline.
-    MaxZero {
-        /// `x` operand, inline-encoded.
-        x_slot: u32,
-        /// `x` literal when `x_slot` is [`NO_SLOT`].
-        x_literal: f64,
-        /// `shift` operand, inline-encoded (`Num(0.0)` placeholder).
-        shift_slot: u32,
-        /// `shift` literal when `shift_slot` is [`NO_SLOT`].
-        shift_literal: f64,
-        /// Whether the call has a shift subtraction at all.
-        has_shift: bool,
-    },
-}
-
-/// Hill lanes behind a factor stream, addressed by
-/// [`FactorRef::Hill`]; non-Hill factors are inline in the stream.
-#[derive(Debug, Clone, Default)]
-struct FactorLanes {
-    hills: HillLanes,
-}
-
-impl FactorLanes {
-    /// Adds `factor`, returning its reference — or `None` for factors
-    /// with no flat lane layout (multi-regulator Hill calls). Callers
-    /// must pre-validate before committing a law's factors.
-    fn push(&mut self, factor: &Factor) -> Option<FactorRef> {
-        match factor {
-            Factor::Op(operand) => {
-                let (slot, literal) = encode_operand(*operand);
-                Some(FactorRef::Op(slot, literal))
-            }
-            Factor::Hill(hill) => self.hills.push(hill).map(FactorRef::Hill),
-            Factor::MaxZero(call) => {
-                let (x_slot, x_literal) = encode_operand(call.x);
-                let (shift_slot, shift_literal) =
-                    encode_operand(call.shift.unwrap_or(Operand::Num(0.0)));
-                Some(FactorRef::MaxZero {
-                    x_slot,
-                    x_literal,
-                    shift_slot,
-                    shift_literal,
-                    has_shift: call.shift.is_some(),
-                })
-            }
-        }
-    }
-
-    /// Whether `factor` has a flat lane layout.
-    fn is_regular(factor: &Factor) -> bool {
-        match factor {
-            Factor::Op(_) | Factor::MaxZero(_) => true,
-            Factor::Hill(hill) => hill.xs.len() == 1,
-        }
-    }
-
-    /// Evaluates one factor: the exact operation sequence of the
-    /// corresponding [`Factor::eval`] arm (and therefore of the VM).
-    #[inline]
-    fn eval<M: HillMemo + ?Sized>(&self, factor: FactorRef, values: &[f64], memo: &mut M) -> f64 {
-        match factor {
-            FactorRef::Op(slot, literal) => load_encoded(slot, literal, values),
-            FactorRef::Hill(pos) => self.hills.eval(pos as usize, values, memo),
-            FactorRef::MaxZero {
-                x_slot,
-                x_literal,
-                shift_slot,
-                shift_literal,
-                has_shift,
-            } => {
-                let x = load_encoded(x_slot, x_literal, values);
-                let arg = if has_shift {
-                    BinOp::Sub.apply(x, load_encoded(shift_slot, shift_literal, values))
-                } else {
-                    x
-                };
-                Func::Max.apply(&[arg, 0.0])
-            }
-        }
-    }
-}
-
-/// `k * A` laws: `out = a * b`.
-#[derive(Debug, Clone, Default)]
-struct LinearGroup {
-    idx: Vec<u32>,
-    a: OperandLanes,
-    b: OperandLanes,
-}
-
-/// Single-regulator gate-response laws:
-/// `out = base + span * hill(x, k, n)`.
-///
-/// Laws with more than one regulator summand inside the Hill call have
-/// no flat lane layout and go to the fallback group instead.
-#[derive(Debug, Clone, Default)]
-struct HillGroup {
-    idx: Vec<u32>,
-    base: OperandLanes,
-    span: OperandLanes,
-    hills: HillLanes,
-}
-
-/// Sum-of-products laws — tandem-promoter sums of gate responses and
-/// longer mass-action chains — in a CSR layout: `law_starts` slices the
-/// term list, `term_starts` slices the flat factor stream, and each
-/// factor indexes into shared operand or Hill lanes. Evaluation walks
-/// contiguous arrays instead of the nested `Term`/`Factor` heap
-/// structure of the scalar path, in the same left-to-right order.
-#[derive(Debug, Clone, Default)]
-struct SopGroup {
-    idx: Vec<u32>,
-    /// Law lane `l` owns terms `law_starts[l]..law_starts[l + 1]`.
-    law_starts: Vec<u32>,
-    /// Term `t` owns factors `term_starts[t]..term_starts[t + 1]`.
-    term_starts: Vec<u32>,
-    factors: Vec<FactorRef>,
-    lanes: FactorLanes,
-}
-
-impl SopGroup {
-    /// Adds a law, returning its lane — or `None` if any factor is a
-    /// multi-regulator Hill call (no flat layout; nothing committed).
-    fn push(&mut self, index: u32, terms: &[Term]) -> Option<u32> {
-        let regular = terms
-            .iter()
-            .all(|term| term.factors.iter().all(FactorLanes::is_regular));
-        if !regular {
-            return None;
-        }
-        if self.law_starts.is_empty() {
-            self.law_starts.push(0);
-            self.term_starts.push(0);
-        }
-        let lane = self.idx.len() as u32;
-        self.idx.push(index);
-        for term in terms {
-            for factor in &term.factors {
-                let factor = self.lanes.push(factor).expect("validated regular");
-                self.factors.push(factor);
-            }
-            self.term_starts.push(self.factors.len() as u32);
-        }
-        self.law_starts.push(self.term_starts.len() as u32 - 1);
-        Some(lane)
-    }
-
-    /// Evaluates law lane `lane` — terms added left to right, factors
-    /// multiplied left to right, exactly as
-    /// [`KineticForm::SumOfProducts`] evaluates on the scalar path.
-    #[inline]
-    fn eval_law<M: HillMemo + ?Sized>(&self, lane: usize, values: &[f64], memo: &mut M) -> f64 {
-        let t0 = self.law_starts[lane] as usize;
-        let t1 = self.law_starts[lane + 1] as usize;
-        self.eval_terms(t0, t1, values, memo)
-    }
-
-    /// Sums terms `t0..t1` of the term list (the factor math of
-    /// [`SopGroup::eval_law`], shared with the whole-group walk).
-    #[inline]
-    fn eval_terms<M: HillMemo + ?Sized>(
-        &self,
-        t0: usize,
-        t1: usize,
-        values: &[f64],
-        memo: &mut M,
-    ) -> f64 {
-        let bounds = &self.term_starts[t0..=t1];
-        let mut terms = bounds.iter().zip(&bounds[1..]);
-        let (&f0, &f1) = terms.next().expect("laws have at least one term");
-        let mut total = self.eval_term(f0 as usize, f1 as usize, values, memo);
-        for (&f0, &f1) in terms {
-            total += self.eval_term(f0 as usize, f1 as usize, values, memo);
-        }
-        total
-    }
-
-    #[inline]
-    fn eval_term<M: HillMemo + ?Sized>(
-        &self,
-        f0: usize,
-        f1: usize,
-        values: &[f64],
-        memo: &mut M,
-    ) -> f64 {
-        let (&first, rest) = self.factors[f0..f1]
-            .split_first()
-            .expect("terms are non-empty");
-        let mut product = self.lanes.eval(first, values, memo);
-        for &factor in rest {
-            product *= self.lanes.eval(factor, values, memo);
-        }
-        product
-    }
-
-    /// Walks every law of the group in lane order, scattering into
-    /// `out` — one zipped pass over the CSR arrays, so no per-law
-    /// bounds checks. Identical op sequence to per-lane
-    /// [`SopGroup::eval_law`] calls.
-    #[inline]
-    fn eval_all_into<M: HillMemo + ?Sized>(&self, values: &[f64], out: &mut [f64], memo: &mut M) {
-        for ((&index, &t0), &t1) in self
-            .idx
-            .iter()
-            .zip(&self.law_starts)
-            .zip(self.law_starts.iter().skip(1))
-        {
-            out[index as usize] = self.eval_terms(t0 as usize, t1 as usize, values, memo);
-        }
-    }
-}
-
-/// Product-term laws with a trailing division, `f0 * f1 * … / d` —
-/// the book-model cooperative-binding shape. The numerator is one
-/// single-term law of a [`SopGroup`], so the factor walk is shared.
-#[derive(Debug, Clone, Default)]
-struct TermDivGroup {
-    products: SopGroup,
-    divisor: OperandLanes,
-}
-
-impl TermDivGroup {
-    /// Adds a law, returning its lane — or `None` if any factor has no
-    /// flat layout (nothing committed).
-    fn push(&mut self, index: u32, term: &Term, divisor: Operand) -> Option<u32> {
-        let lane = self.products.push(index, std::slice::from_ref(term))?;
-        self.divisor.push(divisor);
-        Some(lane)
-    }
-
-    /// Evaluates law lane `lane`: factors multiplied left to right,
-    /// then one division — the exact operation order of
-    /// [`KineticForm::TermDiv`] on the scalar path (and of the VM).
-    #[inline]
-    fn eval_law<M: HillMemo + ?Sized>(&self, lane: usize, values: &[f64], memo: &mut M) -> f64 {
-        // Every law here is one term, so law lane `lane` owns term `lane`.
-        let starts = &self.products.term_starts;
-        let (f0, f1) = (starts[lane] as usize, starts[lane + 1] as usize);
-        let product = self.products.eval_term(f0, f1, values, memo);
-        BinOp::Div.apply(product, self.divisor.load(lane, values))
-    }
-}
-
-/// Batched, structure-of-arrays evaluator over a set of compiled
-/// kinetic laws.
-///
-/// Construction groups the laws by [`KineticForm`] shape; the regular
-/// shapes (`Linear`, single-regulator `Hill`, and
-/// `SumOfProducts`/`TermDiv` over operand, single-regulator Hill, or
-/// `max(…, 0)` clamp factors) are exploded into parallel flat arrays of
-/// rate constants, species slots and Hill coefficients, with `k^n`
-/// hoisted to build time for literal Hill constants.
-/// [`KineticFormBank::eval_all`] then walks each group contiguously
-/// instead of dispatching on every law's form and chasing its
-/// `CompiledExpr` allocations. Irregular laws (multi-regulator Hill
-/// calls, `General`) fall back to a retained [`CompiledExpr`] per law,
-/// which itself falls back to the postfix VM for `General` shapes.
-///
-/// Hill-response lanes with literal coefficients additionally memoize
-/// their responses in a caller-owned [`EvalMemo`], eliding the `powf`:
-/// [`KineticFormBank::eval_one`] reads a table indexed by integral copy
-/// number, and [`KineticFormBank::eval_all`] the last `(regulator bits,
-/// response)` pair (constant circuit inputs hit it on every sweep).
+/// Each law evaluates in its own [`KineticForm`] through the one
+/// evaluator behind [`CompiledExpr::eval_fast`] (`General` laws on the
+/// postfix VM); the bank adds the caller's Hill memo.
+/// [`KineticFormBank::eval_one`] reads the memo's copy-number table,
+/// then its pair; [`KineticFormBank::eval_all`] reads the pair alone,
+/// after a batched pre-pass that computes the sweep's missed responses
+/// eight at a time.
 ///
 /// # Bitwise contract
 ///
-/// Every lane performs the exact floating-point operation sequence of
-/// [`CompiledExpr::eval_fast`] on the same operand values, so bank
-/// results are **bitwise identical** to per-law evaluation — the
-/// property the shared `PropensitySet` in `glc_ssa` (and its
-/// trajectory-determinism guarantees) relies on.
+/// Every path performs the floating-point operation sequence of the
+/// postfix VM ([`CompiledExpr::eval_with`]) on the same operand values,
+/// so bank results are **bitwise identical** to it — the property the
+/// shared `PropensitySet` in `glc_ssa` (and its trajectory-determinism
+/// guarantees) relies on.
 #[derive(Debug, Clone, Default)]
 pub struct KineticFormBank {
-    /// Per-law dispatch record, indexed by the law's original position.
-    lanes: Vec<LaneRef>,
-    linear: LinearGroup,
-    hill: HillGroup,
-    sop: SopGroup,
-    term_div: TermDivGroup,
-    /// `(original index, law)` for shapes with no SoA layout.
-    fallback: Vec<(u32, CompiledExpr)>,
-    /// Total [`EvalMemo`] slots across the bank's three Hill lane
-    /// stores (standalone group, sum-of-products, term-div).
-    hill_memo_slots: u32,
+    /// The laws, in their original order.
+    laws: Vec<CompiledExpr>,
+    /// Copies of the laws' literal-coefficient Hill calls, in slot order.
+    hills: Vec<HillCall>,
     /// Unique identity stamped into memos for invalidation.
     bank_id: u64,
 }
 
 impl KineticFormBank {
-    /// Builds a bank over `laws`, grouping by [`KineticForm`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `laws.len()` or any referenced slot exceeds `u32`
-    /// range (unreachable for realistic models).
-    pub fn new(laws: &[CompiledExpr]) -> Self {
-        let mut bank = KineticFormBank::default();
-        for (index, law) in laws.iter().enumerate() {
-            let index = u32::try_from(index).expect("law index fits u32");
-            let lane = match law.kinetic_form() {
-                KineticForm::Linear(a, b) => {
-                    let lane = bank.linear.idx.len() as u32;
-                    bank.linear.idx.push(index);
-                    bank.linear.a.push(*a);
-                    bank.linear.b.push(*b);
-                    Some(LaneRef::Linear(lane))
+    /// Builds a bank over `laws`, numbering their memoizable Hill calls
+    /// in law order. Panics past `u32::MAX` such calls.
+    pub fn new(mut laws: Vec<CompiledExpr>) -> Self {
+        let mut hills = Vec::new();
+        for law in &mut laws {
+            for hill in law.form.hill_calls_mut() {
+                if hill.kn.is_some() {
+                    hill.slot = u32::try_from(hills.len()).expect("memo slots fit u32");
+                    hills.push(hill.clone());
                 }
-                KineticForm::Hill { base, span, hill } => bank.hill.hills.push(hill).map(|lane| {
-                    bank.hill.idx.push(index);
-                    bank.hill.base.push(*base);
-                    bank.hill.span.push(*span);
-                    LaneRef::Hill(lane)
-                }),
-                KineticForm::SumOfProducts(terms) => bank.sop.push(index, terms).map(LaneRef::Sop),
-                KineticForm::TermDiv { term, divisor } => bank
-                    .term_div
-                    .push(index, term, *divisor)
-                    .map(LaneRef::TermDiv),
-                KineticForm::General => None,
-            };
-            let lane = lane.unwrap_or_else(|| {
-                bank.fallback.push((index, law.clone()));
-                LaneRef::Fallback(bank.fallback.len() as u32 - 1)
-            });
-            bank.lanes.push(lane);
+            }
         }
-
-        // Assign memo slots across the three Hill lane stores, in a
-        // fixed order so a lane's slot is stable for the bank's life.
-        let hill_lanes = bank.hill.hills.len();
-        let sop_hills = bank.sop.lanes.hills.len();
-        let term_div_hills = bank.term_div.products.lanes.hills.len();
-        bank.hill.hills.memo_base = 0;
-        bank.sop.lanes.hills.memo_base = u32::try_from(hill_lanes).expect("lanes fit u32");
-        bank.term_div.products.lanes.hills.memo_base =
-            u32::try_from(hill_lanes + sop_hills).expect("lanes fit u32");
-        bank.hill_memo_slots =
-            u32::try_from(hill_lanes + sop_hills + term_div_hills).expect("lanes fit u32");
-        bank.bank_id = NEXT_BANK_ID.fetch_add(1, Ordering::Relaxed);
-        bank
+        KineticFormBank {
+            laws,
+            hills,
+            bank_id: NEXT_BANK_ID.fetch_add(1, Ordering::Relaxed),
+        }
     }
 
     /// Number of laws in the bank.
     pub fn len(&self) -> usize {
-        self.lanes.len()
+        self.laws.len()
     }
 
     /// Whether the bank holds no laws.
     pub fn is_empty(&self) -> bool {
-        self.lanes.is_empty()
+        self.laws.is_empty()
     }
 
-    /// Number of laws with a structure-of-arrays layout.
-    pub fn batched_len(&self) -> usize {
-        self.lanes.len() - self.fallback.len()
-    }
-
-    /// Number of irregular laws evaluated through their retained
-    /// [`CompiledExpr`].
-    pub fn fallback_len(&self) -> usize {
-        self.fallback.len()
+    /// The laws, in their original order.
+    pub fn laws(&self) -> &[CompiledExpr] {
+        &self.laws
     }
 
     /// Evaluates every law against `values`, writing law `i`'s result
-    /// to `out[i]`, group by group; `stack` is the operand stack for
-    /// fallback laws that hit the VM, and `memo` carries the caller's
-    /// Hill response memo (rebound to this bank on first use).
+    /// to `out[i]`; `stack` is the operand stack for `General` laws,
+    /// and `memo` carries the caller's Hill response memo (rebound to
+    /// this bank on first use).
     ///
     /// # Panics
     ///
@@ -1171,69 +770,52 @@ impl KineticFormBank {
         stack: &mut Vec<f64>,
         memo: &mut EvalMemo,
     ) {
-        memo.ensure(self.bank_id, self.hill_memo_slots as usize);
-        self.eval_all_with(values, out, stack, memo.hill.as_mut_slice());
+        assert_eq!(out.len(), self.laws.len(), "output length mismatch");
+        memo.ensure(self.bank_id, self.hills.len());
+        let pairs = memo.hill.as_mut_slice();
+        self.warm_hills(values, pairs);
+        for (out, law) in out.iter_mut().zip(&self.laws) {
+            *out = law.eval_memo(values, stack, pairs);
+        }
     }
 
-    /// Fused, miss-driven vector pre-pass over the bank's three Hill
-    /// lane stores: looks each literal-coefficient lane's clamped
-    /// regulator up in `memo`, gathers only the misses into shared
-    /// fixed-width scratch batches, evaluates their responses through
-    /// [`hill_kernel8`], and seeds `memo`, so the group walks that
-    /// follow hit on every lookup instead of paying a scalar
-    /// `powf`-equivalent per miss. Full-sweep engines (tau-leap,
-    /// Langevin) miss on every varying-regulator lane every step,
-    /// which makes the Hill transcendentals the sweep bottleneck; the
-    /// fusion matters because each store alone holds too few misses to
-    /// fill a vector batch, and gathering hits would waste batch
-    /// capacity on lanes (clamped inputs, steady regulators) the memo
-    /// already covers.
-    ///
-    /// Pad lanes inside a partially-filled batch run the kernels on
-    /// zeros (finite everywhere) and are never stored back. A store
-    /// with any non-literal `k`/`n` lane is skipped whole (such lanes
-    /// cannot memoize, and the gate compiler never emits them), as are
-    /// misses past the scratch capacity - the walk's scalar path
-    /// covers both.
-    fn warm_hills<M: HillMemo + ?Sized>(&self, values: &[f64], memo: &mut M) {
+    /// Miss-driven vector pre-pass over the memoizable Hill calls:
+    /// gathers the calls whose clamped regulator misses `memo` into
+    /// fixed-width batches, evaluates them through [`hill_kernel8`] and
+    /// seeds `memo`, so the law loop that follows hits instead of paying
+    /// a scalar `pow` per miss. Full-sweep engines (tau-leap, Langevin)
+    /// miss on every varying regulator every step. Pad lanes run the
+    /// kernel on zeros (finite everywhere) and are never stored back;
+    /// misses past the scratch capacity stay on the scalar path.
+    fn warm_hills(&self, values: &[f64], memo: &mut [(u64, f64)]) {
         // Two 8-lane batches of misses cover every gate-compiled
-        // circuit; overflow simply stays on the scalar walk path.
+        // circuit; overflow simply stays on the scalar path.
         const BATCHES: usize = 2;
         const MAX: usize = BATCHES * 8;
-        let stores = [
-            &self.hill.hills,
-            &self.sop.lanes.hills,
-            &self.term_div.products.lanes.hills,
-        ];
         let mut xs = [[0.0f64; 8]; BATCHES];
         let mut ns = [[0.0f64; 8]; BATCHES];
         let mut kns = [[0.0f64; 8]; BATCHES];
         let mut acts = [[false; 8]; BATCHES];
-        let mut slots = [0u32; MAX];
+        let mut slots = [0usize; MAX];
         let mut bits = [0u64; MAX];
         let mut at = 0;
-        'gather: for store in stores {
-            if store.dynamic {
+        for (slot, hill) in self.hills.iter().enumerate() {
+            let kn = hill.kn.expect("only literal-coefficient calls get slots");
+            if at == MAX {
+                break;
+            }
+            let x = hill.regulator(values).max(0.0);
+            let x_bits = x.to_bits();
+            if memo.lookup(slot, x_bits).is_some() {
                 continue;
             }
-            for lane in 0..store.len() {
-                if at == MAX {
-                    break 'gather;
-                }
-                let x = store.x.load(lane, values).max(0.0);
-                let x_bits = x.to_bits();
-                let slot = store.memo_base as usize + lane;
-                if memo.lookup(slot, x_bits).is_some() {
-                    continue;
-                }
-                xs[at / 8][at % 8] = x;
-                ns[at / 8][at % 8] = store.n.load(lane, values);
-                kns[at / 8][at % 8] = store.kn[lane];
-                acts[at / 8][at % 8] = store.activation[lane];
-                slots[at] = slot as u32;
-                bits[at] = x_bits;
-                at += 1;
-            }
+            xs[at / 8][at % 8] = x;
+            ns[at / 8][at % 8] = hill.n.load(values);
+            kns[at / 8][at % 8] = kn;
+            acts[at / 8][at % 8] = hill.activation;
+            slots[at] = slot;
+            bits[at] = x_bits;
+            at += 1;
         }
         if at == 0 {
             return;
@@ -1244,55 +826,17 @@ impl KineticFormBank {
             hill_kernel8(&xs[1], &ns[1], &kns[1], &acts[1], &mut resp[1]);
         }
         for g in 0..at {
-            memo.store(slots[g] as usize, bits[g], resp[g / 8][g % 8]);
+            memo.store(slots[g], bits[g], resp[g / 8][g % 8]);
         }
     }
 
-    fn eval_all_with<M: HillMemo + ?Sized>(
-        &self,
-        values: &[f64],
-        out: &mut [f64],
-        stack: &mut Vec<f64>,
-        memo: &mut M,
-    ) {
-        assert_eq!(out.len(), self.lanes.len(), "output length mismatch");
-        for lane in 0..self.linear.idx.len() {
-            out[self.linear.idx[lane] as usize] =
-                self.linear.a.load(lane, values) * self.linear.b.load(lane, values);
-        }
-
-        // Warm the Hill memo before the group walks: every
-        // literal-coefficient response for the current state is
-        // computed in one fixed-width batched pass, so the walks below
-        // replay stored values instead of hitting the scalar miss path
-        // lane by lane.
-        self.warm_hills(values, memo);
-
-        for lane in 0..self.hill.idx.len() {
-            out[self.hill.idx[lane] as usize] = self.eval_hill_lane(lane, values, memo);
-        }
-
-        // Sum-of-products: CSR walk over the flat factor stream.
-        self.sop.eval_all_into(values, out, memo);
-
-        // Term-with-division laws: the same walk, one division each.
-        for (lane, &index) in self.term_div.products.idx.iter().enumerate() {
-            out[index as usize] = self.term_div.eval_law(lane, values, memo);
-        }
-
-        for (index, law) in &self.fallback {
-            out[*index as usize] = law.eval_fast(values, stack);
-        }
-    }
-
-    /// Evaluates the single law at original position `index` out of its
-    /// SoA lane (or retained fallback expression). Literal-coefficient
-    /// Hill responses read `memo`'s copy-number table first, then its
-    /// one-entry pair (see [`EvalMemo`]); `memo` is rebound to this bank
-    /// on first use.
+    /// Evaluates the single law at original position `index`.
+    /// Literal-coefficient Hill responses read `memo`'s copy-number
+    /// table first, then its one-entry pair (see [`EvalMemo`]); `memo`
+    /// is rebound to this bank on first use.
     ///
-    /// Bitwise identical to [`CompiledExpr::eval_fast`] on the law, and
-    /// to what [`KineticFormBank::eval_all`] writes at `out[index]` —
+    /// Bitwise identical to the postfix VM on the law, and to what
+    /// [`KineticFormBank::eval_all`] writes at `out[index]` —
     /// incremental (per-dependent) and full-sweep updates can therefore
     /// be mixed freely, on one memo or several.
     #[inline]
@@ -1303,58 +847,38 @@ impl KineticFormBank {
         stack: &mut Vec<f64>,
         memo: &mut EvalMemo,
     ) -> f64 {
-        memo.ensure(self.bank_id, self.hill_memo_slots as usize);
-        match self.lanes[index] {
-            LaneRef::Linear(lane) => {
-                let lane = lane as usize;
-                self.linear.a.load(lane, values) * self.linear.b.load(lane, values)
-            }
-            LaneRef::Hill(lane) => self.eval_hill_lane(lane as usize, values, memo),
-            LaneRef::Sop(lane) => self.sop.eval_law(lane as usize, values, memo),
-            LaneRef::TermDiv(lane) => self.term_div.eval_law(lane as usize, values, memo),
-            LaneRef::Fallback(pos) => self.fallback[pos as usize].1.eval_fast(values, stack),
-        }
+        memo.ensure(self.bank_id, self.hills.len());
+        self.laws[index].eval_memo(values, stack, memo)
     }
 
-    /// One Hill lane: `base + span * hill(x, k, n)`, with the response
-    /// replaying the operation sequence of [`Func::apply`] bit-for-bit
-    /// (see [`HillLanes::eval`]).
-    #[inline]
-    fn eval_hill_lane<M: HillMemo + ?Sized>(
-        &self,
-        lane: usize,
-        values: &[f64],
-        memo: &mut M,
-    ) -> f64 {
-        let response = self.hill.hills.eval(lane, values, memo);
-        self.hill.base.load(lane, values) + self.hill.span.load(lane, values) * response
-    }
-
-    /// How many laws landed in each lane group.
+    /// How many laws classified as each [`KineticForm`].
     pub fn occupancy(&self) -> LaneOccupancy {
-        LaneOccupancy {
-            linear: self.linear.idx.len(),
-            hill: self.hill.idx.len(),
-            sop: self.sop.idx.len(),
-            term_div: self.term_div.products.idx.len(),
-            fallback: self.fallback.len(),
+        let mut census = LaneOccupancy::default();
+        for law in &self.laws {
+            *match law.form {
+                KineticForm::Linear(..) => &mut census.linear,
+                KineticForm::Hill { .. } => &mut census.hill,
+                KineticForm::SumOfProducts(_) => &mut census.sop,
+                KineticForm::TermDiv { .. } => &mut census.term_div,
+                KineticForm::General => &mut census.fallback,
+            } += 1;
         }
+        census
     }
 }
 
-/// How a bank placed its laws: one count per lane group.
+/// A bank's form census: one count per [`KineticForm`] variant.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LaneOccupancy {
-    /// `a * b` lanes.
+    /// [`KineticForm::Linear`] laws.
     pub linear: usize,
-    /// Single-regulator gate-response lanes.
+    /// [`KineticForm::Hill`] laws.
     pub hill: usize,
-    /// Sum-of-products lanes.
+    /// [`KineticForm::SumOfProducts`] laws.
     pub sop: usize,
-    /// Term-with-division lanes.
+    /// [`KineticForm::TermDiv`] laws.
     pub term_div: usize,
-    /// Irregular laws retained as [`CompiledExpr`] fallbacks (VM-bound
-    /// for `General` shapes).
+    /// [`KineticForm::General`] laws, which run on the postfix VM.
     pub fallback: usize,
 }
 
@@ -1521,20 +1045,33 @@ impl CompiledExpr {
     /// Panics if `values` is shorter than the highest referenced slot.
     #[inline]
     pub fn eval_fast(&self, values: &[f64], stack: &mut Vec<f64>) -> f64 {
+        self.eval_memo(values, stack, &mut NoMemo)
+    }
+
+    /// The one kinetic evaluator: the law's [`KineticForm`], with its
+    /// literal-coefficient Hill responses read from and written to
+    /// `memo`, or the postfix VM (via `stack`) for `General` laws.
+    #[inline]
+    fn eval_memo<M: HillMemo + ?Sized>(
+        &self,
+        values: &[f64],
+        stack: &mut Vec<f64>,
+        memo: &mut M,
+    ) -> f64 {
         match &self.form {
             KineticForm::Linear(a, b) => a.load(values) * b.load(values),
             KineticForm::Hill { base, span, hill } => {
-                base.load(values) + span.load(values) * hill.eval(values)
+                base.load(values) + span.load(values) * hill.eval(values, memo)
             }
             KineticForm::SumOfProducts(terms) => {
-                let mut total = terms[0].eval(values);
+                let mut total = terms[0].eval(values, memo);
                 for term in &terms[1..] {
-                    total += term.eval(values);
+                    total += term.eval(values, memo);
                 }
                 total
             }
             KineticForm::TermDiv { term, divisor } => {
-                BinOp::Div.apply(term.eval(values), divisor.load(values))
+                BinOp::Div.apply(term.eval(values, memo), divisor.load(values))
             }
             KineticForm::General => self.eval_with(values, stack),
         }
@@ -1732,8 +1269,8 @@ mod tests {
         assert_eq!(form_of("A - B", &table), KineticForm::General);
     }
 
-    /// The law mix of a realistic circuit: every regular form, plus
-    /// irregular laws that must take the fallback lane.
+    /// The law mix of a realistic circuit: every form, including
+    /// multi-regulator Hill calls and `General` laws on the VM.
     fn mixed_laws(table: &SymbolTable) -> Vec<CompiledExpr> {
         [
             "2.5",                                                         // one-factor SoP
@@ -1742,17 +1279,17 @@ mod tests {
             "0.5 * A * B",                                                 // SoP product
             "0.03 + 3.7 * hillr(A, 20, 2)",                                // Hill (repression)
             "0.1 + 2.9 * hilla(B, 7, 2.8)",                                // Hill (activation)
-            "0.1 + 2.9 * hilla(A + B, 7, 2.8)", // multi-regulator → fallback
-            "k * A * B * A",                    // single-term SumOfProducts
+            "0.1 + 2.9 * hilla(A + B, 7, 2.8)",                            // multi-regulator Hill
+            "k * A * B * A", // single-term SumOfProducts
             "0.03 + 3.7 * hillr(A, 20, 2) + 0.1 + 2.9 * hilla(B, 7, 2.8)", // tandem SoP
             "0.03 + 3.7 * hillr(A, k, 2) + k * B", // SoP with non-literal Hill k
-            "0.2 + 1.5 * hilla(A + B, 7, 2) + k * A", // SoP with multi-x Hill → fallback
-            "A - B / (k + 1)",                  // General → fallback (VM)
-            "k * B",                            // Linear again (second lane)
-            "1.5 * B * A",                      // SoP product again
+            "0.2 + 1.5 * hilla(A + B, 7, 2) + k * A", // SoP with multi-x Hill
+            "A - B / (k + 1)", // General (VM)
+            "k * B",         // Linear again (second lane)
+            "1.5 * B * A",   // SoP product again
             "k * A * B * max(B - 1, 0) * max(B - 2, 0) / 6", // book binding → TermDiv
-            "k * max(A - 1, 0)",                // SoP term with a clamp factor
-            "A / 2",                            // lone-factor TermDiv
+            "k * max(A - 1, 0)", // SoP term with a clamp factor
+            "A / 2",         // lone-factor TermDiv
         ]
         .iter()
         .map(|source| Expr::parse(source).unwrap().compile(table).unwrap())
@@ -1763,19 +1300,17 @@ mod tests {
     fn bank_groups_laws_by_form() {
         let table = table_of(&["A", "B", "k"]);
         let laws = mixed_laws(&table);
-        let bank = KineticFormBank::new(&laws);
+        let bank = KineticFormBank::new(laws.clone());
         assert_eq!(bank.len(), laws.len());
         assert!(!bank.is_empty());
-        assert_eq!(bank.fallback_len(), 3); // multi-x Hill, SoP w/ multi-x factor, General
-        assert_eq!(bank.batched_len(), laws.len() - 3);
         assert_eq!(
             bank.occupancy(),
             LaneOccupancy {
                 linear: 2,
-                hill: 2,
-                sop: 8,
+                hill: 3,
+                sop: 9,
                 term_div: 2,
-                fallback: 3,
+                fallback: 1, // the General law
             }
         );
     }
@@ -1793,7 +1328,7 @@ mod tests {
     #[test]
     fn bank_eval_all_and_eval_one_are_bitwise_identical_to_eval_fast() {
         let table = table_of(&["A", "B", "k"]);
-        assert_bank_matches_eval_fast(&mixed_laws(&table));
+        assert_bank_matches_vm(&mixed_laws(&table));
     }
 
     #[test]
@@ -1802,14 +1337,14 @@ mod tests {
         // multiple of any power-of-two width.
         let table = table_of(&["A", "B", "k"]);
         let laws = linear_laws(&table);
-        let bank = KineticFormBank::new(&laws);
-        assert_eq!(bank.batched_len(), 19);
+        let bank = KineticFormBank::new(laws.clone());
         assert_eq!(bank.occupancy().linear, 19);
-        assert_bank_matches_eval_fast(&laws);
+        assert_bank_matches_vm(&laws);
     }
 
-    fn assert_bank_matches_eval_fast(laws: &[CompiledExpr]) {
-        let bank = KineticFormBank::new(laws);
+    /// `eval_fast`, `eval_all` and `eval_one` all match the postfix VM.
+    fn assert_bank_matches_vm(laws: &[CompiledExpr]) {
+        let bank = KineticFormBank::new(laws.to_vec());
         let mut stack = Vec::new();
         let mut memo = EvalMemo::new();
         let mut out = vec![0.0; laws.len()];
@@ -1826,15 +1361,17 @@ mod tests {
         ] {
             bank.eval_all(&values, &mut out, &mut stack, &mut memo);
             for (r, law) in laws.iter().enumerate() {
-                let scalar = law.eval_fast(&values, &mut stack);
+                let vm = law.eval_with(&values, &mut stack);
+                let fast = law.eval_fast(&values, &mut stack);
+                assert_eq!(fast.to_bits(), vm.to_bits(), "eval_fast law {r}");
                 assert_eq!(
                     out[r].to_bits(),
-                    scalar.to_bits(),
-                    "law {r} at {values:?}: batched {} vs scalar {scalar}",
+                    vm.to_bits(),
+                    "law {r} at {values:?}: eval_all {} vs vm {vm}",
                     out[r]
                 );
                 let one = bank.eval_one(r, &values, &mut stack, &mut memo);
-                assert_eq!(one.to_bits(), scalar.to_bits(), "eval_one law {r}");
+                assert_eq!(one.to_bits(), vm.to_bits(), "eval_one law {r}");
             }
         }
     }
@@ -1850,8 +1387,8 @@ mod tests {
             .iter()
             .map(|s| Expr::parse(s).unwrap().compile(&table).unwrap())
             .collect();
-        let bank_a = KineticFormBank::new(&hill_a);
-        let bank_b = KineticFormBank::new(&hill_b);
+        let bank_a = KineticFormBank::new(hill_a.clone());
+        let bank_b = KineticFormBank::new(hill_b.clone());
         let values = [5.0, 0.0, 0.0];
         let mut stack = Vec::new();
         let mut out = [0.0];
@@ -1889,11 +1426,13 @@ mod tests {
             "0.03 + 3.7 * hillr(A, 20, 2)",
             "0.03 + 3.7 * hillr(A, 20, 2) + 0.1 + 2.9 * hilla(B, 7, 2.8)",
             "k * hilla(A, 7, 2.8) / 6",
+            "0.1 + 2.9 * hilla(A + B, 7, 2.8)",
         ]);
         let second = compile(&[
             "0.2 + 1.1 * hillr(A, 12, 1.9)",
             "0.1 + 2.5 * hilla(A, 5, 2) + 0.2 + 1.1 * hillr(B, 30, 3)",
             "k * hilla(A, 9, 1.5) / 6",
+            "0.2 + 1.5 * hillr(A + B, 9, 2)",
         ]);
         let regulators = [
             0.0,
@@ -1910,11 +1449,11 @@ mod tests {
         let mut memo = EvalMemo::new();
         let mut stack = Vec::new();
         for laws in [&first, &second, &first] {
-            let bank = KineticFormBank::new(laws);
+            let bank = KineticFormBank::new(laws.to_vec());
             let occupancy = bank.occupancy();
             assert_eq!(
                 (occupancy.hill, occupancy.sop, occupancy.term_div),
-                (1, 1, 1)
+                (2, 1, 1)
             );
             for x in regulators {
                 let values = [x, x, 0.5];
@@ -1926,13 +1465,14 @@ mod tests {
                     }
                 }
             }
-            // Four Hill lanes, each filled at the five in-table counts
-            // (-0.0 either clamps to 0.0 or takes the pair).
+            // Five memo slots, each filled at five in-table counts
+            // (-0.0 either clamps to 0.0 or takes the pair): the summed
+            // regulator 2x is in the table at x = 0, 1, 2.5, 15 and 220.
             let filled = memo.table.iter().filter(|v| v.to_bits() != EMPTY_BITS);
-            assert_eq!(filled.count(), 4 * 5);
+            assert_eq!(filled.count(), 5 * 5);
         }
         // A hit is a table read: a planted entry comes back verbatim.
-        let bank = KineticFormBank::new(&first);
+        let bank = KineticFormBank::new(first.clone());
         bank.eval_one(0, &[15.0, 0.0, 0.5], &mut stack, &mut memo);
         memo.table[15] = 0.25;
         let planted = bank.eval_one(0, &[15.0, 0.0, 0.5], &mut stack, &mut memo);
@@ -1960,7 +1500,7 @@ mod tests {
 
     #[test]
     fn empty_bank_is_fine() {
-        let bank = KineticFormBank::new(&[]);
+        let bank = KineticFormBank::new(Vec::new());
         assert!(bank.is_empty());
         assert_eq!(bank.len(), 0);
         let mut stack = Vec::new();

@@ -7,7 +7,7 @@
 //! Gibson–Bruck next-reaction method.
 
 use crate::error::SimError;
-use glc_model::expr::{CompiledExpr, EvalMemo, KineticFormBank};
+use glc_model::expr::{EvalMemo, KineticFormBank};
 use glc_model::{Model, ModelError};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
@@ -45,10 +45,8 @@ pub struct CompiledModel {
     species_names: Vec<String>,
     reaction_ids: Vec<String>,
     species_count: usize,
-    kinetics: Vec<CompiledExpr>,
-    /// Batched structure-of-arrays evaluator over `kinetics`; the hot
-    /// propensity paths all go through it (bitwise identical to per-law
-    /// evaluation).
+    /// The kinetic laws, one per reaction; every propensity path goes
+    /// through them (bitwise identical to the postfix VM).
     bank: KineticFormBank,
     deltas: Vec<Vec<(usize, i64)>>,
     dependents: Vec<Vec<usize>>,
@@ -131,14 +129,12 @@ impl CompiledModel {
             })
             .collect();
 
-        let bank = KineticFormBank::new(&kinetics);
         Ok(CompiledModel {
             id: model.id().to_string(),
             species_names: model.species().iter().map(|s| s.id.clone()).collect(),
             reaction_ids: model.reactions().iter().map(|r| r.id.clone()).collect(),
             species_count,
-            kinetics,
-            bank,
+            bank: KineticFormBank::new(kinetics),
             deltas,
             dependents,
             tables,
@@ -159,7 +155,7 @@ impl CompiledModel {
 
     /// Number of reactions.
     pub fn reaction_count(&self) -> usize {
-        self.kinetics.len()
+        self.bank.len()
     }
 
     /// Species names in slot order.
@@ -231,14 +227,12 @@ impl CompiledModel {
         stack: &mut Vec<f64>,
         memo: &mut EvalMemo,
     ) -> Result<f64, SimError> {
-        // The bank reads the law out of its structure-of-arrays lane
-        // (mass-action and Hill shapes with zero dispatch; irregular
-        // laws through the retained `CompiledExpr`, which falls back to
-        // the postfix VM on `stack`). Literal-coefficient Hill responses
-        // replay from `memo`'s copy-number table, so a dependent whose
-        // regulator just moved to a count seen before skips `powf`. All
-        // paths are bitwise identical, so this is a pure constant-factor
-        // win.
+        // The law evaluates in its own kinetic form (`General` laws on
+        // the postfix VM, via `stack`). Literal-coefficient Hill
+        // responses replay from `memo`'s copy-number table, so a
+        // dependent whose regulator just moved to a count seen before
+        // skips `pow`. Replays are bitwise identical to recomputing, so
+        // this is a pure constant-factor win.
         let value = self.bank.eval_one(r, &state.values, stack, memo);
         self.check_propensity(r, value, state.t)
     }
@@ -262,7 +256,7 @@ impl CompiledModel {
     }
 
     /// Evaluates all propensities into `out` (resized as needed) in one
-    /// batched sweep through the [`KineticFormBank`].
+    /// sweep through [`KineticFormBank::eval_all`].
     ///
     /// The returned total is the sequential sum in reaction order, and
     /// the first invalid propensity (in reaction order) is the error
@@ -296,7 +290,7 @@ impl CompiledModel {
         stack: &mut Vec<f64>,
         memo: &mut EvalMemo,
     ) -> Result<f64, SimError> {
-        out.resize(self.kinetics.len(), 0.0);
+        out.resize(self.bank.len(), 0.0);
         self.bank.eval_all(values, out, stack, memo);
         // Fast validation: accumulate the sequential in-order total (the
         // exact FP sum the scalar loop produced) while tracking the
@@ -320,11 +314,15 @@ impl CompiledModel {
         Ok(total)
     }
 
-    /// The scalar reference sweep: evaluates every law one at a time via
-    /// [`CompiledExpr::eval_fast`], bypassing the bank's SoA layout.
+    /// The per-law sweep without a memo: evaluates every law one at a
+    /// time via [`glc_model::expr::CompiledExpr::eval_fast`], with no
+    /// Hill memo and no batched pre-pass.
     ///
-    /// Kept as the baseline the batched path is benchmarked and
-    /// property-tested against; results are bitwise identical to
+    /// Kept only as the baseline of the bench's `full_sweep` row: the
+    /// memoized sweep must beat it. It shares the evaluator with
+    /// [`CompiledModel::propensities_into`], so the bitwise suites check
+    /// both against the postfix VM instead; a VM baseline here would be
+    /// slower and so loosen that gate. Results are bitwise identical to
     /// [`CompiledModel::propensities_into`].
     ///
     /// # Errors
@@ -336,17 +334,17 @@ impl CompiledModel {
         out: &mut Vec<f64>,
         stack: &mut Vec<f64>,
     ) -> Result<f64, SimError> {
-        out.resize(self.kinetics.len(), 0.0);
+        out.resize(self.bank.len(), 0.0);
         let mut total = 0.0;
-        for (r, slot) in out.iter_mut().enumerate() {
-            let value = self.kinetics[r].eval_fast(&state.values, stack);
+        for (r, (slot, law)) in out.iter_mut().zip(self.bank.laws()).enumerate() {
+            let value = law.eval_fast(&state.values, stack);
             *slot = self.check_propensity(r, value, state.t)?;
             total += *slot;
         }
         Ok(total)
     }
 
-    /// The batched evaluator over this model's kinetic laws.
+    /// This model's kinetic laws, one per reaction.
     pub fn bank(&self) -> &KineticFormBank {
         &self.bank
     }
@@ -369,7 +367,7 @@ impl CompiledModel {
 /// A bounded, fingerprint-keyed cache of compiled models.
 ///
 /// Compiling a catalog circuit — parsing every kinetic law, building
-/// the dependency graph and the kinetic-form bank — costs far more than
+/// the dependency graph and numbering the Hill memo slots — costs far more than
 /// a short simulation shard, and the service layer presents the same
 /// few circuits over and over (every replicate shard of a work order,
 /// every warm session resubmit). Keying an `Arc<CompiledModel>` by the
@@ -403,7 +401,7 @@ struct CacheEntry {
 }
 
 /// Default bound for [`ModelCache`]: comfortably above the catalog's
-/// circuit count, small enough that retained banks stay negligible.
+/// circuit count, small enough that retained models stay negligible.
 pub const DEFAULT_MODEL_CACHE_CAPACITY: usize = 32;
 
 impl Default for ModelCache {

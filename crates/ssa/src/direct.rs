@@ -52,8 +52,8 @@ impl Direct {
     ///
     /// Exists for benchmarking old-vs-new and for equivalence tests;
     /// trajectories are bitwise identical to [`Direct::new`] for the
-    /// same seed. Each step is one batched sweep through the kinetic
-    /// bank, so the copy-number tables are never filled and every
+    /// same seed. Each step is one memoized sweep over the model's
+    /// laws, so the copy-number tables are never filled and every
     /// rebuild resets nothing.
     pub fn with_full_recompute() -> Self {
         Direct {

@@ -23,8 +23,8 @@ pub use crate::draws::{standard_normal, NormalCarry};
 /// The chemical Langevin engine with fixed time step.
 ///
 /// Every Euler–Maruyama step needs all `R` propensities, so the engine
-/// fills a flat propensity slice with one batched kinetic-form-bank
-/// sweep per step (no `PropensitySet` — nothing here selects
+/// fills a flat propensity slice with one memoized sweep over the
+/// model's laws per step (no `PropensitySet` — nothing here selects
 /// reactions). The step itself then runs as three contiguous passes:
 /// *compact* the active (non-quiescent) reactions into dense
 /// `drift`/`sigma` slices, *fill* one standard normal per active
@@ -36,11 +36,11 @@ pub use crate::draws::{standard_normal, NormalCarry};
 pub struct Langevin {
     dt: f64,
     step_limit: u64,
-    /// Per-reaction propensities, rebuilt each step by one bank sweep.
+    /// Per-reaction propensities, rebuilt each step by one sweep.
     propensities: Vec<f64>,
     /// Operand stack for kinetic laws that fall back to the postfix VM.
     stack: Vec<f64>,
-    /// Hill-response memo threaded through the bank sweep.
+    /// Hill-response memo threaded through the sweep.
     memo: EvalMemo,
     /// Reaction ids with non-zero propensity this step, densely packed.
     active: Vec<u32>,

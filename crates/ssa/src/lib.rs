@@ -5,8 +5,8 @@
 //! stochastic simulation algorithm rather than ODEs. This crate provides:
 //!
 //! * [`compiled`] — a [`compiled::CompiledModel`]: kinetic laws compiled to
-//!   slot-indexed programs and grouped by shape into a batched
-//!   structure-of-arrays evaluator (`glc_model::expr::KineticFormBank`),
+//!   slot-indexed programs, each classified into its kinetic form and
+//!   held with its Hill memo slots (`glc_model::expr::KineticFormBank`),
 //!   per-reaction state deltas (boundary species excluded), and the
 //!   reaction dependency graph;
 //! * [`propensity`] — the incremental propensity engine shared by the

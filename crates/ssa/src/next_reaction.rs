@@ -8,8 +8,8 @@
 //! consumes one fresh random number per firing.
 //!
 //! Propensities live in the same [`PropensitySet`] the other exact
-//! engines share (one cache, one invalidation path, batched rebuilds
-//! through the model's kinetic-form bank); the engine keeps only its
+//! engines share (one cache, one invalidation path, memoized rebuild
+//! sweeps over the model's laws); the engine keeps only its
 //! indexed priority queue of tentative times on top. The
 //! [`PropensitySet::update_after_with`] hook hands this engine each
 //! dependent's old and new propensity in one pass, which is exactly

@@ -125,8 +125,8 @@ pub fn integrate(
 
 /// Writes `d(species)/dt` into `out` given the full value vector.
 ///
-/// All reaction rates come from one batched kinetic-form-bank sweep
-/// into `rates` (no per-stage probe-state allocation), then fold into
+/// All reaction rates come from one memoized sweep over the model's
+/// laws into `rates` (no per-stage probe-state allocation), then fold into
 /// the species derivative in reaction order — the same accumulation
 /// order as the previous per-reaction loop.
 fn derivative(

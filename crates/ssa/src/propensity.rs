@@ -94,9 +94,9 @@ impl PropensitySet {
         self.values.is_empty()
     }
 
-    /// Fully re-evaluates every propensity against `state` — one batched
-    /// structure-of-arrays sweep through the model's
-    /// [`glc_model::expr::KineticFormBank`] — and empties the
+    /// Fully re-evaluates every propensity against `state` — one
+    /// memoized sweep over the model's laws
+    /// ([`glc_model::expr::KineticFormBank::eval_all`]) — and empties the
     /// copy-number tables. Call at the start of every engine run and
     /// whenever `state` was edited outside [`CompiledModel::apply`].
     ///
@@ -126,7 +126,7 @@ impl PropensitySet {
     /// are untouched — their kinetic laws read no slot the firing
     /// changed. A tabled dependent whose changing slot holds a copy
     /// number below [`COPY_TABLE_LEN`] replays its table entry; every
-    /// other evaluation reads the law out of its bank lane
+    /// other evaluation runs the law in its own kinetic form
     /// ([`CompiledModel::propensity_with`]), where Hill responses
     /// replay from the memo's copy-number table.
     ///

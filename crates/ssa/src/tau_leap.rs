@@ -19,7 +19,7 @@ use rand::Rng;
 /// Unlike the exact engines, a leap touches every reaction every step,
 /// so there is nothing for the incremental `PropensitySet` machinery
 /// to save: the engine keeps a flat propensity slice filled
-/// by one batched bank sweep per leap, and draws firings in a single
+/// by one memoized sweep per leap, and draws firings in a single
 /// chunked loop over precomputed means. All per-step scratch (the
 /// slices, the VM stack, the Hill memo, the per-reaction Poisson
 /// threshold memo) lives on the engine, so steady-state stepping
@@ -28,11 +28,11 @@ use rand::Rng;
 pub struct TauLeap {
     tau: f64,
     step_limit: u64,
-    /// Per-reaction propensities, rebuilt each leap by one bank sweep.
+    /// Per-reaction propensities, rebuilt each leap by one sweep.
     propensities: Vec<f64>,
     /// Operand stack for kinetic laws that fall back to the postfix VM.
     stack: Vec<f64>,
-    /// Hill-response memo threaded through the bank sweep.
+    /// Hill-response memo threaded through the sweep.
     memo: EvalMemo,
     /// Per-reaction Poisson means `a_r * dt` for the current leap.
     lambdas: Vec<f64>,
@@ -184,10 +184,9 @@ impl Engine for TauLeap {
         while state.t < t_end {
             let t_next = (state.t + self.tau).min(t_end);
             // A leap fires many reactions at once, so the union of their
-            // dependency sets approaches all of R anyway: one batched
-            // structure-of-arrays sweep through the model's
-            // kinetic-form bank is the right granularity, and no
-            // selection happens, so no `PropensitySet` is kept.
+            // dependency sets approaches all of R anyway: one memoized
+            // sweep over the model's laws is the right granularity, and
+            // no selection happens, so no `PropensitySet` is kept.
             model.propensities_into(
                 state,
                 &mut self.propensities,

@@ -230,9 +230,21 @@ fn next_reaction_on_shared_set_matches_private_vector_bitwise() {
     }
 }
 
-/// The batched structure-of-arrays sweep is bitwise identical to the
-/// scalar per-law sweep at every state along a simulated trajectory —
-/// per reaction and for the sequential total.
+/// The postfix-VM reference sweep: every law through
+/// `CompiledExpr::eval_with`, totalled in reaction order.
+fn vm_sweep(model: &CompiledModel, state: &State, out: &mut Vec<f64>, stack: &mut Vec<f64>) -> f64 {
+    out.clear();
+    let mut total = 0.0;
+    for law in model.bank().laws() {
+        out.push(law.eval_with(&state.values, stack));
+        total += out[out.len() - 1];
+    }
+    total
+}
+
+/// The memoized sweep is bitwise identical to the postfix-VM sweep at
+/// every state along a simulated trajectory — per reaction and for the
+/// sequential total.
 #[test]
 fn batched_sweep_matches_scalar_sweep_bitwise_on_catalog_circuits() {
     for id in ["book_and", "cello_0x1C"] {
@@ -242,7 +254,7 @@ fn batched_sweep_matches_scalar_sweep_bitwise_on_catalog_circuits() {
         let mut set = PropensitySet::new();
         set.rebuild(&model, &state).unwrap();
         let mut batched = Vec::new();
-        let mut scalar = Vec::new();
+        let mut vm = Vec::new();
         let mut stack = Vec::new();
         let mut memo = EvalMemo::new();
         for step in 0..500 {
@@ -257,18 +269,16 @@ fn batched_sweep_matches_scalar_sweep_bitwise_on_catalog_circuits() {
             let batched_total = model
                 .propensities_into(&state, &mut batched, &mut stack, &mut memo)
                 .unwrap();
-            let scalar_total = model
-                .propensities_into_scalar(&state, &mut scalar, &mut stack)
-                .unwrap();
+            let vm_total = vm_sweep(&model, &state, &mut vm, &mut stack);
             assert_eq!(
                 batched_total.to_bits(),
-                scalar_total.to_bits(),
+                vm_total.to_bits(),
                 "{id} step {step}: totals diverged"
             );
             for r in 0..model.reaction_count() {
                 assert_eq!(
                     batched[r].to_bits(),
-                    scalar[r].to_bits(),
+                    vm[r].to_bits(),
                     "{id} step {step}: reaction {r}"
                 );
             }
@@ -276,13 +286,14 @@ fn batched_sweep_matches_scalar_sweep_bitwise_on_catalog_circuits() {
     }
 }
 
-/// Where each catalog circuit's kinetic laws land in the bank, as
-/// `(id, linear, hill, sop, term_div, fallback)`.
+/// How each catalog circuit's kinetic laws classify, as
+/// `(id, linear, hill, sop, term_div, fallback)`, where `fallback`
+/// counts `General` laws.
 const LANE_CENSUS: [(&str, usize, usize, usize, usize, usize); 15] = [
     ("book_not", 2, 0, 1, 1, 0),
     // book_nor and book_or keep `tx_P1 = ktx * P1 + kleak * (P1_boundL +
-    // P1_boundT)` on the VM: its `(a + b)` factor has no lane. A factor-sum
-    // lane was measured and rejected: it slowed the cello Direct step
+    // P1_boundT)` on the VM: its `(a + b)` factor has no form. A factor-sum
+    // form was measured and rejected: it slowed the cello Direct step
     // (cello_0x1C 175.9 -> 184.6 ns/event, cello_0xB3 143.5 -> 151.5) and
     // did not speed up book_or, the circuit that has the law.
     ("book_nor", 3, 0, 0, 2, 1),
@@ -333,8 +344,8 @@ fn catalog_table_census_is_pinned() {
     }
 }
 
-/// Every catalog circuit's lane placement is pinned, so a law that
-/// silently moves lanes (or falls back to the VM) fails here.
+/// Every catalog circuit's form census is pinned, so a law that
+/// silently changes form (or falls back to the VM) fails here.
 #[test]
 fn catalog_lane_census_is_pinned() {
     let ids: Vec<String> = catalog::all().into_iter().map(|entry| entry.id).collect();
@@ -416,9 +427,9 @@ proptest! {
         check_incremental_invariant(&model, seed, steps);
     }
 
-    /// Batched-path property: after N random firings the batched bank
-    /// sweep and the scalar per-law sweep agree bitwise — per reaction
-    /// and on the sequential total — for both law families.
+    /// Sweep property: after N random firings the memoized sweep and the
+    /// postfix-VM sweep agree bitwise — per reaction and on the
+    /// sequential total — for both law families.
     #[test]
     fn batched_sweep_equals_scalar_sweep_after_random_firings(
         seed in 0u64..1_000_000,
@@ -430,7 +441,7 @@ proptest! {
         let mut state = model.initial_state();
         let mut set = PropensitySet::new();
         set.rebuild(&model, &state).expect("rebuild");
-        let (mut batched, mut scalar, mut stack) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut batched, mut vm, mut stack) = (Vec::new(), Vec::new(), Vec::new());
         let mut memo = EvalMemo::new();
         for _ in 0..steps {
             let total = set.total();
@@ -444,14 +455,12 @@ proptest! {
         let batched_total = model
             .propensities_into(&state, &mut batched, &mut stack, &mut memo)
             .expect("batched sweep");
-        let scalar_total = model
-            .propensities_into_scalar(&state, &mut scalar, &mut stack)
-            .expect("scalar sweep");
-        prop_assert_eq!(batched_total.to_bits(), scalar_total.to_bits());
+        let vm_total = vm_sweep(&model, &state, &mut vm, &mut stack);
+        prop_assert_eq!(batched_total.to_bits(), vm_total.to_bits());
         for r in 0..model.reaction_count() {
-            prop_assert_eq!(batched[r].to_bits(), scalar[r].to_bits(), "reaction {}", r);
+            prop_assert_eq!(batched[r].to_bits(), vm[r].to_bits(), "reaction {}", r);
             // The incrementally maintained cache agrees with both.
-            prop_assert_eq!(set.propensity(r).to_bits(), scalar[r].to_bits());
+            prop_assert_eq!(set.propensity(r).to_bits(), vm[r].to_bits());
         }
     }
 }
@@ -529,7 +538,7 @@ fn random_law(rng: &mut StdRng) -> String {
 proptest! {
     /// Random laws outside the catalog's shapes evaluate bit-for-bit the
     /// same through the bank sweep, the bank's single-law path, the
-    /// kinetics fast path and the postfix VM. States repeat, so the Hill
+    /// memo-free fast path and the postfix VM. States repeat, so the Hill
     /// memo's hits, misses and overwrites are all covered: the sweep's
     /// pairs on one memo, and the single-law path's copy-number table on
     /// another. Two extra states put every regulator off the table, one
@@ -546,7 +555,7 @@ proptest! {
             .iter()
             .map(|source| source.parse::<Expr>().unwrap().compile(&table).unwrap())
             .collect();
-        let bank = KineticFormBank::new(&laws);
+        let bank = KineticFormBank::new(laws.clone());
         let mut states: Vec<[f64; 5]> = (0..4)
             .map(|_| {
                 [
