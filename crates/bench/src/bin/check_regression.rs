@@ -80,8 +80,9 @@ const GATES: &[Gate] = &[
     // Measured ~5-17 µs per batch-sized chunk reply; 40 µs catches the
     // decoder falling off its fixed-layout fast path. Machine-dependent.
     Gate("codec", EVERY, "glcb_decode_micros", Ceiling, 40.0),
-    // The dense little-endian ExactSum layout keeps batch-sized snapshots
-    // near ~2800 B; byte counts don't depend on the runner.
+    // Batch-sized snapshots took ~2800 B when every ExactSum digit was an
+    // 8-byte i64 and ~880 B with varint cells; byte counts don't depend
+    // on the runner.
     Gate("spill", EVERY, "snapshot_bytes", Ceiling, 3000.0),
 ];
 

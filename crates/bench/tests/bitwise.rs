@@ -10,7 +10,9 @@
 //!
 //! * tau-leap trajectories against a reference loop built from
 //!   postfix-VM sweeps ([`vm_sweep`]) and the un-memoized
-//!   [`glc_ssa::tau_leap::poisson`] sampler;
+//!   [`glc_ssa::tau_leap::poisson`] sampler, plus the sweep itself
+//!   against the VM sweep on every state the run visits (a small
+//!   drift in λ can hide inside the Poisson draws);
 //! * Langevin trajectories against a reference loop built from VM
 //!   sweeps and the paired [`glc_ssa::draws::standard_normal`] (whose
 //!   carry spans the run, exactly as the engine's batched source);
@@ -188,6 +190,63 @@ fn reference_langevin(model: &CompiledModel, dt: f64, seed: u64) -> (BitTrace, V
     (trace, bits, rng.gen::<u64>())
 }
 
+/// Checks the engine's propensity sweep (`propensities_into`) against
+/// [`vm_sweep`] bit for bit, reaction by reaction, on every state the
+/// run hands its observer.
+struct SweepCheck<'m> {
+    model: &'m CompiledModel,
+    batched: Vec<f64>,
+    vm: Vec<f64>,
+    stack: Vec<f64>,
+    memo: EvalMemo,
+    template: glc_ssa::State,
+}
+
+impl Observer for SweepCheck<'_> {
+    fn on_advance(&mut self, t: f64, values: &[f64]) {
+        let mut state = self.template.clone();
+        state.t = t;
+        state.values.copy_from_slice(values);
+        let batched_total = self
+            .model
+            .propensities_into(&state, &mut self.batched, &mut self.stack, &mut self.memo)
+            .expect("batched sweep");
+        let vm_total = vm_sweep(self.model, values, &mut self.vm, &mut self.stack);
+        assert_eq!(batched_total.to_bits(), vm_total.to_bits());
+        for r in 0..self.model.reaction_count() {
+            assert_eq!(
+                self.batched[r].to_bits(),
+                self.vm[r].to_bits(),
+                "reaction {r} at t {t}"
+            );
+        }
+    }
+}
+
+/// Runs `engine` under a [`SweepCheck`] observer.
+fn assert_sweep_matches_on_visited_states(
+    engine: &mut dyn Engine,
+    model: &CompiledModel,
+    seed: u64,
+) {
+    let mut check = SweepCheck {
+        model,
+        batched: Vec::new(),
+        vm: Vec::new(),
+        stack: Vec::new(),
+        memo: EvalMemo::new(),
+        template: model.initial_state(),
+    };
+    let mut state = model.initial_state();
+    let mut rng = StdRng::seed_from_u64(seed);
+    engine
+        .run(model, &mut state, T_END, &mut rng, &mut check)
+        .expect("simulation succeeds");
+}
+
+/// Tau-leap ≡ its scalar reference, trajectory and draw stream — and,
+/// since the Poisson draws can absorb a small drift in λ, the sweep
+/// itself ≡ the VM sweep on every state the run visits.
 fn assert_tau_leap_matches(id: &str, seed: u64) {
     let model = prepared(id);
     let (tau, _) = approx_steps(id);
@@ -195,6 +254,7 @@ fn assert_tau_leap_matches(id: &str, seed: u64) {
     let fast = engine_run(&mut engine, &model, seed);
     let reference = reference_tau_leap(&model, tau, seed);
     assert_eq!(fast, reference, "{id} seed {seed}");
+    assert_sweep_matches_on_visited_states(&mut engine, &model, seed);
 }
 
 fn assert_langevin_matches(id: &str, seed: u64) {
@@ -274,48 +334,7 @@ proptest! {
         let model = prepared(id);
         let (_, dt) = approx_steps(id);
 
-        struct SweepCheck<'m> {
-            model: &'m CompiledModel,
-            batched: Vec<f64>,
-            vm: Vec<f64>,
-            stack: Vec<f64>,
-            memo: EvalMemo,
-            template: glc_ssa::State,
-        }
-        impl Observer for SweepCheck<'_> {
-            fn on_advance(&mut self, t: f64, values: &[f64]) {
-                let mut state = self.template.clone();
-                state.t = t;
-                state.values.copy_from_slice(values);
-                let batched_total = self
-                    .model
-                    .propensities_into(&state, &mut self.batched, &mut self.stack, &mut self.memo)
-                    .expect("batched sweep");
-                let vm_total = vm_sweep(self.model, values, &mut self.vm, &mut self.stack);
-                assert_eq!(batched_total.to_bits(), vm_total.to_bits());
-                for r in 0..self.model.reaction_count() {
-                    assert_eq!(
-                        self.batched[r].to_bits(),
-                        self.vm[r].to_bits(),
-                        "reaction {r} at t {t}"
-                    );
-                }
-            }
-        }
-
-        let mut check = SweepCheck {
-            model: &model,
-            batched: Vec::new(),
-            vm: Vec::new(),
-            stack: Vec::new(),
-            memo: EvalMemo::new(),
-            template: model.initial_state(),
-        };
-        let mut state = model.initial_state();
-        let mut rng = StdRng::seed_from_u64(seed);
-        Langevin::new(dt)
-            .expect("valid dt")
-            .run(&model, &mut state, T_END, &mut rng, &mut check)
-            .expect("simulation succeeds");
+        let mut engine = Langevin::new(dt).expect("valid dt");
+        assert_sweep_matches_on_visited_states(&mut engine, &model, seed);
     }
 }

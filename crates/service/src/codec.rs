@@ -58,8 +58,11 @@ pub const GLCB_MAGIC: [u8; 4] = *b"GLCB";
 /// `.session.glcb` snapshot could be extended under a different
 /// stream; both break sharded ≡ unsharded and resumed ≡ uninterrupted.
 /// Version 2: `Direct` sums and selects over a flat propensity vector
-/// instead of a sum tree.
-pub const GLCB_VERSION: u8 = 2;
+/// instead of a sum tree. Version 3: each `ExactSum` cell is encoded
+/// by its exact total — an integer total as one zigzag varint, any
+/// other as its canonical digit window with zigzag-varint digits —
+/// instead of 8-byte digits; the bits of every figure are unchanged.
+pub const GLCB_VERSION: u8 = 3;
 
 const TAG_ORDER: u8 = 1;
 const TAG_REPLY: u8 = 2;
@@ -441,6 +444,9 @@ mod tests {
         // Version 1 builds drew another Direct stream.
         let mut previous_stream = hello.clone();
         previous_stream[4] = 1;
+        // Version 2 builds spell partial cells in the 8-byte-digit layout.
+        let mut previous_layout = hello.clone();
+        previous_layout[4] = 2;
         let mut flagged = hello.clone();
         flagged.push(1);
         let mut unflagged = hello.clone();
@@ -448,6 +454,7 @@ mod tests {
         for bad in [
             other_version,
             previous_stream,
+            previous_layout,
             flagged,
             unflagged,
             hello[..hello.len() - 1].to_vec(),

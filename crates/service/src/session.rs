@@ -848,10 +848,10 @@ impl SessionStore {
         let mut noise = Vec::with_capacity(names.len());
         for name in names {
             // Read the figures off the traces finalize already
-            // materialized rather than re-expanding every exact cell
-            // through the borrowed-partial path — the two are pinned
-            // bitwise-identical (`glc_vasim::stats` parity test), and
-            // this halves the per-query superaccumulator work.
+            // materialized rather than rounding every exact cell a
+            // second time through the borrowed-partial path — the two
+            // are pinned bitwise-identical (`glc_vasim::stats` parity
+            // test).
             let points = ensemble_noise(&ensemble, &name).ok_or_else(|| {
                 ServiceError::Order(format!("session does not aggregate species `{name}`"))
             })?;

@@ -212,9 +212,9 @@ fn cross_tag_decodes_fail_closed() {
 #[test]
 fn hello_negotiation_matrix_holds() {
     // Every peer sends the same bodiless hello, and anything but a
-    // GLCB hello of this version — an older build's flags byte, or
-    // version 1, whose Direct engine drew another stream, included —
-    // fails closed.
+    // GLCB hello of this version — an older build's flags byte,
+    // version 1, whose Direct engine drew another stream, or version 2,
+    // whose partial cells used 8-byte digits, included — fails closed.
     codec::decode_hello(&codec::encode_hello()).unwrap();
     let version_hello = |version: u8| {
         let mut hello = codec::encode_hello();
@@ -225,6 +225,7 @@ fn hello_negotiation_matrix_holds() {
     for bad in [
         version_hello(glc_service::GLCB_VERSION.wrapping_add(1)),
         version_hello(1),
+        version_hello(2),
         flagged,
         b"{\"glc_frame_hello\":1}".to_vec(),
         codec::encode_order(1, &tiny_order(2, 0, 3, EngineSpec::Direct)),

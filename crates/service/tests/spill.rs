@@ -251,6 +251,45 @@ fn corrupt_snapshots_fail_closed() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+#[test]
+fn version_2_snapshots_fail_reload_closed() {
+    // A snapshot written by a version-2 build spelled its cells as
+    // 8-byte digits. Reload must reject it on the version byte rather
+    // than read its cells under this build's layout.
+    let dir = spill_dir("version2");
+    let spec = tiny_spec(5);
+    let key = {
+        let mut store = SessionStore::new(2, ExtendBackend::InProcess)
+            .unwrap()
+            .with_spill_dir(&dir);
+        let key = store.submit(&spec).unwrap().session;
+        store.extend(&key, 2).unwrap();
+        key
+    };
+    let binary = session::spill_path(&dir, &key);
+    let mut snapshot = std::fs::read(&binary).unwrap();
+    assert_eq!(&snapshot[..4], b"GLCB");
+    assert_eq!(snapshot[4], glc_service::GLCB_VERSION);
+    snapshot[4] = 2;
+    std::fs::write(&binary, &snapshot).unwrap();
+
+    let mut store = SessionStore::new(2, ExtendBackend::InProcess)
+        .unwrap()
+        .with_spill_dir(&dir);
+    assert!(matches!(store.extend(&key, 1), Err(ServiceError::Spill(_))));
+    assert!(matches!(
+        store.query(&key, &[]),
+        Err(ServiceError::Spill(_))
+    ));
+    // Submit rebuilds cold instead of resuming from the old snapshot.
+    let resubmitted = store.submit(&spec).unwrap();
+    assert!(!resubmitted.warm, "a version-2 snapshot must not resume");
+    assert_eq!(resubmitted.replicates, 0);
+    store.extend(&key, 2).unwrap();
+    assert_eq!(store.partial(&key).unwrap(), &fresh_reference(&spec, 2));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 proptest! {
     /// LRU eviction order matches a reference model: for any schedule
     /// of submits/touches over more specs than the store holds, the

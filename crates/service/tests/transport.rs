@@ -841,6 +841,10 @@ fn foreign_version_hello(version: u8) -> Vec<u8> {
 /// their workers must not join a pool of this build.
 const PREVIOUS_STREAM_VERSION: u8 = 1;
 
+/// The GLCB version of builds that spelled each partial cell as 8-byte
+/// digits: their replies would not decode here.
+const PREVIOUS_LAYOUT_VERSION: u8 = 2;
+
 /// Reads until the peer closes, failing if it answers with a frame.
 fn assert_no_answer(stream: &mut TcpStream, what: &str) {
     stream
@@ -894,6 +898,7 @@ fn legacy_and_foreign_version_hellos_fail_the_handshake() {
         flagged_hello(),
         foreign_version_hello(glc_service::GLCB_VERSION.wrapping_add(1)),
         foreign_version_hello(PREVIOUS_STREAM_VERSION),
+        foreign_version_hello(PREVIOUS_LAYOUT_VERSION),
     ];
 
     // The relay server answers neither.

@@ -428,10 +428,13 @@ impl EnsemblePartial {
     /// Appends the GLCB binary form: the fingerprint (model id, species
     /// names, grid as `f64` bit patterns, sample count), the replicate
     /// count, the covered seed ranges as varint pairs, and both
-    /// accumulator grids in the dense [`ExactSum::encode_binary`]
-    /// layout. Equal partials encode to identical bytes (the `ExactSum`
-    /// layer canonicalizes), which is what lets the binary wire/spill
-    /// paths be compared bitwise against the JSON ones.
+    /// accumulator grids, each cell in the [`ExactSum::encode_binary`]
+    /// layout: one zigzag varint for an integer total (every cell of an
+    /// exact-engine partial), the canonical digit window otherwise.
+    /// Each cell's bytes are a function of its exact total alone, so
+    /// equal partials encode to identical bytes however they were
+    /// accumulated, sharded or merged — which is what lets the wire
+    /// and spill paths be compared bytewise with the in-process store.
     pub fn encode_binary(&self, buf: &mut Vec<u8>) {
         put_string(buf, &self.fingerprint.model_id);
         put_varint(buf, self.fingerprint.species.len() as u64);
@@ -460,7 +463,10 @@ impl EnsemblePartial {
     /// The GLCB binary form as an owned buffer (see
     /// [`EnsemblePartial::encode_binary`]).
     pub fn to_binary(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(64 + 24 * self.cells());
+        // An integer cell takes a flag byte plus a short varint (~2.3
+        // bytes on the catalog's Direct partials); window cells run
+        // longer and grow the buffer.
+        let mut buf = Vec::with_capacity(64 + 3 * self.cells());
         self.encode_binary(&mut buf);
         buf
     }

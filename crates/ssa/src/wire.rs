@@ -17,8 +17,10 @@
 //!   [`f64::to_bits`], preserving NaN payloads and signed zeros
 //!   bitwise (the JSON layer's shortest-round-trip spelling is
 //!   value-preserving too, but costs a parse);
-//! * **i64** — 8-byte little-endian two's complement (`ExactSum`
-//!   digits);
+//! * **zigzag** — a signed integer as the LEB128 varint of its
+//!   zigzag map (0, −1, 1, −2, … → 0, 1, 2, 3, …), so small magnitudes
+//!   of either sign take few bytes (`ExactSum` totals and digits; an
+//!   `i128` takes at most 19 bytes);
 //! * **str** — varint byte length + UTF-8 bytes.
 //!
 //! Decoding is fail-closed: every read comes off a [`Reader`] that
@@ -139,12 +141,28 @@ impl<'a> Reader<'a> {
         Ok(f64::from_bits(u64::from_le_bytes(bits)))
     }
 
-    /// Reads an 8-byte little-endian `i64`.
-    pub fn i64_le(&mut self, what: &str) -> Result<i64, WireError> {
-        let raw = self.take(8, what)?;
-        let mut bits = [0u8; 8];
-        bits.copy_from_slice(raw);
-        Ok(i64::from_le_bytes(bits))
+    /// Reads a LEB128 varint `u128`, rejecting encodings past the 19
+    /// bytes a `u128` can need and any overflow of the top byte.
+    pub fn varint_u128(&mut self, what: &str) -> Result<u128, WireError> {
+        let mut value = 0u128;
+        for shift in (0..128).step_by(7) {
+            let byte = self.byte(what)?;
+            let low = u128::from(byte & 0x7F);
+            if shift == 126 && low > 3 {
+                return Err(WireError(format!("varint overflow reading {what}")));
+            }
+            value |= low << shift;
+            if byte & 0x80 == 0 {
+                return Ok(value);
+            }
+        }
+        Err(WireError(format!("varint too long reading {what}")))
+    }
+
+    /// Reads a zigzag-mapped signed varint (see [`put_zigzag`]).
+    pub fn zigzag(&mut self, what: &str) -> Result<i128, WireError> {
+        let raw = self.varint_u128(what)?;
+        Ok((raw >> 1) as i128 ^ -((raw & 1) as i128))
     }
 
     /// Reads a length-prefixed UTF-8 string (capped at 64 MiB, the
@@ -175,9 +193,23 @@ pub fn put_f64_bits(buf: &mut Vec<u8>, value: f64) {
     buf.extend_from_slice(&value.to_bits().to_le_bytes());
 }
 
-/// Appends an `i64` little-endian.
-pub fn put_i64_le(buf: &mut Vec<u8>, value: i64) {
-    buf.extend_from_slice(&value.to_le_bytes());
+/// Appends a LEB128 varint `u128`.
+pub fn put_varint_u128(buf: &mut Vec<u8>, mut value: u128) {
+    loop {
+        let byte = (value & 0x7F) as u8;
+        value >>= 7;
+        if value == 0 {
+            buf.push(byte);
+            return;
+        }
+        buf.push(byte | 0x80);
+    }
+}
+
+/// Appends a signed integer as the varint of its zigzag map, so values
+/// near zero of either sign stay short.
+pub fn put_zigzag(buf: &mut Vec<u8>, value: i128) {
+    put_varint_u128(buf, ((value << 1) ^ (value >> 127)) as u128);
 }
 
 /// Appends a length-prefixed UTF-8 string.
@@ -214,6 +246,49 @@ mod tests {
             assert_eq!(reader.varint("test").unwrap(), v);
         }
         assert!(reader.is_empty());
+    }
+
+    #[test]
+    fn zigzag_round_trips_across_the_i128_range() {
+        let values = [
+            0i128,
+            -1,
+            1,
+            -64,
+            63,
+            64,
+            i128::from(u32::MAX),
+            -i128::from(u32::MAX),
+            i128::from(i64::MIN),
+            i128::from(i64::MAX),
+            i128::MIN,
+            i128::MAX,
+        ];
+        let mut buf = Vec::new();
+        for &v in &values {
+            put_zigzag(&mut buf, v);
+        }
+        let mut reader = Reader::new(&buf);
+        for &v in &values {
+            assert_eq!(reader.zigzag("test").unwrap(), v);
+        }
+        assert!(reader.is_empty());
+        // Small magnitudes of either sign take one byte; i128 at most 19.
+        for (v, len) in [(0i128, 1), (-64, 1), (63, 1), (64, 2), (i128::MIN, 19)] {
+            let mut one = Vec::new();
+            put_zigzag(&mut one, v);
+            assert_eq!(one.len(), len, "{v}");
+        }
+        // Twenty continuation bytes, or a 19th byte past bit 127, fail.
+        assert!(Reader::new(&[0xFFu8; 20]).varint_u128("overlong").is_err());
+        let mut overflow = vec![0xFFu8; 18];
+        overflow.push(0x04);
+        assert!(Reader::new(&overflow).varint_u128("overflow").is_err());
+        overflow[18] = 0x03;
+        assert_eq!(
+            Reader::new(&overflow).varint_u128("max").unwrap(),
+            u128::MAX
+        );
     }
 
     #[test]

@@ -11,7 +11,14 @@
 //! normalize, round-to-nearest-even) — on adversarial magnitudes:
 //! denormals, `±MAX`, catastrophic cancellation, and mixtures spanning
 //! the full finite exponent range.
+//!
+//! The integer lane keeps the contract: integral inputs below 2^63 sum
+//! in an `i128` beside the window, and the GLCB cell encodes the exact
+//! total, not the path that reached it. The integer-shaped inputs below
+//! (counts, ±2^63, integral values past the lane) and the binary
+//! round-trip checks pin both against the same dense oracle.
 
+use genetic_logic::ssa::wire::{put_zigzag, Reader};
 use genetic_logic::ssa::ExactSum;
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -171,6 +178,26 @@ fn adversarial_value() -> BoxedStrategy<f64> {
                 v
             }
         }),
+        // Integer-shaped inputs: copy numbers and their squares (the
+        // lane's workload), the lane's edges (-2^63 = i64::MIN as f64
+        // is the lane's floor, 2^63 the first value past it), and
+        // integral values beyond the lane.
+        (0u64..1000, any::<bool>()).prop_map(|(n, neg)| if neg { -(n as f64) } else { n as f64 }),
+        (0u64..1 << 20).prop_map(|n| (n * n) as f64),
+        Just(f64::powi(2.0, 63)),
+        Just(-f64::powi(2.0, 63)),
+        Just(i64::MIN as f64),
+        Just(f64::powi(2.0, 63) - 1024.0), // largest f64 below 2^63
+        Just(-(f64::powi(2.0, 63) - 1024.0)),
+        (1u64 << 52..1 << 53, 11u64..80, any::<bool>()).prop_map(|(m, e, neg)| {
+            // m · 2^e ≥ 2^63: integral, and past the lane.
+            let v = m as f64 * f64::powi(2.0, e as i32);
+            if neg {
+                -v
+            } else {
+                v
+            }
+        }),
         // Near-cancelling magnitudes around 1e16 (classic residual
         // loss for sequential f64 summation).
         (0u64..1 << 40, any::<bool>()).prop_map(|(m, neg)| {
@@ -254,6 +281,127 @@ proptest! {
         let again = serde_json::to_string(&back).unwrap();
         prop_assert_eq!(&again, &json, "serialization is not canonical");
     }
+}
+
+/// The GLCB cell bytes of `acc`.
+fn cell_bytes(acc: &ExactSum) -> Vec<u8> {
+    let mut buf = Vec::new();
+    acc.encode_binary(&mut buf);
+    buf
+}
+
+/// Decodes one GLCB cell, requiring the payload be consumed exactly.
+fn decode_cell(bytes: &[u8]) -> ExactSum {
+    let mut reader = Reader::new(bytes);
+    let acc = ExactSum::decode_binary(&mut reader).unwrap();
+    reader.expect_end("cell").unwrap();
+    acc
+}
+
+proptest! {
+    /// The binary cell is canonical: decoding then re-encoding gives
+    /// the identical bytes, the decoded accumulator equals the
+    /// original and matches the dense reference's value bitwise, and
+    /// the bytes depend only on the total — not on how the inputs were
+    /// split and merged.
+    #[test]
+    fn binary_round_trip_is_bytewise_canonical(
+        values in vec(adversarial_value(), 0..40),
+        cut in 0usize..40,
+    ) {
+        let acc = sparse_of(&values);
+        let bytes = cell_bytes(&acc);
+        let back = decode_cell(&bytes);
+        prop_assert_eq!(&back, &acc);
+        prop_assert_eq!(cell_bytes(&back), bytes.clone(), "re-encoding is not identical");
+        prop_assert_eq!(back.value().to_bits(), dense_of(&values).value().to_bits());
+        let (left, right) = values.split_at(cut.min(values.len()));
+        let mut merged = sparse_of(right);
+        merged.merge(&sparse_of(left));
+        prop_assert_eq!(cell_bytes(&merged), bytes);
+    }
+}
+
+#[test]
+fn totals_reached_through_the_window_encode_like_the_lane() {
+    // Each pair holds the same exact total, once through non-integral
+    // or out-of-lane inputs (the digit window) and once through the
+    // integer lane alone: equal values, equal accumulators, equal bytes.
+    let two_70 = f64::powi(2.0, 70);
+    for (window, lane) in [
+        (vec![0.5, 0.5], vec![1.0]),
+        (vec![two_70, -two_70, 3.0], vec![3.0]),
+        (vec![two_70, 3.0, -two_70], vec![1.0, 2.0]),
+        (vec![-0.25, -0.75, -1.0], vec![-2.0]),
+        (vec![0.1, -0.1], vec![]),
+        // 2^63 sits past the lane, 2^63 - 1024 inside it: both sum to
+        // i64::MAX.
+        (
+            vec![f64::powi(2.0, 63), -1.0],
+            vec![f64::powi(2.0, 63) - 1024.0, 1023.0],
+        ),
+    ] {
+        let through_window = sparse_of(&window);
+        let through_lane = sparse_of(&lane);
+        assert_eq!(through_window, through_lane, "{window:?} vs {lane:?}");
+        assert_eq!(
+            through_window.value().to_bits(),
+            through_lane.value().to_bits(),
+            "{window:?}"
+        );
+        let bytes = cell_bytes(&through_lane);
+        assert_eq!(cell_bytes(&through_window), bytes, "{window:?}");
+        // An integer total is one flag byte plus one zigzag varint.
+        assert_eq!(
+            bytes[0], 2,
+            "{window:?}: integer totals use the integer flag"
+        );
+        assert_eq!(cell_bytes(&decode_cell(&bytes)), bytes);
+    }
+}
+
+#[test]
+fn lane_overflow_folds_into_the_window_exactly() {
+    // A lane decoded at i128::MAX cannot take another 1.0 as an
+    // integer: it folds into the window, and the total 2^127 (past the
+    // i128 range) encodes as a window.
+    let at = |total: i128| {
+        let mut bytes = vec![2u8];
+        put_zigzag(&mut bytes, total);
+        decode_cell(&bytes)
+    };
+    let two_127 = f64::powi(2.0, 127);
+    let mut acc = at(i128::MAX);
+    acc.add(1.0);
+    let dense = dense_of(&[two_127, -1.0, 1.0]);
+    assert_eq!(acc.value().to_bits(), dense.value().to_bits());
+    assert_eq!(acc.value(), two_127);
+    assert_eq!(acc, sparse_of(&[two_127]));
+    let bytes = cell_bytes(&acc);
+    assert_eq!(bytes[0], 0, "2^127 does not fit i128: window flag");
+    assert_eq!(bytes, cell_bytes(&sparse_of(&[two_127])));
+    assert_eq!(decode_cell(&bytes), acc);
+    // Taking the 1.0 back out returns to an integer total, encoded
+    // exactly like the original lane.
+    acc.add(-1.0);
+    assert_eq!(cell_bytes(&acc), cell_bytes(&at(i128::MAX)));
+
+    // The same on the negative side, and through merge: two lanes at
+    // i128::MIN overflow on merge and sum to -2^128 exactly.
+    let mut low = at(i128::MIN);
+    low.add(-1.0);
+    let dense = dense_of(&[-two_127, -1.0]);
+    assert_eq!(low.value().to_bits(), dense.value().to_bits());
+    let mut merged = at(i128::MIN);
+    merged.merge(&at(i128::MIN));
+    assert_eq!(merged, sparse_of(&[-2.0 * two_127]));
+    assert_eq!(
+        merged.value().to_bits(),
+        dense_of(&[-two_127, -two_127]).value().to_bits()
+    );
+    // And the i128::MIN lane itself is an integer total.
+    assert_eq!(cell_bytes(&at(i128::MIN))[0], 2);
+    assert_eq!(at(i128::MIN), sparse_of(&[-two_127]));
 }
 
 #[test]
