@@ -160,6 +160,11 @@ impl HillCall {
         x
     }
 
+    /// Every operand the call reads.
+    fn operands(&self) -> impl Iterator<Item = &Operand> {
+        self.xs.iter().chain([&self.k, &self.n])
+    }
+
     /// The exact operation sequence of [`Func::apply`] on `[x, k, n]`,
     /// with `k^n` read from the hoisted value when there is one. Those
     /// calls consult `memo` first: replaying a response stored for the
@@ -851,6 +856,24 @@ impl KineticFormBank {
         self.laws[index].eval_memo(values, stack, memo)
     }
 
+    /// Evaluates part `part` of the law at original position `index`
+    /// (see [`CompiledExpr::part_count`]), reading `memo` as
+    /// [`KineticFormBank::eval_one`] does. Adding a law's parts left to
+    /// right, each from this method or a stored earlier result for the
+    /// same operands, replays `eval_one`'s bits.
+    #[inline]
+    pub fn eval_part(
+        &self,
+        index: usize,
+        part: usize,
+        values: &[f64],
+        stack: &mut Vec<f64>,
+        memo: &mut EvalMemo,
+    ) -> f64 {
+        memo.ensure(self.bank_id, self.hills.len());
+        self.laws[index].eval_part(part, values, stack, memo)
+    }
+
     /// How many laws classified as each [`KineticForm`].
     pub fn occupancy(&self) -> LaneOccupancy {
         let mut census = LaneOccupancy::default();
@@ -1048,9 +1071,10 @@ impl CompiledExpr {
         self.eval_memo(values, stack, &mut NoMemo)
     }
 
-    /// The one kinetic evaluator: the law's [`KineticForm`], with its
-    /// literal-coefficient Hill responses read from and written to
-    /// `memo`, or the postfix VM (via `stack`) for `General` laws.
+    /// The one kinetic evaluator: the law's parts
+    /// ([`CompiledExpr::part_count`]) summed left to right — the first
+    /// part, then `+=` each next one — with literal-coefficient Hill
+    /// responses read from and written to `memo`.
     #[inline]
     fn eval_memo<M: HillMemo + ?Sized>(
         &self,
@@ -1058,23 +1082,85 @@ impl CompiledExpr {
         stack: &mut Vec<f64>,
         memo: &mut M,
     ) -> f64 {
+        let mut total = self.eval_part(0, values, stack, memo);
+        for part in 1..self.part_count() {
+            total += self.eval_part(part, values, stack, memo);
+        }
+        total
+    }
+
+    /// Part `part` of the law (see [`CompiledExpr::part_count`]): a
+    /// `Hill` law's `base` (part 0) or `span * hill` (part 1), one term
+    /// of a `SumOfProducts`, or the whole law for every other form
+    /// (`General` on the postfix VM, via `stack`).
+    #[inline]
+    fn eval_part<M: HillMemo + ?Sized>(
+        &self,
+        part: usize,
+        values: &[f64],
+        stack: &mut Vec<f64>,
+        memo: &mut M,
+    ) -> f64 {
         match &self.form {
             KineticForm::Linear(a, b) => a.load(values) * b.load(values),
-            KineticForm::Hill { base, span, hill } => {
-                base.load(values) + span.load(values) * hill.eval(values, memo)
-            }
-            KineticForm::SumOfProducts(terms) => {
-                let mut total = terms[0].eval(values, memo);
-                for term in &terms[1..] {
-                    total += term.eval(values, memo);
-                }
-                total
-            }
+            KineticForm::Hill { base, .. } if part == 0 => base.load(values),
+            KineticForm::Hill { span, hill, .. } => span.load(values) * hill.eval(values, memo),
+            KineticForm::SumOfProducts(terms) => terms[part].eval(values, memo),
             KineticForm::TermDiv { term, divisor } => {
                 BinOp::Div.apply(term.eval(values, memo), divisor.load(values))
             }
             KineticForm::General => self.eval_with(values, stack),
         }
+    }
+
+    /// How many parts the evaluator sums, in order, to produce the law:
+    /// 2 for a `Hill` law (`base`, then `span * hill`), one per term for
+    /// a `SumOfProducts`, and 1 — the whole law — for every other form.
+    /// Adding the parts' values left to right replays the law's bits.
+    #[inline]
+    pub fn part_count(&self) -> usize {
+        match &self.form {
+            KineticForm::Hill { .. } => 2,
+            KineticForm::SumOfProducts(terms) => terms.len(),
+            _ => 1,
+        }
+    }
+
+    /// The slots part `part` reads (duplicates possible), in no
+    /// particular order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `part >= self.part_count()`.
+    pub fn part_slots(&self, part: usize) -> Vec<usize> {
+        assert!(part < self.part_count(), "part {part} out of range");
+        let mut slots = Vec::new();
+        let mut operand = |operand: &Operand| {
+            if let Operand::Slot(slot) = *operand {
+                slots.push(slot);
+            }
+        };
+        match &self.form {
+            KineticForm::Hill { base, .. } if part == 0 => operand(base),
+            KineticForm::Hill { span, hill, .. } => {
+                operand(span);
+                hill.operands().for_each(&mut operand);
+            }
+            KineticForm::SumOfProducts(terms) => {
+                for factor in &terms[part].factors {
+                    match factor {
+                        Factor::Op(leaf) => operand(leaf),
+                        Factor::Hill(hill) => hill.operands().for_each(&mut operand),
+                        Factor::MaxZero(clamp) => {
+                            operand(&clamp.x);
+                            clamp.shift.iter().for_each(&mut operand);
+                        }
+                    }
+                }
+            }
+            _ => return self.slots.clone(),
+        }
+        slots
     }
 
     /// The shape class the expression compiled to.
@@ -1372,6 +1458,37 @@ mod tests {
                 );
                 let one = bank.eval_one(r, &values, &mut stack, &mut memo);
                 assert_eq!(one.to_bits(), vm.to_bits(), "eval_one law {r}");
+                let mut parts = bank.eval_part(r, 0, &values, &mut stack, &mut memo);
+                for part in 1..law.part_count() {
+                    parts += bank.eval_part(r, part, &values, &mut stack, &mut memo);
+                }
+                assert_eq!(parts.to_bits(), vm.to_bits(), "parts of law {r}");
+            }
+        }
+    }
+
+    #[test]
+    fn parts_are_the_evaluators_summands() {
+        let table = table_of(&["A", "B", "k"]);
+        let cases: [(&str, &[&[usize]]); 6] = [
+            // Gate response: the leak, then span * response.
+            ("0.5 + k * hillr(A + B, 20, 2)", &[&[], &[2, 0, 1]]),
+            // Sum of products: one part per term.
+            (
+                "0.5 + 2 * hillr(A, 7, 2) + k * B + max(A - B, 0)",
+                &[&[], &[0], &[2, 1], &[0, 1]],
+            ),
+            // Every other form is one part, the whole law.
+            ("k * A", &[&[2, 0]]),
+            ("k * A * B / 6", &[&[2, 0, 1]]),
+            ("(A + B) * k", &[&[0, 1, 2]]),
+            ("B", &[&[1]]),
+        ];
+        for (source, slots) in cases {
+            let law = Expr::parse(source).unwrap().compile(&table).unwrap();
+            assert_eq!(law.part_count(), slots.len(), "`{source}`");
+            for (part, expected) in slots.iter().enumerate() {
+                assert_eq!(law.part_slots(part), *expected, "`{source}` part {part}");
             }
         }
     }

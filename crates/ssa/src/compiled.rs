@@ -7,7 +7,7 @@
 //! Gibson–Bruck next-reaction method.
 
 use crate::error::SimError;
-use glc_model::expr::{EvalMemo, KineticFormBank};
+use glc_model::expr::{EvalMemo, KineticFormBank, COPY_TABLE_LEN};
 use glc_model::{Model, ModelError};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
@@ -50,11 +50,77 @@ pub struct CompiledModel {
     bank: KineticFormBank,
     deltas: Vec<Vec<(usize, i64)>>,
     dependents: Vec<Vec<usize>>,
-    /// Per law: `(slot, lane)` when the law reads exactly one slot that
-    /// some firing changes — its copy-number table is lane `lane` of
-    /// the engines' `PropensitySet` tables — else `None`.
-    tables: Vec<Option<(usize, usize)>>,
+    /// Per law: how a dependent update assembles its propensity.
+    tables: Vec<LawTable>,
+    /// The parts of every [`LawTable::Parts`] law, law after law.
+    parts: Vec<PartTable>,
+    /// `(law, part, at)` of every [`PartTable::Constant`] part, `at`
+    /// being its position in `parts`.
+    constants: Vec<(usize, usize, usize)>,
+    /// Copy-number tables per run: one per whole-law and part table.
+    table_lanes: usize,
+    census: TableCensus,
     initial_values: Vec<f64>,
+}
+
+/// How the exact engines' dependent updates assemble one law's
+/// propensity (see [`crate::propensity`]). Within one run every slot a
+/// law reads is either *changing* (some firing's delta writes it) or
+/// constant (parameters, boundary inputs), so the law's value is a
+/// function of its changing slots alone.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum LawTable {
+    /// Reads exactly one changing slot: one load from the law's
+    /// copy-number table, starting at entry `base`.
+    Whole {
+        /// The changing slot.
+        slot: usize,
+        /// First table entry (`lane * COPY_TABLE_LEN`).
+        base: usize,
+    },
+    /// Reads several changing slots, but each of its parts at most
+    /// one: `parts[start..end]`, summed in the evaluator's order.
+    Parts {
+        /// First part in [`CompiledModel`]'s part list.
+        start: usize,
+        /// One past the last part.
+        end: usize,
+    },
+    /// Evaluated through [`CompiledModel::propensity_with`] on every
+    /// update: some part reads two or more changing slots, or the law
+    /// reads none (and so is never a dependent).
+    Canonical,
+}
+
+/// One part of a [`LawTable::Parts`] law.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum PartTable {
+    /// Reads no changing slot: a run constant, computed by every
+    /// rebuild.
+    Constant,
+    /// Reads one changing slot: a copy-number table from entry `base`.
+    Table {
+        /// The changing slot.
+        slot: usize,
+        /// First table entry (`lane * COPY_TABLE_LEN`).
+        base: usize,
+    },
+}
+
+/// How a model's laws are served to dependent updates (see
+/// [`CompiledModel::table_census`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TableCensus {
+    /// Laws reading exactly one changing slot: one whole-law table each.
+    pub whole: usize,
+    /// Part tables, over the laws that read several changing slots but
+    /// none of whose parts reads more than one.
+    pub parts: usize,
+    /// Run constants among those laws' parts.
+    pub constants: usize,
+    /// Laws reading several changing slots that stay on
+    /// [`CompiledModel::propensity_with`]: some part reads two or more.
+    pub canonical: usize,
 }
 
 impl CompiledModel {
@@ -114,20 +180,66 @@ impl CompiledModel {
         // A law that reads exactly one slot some firing changes is,
         // within one run, a function of that copy number alone:
         // everything else it reads (parameters, boundary inputs) only
-        // changes between runs, and engines rebuild after that.
+        // changes between runs, and engines rebuild after that. A law
+        // reading several splits into the parts its evaluator sums;
+        // the same holds part by part.
         let changing: BTreeSet<usize> = deltas.iter().flatten().map(|&(slot, _)| slot).collect();
+        let changing_read = |reads: &mut dyn Iterator<Item = usize>| {
+            let read: BTreeSet<usize> = reads.filter(|slot| changing.contains(slot)).collect();
+            let first = read.first().copied();
+            (read.len(), first)
+        };
         let mut lanes = 0;
-        let tables = refs
-            .iter()
-            .map(|reads| {
-                let mut read = reads.intersection(&changing);
-                let (Some(&slot), None) = (read.next(), read.next()) else {
-                    return None;
-                };
-                lanes += 1;
-                Some((slot, lanes - 1))
-            })
-            .collect();
+        let mut next_base = || {
+            lanes += 1;
+            (lanes - 1) * COPY_TABLE_LEN
+        };
+        let mut census = TableCensus::default();
+        let (mut tables, mut parts, mut constants) = (Vec::new(), Vec::new(), Vec::new());
+        for (law, expr) in kinetics.iter().enumerate() {
+            let table = match changing_read(&mut expr.referenced_slots().iter().copied()) {
+                (0, _) => LawTable::Canonical,
+                (1, Some(slot)) => {
+                    census.whole += 1;
+                    LawTable::Whole {
+                        slot,
+                        base: next_base(),
+                    }
+                }
+                _ => {
+                    let reads: Vec<(usize, Option<usize>)> = (0..expr.part_count())
+                        .map(|part| changing_read(&mut expr.part_slots(part).into_iter()))
+                        .collect();
+                    if expr.part_count() == 1 || reads.iter().any(|&(n, _)| n > 1) {
+                        census.canonical += 1;
+                        LawTable::Canonical
+                    } else {
+                        let start = parts.len();
+                        for (part, (_, slot)) in reads.into_iter().enumerate() {
+                            parts.push(match slot {
+                                None => {
+                                    census.constants += 1;
+                                    constants.push((law, part, parts.len()));
+                                    PartTable::Constant
+                                }
+                                Some(slot) => {
+                                    census.parts += 1;
+                                    PartTable::Table {
+                                        slot,
+                                        base: next_base(),
+                                    }
+                                }
+                            });
+                        }
+                        LawTable::Parts {
+                            start,
+                            end: parts.len(),
+                        }
+                    }
+                }
+            };
+            tables.push(table);
+        }
 
         Ok(CompiledModel {
             id: model.id().to_string(),
@@ -138,6 +250,10 @@ impl CompiledModel {
             deltas,
             dependents,
             tables,
+            parts,
+            constants,
+            table_lanes: lanes,
+            census,
             initial_values: model.initial_values(),
         })
     }
@@ -198,19 +314,64 @@ impl CompiledModel {
     /// so the exact engines table it by copy number (see
     /// [`crate::propensity`]).
     pub fn table_slot(&self, r: usize) -> Option<usize> {
-        self.tables[r].map(|(slot, _)| slot)
+        match self.tables[r] {
+            LawTable::Whole { slot, .. } => Some(slot),
+            _ => None,
+        }
     }
 
-    /// `(slot, lane)` of reaction `r`'s copy-number table, if it has
-    /// one; lanes number the tabled laws `0..tabled_law_count()`.
+    /// How dependent updates assemble reaction `r`'s propensity.
     #[inline]
-    pub(crate) fn table_key(&self, r: usize) -> Option<(usize, usize)> {
+    pub(crate) fn law_table(&self, r: usize) -> LawTable {
         self.tables[r]
+    }
+
+    /// Part `at` of the model's part list (see [`LawTable::Parts`]).
+    #[inline]
+    pub(crate) fn part_table(&self, at: usize) -> PartTable {
+        self.parts[at]
+    }
+
+    /// Length of the model's part list.
+    pub(crate) fn part_len(&self) -> usize {
+        self.parts.len()
+    }
+
+    /// `(law, part, at)` of every run-constant part.
+    pub(crate) fn constant_parts(&self) -> &[(usize, usize, usize)] {
+        &self.constants
+    }
+
+    /// Copy-number tables one run needs: whole-law and part tables.
+    pub(crate) fn table_lanes(&self) -> usize {
+        self.table_lanes
     }
 
     /// Number of laws with a [`CompiledModel::table_slot`].
     pub fn tabled_law_count(&self) -> usize {
-        self.tables.iter().flatten().count()
+        self.census.whole
+    }
+
+    /// How the model's laws are served to dependent updates: whole-law
+    /// tables, part tables and run constants, and the laws left on
+    /// [`CompiledModel::propensity_with`].
+    pub fn table_census(&self) -> TableCensus {
+        self.census
+    }
+
+    /// Part `part` of reaction `r`'s kinetic law (see
+    /// [`glc_model::expr::CompiledExpr::part_count`]), unchecked: the
+    /// caller checks the assembled propensity.
+    #[inline]
+    pub(crate) fn part_with(
+        &self,
+        r: usize,
+        part: usize,
+        state: &State,
+        stack: &mut Vec<f64>,
+        memo: &mut EvalMemo,
+    ) -> f64 {
+        self.bank.eval_part(r, part, &state.values, stack, memo)
     }
 
     /// Evaluates the propensity of reaction `r`, reusing `stack` as
@@ -584,7 +745,13 @@ mod tests {
         // r2 reads only the parameter k.
         assert_eq!(compiled.table_slot(2), None);
         assert_eq!(compiled.tabled_law_count(), 2);
-        assert_eq!(compiled.table_key(1), Some((2, 1)));
+        assert_eq!(
+            compiled.law_table(1),
+            LawTable::Whole {
+                slot: 2,
+                base: COPY_TABLE_LEN
+            }
+        );
 
         // Two changing slots: no table.
         let model = ModelBuilder::new("m")
@@ -597,6 +764,64 @@ mod tests {
         let compiled = CompiledModel::new(&model).unwrap();
         assert_eq!(compiled.table_slot(0), None);
         assert_eq!(compiled.tabled_law_count(), 0);
+    }
+
+    #[test]
+    fn laws_reading_several_changing_slots_split_into_parts() {
+        let model = ModelBuilder::new("m")
+            .boundary_species("I", 15.0)
+            .species("A", 3.0)
+            .species("B", 4.0)
+            .parameter("k", 0.5)
+            .reaction(
+                "tandem",
+                &[],
+                &["A"],
+                "0.5 + 2 * hillr(B, 7, 2) + k * I + 3 * A",
+            )
+            .unwrap()
+            .reaction("pair", &["A"], &["B"], "k * A + A * B")
+            .unwrap()
+            .reaction("bind", &["B"], &[], "A * B")
+            .unwrap()
+            .reaction("gate", &[], &["B"], "k + k * hillr(A + I, 20, 2)")
+            .unwrap()
+            .build()
+            .unwrap();
+        let compiled = CompiledModel::new(&model).unwrap();
+        // tandem: a constant, a B table, a constant (I is an input) and
+        // an A table, summed in that order.
+        assert_eq!(compiled.law_table(0), LawTable::Parts { start: 0, end: 4 });
+        let parts: Vec<PartTable> = (0..4).map(|at| compiled.part_table(at)).collect();
+        assert_eq!(
+            parts,
+            [
+                PartTable::Constant,
+                PartTable::Table { slot: 2, base: 0 },
+                PartTable::Constant,
+                PartTable::Table {
+                    slot: 1,
+                    base: COPY_TABLE_LEN
+                },
+            ]
+        );
+        assert_eq!(compiled.constant_parts(), &[(0, 0, 0), (0, 2, 2)]);
+        // pair: its `A * B` term reads two changing slots; bind is one
+        // part reading both.
+        assert_eq!(compiled.law_table(1), LawTable::Canonical);
+        assert_eq!(compiled.law_table(2), LawTable::Canonical);
+        // gate reads only A among the changing slots: one whole-law table.
+        assert_eq!(compiled.table_slot(3), Some(1));
+        assert_eq!(
+            compiled.table_census(),
+            TableCensus {
+                whole: 1,
+                parts: 2,
+                constants: 2,
+                canonical: 2
+            }
+        );
+        assert_eq!(compiled.table_lanes(), 3);
     }
 
     #[test]

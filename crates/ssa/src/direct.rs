@@ -18,7 +18,7 @@
 //! equivalence.
 
 use crate::compiled::{CompiledModel, State};
-use crate::engine::{Engine, Observer, DEFAULT_STEP_LIMIT};
+use crate::engine::{Engine, Gated, Observer, DEFAULT_STEP_LIMIT};
 use crate::error::SimError;
 use crate::propensity::PropensitySet;
 use rand::rngs::StdRng;
@@ -97,6 +97,7 @@ impl Engine for Direct {
                 state.t
             )));
         }
+        let mut observer = Gated::new(observer);
         // Engines are stateless between runs: a fresh rebuild picks up
         // any external state edits (input clamping) since the last run.
         self.propensities.rebuild(model, state)?;
@@ -269,6 +270,65 @@ mod tests {
             state.values[0]
         };
         assert_eq!(run(11), run(11));
+    }
+
+    #[test]
+    fn sample_gated_observers_are_called_only_when_due() {
+        use crate::engine::SAMPLE_SLACK;
+        use crate::trace::TraceRecorder;
+
+        /// Due every whole time unit; fails if called before it is due.
+        struct Due {
+            next: f64,
+            calls: usize,
+        }
+        impl Observer for Due {
+            fn on_advance(&mut self, t: f64, _values: &[f64]) {
+                assert!(self.next < t - SAMPLE_SLACK, "called at {t}");
+                self.calls += 1;
+                while self.next < t - SAMPLE_SLACK {
+                    self.next += 1.0;
+                }
+            }
+            fn next_due(&self) -> f64 {
+                self.next
+            }
+        }
+
+        /// A recorder behind the default `next_due`: sees every advance.
+        struct Ungated(TraceRecorder);
+        impl Observer for Ungated {
+            fn on_advance(&mut self, t: f64, values: &[f64]) {
+                self.0.on_advance(t, values);
+            }
+        }
+
+        let model = birth_death(50.0, 0.5, 0.0);
+        let mut due = Due {
+            next: 0.0,
+            calls: 0,
+        };
+        let mut state = model.initial_state();
+        let mut rng = StdRng::seed_from_u64(9);
+        Direct::new()
+            .run(&model, &mut state, 40.0, &mut rng, &mut due)
+            .unwrap();
+        // Thousands of firings, one call per sample at most.
+        assert!((30..=41).contains(&due.calls), "{} calls", due.calls);
+
+        let record = |observer: &mut dyn Observer| {
+            let mut state = model.initial_state();
+            let mut rng = StdRng::seed_from_u64(9);
+            Direct::new()
+                .run(&model, &mut state, 40.0, &mut rng, observer)
+                .unwrap();
+            state
+        };
+        let mut gated = TraceRecorder::new(&model, 0.25);
+        let mut ungated = Ungated(TraceRecorder::new(&model, 0.25));
+        let end = record(&mut gated);
+        assert_eq!(end, record(&mut ungated));
+        assert_eq!(gated.finish(40.0, &end), ungated.0.finish(40.0, &end));
     }
 
     #[test]

@@ -8,6 +8,11 @@ use rand::rngs::StdRng;
 /// guarding against runaway models.
 pub const DEFAULT_STEP_LIMIT: u64 = 500_000_000;
 
+/// How far before an advance a sample point must lie to take the state
+/// that held until it: a sampler due at `t` records on an advance to
+/// `t_new` exactly when `t < t_new - SAMPLE_SLACK`.
+pub const SAMPLE_SLACK: f64 = 1e-12;
+
 /// Receives simulation progress.
 ///
 /// `on_advance(t_new, values)` is called when simulated time advances to
@@ -15,10 +20,51 @@ pub const DEFAULT_STEP_LIMIT: u64 = 500_000_000;
 /// interval — i.e. *before* the state change at `t_new` is applied. This
 /// is exactly what a uniform sampler needs: every sample point in
 /// `[t_prev, t_new)` takes the old state.
+///
+/// # Sample gating
+///
+/// An observer that only samples may say when it next needs a call:
+/// `on_advance(t)` must be a no-op whenever
+/// `!(next_due() < t - SAMPLE_SLACK)`. Engines cache `next_due()`,
+/// skip every call that comparison rules out and refresh the cache
+/// after each call they make, so a sampler is called about once per
+/// sample instead of once per firing. The provided `next_due` returns
+/// −∞, so an observer that does not override it sees every advance.
 pub trait Observer {
     /// Reports that time advanced to `t_new` with `values` valid until
     /// then.
     fn on_advance(&mut self, t_new: f64, values: &[f64]);
+
+    /// The earliest time whose advance this observer acts on (see
+    /// [sample gating](Observer#sample-gating)); −∞ by default.
+    fn next_due(&self) -> f64 {
+        f64::NEG_INFINITY
+    }
+}
+
+/// An engine's view of its observer under the
+/// [sample-gating](Observer#sample-gating) contract: the cached due
+/// time, refreshed after every call that is made.
+pub(crate) struct Gated<'a> {
+    observer: &'a mut dyn Observer,
+    due: f64,
+}
+
+impl<'a> Gated<'a> {
+    /// Wraps `observer`, reading its first due time.
+    pub(crate) fn new(observer: &'a mut dyn Observer) -> Self {
+        let due = observer.next_due();
+        Gated { observer, due }
+    }
+
+    /// Reports an advance to `t_new`, unless the observer is not due.
+    #[inline]
+    pub(crate) fn on_advance(&mut self, t_new: f64, values: &[f64]) {
+        if self.due < t_new - SAMPLE_SLACK {
+            self.observer.on_advance(t_new, values);
+            self.due = self.observer.next_due();
+        }
+    }
 }
 
 /// A no-op observer for callers that only want the final state.

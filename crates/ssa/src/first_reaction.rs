@@ -10,7 +10,7 @@
 //! O(M) — that is the method, not the bookkeeping.
 
 use crate::compiled::{CompiledModel, State};
-use crate::engine::{Engine, Observer, DEFAULT_STEP_LIMIT};
+use crate::engine::{Engine, Gated, Observer, DEFAULT_STEP_LIMIT};
 use crate::error::SimError;
 use crate::propensity::PropensitySet;
 use rand::rngs::StdRng;
@@ -62,6 +62,7 @@ impl Engine for FirstReaction {
                 state.t
             )));
         }
+        let mut observer = Gated::new(observer);
         let m = model.reaction_count();
         self.propensities.rebuild(model, state)?;
         let mut steps: u64 = 0;

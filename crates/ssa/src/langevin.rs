@@ -13,7 +13,7 @@
 
 use crate::compiled::{CompiledModel, State};
 use crate::draws::NormalBlock;
-use crate::engine::{Engine, Observer, DEFAULT_STEP_LIMIT};
+use crate::engine::{Engine, Gated, Observer, DEFAULT_STEP_LIMIT};
 use crate::error::SimError;
 use glc_model::expr::EvalMemo;
 use rand::rngs::StdRng;
@@ -110,6 +110,7 @@ impl Engine for Langevin {
                 state.t
             )));
         }
+        let mut observer = Gated::new(observer);
         // Engines are stateless between run calls: a leftover sine half
         // from a previous run is discarded so every run's draw stream is
         // a pure function of the RNG state handed in.

@@ -74,7 +74,7 @@ pub mod tau_leap;
 pub mod trace;
 pub mod wire;
 
-pub use compiled::{CompiledModel, ModelCache, State, DEFAULT_MODEL_CACHE_CAPACITY};
+pub use compiled::{CompiledModel, ModelCache, State, TableCensus, DEFAULT_MODEL_CACHE_CAPACITY};
 pub use control::{InputSchedule, ScheduleRunner};
 pub use direct::Direct;
 pub use draws::{standard_normal, NormalBlock, NormalCarry};

@@ -19,7 +19,7 @@
 //! that branch always takes a fresh exponential draw instead.
 
 use crate::compiled::{CompiledModel, State};
-use crate::engine::{Engine, Observer, DEFAULT_STEP_LIMIT};
+use crate::engine::{Engine, Gated, Observer, DEFAULT_STEP_LIMIT};
 use crate::error::SimError;
 use crate::ipq::IndexedPriorityQueue;
 use crate::propensity::PropensitySet;
@@ -81,6 +81,7 @@ impl Engine for NextReaction {
                 state.t
             )));
         }
+        let mut observer = Gated::new(observer);
         let m = model.reaction_count();
 
         // The shared set is rebuilt every run so external state edits

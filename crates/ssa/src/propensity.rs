@@ -15,6 +15,14 @@
 //!   ([`CompiledModel::table_slot`]) from a per-run table indexed by
 //!   that slot's copy number, so a regulator returning to a count seen
 //!   earlier in the run costs one load instead of a law evaluation;
+//! * splits a law that reads several changing slots into the parts its
+//!   evaluator sums ([`glc_model::expr::CompiledExpr::part_count`]: a
+//!   gate response's leak and response, a sum's terms). When no part
+//!   reads more than one changing slot, each part is a run constant or
+//!   has a copy-number table of its own, and an update adds them up in
+//!   the evaluator's order. The cello tandem-promoter laws, which read
+//!   two repressors, are served this way. The census is
+//!   [`CompiledModel::table_census`];
 //! * sums the values in reaction order on every [`PropensitySet::total`]
 //!   and selects by a linear CDF scan (the flat select of the sorting
 //!   direct method, McCollum et al., *Comput. Biol. Chem.* 30(1):39–49,
@@ -37,21 +45,28 @@
 //!    seed — identical trajectories. `Direct::with_full_recompute`
 //!    exists precisely to exercise this equivalence (and to serve as
 //!    the benchmark baseline).
-//! 2. **Table coherence**: a table entry for copy number `x` holds the
-//!    value the canonical path ([`CompiledModel::propensity_with`],
-//!    checks included) returned for its law at `x` since the last
-//!    rebuild. Between rebuilds nothing else the law reads can change
-//!    (parameters are constant, and boundary inputs are only edited
-//!    between runs), so the value is a pure function of `x` and a hit
-//!    replays the canonical bits. `rebuild` empties every entry filled
-//!    since the previous rebuild.
+//! 2. **Table coherence**: a whole-law table entry for copy number `x`
+//!    holds the value the canonical path
+//!    ([`CompiledModel::propensity_with`], checks included) returned for
+//!    its law at `x` since the last rebuild; a part table entry holds
+//!    the value the evaluator returned for that part at `x`, and a run
+//!    constant the value of its part at the last rebuild. Between
+//!    rebuilds nothing else a law or part reads can change (parameters
+//!    are constant, and boundary inputs are only edited between runs),
+//!    so each value is a pure function of `x` (or of nothing), and a
+//!    hit replays the canonical bits. Parts summed left to right in the
+//!    evaluator's order replay the law's bits too, since the evaluator
+//!    sums exactly those parts. An assembled sum the checks would reject
+//!    is re-evaluated canonically, so errors read as before. `rebuild`
+//!    empties every entry filled since the previous rebuild and
+//!    recomputes the run constants.
 //! 3. **External edits require a rebuild**: callers that mutate state
 //!    outside [`CompiledModel::apply`] (input clamping between run
 //!    segments) must call `rebuild`; engines do this at the top of
 //!    every `run`, preserving the documented "stateless between runs"
 //!    engine contract.
 
-use crate::compiled::{CompiledModel, State};
+use crate::compiled::{CompiledModel, LawTable, PartTable, State};
 use crate::error::SimError;
 use glc_model::expr::{copy_number, EvalMemo, COPY_TABLE_LEN};
 
@@ -69,10 +84,14 @@ pub struct PropensitySet {
     /// Hill-response memo threaded through full sweeps and dependent
     /// updates (see [`EvalMemo`]; rebinds itself if the model changes).
     memo: EvalMemo,
-    /// One [`COPY_TABLE_LEN`]-entry table per tabled law, lane `l` at
-    /// `tables[l * COPY_TABLE_LEN..][..COPY_TABLE_LEN]`; NaN marks an
-    /// empty entry (a valid propensity is never NaN).
+    /// One [`COPY_TABLE_LEN`]-entry table per whole-law or part table,
+    /// lane `l` at `tables[l * COPY_TABLE_LEN..][..COPY_TABLE_LEN]`;
+    /// NaN marks an empty entry (a value that is NaN is never stored
+    /// as a hit).
     tables: Vec<f64>,
+    /// The run constants, at their positions in the model's part list
+    /// (other positions unused).
+    constants: Vec<f64>,
     /// Indices into `tables` filled since the last rebuild, so a
     /// rebuild resets only those instead of clearing every table.
     filled: Vec<usize>,
@@ -96,9 +115,10 @@ impl PropensitySet {
 
     /// Fully re-evaluates every propensity against `state` — one
     /// memoized sweep over the model's laws
-    /// ([`glc_model::expr::KineticFormBank::eval_all`]) — and empties the
-    /// copy-number tables. Call at the start of every engine run and
-    /// whenever `state` was edited outside [`CompiledModel::apply`].
+    /// ([`glc_model::expr::KineticFormBank::eval_all`]) — empties the
+    /// copy-number tables and recomputes the run constants. Call at the
+    /// start of every engine run and whenever `state` was edited outside
+    /// [`CompiledModel::apply`].
     ///
     /// # Errors
     ///
@@ -107,7 +127,7 @@ impl PropensitySet {
     /// [`SimError::NonFinitePropensity`]), like the scalar loop it
     /// replaces.
     pub fn rebuild(&mut self, model: &CompiledModel, state: &State) -> Result<(), SimError> {
-        let entries = model.tabled_law_count() * COPY_TABLE_LEN;
+        let entries = model.table_lanes() * COPY_TABLE_LEN;
         if self.tables.len() == entries {
             for &at in &self.filled {
                 self.tables[at] = f64::NAN;
@@ -117,6 +137,10 @@ impl PropensitySet {
             self.tables.resize(entries, f64::NAN);
         }
         self.filled.clear();
+        self.constants.resize(model.part_len(), 0.0);
+        for &(law, part, at) in model.constant_parts() {
+            self.constants[at] = model.part_with(law, part, state, &mut self.stack, &mut self.memo);
+        }
         model.propensities_into(state, &mut self.values, &mut self.stack, &mut self.memo)?;
         Ok(())
     }
@@ -125,9 +149,10 @@ impl PropensitySet {
     /// reaction `fired` was applied to `state`. All other cached values
     /// are untouched — their kinetic laws read no slot the firing
     /// changed. A tabled dependent whose changing slot holds a copy
-    /// number below [`COPY_TABLE_LEN`] replays its table entry; every
-    /// other evaluation runs the law in its own kinetic form
-    /// ([`CompiledModel::propensity_with`]), where Hill responses
+    /// number below [`COPY_TABLE_LEN`] replays its table entry, and a
+    /// part-tabled one adds up its run constants and part table entries;
+    /// every other evaluation runs the law (or part) in its own kinetic
+    /// form ([`CompiledModel::propensity_with`]), where Hill responses
     /// replay from the memo's copy-number table.
     ///
     /// # Errors
@@ -174,10 +199,14 @@ impl PropensitySet {
         Ok(())
     }
 
-    /// Propensity of reaction `r` against `state`: from its copy-number
-    /// table when it has one covering the current count, otherwise
-    /// through [`CompiledModel::propensity_with`] — storing the result
-    /// when the table covers the count but had no entry yet.
+    /// Propensity of reaction `r` against `state`, assembled as its
+    /// [`LawTable`] says: one whole-law table load, or its parts summed
+    /// in the evaluator's order from run constants and part tables.
+    /// Whatever a table does not cover, or does not hold yet, goes
+    /// through [`CompiledModel::propensity_with`] (a whole law) or
+    /// [`CompiledModel::part_with`] (a part), storing the result when
+    /// the table covers the count. An assembled value the checks would
+    /// reject is re-evaluated canonically, which reports the error.
     #[inline]
     fn evaluate(
         &mut self,
@@ -185,20 +214,65 @@ impl PropensitySet {
         state: &State,
         r: usize,
     ) -> Result<f64, SimError> {
-        let at = model.table_key(r).and_then(|(slot, lane)| {
-            copy_number(state.values[slot]).map(|x| lane * COPY_TABLE_LEN + x)
-        });
-        let Some(at) = at else {
-            return model.propensity_with(r, state, &mut self.stack, &mut self.memo);
-        };
-        let cached = self.tables[at];
-        if !cached.is_nan() {
-            return Ok(cached);
+        match model.law_table(r) {
+            LawTable::Whole { slot, base } => {
+                let Some(x) = copy_number(state.values[slot]) else {
+                    return model.propensity_with(r, state, &mut self.stack, &mut self.memo);
+                };
+                let cached = self.tables[base + x];
+                if !cached.is_nan() {
+                    return Ok(cached);
+                }
+                let value = model.propensity_with(r, state, &mut self.stack, &mut self.memo)?;
+                self.store(base + x, value);
+                Ok(value)
+            }
+            LawTable::Parts { start, end } => {
+                let mut total = self.part(model, state, r, start, 0);
+                for at in start + 1..end {
+                    total += self.part(model, state, r, at, at - start);
+                }
+                if total.is_finite() && total >= 0.0 {
+                    return Ok(total);
+                }
+                model.propensity_with(r, state, &mut self.stack, &mut self.memo)
+            }
+            LawTable::Canonical => model.propensity_with(r, state, &mut self.stack, &mut self.memo),
         }
-        let value = model.propensity_with(r, state, &mut self.stack, &mut self.memo)?;
+    }
+
+    /// Part `part` of reaction `r`'s law, entry `at` of the model's part
+    /// list: its run constant, or its table entry for the current copy
+    /// number (evaluated and stored on a miss).
+    #[inline]
+    fn part(
+        &mut self,
+        model: &CompiledModel,
+        state: &State,
+        r: usize,
+        at: usize,
+        part: usize,
+    ) -> f64 {
+        let PartTable::Table { slot, base } = model.part_table(at) else {
+            return self.constants[at];
+        };
+        let Some(x) = copy_number(state.values[slot]) else {
+            return model.part_with(r, part, state, &mut self.stack, &mut self.memo);
+        };
+        let cached = self.tables[base + x];
+        if !cached.is_nan() {
+            return cached;
+        }
+        let value = model.part_with(r, part, state, &mut self.stack, &mut self.memo);
+        self.store(base + x, value);
+        value
+    }
+
+    /// Fills table entry `at`, recording it for the next rebuild.
+    #[inline]
+    fn store(&mut self, at: usize, value: f64) {
         self.tables[at] = value;
         self.filled.push(at);
-        Ok(value)
     }
 
     /// Total propensity `a0`: the sequential sum in reaction order, the
@@ -406,6 +480,96 @@ mod tests {
         assert!(set.filled.is_empty());
         assert!(set.tables.iter().all(|value| value.is_nan()));
         assert_eq!(set.propensity(0), 0.5 * 11.0);
+    }
+
+    /// A law reading A and B through separate terms (`2 * hillr(B, …)`
+    /// and `k * A`) beside a run constant that reads the input I.
+    fn part_tabled_model() -> CompiledModel {
+        let model = ModelBuilder::new("m")
+            .boundary_species("I", 15.0)
+            .species("A", 10.0)
+            .species("B", 3.0)
+            .parameter("k", 0.1)
+            .reaction(
+                "tandem",
+                &[],
+                &["A"],
+                "0.07 + 2 * hillr(B, 7, 2) + k * I + k * A",
+            )
+            .unwrap()
+            .reaction("a_to_b", &["A"], &["B"], "k * A")
+            .unwrap()
+            .reaction("b_gone", &["B"], &[], "k * B")
+            .unwrap()
+            .build()
+            .unwrap();
+        CompiledModel::new(&model).unwrap()
+    }
+
+    #[test]
+    fn part_tables_replay_their_entries_and_constants_follow_the_inputs() {
+        let model = part_tabled_model();
+        let mut state = model.initial_state();
+        let mut set = PropensitySet::new();
+        set.rebuild(&model, &state).unwrap();
+        let mut reference = PropensitySet::new();
+        // Two part tables (B, A) and two whole-law tables (A, B).
+        assert_eq!(set.tables.len(), 4 * COPY_TABLE_LEN);
+        for fired in [1usize, 0, 2, 1, 1, 0, 2, 2, 0, 1] {
+            model.apply(fired, &mut state);
+            set.update_after(&model, &state, fired).unwrap();
+            reference.rebuild(&model, &state).unwrap();
+            assert_eq!(set.as_slice(), reference.as_slice(), "after {fired}");
+            assert_eq!(set.total().to_bits(), reference.total().to_bits());
+        }
+        assert!(!set.filled.is_empty());
+
+        // A hit is a table read: a planted part entry comes back in the sum.
+        let b = copy_number(state.values[2]).unwrap();
+        set.tables[b] = 0.25;
+        model.apply(1, &mut state); // A -1, B +1
+        model.apply(2, &mut state); // B -1
+        set.update_after(&model, &state, 1).unwrap();
+        set.update_after(&model, &state, 2).unwrap();
+        let (k, a) = (state.values[3], state.values[1]);
+        assert_eq!(set.propensity(0), 0.07 + 0.25 + k * 15.0 + k * a);
+
+        // An input edit and a rebuild empty the tables and recompute
+        // the constant that reads it.
+        state.values[0] = 0.0;
+        set.rebuild(&model, &state).unwrap();
+        assert!(set.filled.is_empty());
+        assert!(set.tables.iter().all(|value| value.is_nan()));
+        model.apply(0, &mut state);
+        set.update_after(&model, &state, 0).unwrap();
+        reference.rebuild(&model, &state).unwrap();
+        assert_eq!(
+            set.propensity(0).to_bits(),
+            reference.propensity(0).to_bits()
+        );
+    }
+
+    #[test]
+    fn invalid_assembled_parts_report_the_canonical_error() {
+        let model = ModelBuilder::new("bad")
+            .species("A", 2.0)
+            .species("B", 1.0)
+            .parameter("m", -1.0)
+            .reaction("drain", &["B"], &["A"], "m * A + 2 * B")
+            .unwrap()
+            .build()
+            .unwrap();
+        let compiled = CompiledModel::new(&model).unwrap();
+        assert_eq!(compiled.table_census().parts, 2);
+        let mut state = compiled.initial_state();
+        let mut set = PropensitySet::new();
+        set.rebuild(&compiled, &state).unwrap();
+        compiled.apply(0, &mut state); // A: 2 -> 3, B: 1 -> 0
+        let err = set.update_after(&compiled, &state, 0).unwrap_err();
+        assert!(
+            matches!(err, SimError::NegativePropensity { value, .. } if value == -3.0),
+            "{err:?}"
+        );
     }
 
     #[test]

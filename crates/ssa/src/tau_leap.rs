@@ -8,7 +8,7 @@
 
 use crate::compiled::{CompiledModel, State};
 use crate::draws::{standard_normal, NormalCarry};
-use crate::engine::{Engine, Observer, DEFAULT_STEP_LIMIT};
+use crate::engine::{Engine, Gated, Observer, DEFAULT_STEP_LIMIT};
 use crate::error::SimError;
 use glc_model::expr::EvalMemo;
 use rand::rngs::StdRng;
@@ -174,6 +174,7 @@ impl Engine for TauLeap {
                 state.t
             )));
         }
+        let mut observer = Gated::new(observer);
         let reactions = model.reaction_count();
         self.lambdas.resize(reactions, 0.0);
         self.thresholds.resize(reactions, (u64::MAX, 0.0));

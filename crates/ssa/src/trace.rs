@@ -7,7 +7,7 @@
 //! and produces a [`Trace`].
 
 use crate::compiled::{CompiledModel, State};
-use crate::engine::Observer;
+use crate::engine::{Observer, SAMPLE_SLACK};
 use serde::{Deserialize, Serialize};
 
 /// A recorded simulation trace: per-species time series on a uniform grid.
@@ -165,10 +165,16 @@ impl Observer for TraceRecorder {
     fn on_advance(&mut self, t_new: f64, values: &[f64]) {
         // `values` is valid on [previous time, t_new): every sample point
         // strictly before t_new takes it.
-        while self.next_sample_t < t_new - 1e-12 {
+        while self.next_sample_t < t_new - SAMPLE_SLACK {
             self.trace.push_row(&values[..self.species_count]);
             self.next_sample_t += self.trace.sample_dt;
         }
+    }
+
+    /// The next sample point: an advance to `t_new` records nothing
+    /// unless it lies before `t_new - SAMPLE_SLACK`.
+    fn next_due(&self) -> f64 {
+        self.next_sample_t
     }
 }
 

@@ -8,13 +8,13 @@ use genetic_logic::gates::catalog;
 use genetic_logic::model::expr::{
     CompiledExpr, EvalMemo, KineticFormBank, LaneOccupancy, SymbolTable,
 };
-use genetic_logic::model::{Expr, Model};
+use genetic_logic::model::{Expr, Model, ModelBuilder};
 use genetic_logic::ssa::engine::Observer;
 use genetic_logic::ssa::ipq::IndexedPriorityQueue;
 use genetic_logic::ssa::propensity::PropensitySet;
 use genetic_logic::ssa::{
     CompiledModel, Direct, Engine, FirstReaction, InputSchedule, NextReaction, ScheduleRunner,
-    State,
+    State, TableCensus,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -73,19 +73,54 @@ fn direct_incremental_matches_full_recompute_bitwise() {
     }
 }
 
-/// The copy-number tables hold values for one run's boundary inputs,
-/// so every input edit between runs must empty them. For every catalog
-/// circuit, one sweep over all input combinations (each held 50 t.u.,
-/// inputs at 0 or 15) through `ScheduleRunner` must record the same
-/// trace bits with incremental updates as with a full recompute every
-/// step, which never reads a table.
+/// A model whose part tables read an input: `tx`'s last term reads the
+/// input I beside the changing A, so its part table holds values for
+/// one I level only. No catalog part reads an input, so without this
+/// model a part table left filled across an input edit would go unseen.
+fn input_part_model() -> Model {
+    ModelBuilder::new("input_parts")
+        .boundary_species("I", 0.0)
+        .species("A", 5.0)
+        .species("R", 0.0)
+        .reaction(
+            "tx",
+            &[],
+            &["A"],
+            "0.1 + 3 * hillr(R, 10, 2) + 0.05 * I * A",
+        )
+        .unwrap()
+        .reaction("deg_a", &["A"], &[], "1.5 * A")
+        .unwrap()
+        .reaction("tx_r", &[], &["R"], "0.5 + 0.02 * A")
+        .unwrap()
+        .reaction("deg_r", &["R"], &[], "0.1 * R")
+        .unwrap()
+        .build()
+        .unwrap()
+}
+
+/// The copy-number tables and run constants hold values for one run's
+/// boundary inputs, so every input edit between runs must empty the
+/// tables and recompute the constants. For every catalog circuit, and
+/// for a model whose part tables read an input, one sweep over all
+/// input combinations (each held 50 t.u., inputs at 0 or 15) through
+/// `ScheduleRunner` must record the same trace bits with incremental
+/// updates as with a full recompute every step, which never reads a
+/// table.
 #[test]
 fn schedule_sweeps_match_full_recompute_bitwise_on_every_circuit() {
     const HOLD: f64 = 50.0;
-    for entry in catalog::all() {
-        let model = CompiledModel::new(&entry.model).expect("compiles");
-        let slots: Vec<usize> = entry
-            .inputs
+    let circuits = catalog::all()
+        .into_iter()
+        .map(|entry| (entry.id, entry.model, entry.inputs))
+        .chain([(
+            "input_parts".to_string(),
+            input_part_model(),
+            vec!["I".to_string()],
+        )]);
+    for (id, model, inputs) in circuits {
+        let model = CompiledModel::new(&model).expect("compiles");
+        let slots: Vec<usize> = inputs
             .iter()
             .map(|name| model.species_slot(name).expect("input species"))
             .collect();
@@ -110,7 +145,7 @@ fn schedule_sweeps_match_full_recompute_bitwise_on_every_circuit() {
             };
             let incremental = bits(Direct::new());
             let full = bits(Direct::with_full_recompute());
-            assert_eq!(incremental, full, "{} seed {seed}", entry.id);
+            assert_eq!(incremental, full, "{id} seed {seed}");
         }
     }
 }
@@ -312,35 +347,49 @@ const LANE_CENSUS: [(&str, usize, usize, usize, usize, usize); 15] = [
     ("cello_0x08", 4, 3, 1, 0, 0),
 ];
 
-/// How many of each catalog circuit's kinetic laws read exactly one
-/// changing species, and so get a copy-number propensity table.
-const TABLE_CENSUS: [(&str, usize); 15] = [
-    ("book_not", 3),
-    ("book_nor", 5),
-    ("book_nand", 5),
-    ("book_or", 7),
-    ("book_and", 7),
-    ("cello_0x0B", 5),
-    ("cello_0x04", 5),
-    ("cello_0x1C", 7),
-    ("cello_0x41", 5),
-    ("cello_0x70", 6),
-    ("cello_0x07", 3),
-    ("cello_0xB3", 5),
-    ("cello_0xF4", 5),
-    ("cello_0x06", 7),
-    ("cello_0x08", 5),
+/// How each catalog circuit's laws are served to dependent updates, as
+/// `(id, whole, parts, constants, canonical)`: laws that read exactly one
+/// changing species (one whole-law copy-number table each); part tables
+/// and run constants of the laws that read several but no more than one
+/// per part; and laws that read several and stay on the canonical path.
+/// book_and's canonical law is the cooperative-binding `TermDiv`, which
+/// reads both P3 and CI in one part.
+const TABLE_CENSUS: [(&str, usize, usize, usize, usize); 15] = [
+    ("book_not", 3, 2, 0, 0),
+    ("book_nor", 5, 0, 0, 1),
+    ("book_nand", 5, 4, 0, 0),
+    ("book_or", 7, 2, 0, 2),
+    ("book_and", 7, 6, 0, 1),
+    ("cello_0x0B", 5, 2, 2, 0),
+    ("cello_0x04", 5, 0, 0, 0),
+    ("cello_0x1C", 7, 2, 2, 0),
+    ("cello_0x41", 5, 4, 6, 0),
+    ("cello_0x70", 6, 2, 2, 0),
+    ("cello_0x07", 3, 2, 2, 0),
+    ("cello_0xB3", 5, 4, 4, 0),
+    ("cello_0xF4", 5, 0, 0, 0),
+    ("cello_0x06", 7, 2, 2, 0),
+    ("cello_0x08", 5, 2, 2, 0),
 ];
 
-/// Every catalog circuit's tabled-law count is pinned, so a law that
-/// silently gains or loses its table fails here.
+/// Every catalog circuit's table census is pinned, so a law that
+/// silently gains or loses a table, or a part that turns constant or
+/// canonical, fails here.
 #[test]
 fn catalog_table_census_is_pinned() {
     let ids: Vec<String> = catalog::all().into_iter().map(|entry| entry.id).collect();
     let census_ids: Vec<&str> = TABLE_CENSUS.iter().map(|row| row.0).collect();
     assert_eq!(ids, census_ids, "the census covers the whole catalog");
-    for (id, tabled) in TABLE_CENSUS {
-        assert_eq!(prepared(id).tabled_law_count(), tabled, "{id}");
+    for (id, whole, parts, constants, canonical) in TABLE_CENSUS {
+        let model = prepared(id);
+        let expected = TableCensus {
+            whole,
+            parts,
+            constants,
+            canonical,
+        };
+        assert_eq!(model.table_census(), expected, "{id}");
+        assert_eq!(model.tabled_law_count(), whole, "{id}");
     }
 }
 
@@ -538,7 +587,8 @@ fn random_law(rng: &mut StdRng) -> String {
 proptest! {
     /// Random laws outside the catalog's shapes evaluate bit-for-bit the
     /// same through the bank sweep, the bank's single-law path, the
-    /// memo-free fast path and the postfix VM. States repeat, so the Hill
+    /// memo-free fast path, the sum of the law's parts and the postfix
+    /// VM. States repeat, so the Hill
     /// memo's hits, misses and overwrites are all covered: the sweep's
     /// pairs on one memo, and the single-law path's copy-number table on
     /// another. Two extra states put every regulator off the table, one
@@ -581,6 +631,11 @@ proptest! {
                 prop_assert_eq!(law.eval_fast(values, &mut stack).to_bits(), vm, "eval_fast `{}`", source);
                 prop_assert_eq!(bank.eval_one(r, values, &mut stack, &mut one_memo).to_bits(), vm, "eval_one `{}`", source);
                 prop_assert_eq!(out[r].to_bits(), vm, "eval_all `{}` at {:?}", source, values);
+                let mut parts = bank.eval_part(r, 0, values, &mut stack, &mut one_memo);
+                for part in 1..law.part_count() {
+                    parts += bank.eval_part(r, part, values, &mut stack, &mut one_memo);
+                }
+                prop_assert_eq!(parts.to_bits(), vm, "parts of `{}`", source);
             }
         }
     }
