@@ -162,13 +162,15 @@ mod tests {
     #[test]
     fn summary_line_reports_wrong_states() {
         let entry = catalog::by_id("book_and").unwrap();
-        // The AND gate cascades three ~20 t.u. stages; give each
-        // combination enough hold time for the slowest (11) state to
-        // settle dependably across RNG streams.
         let config = ExperimentConfig::new(800.0, PAPER_THRESHOLD);
         let mut run = run_circuit_with_config(&entry, PAPER_THRESHOLD, config, 1);
+        // book_and's `11` state rides near its threshold: with this
+        // protocol about 21.6% of seeds miss it on either wait stream
+        // (3,000 seeds), so both verdicts are forged from the report for
+        // formatting coverage: against its own truth table, and against
+        // another function.
+        run.verdict = glc_core::verify(&run.report, &run.report.truth_table());
         assert!(summary_line(&run).contains("OK"));
-        // Forge a failed verdict for formatting coverage.
         run.verdict = glc_core::verify(&run.report, &glc_core::TruthTable::from_hex(2, 0x1));
         assert!(summary_line(&run).contains("wrong state"));
     }

@@ -19,6 +19,10 @@
 //!   the polynomials are the fdlibm/musl minimax sets, good to <2 ulp
 //!   on their reduced ranges.
 //!
+//! [`ln`] and [`exp`] are `const fn`s, so tables built from them at
+//! compile time (the exponential ziggurat in `glc_ssa::draws`) hold the
+//! bits a run-time call returns: both are plain IEEE-754 arithmetic.
+//!
 //! These are *not* general-purpose replacements: domains are
 //! restricted (see each function), and callers are expected to keep
 //! inputs inside them. All results remain finite `f64` arithmetic —
@@ -70,7 +74,7 @@ const LG7: f64 = 1.479_819_860_511_658_591e-1;
 /// Out of domain (zero, negative, subnormal, inf, NaN) the result is
 /// deterministic garbage; callers guard the domain.
 #[inline]
-pub fn ln(x: f64) -> f64 {
+pub const fn ln(x: f64) -> f64 {
     let bits = x.to_bits();
     let mantissa = bits & 0x000f_ffff_ffff_ffff;
     // Round the mantissa's half-octave: values above √2 borrow one
@@ -107,7 +111,7 @@ pub fn ln(x: f64) -> f64 {
 /// execution can do nothing about it. Branch-free; out-of-range `y`
 /// wraps the exponent deterministically.
 #[inline]
-pub fn exp(y: f64) -> f64 {
+pub const fn exp(y: f64) -> f64 {
     // Magic-constant rounding: one add/sub pair instead of a `round()`
     // call, and the sum's mantissa bits hold `2^51 + k` so the `2^k`
     // exponent scale assembles with pure integer ops — no float↔int

@@ -57,12 +57,19 @@ pub const GLCB_MAGIC: [u8; 4] = *b"GLCB";
 /// join a pool and mix its partials into a sharded run, or an older
 /// `.session.glcb` snapshot could be extended under a different
 /// stream; both break sharded ≡ unsharded and resumed ≡ uninterrupted.
+/// `tests/stream_fingerprints.rs` pins every engine's stream under
+/// this number, so a stream change that keeps it fails tier-1.
+///
 /// Version 2: `Direct` sums and selects over a flat propensity vector
 /// instead of a sum tree. Version 3: each `ExactSum` cell is encoded
 /// by its exact total — an integer total as one zigzag varint, any
 /// other as its canonical digit window with zigzag-varint digits —
 /// instead of 8-byte digits; the bits of every figure are unchanged.
-pub const GLCB_VERSION: u8 = 3;
+/// Version 4: `Direct`, `FirstReaction` and `NextReaction` wait
+/// `exp1(rng) / a` (the 256-layer ziggurat, `glc_ssa::draws::exp1`)
+/// instead of `-ln(1 - u) / a` through the host's libm; the layout is
+/// unchanged.
+pub const GLCB_VERSION: u8 = 4;
 
 const TAG_ORDER: u8 = 1;
 const TAG_REPLY: u8 = 2;
@@ -447,6 +454,9 @@ mod tests {
         // Version 2 builds spell partial cells in the 8-byte-digit layout.
         let mut previous_layout = hello.clone();
         previous_layout[4] = 2;
+        // Version 3 builds draw the exact engines' waits through libm.
+        let mut libm_waits = hello.clone();
+        libm_waits[4] = 3;
         let mut flagged = hello.clone();
         flagged.push(1);
         let mut unflagged = hello.clone();
@@ -455,6 +465,7 @@ mod tests {
             other_version,
             previous_stream,
             previous_layout,
+            libm_waits,
             flagged,
             unflagged,
             hello[..hello.len() - 1].to_vec(),

@@ -213,8 +213,9 @@ fn cross_tag_decodes_fail_closed() {
 fn hello_negotiation_matrix_holds() {
     // Every peer sends the same bodiless hello, and anything but a
     // GLCB hello of this version — an older build's flags byte,
-    // version 1, whose Direct engine drew another stream, or version 2,
-    // whose partial cells used 8-byte digits, included — fails closed.
+    // version 1, whose Direct engine drew another stream, version 2,
+    // whose partial cells used 8-byte digits, or version 3, whose exact
+    // engines drew their waits through libm, included — fails closed.
     codec::decode_hello(&codec::encode_hello()).unwrap();
     let version_hello = |version: u8| {
         let mut hello = codec::encode_hello();
@@ -226,6 +227,7 @@ fn hello_negotiation_matrix_holds() {
         version_hello(glc_service::GLCB_VERSION.wrapping_add(1)),
         version_hello(1),
         version_hello(2),
+        version_hello(3),
         flagged,
         b"{\"glc_frame_hello\":1}".to_vec(),
         codec::encode_order(1, &tiny_order(2, 0, 3, EngineSpec::Direct)),

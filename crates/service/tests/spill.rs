@@ -251,12 +251,11 @@ fn corrupt_snapshots_fail_closed() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-#[test]
-fn version_2_snapshots_fail_reload_closed() {
-    // A snapshot written by a version-2 build spelled its cells as
-    // 8-byte digits. Reload must reject it on the version byte rather
-    // than read its cells under this build's layout.
-    let dir = spill_dir("version2");
+/// Rewrites the version byte of a fresh snapshot to `version` and
+/// checks that reload rejects it: Extend and Query fail, and Submit
+/// rebuilds cold instead of resuming.
+fn assert_snapshot_version_fails_reload_closed(version: u8, dir_name: &str) {
+    let dir = spill_dir(dir_name);
     let spec = tiny_spec(5);
     let key = {
         let mut store = SessionStore::new(2, ExtendBackend::InProcess)
@@ -270,7 +269,7 @@ fn version_2_snapshots_fail_reload_closed() {
     let mut snapshot = std::fs::read(&binary).unwrap();
     assert_eq!(&snapshot[..4], b"GLCB");
     assert_eq!(snapshot[4], glc_service::GLCB_VERSION);
-    snapshot[4] = 2;
+    snapshot[4] = version;
     std::fs::write(&binary, &snapshot).unwrap();
 
     let mut store = SessionStore::new(2, ExtendBackend::InProcess)
@@ -281,13 +280,31 @@ fn version_2_snapshots_fail_reload_closed() {
         store.query(&key, &[]),
         Err(ServiceError::Spill(_))
     ));
-    // Submit rebuilds cold instead of resuming from the old snapshot.
     let resubmitted = store.submit(&spec).unwrap();
-    assert!(!resubmitted.warm, "a version-2 snapshot must not resume");
+    assert!(
+        !resubmitted.warm,
+        "a version-{version} snapshot must not resume"
+    );
     assert_eq!(resubmitted.replicates, 0);
     store.extend(&key, 2).unwrap();
     assert_eq!(store.partial(&key).unwrap(), &fresh_reference(&spec, 2));
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn version_2_snapshots_fail_reload_closed() {
+    // A snapshot written by a version-2 build spelled its cells as
+    // 8-byte digits. Reload must reject it on the version byte rather
+    // than read its cells under this build's layout.
+    assert_snapshot_version_fails_reload_closed(2, "version2");
+}
+
+#[test]
+fn version_3_snapshots_fail_reload_closed() {
+    // A version-3 build has this layout, but its exact engines drew
+    // their waits through libm: extending its snapshot would mix two
+    // streams in one session.
+    assert_snapshot_version_fails_reload_closed(3, "version3");
 }
 
 proptest! {

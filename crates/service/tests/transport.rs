@@ -845,6 +845,10 @@ const PREVIOUS_STREAM_VERSION: u8 = 1;
 /// digits: their replies would not decode here.
 const PREVIOUS_LAYOUT_VERSION: u8 = 2;
 
+/// The GLCB version of builds whose exact engines drew their waits
+/// through the host's libm: another stream for the same seed.
+const LIBM_WAITS_VERSION: u8 = 3;
+
 /// Reads until the peer closes, failing if it answers with a frame.
 fn assert_no_answer(stream: &mut TcpStream, what: &str) {
     stream
@@ -899,6 +903,7 @@ fn legacy_and_foreign_version_hellos_fail_the_handshake() {
         foreign_version_hello(glc_service::GLCB_VERSION.wrapping_add(1)),
         foreign_version_hello(PREVIOUS_STREAM_VERSION),
         foreign_version_hello(PREVIOUS_LAYOUT_VERSION),
+        foreign_version_hello(LIBM_WAITS_VERSION),
     ];
 
     // The relay server answers neither.

@@ -18,6 +18,7 @@
 //! equivalence.
 
 use crate::compiled::{CompiledModel, State};
+use crate::draws::exp1;
 use crate::engine::{Engine, Gated, Observer, DEFAULT_STEP_LIMIT};
 use crate::error::SimError;
 use crate::propensity::PropensitySet;
@@ -109,9 +110,8 @@ impl Engine for Direct {
                 // change when state changes). Jump to the horizon.
                 break;
             }
-            // τ ~ Exp(a0). `gen` yields [0, 1); use 1 - u to avoid ln(0).
-            let u: f64 = rng.gen();
-            let tau = -(1.0 - u).ln() / a0;
+            // τ ~ Exp(a0): a unit exponential scaled by 1 / a0.
+            let tau = exp1(rng) / a0;
             let t_next = state.t + tau;
             if t_next >= t_end {
                 break;

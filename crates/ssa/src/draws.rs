@@ -1,5 +1,7 @@
-//! Batched Gaussian draw engine: the paired, block-refilled normal
-//! source behind the Langevin engine and tau-leap's large-λ branch.
+//! Random draws of the simulation tier: the paired, block-refilled
+//! normal source behind the Langevin engine and tau-leap's large-λ
+//! branch, and the unit exponential [`exp1`] behind every exact
+//! engine's waiting time.
 //!
 //! The scalar Box–Muller sampler the engines used through PR 9 paid one
 //! libm `ln`, one `sqrt`, one libm `cos` and two uniform draws *per
@@ -38,6 +40,18 @@
 //! whole engine trajectories in `crates/bench/tests/bitwise.rs`. Both
 //! paths evaluate the *same* [`glc_model::fastmath`] kernels, so the
 //! equivalence is structural, not a numerical accident.
+//!
+//! # Exponential waits
+//!
+//! [`exp1`] is the definition of `Exp(1)` in this crate: the 256-layer
+//! ziggurat of Marsaglia & Tsang (*J. Stat. Softw.* 5(8), 2000). A draw
+//! usually takes one `next_u64` — the layer from its low 8 bits, a
+//! 53-bit integer uniform from its top 53 — and one multiply; the tail
+//! (`r − ln(1 − u)`) and the wedge tests take more uniforms. The tables
+//! are built at compile time and the tail and wedges evaluate with the
+//! [`glc_model::fastmath`] kernels, never libm, so waits are the same
+//! bits on every host. Direct, FirstReaction and NextReaction wait
+//! `exp1(rng) / a`; Direct's selection uniform is a separate draw.
 //!
 //! # RNG-stream versioning
 //!
@@ -303,10 +317,182 @@ impl NormalBlock {
     }
 }
 
+/// Layers of the [`exp1`] ziggurat.
+const ZIG_LAYERS: usize = 256;
+
+/// Right edge `r` of the [`exp1`] ziggurat's widest layer: where the
+/// base strip's tail starts (Marsaglia & Tsang, 2000, 256 layers).
+const ZIG_R: f64 = 7.697_117_470_131_05;
+
+/// Area `v` of every [`exp1`] ziggurat layer (Marsaglia & Tsang, 2000).
+const ZIG_V: f64 = 3.949_659_822_581_572e-3;
+
+/// `2^53`: the range of the 53-bit integer uniform [`exp1`] scales.
+const U53_RANGE: f64 = (1u64 << 53) as f64;
+
+/// The [`exp1`] tables, per layer `i`: the quick-accept bound `k[i]`
+/// on the 53-bit integer uniform, the scale `w[i]` from that integer to
+/// `x`, and the density `f[i] = e^{-x_i}` at the layer's right edge.
+struct Ziggurat {
+    k: [u64; ZIG_LAYERS],
+    w: [f64; ZIG_LAYERS],
+    f: [f64; ZIG_LAYERS],
+}
+
+/// Builds the [`exp1`] tables at compile time with the
+/// [`glc_model::fastmath`] kernels (never libm), following Marsaglia &
+/// Tsang's `zigset`: layer 255 is the widest, `x_255 = r`; each narrower
+/// edge is `x_{i-1} = -ln(v / x_i + e^{-x_i})`; layer 1 is the top one,
+/// under `f = 1`; layer 0 is the base strip, a rectangle of area `v`
+/// whose part past `r` stands for the tail.
+const fn ziggurat() -> Ziggurat {
+    let mut k = [0u64; ZIG_LAYERS];
+    let mut w = [0.0f64; ZIG_LAYERS];
+    let mut f = [0.0f64; ZIG_LAYERS];
+    let mut x = ZIG_R;
+    let q = ZIG_V / fastmath::exp(-x);
+    k[0] = (x / q * U53_RANGE) as u64;
+    w[0] = q / U53_RANGE;
+    f[0] = 1.0;
+    w[ZIG_LAYERS - 1] = x / U53_RANGE;
+    f[ZIG_LAYERS - 1] = fastmath::exp(-x);
+    let mut i = ZIG_LAYERS - 2;
+    while i >= 1 {
+        let wider = x;
+        x = -fastmath::ln(ZIG_V / x + fastmath::exp(-x));
+        k[i + 1] = (x / wider * U53_RANGE) as u64;
+        w[i] = x / U53_RANGE;
+        f[i] = fastmath::exp(-x);
+        i -= 1;
+    }
+    Ziggurat { k, w, f }
+}
+
+static ZIGGURAT: Ziggurat = ziggurat();
+
+/// A unit exponential draw, `Exp(1)`: the ziggurat of Marsaglia & Tsang
+/// (*J. Stat. Softw.* 5(8), 2000) with 256 layers — the **definition**
+/// of every exact engine's waiting time (`τ = exp1(rng) / a`).
+///
+/// One `next_u64` picks the layer from its low 8 bits and a 53-bit
+/// integer uniform `j` from its top 53 bits; when `j < k[layer]` the
+/// point lies inside the curve and `x = j · w[layer]` is returned
+/// (about 97.8% of draws). Otherwise, in the base strip the draw is a
+/// tail draw `r − ln(1 − u)` with one more uniform, and in any other
+/// layer a wedge test `f[i] + u·(f[i−1] − f[i]) < e^{−x}` with one more
+/// uniform either accepts `x` or starts over with a fresh `next_u64`.
+/// Tables, `ln` and `exp` are the deterministic [`glc_model::fastmath`]
+/// kernels, so the draws, like the stream, depend only on the seed.
+#[inline]
+pub fn exp1(rng: &mut StdRng) -> f64 {
+    let bits = rng.next_u64();
+    let layer = (bits & 0xff) as usize;
+    let j = bits >> 11;
+    if j < ZIGGURAT.k[layer] {
+        return j as f64 * ZIGGURAT.w[layer];
+    }
+    exp1_edge(rng, bits)
+}
+
+/// The rare [`exp1`] paths: the tail, and the wedge tests with their
+/// retries, starting from the raw draw `bits` that missed the quick
+/// accept.
+#[cold]
+#[inline(never)]
+fn exp1_edge(rng: &mut StdRng, mut bits: u64) -> f64 {
+    let zig = &ZIGGURAT;
+    loop {
+        let layer = (bits & 0xff) as usize;
+        let j = bits >> 11;
+        if j < zig.k[layer] {
+            return j as f64 * zig.w[layer];
+        }
+        if layer == 0 {
+            return ZIG_R - fastmath::ln(1.0 - unit_f64(rng.next_u64()));
+        }
+        let x = j as f64 * zig.w[layer];
+        let y = zig.f[layer] + unit_f64(rng.next_u64()) * (zig.f[layer - 1] - zig.f[layer]);
+        if y < fastmath::exp(-x) {
+            return x;
+        }
+        bits = rng.next_u64();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::{Rng, SeedableRng};
+
+    #[test]
+    fn ziggurat_tables_are_the_fastmath_layers_of_equal_area() {
+        // The compile-time tables are the bits a run-time build gives.
+        let built = ziggurat();
+        for i in 0..ZIG_LAYERS {
+            assert_eq!(built.k[i], ZIGGURAT.k[i], "k[{i}]");
+            assert_eq!(built.w[i].to_bits(), ZIGGURAT.w[i].to_bits(), "w[{i}]");
+            assert_eq!(built.f[i].to_bits(), ZIGGURAT.f[i].to_bits(), "f[{i}]");
+        }
+        let zig = &ZIGGURAT;
+        let edge = |i: usize| zig.w[i] * U53_RANGE;
+        assert_eq!(edge(ZIG_LAYERS - 1), ZIG_R);
+        assert_eq!(zig.k[1], 0, "the top layer has no quick accept");
+        // Every layer above the base strip has area v, the top one under
+        // f = 1 included, and edges narrow toward the top.
+        for i in 1..ZIG_LAYERS {
+            let area = edge(i) * (zig.f[i - 1] - zig.f[i]);
+            assert!((area / ZIG_V - 1.0).abs() < 1e-9, "layer {i}: area {area}");
+            assert!(i == 1 || edge(i - 1) < edge(i));
+        }
+        // The base strip: [0, r] under f(r), plus the tail, is v too.
+        let strip = ZIG_R * zig.f[ZIG_LAYERS - 1] + (-ZIG_R).exp();
+        assert!((strip / ZIG_V - 1.0).abs() < 1e-9, "base strip {strip}");
+        // A quick accept is taken on about 97.8% of draws.
+        let quick: f64 = zig.k.iter().map(|&k| k as f64 / U53_RANGE).sum::<f64>() / 256.0;
+        assert!((0.977..0.979).contains(&quick), "{quick}");
+    }
+
+    /// The plain ziggurat loop of Marsaglia & Tsang: draw, quick accept,
+    /// tail or wedge test, and start over on a wedge rejection.
+    fn plain_ziggurat(rng: &mut StdRng) -> f64 {
+        let zig = &ZIGGURAT;
+        loop {
+            let bits = rng.next_u64();
+            let layer = (bits & 0xff) as usize;
+            let j = bits >> 11;
+            let x = j as f64 * zig.w[layer];
+            if j < zig.k[layer] {
+                return x;
+            }
+            if layer == 0 {
+                return ZIG_R - fastmath::ln(1.0 - unit_f64(rng.next_u64()));
+            }
+            let u = unit_f64(rng.next_u64());
+            if zig.f[layer] + u * (zig.f[layer - 1] - zig.f[layer]) < fastmath::exp(-x) {
+                return x;
+            }
+        }
+    }
+
+    #[test]
+    fn exp1_is_the_plain_ziggurat_loop() {
+        // Values and stream position, over enough draws to take the
+        // tail (~90 times) and the wedges (~4,400 times).
+        let mut rng = StdRng::seed_from_u64(3);
+        let mut reference = rng.clone();
+        let (mut quick, mut tail) = (0, 0);
+        for _ in 0..200_000 {
+            let mut probe = rng.clone();
+            let bits = probe.next_u64();
+            let x = exp1(&mut rng);
+            assert_eq!(x.to_bits(), plain_ziggurat(&mut reference).to_bits());
+            assert_eq!(rng.next_u64(), reference.next_u64(), "stream position");
+            quick += usize::from((bits >> 11) < ZIGGURAT.k[(bits & 0xff) as usize]);
+            tail += usize::from(x > ZIG_R);
+        }
+        assert!((195_000..196_500).contains(&quick), "{quick} quick accepts");
+        assert!((50..140).contains(&tail), "{tail} tail draws");
+    }
 
     #[test]
     fn pairing_returns_cosine_then_sine_half() {

@@ -10,11 +10,11 @@
 //! O(M) — that is the method, not the bookkeeping.
 
 use crate::compiled::{CompiledModel, State};
+use crate::draws::exp1;
 use crate::engine::{Engine, Gated, Observer, DEFAULT_STEP_LIMIT};
 use crate::error::SimError;
 use crate::propensity::PropensitySet;
 use rand::rngs::StdRng;
-use rand::Rng;
 
 /// The first-reaction method.
 #[derive(Debug, Clone)]
@@ -73,8 +73,7 @@ impl Engine for FirstReaction {
                 if a <= 0.0 {
                     continue;
                 }
-                let u: f64 = rng.gen();
-                let tau = -(1.0 - u).ln() / a;
+                let tau = exp1(rng) / a;
                 if best.is_none_or(|(t, _)| tau < t) {
                     best = Some((tau, r));
                 }

@@ -77,7 +77,7 @@ pub mod wire;
 pub use compiled::{CompiledModel, ModelCache, State, TableCensus, DEFAULT_MODEL_CACHE_CAPACITY};
 pub use control::{InputSchedule, ScheduleRunner};
 pub use direct::Direct;
-pub use draws::{standard_normal, NormalBlock, NormalCarry};
+pub use draws::{exp1, standard_normal, NormalBlock, NormalCarry};
 pub use engine::{Engine, Observer};
 pub use ensemble::{
     run_ensemble, run_partial, run_partial_from, Ensemble, EnsemblePartial, PartialFingerprint,

@@ -19,12 +19,12 @@
 //! that branch always takes a fresh exponential draw instead.
 
 use crate::compiled::{CompiledModel, State};
+use crate::draws::exp1;
 use crate::engine::{Engine, Gated, Observer, DEFAULT_STEP_LIMIT};
 use crate::error::SimError;
 use crate::ipq::IndexedPriorityQueue;
 use crate::propensity::PropensitySet;
 use rand::rngs::StdRng;
-use rand::Rng;
 
 /// The next-reaction method.
 #[derive(Debug, Clone)]
@@ -44,8 +44,7 @@ impl NextReaction {
 
     fn draw_time(rng: &mut StdRng, t: f64, propensity: f64) -> f64 {
         if propensity > 0.0 {
-            let u: f64 = rng.gen();
-            t - (1.0 - u).ln() / propensity
+            t + exp1(rng) / propensity
         } else {
             f64::INFINITY
         }

@@ -2,10 +2,11 @@
 //! (`glc_ssa::draws`): the block path must be bitwise-interchangeable
 //! with the scalar reference — values *and* RNG draw-stream position —
 //! for any sequence of request shapes, and the output must actually
-//! look like a standard normal.
+//! look like a standard normal. The exact engines' unit exponential
+//! wait (`exp1`) must look like `Exp(1)`, tail included.
 
 use genetic_logic::ssa::draws::BLOCK_PAIRS;
-use genetic_logic::ssa::{standard_normal, NormalBlock, NormalCarry};
+use genetic_logic::ssa::{exp1, standard_normal, NormalBlock, NormalCarry};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
@@ -135,4 +136,47 @@ fn sample_moments_match_standard_normal() {
         .sum::<f64>()
         / (n / 2.0);
     assert!(cov.abs() < 0.01, "pair covariance {cov}");
+}
+
+/// `exp1` follows `Exp(1)`, on 10^6 draws from a fixed seed: mean and
+/// variance within 4σ of 1, the Kolmogorov–Smirnov distance to
+/// `1 - e^{-x}` below its 0.1% critical value, and the share of draws
+/// past the ziggurat's tail edge `r` within 4σ of `e^{-r}`, so the tail
+/// path carries its weight.
+#[test]
+fn exp1_follows_the_unit_exponential_law() {
+    const N: usize = 1_000_000;
+    const TAIL_EDGE: f64 = 7.697_117_470_131_05;
+    let mut rng = StdRng::seed_from_u64(20_000_808);
+    let mut draws: Vec<f64> = (0..N).map(|_| exp1(&mut rng)).collect();
+    assert!(draws.iter().all(|&x| x.is_finite() && x >= 0.0));
+    let n = N as f64;
+
+    let mean = draws.iter().sum::<f64>() / n;
+    let var = draws.iter().map(|&x| (x - mean) * (x - mean)).sum::<f64>() / (n - 1.0);
+    // Var(X) = 1 and the fourth central moment is 9, so the sample
+    // mean has σ = 1/√n and the sample variance σ = √(8/n).
+    assert!((mean - 1.0).abs() < 4.0 / n.sqrt(), "mean {mean}");
+    assert!((var - 1.0).abs() < 4.0 * (8.0 / n).sqrt(), "variance {var}");
+
+    let p = (-TAIL_EDGE).exp();
+    let tail = draws.iter().filter(|&&x| x > TAIL_EDGE).count() as f64;
+    let sigma = (n * p * (1.0 - p)).sqrt();
+    assert!(
+        (tail - n * p).abs() < 4.0 * sigma,
+        "{tail} draws past r, expected {}",
+        n * p
+    );
+
+    draws.sort_by(f64::total_cmp);
+    let ks = draws
+        .iter()
+        .enumerate()
+        .map(|(i, &x)| {
+            let cdf = 1.0 - (-x).exp();
+            (cdf - i as f64 / n).max((i + 1) as f64 / n - cdf)
+        })
+        .fold(0.0f64, f64::max);
+    // Kolmogorov distribution: P(√n·D > 1.9495) = 0.001.
+    assert!(ks < 1.9495 / n.sqrt(), "KS distance {ks}");
 }

@@ -5,11 +5,13 @@
 //! circuit's speed) so the whole suite stays fast; the full paper
 //! protocol lives in the `glc-bench` harness binaries.
 
-use genetic_logic::core::{verify, AnalyzerConfig, LogicAnalyzer};
+use genetic_logic::core::{verify, AnalyzerConfig, LogicAnalyzer, LogicReport};
 use genetic_logic::gates::catalog;
 use genetic_logic::vasim::{Experiment, ExperimentConfig};
 
-fn verify_circuit(id: &str, hold: f64, seed: u64) {
+/// Runs the shortened protocol on circuit `id` and returns whether the
+/// extracted expression matches the intended one, with the report.
+fn verdict(id: &str, hold: f64, seed: u64) -> (bool, LogicReport) {
     let entry = catalog::by_id(id).unwrap_or_else(|| panic!("unknown circuit {id}"));
     let config = ExperimentConfig::new(hold, 15.0).repeats(2);
     let result = Experiment::new(config)
@@ -18,9 +20,14 @@ fn verify_circuit(id: &str, hold: f64, seed: u64) {
     let report = LogicAnalyzer::new(AnalyzerConfig::new(15.0))
         .analyze(&result.data)
         .expect("analysis");
-    let verdict = verify(&report, &entry.expected);
+    (verify(&report, &entry.expected).equivalent, report)
+}
+
+fn verify_circuit(id: &str, hold: f64, seed: u64) {
+    let entry = catalog::by_id(id).unwrap_or_else(|| panic!("unknown circuit {id}"));
+    let (equivalent, report) = verdict(id, hold, seed);
     assert!(
-        verdict.equivalent,
+        equivalent,
         "{id}: extracted {} but expected hex 0x{:X}\n{report}",
         report.expression,
         entry.expected.to_hex()
@@ -52,9 +59,22 @@ fn book_or_verifies() {
     verify_circuit("book_or", 700.0, 4);
 }
 
+/// book_and's `11` state rides close to its threshold (a mean near 25
+/// molecules against 15, in bursts), so under this shortened protocol
+/// about 18% of seeds miss it, whichever wait stream the engine draws:
+/// over seeds 1401–7400, 17.9% with `-ln(1 - u)` waits and 18.05% with
+/// the ziggurat's `exp1`. One seed's verdict is a coin with ~82% odds,
+/// so this test pins the rate over seeds 1–40 instead: at least 28 must
+/// verify with fitness above 90%.
 #[test]
 fn book_and_verifies() {
-    verify_circuit("book_and", 700.0, 5);
+    let missed: Vec<u64> = (1..=40)
+        .filter(|&seed| {
+            let (equivalent, report) = verdict("book_and", 700.0, seed);
+            !(equivalent && report.fitness > 90.0)
+        })
+        .collect();
+    assert!(missed.len() <= 12, "book_and missed on seeds {missed:?}");
 }
 
 #[test]

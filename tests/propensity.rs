@@ -13,8 +13,8 @@ use genetic_logic::ssa::engine::Observer;
 use genetic_logic::ssa::ipq::IndexedPriorityQueue;
 use genetic_logic::ssa::propensity::PropensitySet;
 use genetic_logic::ssa::{
-    CompiledModel, Direct, Engine, FirstReaction, InputSchedule, NextReaction, ScheduleRunner,
-    State, TableCensus,
+    exp1, CompiledModel, Direct, Engine, FirstReaction, InputSchedule, NextReaction,
+    ScheduleRunner, State, TableCensus,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -183,8 +183,7 @@ fn reused_direct_matches_fresh_engines_across_circuits() {
 fn reference_next_reaction(model: &CompiledModel, seed: u64, t_end: f64) -> BitTrace {
     fn draw_time(rng: &mut StdRng, t: f64, propensity: f64) -> f64 {
         if propensity > 0.0 {
-            let u: f64 = rng.gen();
-            t - (1.0 - u).ln() / propensity
+            t + exp1(rng) / propensity
         } else {
             f64::INFINITY
         }
