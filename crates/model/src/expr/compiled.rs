@@ -1071,10 +1071,13 @@ impl CompiledExpr {
         self.eval_memo(values, stack, &mut NoMemo)
     }
 
-    /// The one kinetic evaluator: the law's parts
-    /// ([`CompiledExpr::part_count`]) summed left to right — the first
-    /// part, then `+=` each next one — with literal-coefficient Hill
-    /// responses read from and written to `memo`.
+    /// The one kinetic evaluator: the law's [`KineticForm`], with its
+    /// literal-coefficient Hill responses read from and written to
+    /// `memo`, or the postfix VM (via `stack`) for `General` laws. It
+    /// is the in-order sum of the law's parts (see
+    /// [`CompiledExpr::part_count`]): a `Hill` law's `base` plus
+    /// `span * hill`, a `SumOfProducts`'s first term then `+=` each
+    /// next one, and the whole law for every other form.
     #[inline]
     fn eval_memo<M: HillMemo + ?Sized>(
         &self,
@@ -1082,17 +1085,27 @@ impl CompiledExpr {
         stack: &mut Vec<f64>,
         memo: &mut M,
     ) -> f64 {
-        let mut total = self.eval_part(0, values, stack, memo);
-        for part in 1..self.part_count() {
-            total += self.eval_part(part, values, stack, memo);
+        match &self.form {
+            KineticForm::Linear(a, b) => a.load(values) * b.load(values),
+            KineticForm::Hill { base, span, hill } => {
+                base.load(values) + span.load(values) * hill.eval(values, memo)
+            }
+            KineticForm::SumOfProducts(terms) => {
+                let mut total = terms[0].eval(values, memo);
+                for term in &terms[1..] {
+                    total += term.eval(values, memo);
+                }
+                total
+            }
+            KineticForm::TermDiv { term, divisor } => {
+                BinOp::Div.apply(term.eval(values, memo), divisor.load(values))
+            }
+            KineticForm::General => self.eval_with(values, stack),
         }
-        total
     }
 
-    /// Part `part` of the law (see [`CompiledExpr::part_count`]): a
-    /// `Hill` law's `base` (part 0) or `span * hill` (part 1), one term
-    /// of a `SumOfProducts`, or the whole law for every other form
-    /// (`General` on the postfix VM, via `stack`).
+    /// Part `part` of the law (see [`CompiledExpr::part_count`]): the
+    /// summand [`CompiledExpr::eval_memo`] adds at that position.
     #[inline]
     fn eval_part<M: HillMemo + ?Sized>(
         &self,
@@ -1102,14 +1115,11 @@ impl CompiledExpr {
         memo: &mut M,
     ) -> f64 {
         match &self.form {
-            KineticForm::Linear(a, b) => a.load(values) * b.load(values),
             KineticForm::Hill { base, .. } if part == 0 => base.load(values),
             KineticForm::Hill { span, hill, .. } => span.load(values) * hill.eval(values, memo),
             KineticForm::SumOfProducts(terms) => terms[part].eval(values, memo),
-            KineticForm::TermDiv { term, divisor } => {
-                BinOp::Div.apply(term.eval(values, memo), divisor.load(values))
-            }
-            KineticForm::General => self.eval_with(values, stack),
+            // One part: the whole law.
+            _ => self.eval_memo(values, stack, memo),
         }
     }
 

@@ -57,8 +57,6 @@ pub struct CompiledModel {
     /// `(law, part, at)` of every [`PartTable::Constant`] part, `at`
     /// being its position in `parts`.
     constants: Vec<(usize, usize, usize)>,
-    /// Copy-number tables per run: one per whole-law and part table.
-    table_lanes: usize,
     census: TableCensus,
     initial_values: Vec<f64>,
 }
@@ -184,10 +182,13 @@ impl CompiledModel {
         // reading several splits into the parts its evaluator sums;
         // the same holds part by part.
         let changing: BTreeSet<usize> = deltas.iter().flatten().map(|&(slot, _)| slot).collect();
-        let changing_read = |reads: &mut dyn Iterator<Item = usize>| {
-            let read: BTreeSet<usize> = reads.filter(|slot| changing.contains(slot)).collect();
-            let first = read.first().copied();
-            (read.len(), first)
+        let changing_reads = |reads: &[usize]| -> Vec<usize> {
+            let read: BTreeSet<usize> = reads
+                .iter()
+                .copied()
+                .filter(|slot| changing.contains(slot))
+                .collect();
+            read.into_iter().collect()
         };
         let mut lanes = 0;
         let mut next_base = || {
@@ -197,9 +198,9 @@ impl CompiledModel {
         let mut census = TableCensus::default();
         let (mut tables, mut parts, mut constants) = (Vec::new(), Vec::new(), Vec::new());
         for (law, expr) in kinetics.iter().enumerate() {
-            let table = match changing_read(&mut expr.referenced_slots().iter().copied()) {
-                (0, _) => LawTable::Canonical,
-                (1, Some(slot)) => {
+            let table = match changing_reads(expr.referenced_slots()).as_slice() {
+                [] => LawTable::Canonical,
+                &[slot] => {
                     census.whole += 1;
                     LawTable::Whole {
                         slot,
@@ -207,16 +208,16 @@ impl CompiledModel {
                     }
                 }
                 _ => {
-                    let reads: Vec<(usize, Option<usize>)> = (0..expr.part_count())
-                        .map(|part| changing_read(&mut expr.part_slots(part).into_iter()))
+                    let reads: Vec<Vec<usize>> = (0..expr.part_count())
+                        .map(|part| changing_reads(&expr.part_slots(part)))
                         .collect();
-                    if expr.part_count() == 1 || reads.iter().any(|&(n, _)| n > 1) {
+                    if reads.len() == 1 || reads.iter().any(|read| read.len() > 1) {
                         census.canonical += 1;
                         LawTable::Canonical
                     } else {
                         let start = parts.len();
-                        for (part, (_, slot)) in reads.into_iter().enumerate() {
-                            parts.push(match slot {
+                        for (part, read) in reads.into_iter().enumerate() {
+                            parts.push(match read.first().copied() {
                                 None => {
                                     census.constants += 1;
                                     constants.push((law, part, parts.len()));
@@ -252,7 +253,6 @@ impl CompiledModel {
             tables,
             parts,
             constants,
-            table_lanes: lanes,
             census,
             initial_values: model.initial_values(),
         })
@@ -344,7 +344,7 @@ impl CompiledModel {
 
     /// Copy-number tables one run needs: whole-law and part tables.
     pub(crate) fn table_lanes(&self) -> usize {
-        self.table_lanes
+        self.census.whole + self.census.parts
     }
 
     /// Number of laws with a [`CompiledModel::table_slot`].
