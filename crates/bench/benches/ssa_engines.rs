@@ -21,7 +21,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use glc_gates::catalog;
-use glc_model::expr::EvalMemo;
+use glc_model::expr::{EvalMemo, Lane, Lanes};
 use glc_model::Model;
 use glc_service::codec::{self, BinaryReply};
 use glc_service::{
@@ -29,9 +29,10 @@ use glc_service::{
     Transport, WorkOrder, WorkerPool,
 };
 use glc_ssa::engine::Observer;
+use glc_ssa::langevin::LANES;
 use glc_ssa::{
-    run_ensemble, simulate, CompiledModel, Direct, Engine, FirstReaction, Langevin, NextReaction,
-    TauLeap,
+    run_ensemble, run_partial, simulate, CompiledModel, Direct, Engine, FirstReaction, Langevin,
+    NextReaction, SimError, State, TauLeap,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -207,6 +208,135 @@ fn sampled_states(model: &CompiledModel, count: usize) -> Vec<glc_ssa::State> {
         sampler.states.push(model.initial_state());
     }
     sampler.states
+}
+
+/// States sampled along Langevin trajectories (seeds 1, 2, …, every
+/// 97th step), the continuous states the lane sweep sees.
+fn langevin_states(model: &CompiledModel, dt: f64, count: usize) -> Vec<Vec<f64>> {
+    struct Sampler(Vec<Vec<f64>>, u64);
+    impl Observer for Sampler {
+        fn on_advance(&mut self, _t: f64, values: &[f64]) {
+            self.1 += 1;
+            if self.1.is_multiple_of(97) {
+                self.0.push(values.to_vec());
+            }
+        }
+    }
+    let mut sampler = Sampler(Vec::new(), 0);
+    let mut seed = 1;
+    while sampler.0.len() < count {
+        let mut state = model.initial_state();
+        let mut rng = StdRng::seed_from_u64(seed);
+        Langevin::new(dt)
+            .expect("valid dt")
+            .run(model, &mut state, 200.0, &mut rng, &mut sampler)
+            .expect("simulate");
+        seed += 1;
+    }
+    sampler.0.truncate(count);
+    sampler.0
+}
+
+/// Nanoseconds per replicate of the full sweep on `states`, as
+/// `LANES` lanes at a time (`lanes`) or one state at a time: the
+/// replicate-lane go/no-go. Both run the memoized sweep the Langevin
+/// engine runs; the lane sweep's bits are checked against the scalar
+/// sweep's first.
+fn lane_sweep_ns(model: &CompiledModel, states: &[Vec<f64>], lanes: bool, secs: f64) -> f64 {
+    let packed: Vec<Vec<Lanes<LANES>>> = states
+        .chunks_exact(LANES)
+        .map(|group| {
+            (0..group[0].len())
+                .map(|slot| Lanes::from_fn(|lane| group[lane][slot]))
+                .collect()
+        })
+        .collect();
+    let (mut out, mut stack, mut memo) = (Vec::new(), Vec::new(), EvalMemo::new());
+    let (mut wide, mut wide_stack) = (Vec::new(), Vec::new());
+    let mut wide_memo = EvalMemo::<Lanes<LANES>>::new();
+    for (group, values) in packed.iter().enumerate() {
+        model.propensities_lanes(values, &mut wide, &mut wide_stack, &mut wide_memo);
+        for lane in 0..LANES {
+            let state = &states[group * LANES + lane];
+            model
+                .propensities_at(state, 0.0, &mut out, &mut stack, &mut memo)
+                .expect("sweep");
+            for (one, many) in out.iter().zip(&wide) {
+                assert_eq!(one.to_bits(), many.lane(lane).to_bits(), "lane sweep bits");
+            }
+        }
+    }
+    let mut replicates = 0u64;
+    let mut sink = 0.0f64;
+    let start = Instant::now();
+    while start.elapsed().as_secs_f64() < secs {
+        if lanes {
+            for values in &packed {
+                let (total, suspects) =
+                    model.propensities_lanes(values, &mut wide, &mut wide_stack, &mut wide_memo);
+                assert_eq!(suspects, 0);
+                sink += total.lane(0);
+                replicates += LANES as u64;
+            }
+        } else {
+            for state in &states[..packed.len() * LANES] {
+                sink += model
+                    .propensities_at(state, 0.0, &mut out, &mut stack, &mut memo)
+                    .expect("sweep");
+                replicates += 1;
+            }
+        }
+    }
+    assert!(sink.is_finite());
+    start.elapsed().as_secs_f64() * 1e9 / replicates as f64
+}
+
+/// The Langevin engine with its lane path hidden: `run_partial` then
+/// runs one replicate at a time on the one-lane instance.
+struct OneLane(Langevin);
+
+impl Engine for OneLane {
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+    fn run(
+        &mut self,
+        model: &CompiledModel,
+        state: &mut State,
+        t_end: f64,
+        rng: &mut StdRng,
+        observer: &mut dyn Observer,
+    ) -> Result<(), SimError> {
+        self.0.run(model, state, t_end, rng, observer)
+    }
+}
+
+/// The Langevin step of the replicate-lane rows: the service's
+/// Langevin sessions' step, stable on both circuit families.
+const LANE_DT: f64 = 0.02;
+
+/// Langevin replicates per second through `run_partial` on one thread
+/// (32-replicate shards, 200 t.u., dt [`LANE_DT`]): the lane path, or
+/// one replicate at a time.
+fn langevin_partial_replicates_per_second(model: &CompiledModel, lanes: bool, secs: f64) -> f64 {
+    const SHARD: u64 = 32;
+    let make = || -> Box<dyn Engine> {
+        let engine = Langevin::new(LANE_DT).expect("valid dt");
+        if lanes {
+            Box::new(engine)
+        } else {
+            Box::new(OneLane(engine))
+        }
+    };
+    let mut replicates = 0u64;
+    let mut seed = 42u64;
+    let start = Instant::now();
+    while start.elapsed().as_secs_f64() < secs {
+        run_partial(model, make, seed..seed + SHARD, 200.0, 1.0).expect("partial");
+        replicates += SHARD;
+        seed += SHARD;
+    }
+    replicates as f64 / start.elapsed().as_secs_f64()
 }
 
 /// Ensemble-grid parameters for the replicate-throughput comparison.
@@ -816,6 +946,38 @@ fn throughput_report() {
             "speedup" => sweep_speedup,
         };
         push(&mut ledger, "full_sweep", full_sweep);
+
+        // Replicate lanes: the Langevin engine steps LANES replicates
+        // through one sweep over lane values. The go/no-go row: a lane
+        // sweep against LANES scalar sweeps on states Langevin visits
+        // (floored at 1.5x on cello_0x1C in check_regression), then
+        // the Langevin ensemble through run_partial, lane path against
+        // one replicate at a time.
+        let visited = langevin_states(&model, LANE_DT, 128);
+        lane_sweep_ns(&model, &visited, true, 0.05); // warm-up
+        let lane_ns = lane_sweep_ns(&model, &visited, true, wall(0.4));
+        let scalar_ns = lane_sweep_ns(&model, &visited, false, wall(0.4));
+        let sweep_speedup = scalar_ns / lane_ns;
+        langevin_partial_replicates_per_second(&model, true, 0.05); // warm-up
+        let lane_reps = langevin_partial_replicates_per_second(&model, true, wall(1.0));
+        let scalar_reps = langevin_partial_replicates_per_second(&model, false, wall(1.0));
+        let ensemble_speedup = lane_reps / scalar_reps;
+        println!(
+            "    langevin lanes (K = {LANES}): sweep {lane_ns:.1} ns/replicate vs \
+             {scalar_ns:.1} scalar ({sweep_speedup:.2}x)  run_partial {lane_reps:.0} reps/s \
+             vs {scalar_reps:.0} ({ensemble_speedup:.2}x)"
+        );
+        let langevin_lanes = row! {
+            "circuit" => id,
+            "lanes" => LANES,
+            "lane_sweep_ns" => lane_ns,
+            "scalar_sweep_ns" => scalar_ns,
+            "sweep_speedup" => sweep_speedup,
+            "lane_replicates_per_sec" => lane_reps,
+            "scalar_replicates_per_sec" => scalar_reps,
+            "ensemble_speedup" => ensemble_speedup,
+        };
+        push(&mut ledger, "langevin_lanes", langevin_lanes);
 
         // Ensemble replicate throughput: the in-process shard-then-
         // merge path vs the same batches fanned out over resident

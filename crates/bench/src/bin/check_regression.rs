@@ -59,6 +59,10 @@ const GATES: &[Gate] = &[
     // memoized sweep beats (or ties) the memo-free per-law sweep: a losing
     // sweep is a regression to fix, not a baseline to ratchet.
     Gate("full_sweep", EVERY, "speedup", Floor, 1.0),
+    // Langevin replicate lanes exist because one lane sweep beats LANES
+    // scalar sweeps on the states Langevin visits; below 1.5x on
+    // cello_0x1C the lanes would not pay for themselves.
+    Gate("langevin_lanes", CELLO, "sweep_speedup", Floor, 1.5),
     // Every law of the reference circuits classifies as a shaped kinetic
     // form, so a `General` (VM) law means the form recognizer regressed.
     Gate("lanes", EVERY, "fallback", Ceiling, 0.0),
@@ -256,6 +260,8 @@ mod tests {
         cello_relay_efficiency_has_an_absolute_floor:
             "relay", CELLO, "relay_efficiency", 0.9, 0.89;
         losing_batched_sweep_fails_absolutely: "full_sweep", EVERY, "speedup", 1.0, 0.99;
+        lane_sweep_below_the_go_no_go_fails_absolutely:
+            "langevin_lanes", CELLO, "sweep_speedup", 1.5, 1.49;
         vm_fallback_lanes_fail_absolutely: "lanes", EVERY, "fallback", 0.0, 1.0;
         losing_batched_draws_fail_absolutely: "draws", EVERY, "speedup", 1.0, 0.99;
         model_cache_speedup_floor_is_absolute:

@@ -25,6 +25,7 @@
 //! do not depend on which path evaluated a propensity — the property
 //! the incremental propensity engine in `glc_ssa` relies on.
 
+use super::lane::Lane;
 use super::{BinOp, Expr, Func};
 use crate::error::EvalError;
 use std::collections::HashMap;
@@ -111,9 +112,9 @@ pub enum Operand {
 
 impl Operand {
     #[inline]
-    fn load(self, values: &[f64]) -> f64 {
+    fn load<L: Lane>(self, values: &[L]) -> L {
         match self {
-            Operand::Num(value) => value,
+            Operand::Num(value) => L::splat(value),
             Operand::Slot(slot) => values[slot],
         }
     }
@@ -152,7 +153,7 @@ pub struct HillCall {
 impl HillCall {
     /// The regulator amount, before the clamp.
     #[inline]
-    fn regulator(&self, values: &[f64]) -> f64 {
+    fn regulator<L: Lane>(&self, values: &[L]) -> L {
         let mut x = self.xs[0].load(values);
         for operand in &self.xs[1..] {
             x += operand.load(values);
@@ -169,9 +170,10 @@ impl HillCall {
     /// with `k^n` read from the hoisted value when there is one. Those
     /// calls consult `memo` first: replaying a response stored for the
     /// same clamped regulator bits is bitwise identical to recomputing
-    /// it (see [`EvalMemo`]).
+    /// it (see [`EvalMemo`]). Over [`Lanes`](super::Lanes) a memo pair
+    /// hits only when every lane's regulator bits repeat.
     #[inline]
-    fn eval<M: HillMemo + ?Sized>(&self, values: &[f64], memo: &mut M) -> f64 {
+    fn eval<L: Lane, M: HillMemo<L> + ?Sized>(&self, values: &[L], memo: &mut M) -> L {
         let x = self.regulator(values);
         let Some(kn) = self.kn else {
             let func = if self.activation {
@@ -179,19 +181,14 @@ impl HillCall {
             } else {
                 Func::HillRepression
             };
-            return func.apply(&[x, self.k.load(values), self.n.load(values)]);
+            return L::apply(func, &[x, self.k.load(values), self.n.load(values)]);
         };
-        let x = x.max(0.0);
+        let x = x.max(L::splat(0.0));
         let (slot, x_bits) = (self.slot as usize, x.to_bits());
         if let Some(response) = memo.lookup(slot, x_bits) {
             return response;
         }
-        let xn = crate::fastmath::pow(x, self.n.load(values));
-        let response = if self.activation {
-            xn / (kn + xn)
-        } else {
-            kn / (kn + xn)
-        };
+        let response = L::hill(x, self.n.load(values), kn, self.activation);
         memo.store(slot, x_bits, response);
         response
     }
@@ -211,15 +208,15 @@ pub struct MaxZeroCall {
 
 impl MaxZeroCall {
     #[inline]
-    fn eval(&self, values: &[f64]) -> f64 {
+    fn eval<L: Lane>(&self, values: &[L]) -> L {
         let x = self.x.load(values);
         let arg = match self.shift {
-            // Same primitives the VM dispatches to, so results are
-            // bitwise identical between the two paths.
-            Some(shift) => BinOp::Sub.apply(x, shift.load(values)),
+            // The operations the VM's `Sub` and `max` dispatch to, so
+            // results are bitwise identical between the two paths.
+            Some(shift) => x - shift.load(values),
             None => x,
         };
-        Func::Max.apply(&[arg, 0.0])
+        arg.max(L::splat(0.0))
     }
 }
 
@@ -235,8 +232,9 @@ pub enum Factor {
 }
 
 impl Factor {
-    #[inline]
-    fn eval<M: HillMemo + ?Sized>(&self, values: &[f64], memo: &mut M) -> f64 {
+    // Always inlined, like `Term::eval`.
+    #[inline(always)]
+    fn eval<L: Lane, M: HillMemo<L> + ?Sized>(&self, values: &[L], memo: &mut M) -> L {
         match self {
             Factor::Op(operand) => operand.load(values),
             Factor::Hill(hill) => hill.eval(values, memo),
@@ -254,8 +252,10 @@ pub struct Term {
 }
 
 impl Term {
-    #[inline]
-    fn eval<M: HillMemo + ?Sized>(&self, values: &[f64], memo: &mut M) -> f64 {
+    // Inlined into every form's arm: as a call, the per-factor
+    // dispatch cost the memoized sweep its lead on the book circuits.
+    #[inline(always)]
+    fn eval<L: Lane, M: HillMemo<L> + ?Sized>(&self, values: &[L], memo: &mut M) -> L {
         let mut product = self.factors[0].eval(values, memo);
         for factor in &self.factors[1..] {
             product *= factor.eval(values, memo);
@@ -516,9 +516,9 @@ fn sum_of_terms(expr: &Expr, table: &SymbolTable) -> Option<Vec<Term>> {
 /// [`KineticFormBank::warm_hills`]: `exp(n * ln x)` with an `x == 0`
 /// select replacing [`crate::fastmath::pow`]'s early return, then one
 /// division with the numerator chosen by the lane kind. Per lane this
-/// is exactly the operation sequence of [`HillCall::eval`]'s miss
-/// path, so the results are bitwise identical to the scalar walk; the
-/// compile-time trip count is what lets the whole chain vectorize.
+/// is exactly the operation sequence of [`Lane::hill`], the
+/// evaluator's miss path, so the results are bitwise identical to it;
+/// the compile-time trip count is what lets the whole chain vectorize.
 #[inline]
 fn hill_kernel8(
     xs: &[f64; 8],
@@ -542,39 +542,39 @@ fn hill_kernel8(
 /// [`CompiledExpr::eval_fast`], the `(x_bits, response)` pair slice for
 /// [`KineticFormBank::eval_all`], and the whole [`EvalMemo`] (table
 /// first, pair second) for [`KineticFormBank::eval_one`].
-trait HillMemo {
+trait HillMemo<L: Lane> {
     /// The memoized response for `slot` if it was computed for exactly
     /// these regulator bits.
-    fn lookup(&mut self, slot: usize, x_bits: u64) -> Option<f64>;
+    fn lookup(&mut self, slot: usize, x_bits: L::Bits) -> Option<L>;
     /// Records the response computed for `slot` at these regulator bits.
-    fn store(&mut self, slot: usize, x_bits: u64, response: f64);
+    fn store(&mut self, slot: usize, x_bits: L::Bits, response: L);
 }
 
 /// The memo of a law evaluated outside a bank: every lookup misses.
 struct NoMemo;
 
-impl HillMemo for NoMemo {
+impl<L: Lane> HillMemo<L> for NoMemo {
     #[inline]
-    fn lookup(&mut self, _: usize, _: u64) -> Option<f64> {
+    fn lookup(&mut self, _: usize, _: L::Bits) -> Option<L> {
         None
     }
     #[inline]
-    fn store(&mut self, _: usize, _: u64, _: f64) {}
+    fn store(&mut self, _: usize, _: L::Bits, _: L) {}
 }
 
-impl HillMemo for [(u64, f64)] {
+impl<L: Lane> HillMemo<L> for [(L::Bits, L)] {
     #[inline]
-    fn lookup(&mut self, slot: usize, x_bits: u64) -> Option<f64> {
+    fn lookup(&mut self, slot: usize, x_bits: L::Bits) -> Option<L> {
         let (bits, response) = self[slot];
         (bits == x_bits).then_some(response)
     }
     #[inline]
-    fn store(&mut self, slot: usize, x_bits: u64, response: f64) {
+    fn store(&mut self, slot: usize, x_bits: L::Bits, response: L) {
         self[slot] = (x_bits, response);
     }
 }
 
-impl HillMemo for EvalMemo {
+impl HillMemo<f64> for EvalMemo {
     #[inline]
     fn lookup(&mut self, slot: usize, x_bits: u64) -> Option<f64> {
         match table_index(slot, x_bits) {
@@ -653,6 +653,11 @@ fn table_index(slot: usize, x_bits: u64) -> Option<usize> {
 /// sentinel for the pairs. The table marks an empty entry with the same
 /// pattern.
 ///
+/// Over [`Lanes`](super::Lanes) (`L`) a memo keeps the pairs alone,
+/// keyed by every lane's bits: lane sweeps are all it serves, and a
+/// pair hits when the whole lane vector repeats — on Langevin states,
+/// the calls regulated by clamped inputs.
+///
 /// The memo lives with the *caller* (engines keep one per propensity
 /// scratch), never inside the bank: [`KineticFormBank`] stays immutable
 /// and shareable across threads, e.g. behind the `Arc` of a compiled
@@ -661,18 +666,29 @@ fn table_index(slot: usize, x_bits: u64) -> Option<usize> {
 /// to a different bank, so one scratch can serve models of any shape
 /// over its lifetime. The table costs 8 KiB per slot (80 KiB for
 /// the largest catalog circuit), allocated and filled once per binding.
-#[derive(Debug, Clone, Default)]
-pub struct EvalMemo {
+#[derive(Debug, Clone)]
+pub struct EvalMemo<L: Lane = f64> {
     /// Identity stamp of the bank the slots belong to.
     bank_id: u64,
     /// Per-slot `(x_bits, response)` pairs.
-    hill: Vec<(u64, f64)>,
+    hill: Vec<(L::Bits, L)>,
     /// Per-slot response tables, [`COPY_TABLE_LEN`] entries each; slot
-    /// `s` owns `table[s * COPY_TABLE_LEN..][..COPY_TABLE_LEN]`.
+    /// `s` owns `table[s * COPY_TABLE_LEN..][..COPY_TABLE_LEN]`. Empty
+    /// for lane memos.
     table: Vec<f64>,
 }
 
-impl EvalMemo {
+impl<L: Lane> Default for EvalMemo<L> {
+    fn default() -> Self {
+        EvalMemo {
+            bank_id: 0,
+            hill: Vec::new(),
+            table: Vec::new(),
+        }
+    }
+}
+
+impl<L: Lane> EvalMemo<L> {
     /// An empty memo; sized (and re-sized) by the first evaluation
     /// against each bank it is used with.
     pub fn new() -> Self {
@@ -689,10 +705,15 @@ impl EvalMemo {
         }
         self.bank_id = bank_id;
         self.hill.clear();
-        self.hill.resize(slots, (EMPTY_BITS, 0.0));
+        self.hill
+            .resize(slots, (L::bits_splat(EMPTY_BITS), L::splat(0.0)));
         self.table.clear();
-        self.table
-            .resize(slots * COPY_TABLE_LEN, f64::from_bits(EMPTY_BITS));
+        let entries = if L::WIDTH == 1 {
+            slots * COPY_TABLE_LEN
+        } else {
+            0
+        };
+        self.table.resize(entries, f64::from_bits(EMPTY_BITS));
     }
 }
 
@@ -762,76 +783,93 @@ impl KineticFormBank {
     /// Evaluates every law against `values`, writing law `i`'s result
     /// to `out[i]`; `stack` is the operand stack for `General` laws,
     /// and `memo` carries the caller's Hill response memo (rebound to
-    /// this bank on first use).
+    /// this bank on first use). Over [`Lanes`](super::Lanes), lane `i`
+    /// of every result is bitwise the `f64` sweep of lane `i`'s values.
     ///
     /// # Panics
     ///
     /// Panics if `out.len() != self.len()` or `values` is shorter than
     /// the highest referenced slot.
-    pub fn eval_all(
+    pub fn eval_all<L: Lane>(
         &self,
-        values: &[f64],
-        out: &mut [f64],
-        stack: &mut Vec<f64>,
-        memo: &mut EvalMemo,
+        values: &[L],
+        out: &mut [L],
+        stack: &mut Vec<L>,
+        memo: &mut EvalMemo<L>,
     ) {
         assert_eq!(out.len(), self.laws.len(), "output length mismatch");
         memo.ensure(self.bank_id, self.hills.len());
         let pairs = memo.hill.as_mut_slice();
-        self.warm_hills(values, pairs);
+        // Two batches hold every gate-compiled circuit's misses at
+        // K = 1. Lanes get four: at K = 8 that is four calls, and the
+        // rest take the miss path, already eight lanes wide; more
+        // batches only cost zeroing (measured on cello_0x1C).
+        if L::WIDTH == 1 {
+            self.warm_hills::<L, 2>(values, pairs);
+        } else {
+            self.warm_hills::<L, 4>(values, pairs);
+        }
         for (out, law) in out.iter_mut().zip(&self.laws) {
             *out = law.eval_memo(values, stack, pairs);
         }
     }
 
     /// Miss-driven vector pre-pass over the memoizable Hill calls:
-    /// gathers the calls whose clamped regulator misses `memo` into
-    /// fixed-width batches, evaluates them through [`hill_kernel8`] and
-    /// seeds `memo`, so the law loop that follows hits instead of paying
-    /// a scalar `pow` per miss. Full-sweep engines (tau-leap, Langevin)
-    /// miss on every varying regulator every step. Pad lanes run the
-    /// kernel on zeros (finite everywhere) and are never stored back;
-    /// misses past the scratch capacity stay on the scalar path.
-    fn warm_hills(&self, values: &[f64], memo: &mut [(u64, f64)]) {
-        // Two 8-lane batches of misses cover every gate-compiled
-        // circuit; overflow simply stays on the scalar path.
-        const BATCHES: usize = 2;
-        const MAX: usize = BATCHES * 8;
-        let mut xs = [[0.0f64; 8]; BATCHES];
-        let mut ns = [[0.0f64; 8]; BATCHES];
-        let mut kns = [[0.0f64; 8]; BATCHES];
-        let mut acts = [[false; 8]; BATCHES];
-        let mut slots = [0usize; MAX];
-        let mut bits = [0u64; MAX];
+    /// gathers the lanes of the calls whose clamped regulator misses
+    /// `memo` into `B` batches of eight, evaluates them through
+    /// [`hill_kernel8`] and seeds `memo`, so the law loop that follows
+    /// hits instead of paying a `pow` per miss. Full-sweep engines
+    /// (tau-leap, Langevin) miss on every varying regulator every step.
+    /// Pad lanes run the kernel on zeros (finite everywhere) and are
+    /// never stored back; misses past the scratch capacity stay on the
+    /// evaluator's own miss path ([`Lane::hill`]).
+    fn warm_hills<L: Lane, const B: usize>(&self, values: &[L], memo: &mut [(L::Bits, L)]) {
+        const CALLS: usize = 16;
+        if self.hills.is_empty() {
+            return;
+        }
+        let calls = (B * 8 / L::WIDTH).min(CALLS);
+        let mut xs = [[0.0f64; 8]; B];
+        let mut ns = [[0.0f64; 8]; B];
+        let mut kns = [[0.0f64; 8]; B];
+        let mut acts = [[false; 8]; B];
+        let mut missed = [(0usize, L::bits_splat(0)); CALLS];
         let mut at = 0;
         for (slot, hill) in self.hills.iter().enumerate() {
             let kn = hill.kn.expect("only literal-coefficient calls get slots");
-            if at == MAX {
+            if at == calls {
                 break;
             }
-            let x = hill.regulator(values).max(0.0);
+            let x = hill.regulator(values).max(L::splat(0.0));
             let x_bits = x.to_bits();
             if memo.lookup(slot, x_bits).is_some() {
                 continue;
             }
-            xs[at / 8][at % 8] = x;
-            ns[at / 8][at % 8] = hill.n.load(values);
-            kns[at / 8][at % 8] = kn;
-            acts[at / 8][at % 8] = hill.activation;
-            slots[at] = slot;
-            bits[at] = x_bits;
+            let n = hill.n.load(values);
+            for lane in 0..L::WIDTH {
+                let e = at * L::WIDTH + lane;
+                xs[e / 8][e % 8] = x.lane(lane);
+                ns[e / 8][e % 8] = n.lane(lane);
+                kns[e / 8][e % 8] = kn;
+                acts[e / 8][e % 8] = hill.activation;
+            }
+            missed[at] = (slot, x_bits);
             at += 1;
         }
         if at == 0 {
             return;
         }
-        let mut resp = [[0.0f64; 8]; BATCHES];
-        hill_kernel8(&xs[0], &ns[0], &kns[0], &acts[0], &mut resp[0]);
-        if at > 8 {
-            hill_kernel8(&xs[1], &ns[1], &kns[1], &acts[1], &mut resp[1]);
+        let mut resp = [[0.0f64; 8]; B];
+        for b in 0..(at * L::WIDTH).div_ceil(8) {
+            hill_kernel8(&xs[b], &ns[b], &kns[b], &acts[b], &mut resp[b]);
         }
-        for g in 0..at {
-            memo.store(slots[g], bits[g], resp[g / 8][g % 8]);
+        for (call, &(slot, x_bits)) in missed[..at].iter().enumerate() {
+            let mut response = L::splat(0.0);
+            for (lane, to) in response.lanes_mut().iter_mut().enumerate() {
+                let e = call * L::WIDTH + lane;
+                *to = resp[e / 8][e % 8];
+            }
+            memo.store(slot, x_bits, response);
         }
     }
 
@@ -1027,12 +1065,13 @@ impl CompiledExpr {
 
     /// Evaluates like [`CompiledExpr::eval`] but reuses a caller-provided
     /// stack, avoiding the per-call allocation. The stack is cleared on
-    /// entry.
-    pub fn eval_with(&self, values: &[f64], stack: &mut Vec<f64>) -> f64 {
+    /// entry. Over [`Lanes`](super::Lanes) every instruction acts lane
+    /// by lane.
+    pub fn eval_with<L: Lane>(&self, values: &[L], stack: &mut Vec<L>) -> L {
         stack.clear();
         for instr in &self.prog {
             match instr {
-                Instr::PushNum(value) => stack.push(*value),
+                Instr::PushNum(value) => stack.push(L::splat(*value)),
                 Instr::PushSlot(slot) => stack.push(values[*slot]),
                 Instr::Neg => {
                     let top = stack.last_mut().expect("stack underflow: Neg");
@@ -1041,12 +1080,12 @@ impl CompiledExpr {
                 Instr::Bin(op) => {
                     let rhs = stack.pop().expect("stack underflow: Bin rhs");
                     let lhs = stack.last_mut().expect("stack underflow: Bin lhs");
-                    *lhs = op.apply(*lhs, rhs);
+                    *lhs = L::bin(*op, *lhs, rhs);
                 }
                 Instr::Call(func) => {
                     let arity = func.arity();
                     let base = stack.len() - arity;
-                    let result = func.apply(&stack[base..]);
+                    let result = L::apply(*func, &stack[base..]);
                     stack.truncate(base);
                     stack.push(result);
                 }
@@ -1067,7 +1106,7 @@ impl CompiledExpr {
     ///
     /// Panics if `values` is shorter than the highest referenced slot.
     #[inline]
-    pub fn eval_fast(&self, values: &[f64], stack: &mut Vec<f64>) -> f64 {
+    pub fn eval_fast<L: Lane>(&self, values: &[L], stack: &mut Vec<L>) -> L {
         self.eval_memo(values, stack, &mut NoMemo)
     }
 
@@ -1079,12 +1118,12 @@ impl CompiledExpr {
     /// `span * hill`, a `SumOfProducts`'s first term then `+=` each
     /// next one, and the whole law for every other form.
     #[inline]
-    fn eval_memo<M: HillMemo + ?Sized>(
+    fn eval_memo<L: Lane, M: HillMemo<L> + ?Sized>(
         &self,
-        values: &[f64],
-        stack: &mut Vec<f64>,
+        values: &[L],
+        stack: &mut Vec<L>,
         memo: &mut M,
-    ) -> f64 {
+    ) -> L {
         match &self.form {
             KineticForm::Linear(a, b) => a.load(values) * b.load(values),
             KineticForm::Hill { base, span, hill } => {
@@ -1098,7 +1137,7 @@ impl CompiledExpr {
                 total
             }
             KineticForm::TermDiv { term, divisor } => {
-                BinOp::Div.apply(term.eval(values, memo), divisor.load(values))
+                term.eval(values, memo) / divisor.load(values)
             }
             KineticForm::General => self.eval_with(values, stack),
         }
@@ -1107,7 +1146,7 @@ impl CompiledExpr {
     /// Part `part` of the law (see [`CompiledExpr::part_count`]): the
     /// summand [`CompiledExpr::eval_memo`] adds at that position.
     #[inline]
-    fn eval_part<M: HillMemo + ?Sized>(
+    fn eval_part<M: HillMemo<f64> + ?Sized>(
         &self,
         part: usize,
         values: &[f64],
@@ -1477,6 +1516,49 @@ mod tests {
         }
     }
 
+    /// A lane sweep's lane `i` is the `f64` sweep of lane `i`'s values,
+    /// through memo hits (every lane repeating), partial repeats and
+    /// misses, on every form including the VM's.
+    #[test]
+    fn lane_sweeps_replay_each_lanes_f64_sweep() {
+        use super::super::lane::Lanes;
+        let table = table_of(&["A", "B", "k"]);
+        let laws = mixed_laws(&table);
+        let bank = KineticFormBank::new(laws.clone());
+        let states = [
+            [0.0, 0.0, 0.5],
+            [1.0, 3.0, 0.25],
+            [17.0, 42.0, 1.5],
+            [1e6, 1e-6, 123.456],
+            [-2.0, 7.5, 0.5],
+        ];
+        let mut stack = Vec::new();
+        let mut lane_stack = Vec::new();
+        let mut memo = EvalMemo::<Lanes<4>>::new();
+        let mut out = vec![Lanes::splat(0.0); laws.len()];
+        let mut one = vec![0.0; laws.len()];
+        for pick in [
+            [0, 1, 2, 3],
+            [0, 1, 2, 3],
+            [4, 4, 4, 4],
+            [4, 4, 4, 4],
+            [1, 0, 4, 2],
+        ] {
+            let values: Vec<Lanes<4>> = (0..3)
+                .map(|slot| Lanes::from_fn(|lane| states[pick[lane]][slot]))
+                .collect();
+            bank.eval_all(&values, &mut out, &mut lane_stack, &mut memo);
+            for (lane, &state) in pick.iter().enumerate() {
+                bank.eval_all(&states[state], &mut one, &mut stack, &mut EvalMemo::new());
+                for (r, law) in laws.iter().enumerate() {
+                    let vm = law.eval_with(&states[state], &mut stack);
+                    assert_eq!(out[r].lane(lane).to_bits(), one[r].to_bits(), "law {r}");
+                    assert_eq!(one[r].to_bits(), vm.to_bits(), "law {r} vs VM");
+                }
+            }
+        }
+    }
+
     #[test]
     fn parts_are_the_evaluators_summands() {
         let table = table_of(&["A", "B", "k"]);
@@ -1630,7 +1712,7 @@ mod tests {
         let bank = KineticFormBank::new(Vec::new());
         assert!(bank.is_empty());
         assert_eq!(bank.len(), 0);
-        let mut stack = Vec::new();
+        let mut stack: Vec<f64> = Vec::new();
         bank.eval_all(&[], &mut [], &mut stack, &mut EvalMemo::new());
     }
 

@@ -18,6 +18,7 @@
 
 mod compiled;
 mod eval;
+mod lane;
 mod parser;
 
 pub use compiled::{
@@ -25,6 +26,7 @@ pub use compiled::{
     LaneOccupancy, MaxZeroCall, Operand, SymbolTable, Term, COPY_TABLE_LEN,
 };
 pub use eval::Env;
+pub use lane::{Lane, Lanes};
 
 use crate::error::ParseError;
 use serde::{Deserialize, Serialize};

@@ -927,9 +927,15 @@ fn shard_sizes(total: u64, throughputs: &[Option<f64>]) -> Vec<u64> {
 /// enough that framing and codec overhead stays in the noise.
 const TARGET_CHUNK_SECS: f64 = 0.15;
 
-/// Chunk-count bounds per slot: at least 2
-/// (so there is always something to steal) and at most 16 (so
-/// per-chunk overhead cannot dominate a small order).
+/// Chunk-count bounds per slot: at least 2 (so no slot's share is one
+/// chunk) and at most 16 (so per-chunk overhead cannot dominate a
+/// small order).
+///
+/// The lower bound does not make a steal possible. A driver pulls up to
+/// its channel's window of chunks at once (2 for a pipelined worker),
+/// and only a chunk still queued can be stolen, so a steal needs a
+/// queue longer than its window: with the window of 2, an even
+/// two-chunk share is wholly in flight from the start.
 const MIN_CHUNKS_PER_SLOT: u64 = 2;
 const MAX_CHUNKS_PER_SLOT: u64 = 16;
 
@@ -939,10 +945,11 @@ const MAX_CHUNKS_PER_SLOT: u64 = 16;
 ///
 /// Chunks are near-uniform, sized so each takes roughly
 /// [`TARGET_CHUNK_SECS`] at the mean observed throughput, clamped to
-/// [`MIN_CHUNKS_PER_SLOT`]..=[`MAX_CHUNKS_PER_SLOT`] chunks per slot —
-/// the lower bound holds for warm pools too, so every batch keeps a
-/// stealable back chunk per slot; contiguous runs of chunks are homed
-/// to slots proportionally to throughput.
+/// [`MIN_CHUNKS_PER_SLOT`]..=[`MAX_CHUNKS_PER_SLOT`] chunks per slot
+/// (the lower bound holds for warm pools too); contiguous runs of
+/// chunks are homed to slots proportionally to throughput. A slot's
+/// back chunks can be stolen only where its queue is longer than its
+/// channel's window (see [`MIN_CHUNKS_PER_SLOT`]).
 ///
 /// Chunk boundaries never move a bit of the result — replicate seeds
 /// are absolute and the merge exact — so sizing only shapes latency.
@@ -958,13 +965,13 @@ fn chunk_plan(total: u64, throughputs: &[Option<f64>]) -> Vec<(u64, usize)> {
         // A warm pool trusts its throughput estimate for the chunk
         // *duration*, but never cuts fewer than MIN_CHUNKS_PER_SLOT
         // chunks per slot: a batch's makespan is gated by whichever
-        // slot the scheduler serves last, and with a single chunk per
-        // slot a straggler holds its whole share hostage. Keeping a
-        // back chunk stealable bounds that tail at half the share for
-        // two extra frame round trips per slot — microseconds against
-        // the tens of milliseconds of compute a share represents on
-        // the slow circuits, where the one-chunk layout measurably
-        // swung ensemble throughput batch to batch.
+        // slot the scheduler serves last, and the one-chunk layout
+        // measurably swung ensemble throughput batch to batch on the
+        // slow circuits. Two chunks cost two extra frame round trips
+        // per slot — microseconds against the tens of milliseconds of
+        // compute a share represents. Within a window of 2 both are in
+        // flight at once, so they are not stealable; only a share of
+        // more chunks than the window leaves some queued to steal.
         let mean = known.iter().sum::<f64>() / known.len() as f64;
         let least = ceil_div(total, slots * MAX_CHUNKS_PER_SLOT).max(1);
         let cap = ceil_div(total, slots * MIN_CHUNKS_PER_SLOT).max(1);
@@ -1450,5 +1457,39 @@ mod tests {
         // the retry pass.
         let queue = ChunkQueue::new(vec![VecDeque::new(), VecDeque::from(vec![1usize, 2])]);
         assert_eq!(queue.drain_remaining(), vec![(1, 1), (2, 1)]);
+    }
+
+    /// A driver fills its window before anything else runs, and only a
+    /// queued chunk can be stolen: a steal needs a share longer than
+    /// the window.
+    #[test]
+    fn steals_need_a_queue_longer_than_the_window() {
+        let window = PIPELINE_WINDOW;
+        assert_eq!(window, 2);
+        // Pulls up to `window` chunks for `slot`; true if any was stolen.
+        let fill = |queue: &ChunkQueue, slot: usize| {
+            (0..window).any(|_| queue.pull(slot).is_some_and(|(_, stolen)| stolen))
+        };
+        // The even two-chunk split of a cold two-slot pool: each slot's
+        // share is wholly in flight, so a slot that finishes first finds
+        // nothing to steal.
+        let plan = chunk_plan(64, &[None, None]);
+        assert_eq!(plan, vec![(16, 0), (16, 0), (16, 1), (16, 1)]);
+        let homed = |chunks: usize| -> ChunkQueue {
+            let deques = (0..2)
+                .map(|slot| (slot * chunks..(slot + 1) * chunks).collect())
+                .collect();
+            ChunkQueue::new(deques)
+        };
+        let queue = homed(2);
+        assert!(!fill(&queue, 0) && !fill(&queue, 1));
+        assert_eq!(queue.pull(0), None, "slot 0 finished first: nothing queued");
+        // Three chunks per slot: the back one waits behind the window,
+        // and a slot that finishes its own share first steals it.
+        let queue = homed(3);
+        assert!(!fill(&queue, 0) && !fill(&queue, 1));
+        assert_eq!(queue.pull(0), Some((2, false)));
+        assert_eq!(queue.pull(0), Some((5, true)));
+        assert_eq!(queue.pull(1), None);
     }
 }

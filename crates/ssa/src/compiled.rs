@@ -7,7 +7,7 @@
 //! Gibson–Bruck next-reaction method.
 
 use crate::error::SimError;
-use glc_model::expr::{EvalMemo, KineticFormBank, COPY_TABLE_LEN};
+use glc_model::expr::{EvalMemo, KineticFormBank, Lane, COPY_TABLE_LEN};
 use glc_model::{Model, ModelError};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
@@ -438,7 +438,9 @@ impl CompiledModel {
 
     /// Like [`CompiledModel::propensities_into`] but against a raw value
     /// vector (`t` only labels errors). This is the full-sweep primitive
-    /// behind tau-leap/Langevin rebuilds and the ODE derivative.
+    /// behind tau-leap/Langevin rebuilds and the ODE derivative: the
+    /// one-lane case of [`CompiledModel::propensities_lanes`], with
+    /// [`CompiledModel::check_lane`] attributing an error.
     ///
     /// # Errors
     ///
@@ -451,26 +453,58 @@ impl CompiledModel {
         stack: &mut Vec<f64>,
         memo: &mut EvalMemo,
     ) -> Result<f64, SimError> {
-        out.resize(self.bank.len(), 0.0);
+        match self.propensities_lanes(values, out, stack, memo) {
+            (total, 0) => Ok(total),
+            _ => self.check_lane(out, 0, t),
+        }
+    }
+
+    /// Evaluates all propensities of every lane of `values` (one lane
+    /// per replicate, see [`glc_model::expr::Lane`]) into `out` (resized
+    /// as needed) in one sweep through [`KineticFormBank::eval_all`].
+    ///
+    /// Returns each lane's sequential in-order total and the mask of
+    /// lanes (bit `i` for lane `i`) that fail the fast validation: a NaN
+    /// propensity poisons the total (`min` would skip it), a negative
+    /// one drags the running floor below zero, and an infinity shows up
+    /// in the total directly. Only such a lane needs
+    /// [`CompiledModel::check_lane`], which attributes its error to the
+    /// first offending reaction exactly as the one-lane sweep does.
+    pub fn propensities_lanes<L: Lane>(
+        &self,
+        values: &[L],
+        out: &mut Vec<L>,
+        stack: &mut Vec<L>,
+        memo: &mut EvalMemo<L>,
+    ) -> (L, u64) {
+        out.resize(self.bank.len(), L::splat(0.0));
         self.bank.eval_all(values, out, stack, memo);
-        // Fast validation: accumulate the sequential in-order total (the
-        // exact FP sum the scalar loop produced) while tracking the
-        // minimum. A NaN propensity poisons `total` (min() would skip
-        // it), a negative one drags `floor` below zero, and an infinity
-        // shows up in `total` directly — only then rerun the per-value
-        // check to attribute the error to the first offending reaction.
-        let mut total = 0.0;
-        let mut floor = f64::INFINITY;
+        let mut total = L::splat(0.0);
+        let mut floor = L::splat(f64::INFINITY);
         for &value in out.iter() {
             total += value;
             floor = floor.min(value);
         }
-        if total.is_finite() && floor >= 0.0 {
-            return Ok(total);
+        let mut suspects = 0;
+        for lane in 0..L::WIDTH {
+            if !(total.lane(lane).is_finite() && floor.lane(lane) >= 0.0) {
+                suspects |= 1 << lane;
+            }
         }
+        (total, suspects)
+    }
+
+    /// Checks lane `lane` of a sweep's propensities one by one in
+    /// reaction order, returning their sequential total, or the error
+    /// of the first invalid one (`t` labels it).
+    ///
+    /// # Errors
+    ///
+    /// See [`CompiledModel::propensity_with`].
+    pub fn check_lane<L: Lane>(&self, out: &[L], lane: usize, t: f64) -> Result<f64, SimError> {
         let mut total = 0.0;
-        for (r, &value) in out.iter().enumerate() {
-            total += self.check_propensity(r, value, t)?;
+        for (r, value) in out.iter().enumerate() {
+            total += self.check_propensity(r, value.lane(lane), t)?;
         }
         Ok(total)
     }

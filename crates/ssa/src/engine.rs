@@ -57,10 +57,16 @@ impl<'a> Gated<'a> {
         Gated { observer, due }
     }
 
+    /// Whether an advance to `t_new` reaches the observer.
+    #[inline]
+    pub(crate) fn due(&self, t_new: f64) -> bool {
+        self.due < t_new - SAMPLE_SLACK
+    }
+
     /// Reports an advance to `t_new`, unless the observer is not due.
     #[inline]
     pub(crate) fn on_advance(&mut self, t_new: f64, values: &[f64]) {
-        if self.due < t_new - SAMPLE_SLACK {
+        if self.due(t_new) {
             self.observer.on_advance(t_new, values);
             self.due = self.observer.next_due();
         }
@@ -107,6 +113,46 @@ pub trait Engine {
     /// Maximum number of firings allowed per `run` call.
     fn step_limit(&self) -> u64 {
         DEFAULT_STEP_LIMIT
+    }
+
+    /// How many replicates [`Engine::run_lanes`] steps together: 1, the
+    /// default, for an engine that runs one replicate at a time.
+    fn lanes(&self) -> usize {
+        1
+    }
+
+    /// Runs replicate `i` from `states[i]` to `t_end` with `rngs[i]`
+    /// and `observers[i]`, returning each replicate's outcome in order.
+    ///
+    /// Every replicate's final state, RNG position, observer calls and
+    /// outcome are bitwise those of [`Engine::run`] on that replicate
+    /// alone, which is what the default does, one after the other. An
+    /// engine with [`Engine::lanes`] above 1 steps its replicates in
+    /// lockstep instead; one that fails drops out without moving a bit
+    /// of the others.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `states`, `rngs` and `observers` have one entry
+    /// per replicate.
+    fn run_lanes(
+        &mut self,
+        model: &CompiledModel,
+        states: &mut [State],
+        t_end: f64,
+        rngs: &mut [StdRng],
+        observers: &mut [&mut dyn Observer],
+    ) -> Vec<Result<(), SimError>> {
+        assert!(
+            states.len() == rngs.len() && states.len() == observers.len(),
+            "one state, RNG and observer per replicate"
+        );
+        states
+            .iter_mut()
+            .zip(rngs)
+            .zip(observers)
+            .map(|((state, rng), observer)| self.run(model, state, t_end, rng, *observer))
+            .collect()
     }
 }
 

@@ -36,7 +36,7 @@ use crate::compiled::CompiledModel;
 use crate::engine::Engine;
 use crate::error::SimError;
 use crate::exact::ExactSum;
-use crate::simulate;
+use crate::simulate_lanes;
 use crate::trace::Trace;
 use crate::wire::{put_f64_bits, put_string, put_varint, Reader, WireError};
 use serde::{Deserialize, Serialize};
@@ -726,6 +726,11 @@ where
 /// … (wrapping) into `partial`, reporting the zero-based offset of a
 /// failing replicate alongside its error so callers can order failures
 /// across shards.
+///
+/// The engine gets [`Engine::lanes`] seeds at a time through
+/// [`simulate_lanes`] (fewer in the last batch). Every replicate's
+/// trace is its `simulate` bits either way, and the first failing
+/// seed's error is the one reported.
 fn accumulate_range(
     model: &CompiledModel,
     engine: &mut dyn Engine,
@@ -734,10 +739,19 @@ fn accumulate_range(
     count: u64,
 ) -> Result<(), (u64, SimError)> {
     let (t_end, sample_dt) = (partial.fingerprint.t_end, partial.fingerprint.sample_dt);
-    for offset in 0..count {
-        let seed = first_seed.wrapping_add(offset);
-        let trace = simulate(model, engine, t_end, sample_dt, seed).map_err(|e| (offset, e))?;
-        partial.accumulate(&trace, seed).map_err(|e| (offset, e))?;
+    let width = engine.lanes().max(1) as u64;
+    let mut offset = 0;
+    while offset < count {
+        let n = width.min(count - offset);
+        let seeds: Vec<u64> = (offset..offset + n)
+            .map(|o| first_seed.wrapping_add(o))
+            .collect();
+        let traces = simulate_lanes(model, engine, t_end, sample_dt, &seeds);
+        for ((trace, seed), at) in traces.into_iter().zip(seeds).zip(offset..) {
+            let trace = trace.map_err(|e| (at, e))?;
+            partial.accumulate(&trace, seed).map_err(|e| (at, e))?;
+        }
+        offset += n;
     }
     Ok(())
 }
@@ -878,6 +892,7 @@ mod tests {
     use crate::direct::Direct;
     use crate::langevin::Langevin;
     use crate::ode;
+    use crate::simulate;
     use glc_model::{Model, ModelBuilder};
 
     fn birth_death() -> CompiledModel {

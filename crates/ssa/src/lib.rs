@@ -118,6 +118,35 @@ pub fn simulate(
     Ok(recorder.finish(t_end, &state))
 }
 
+/// [`simulate`] for every seed of `seeds` in one [`Engine::run_lanes`]
+/// call, so a lane-capable engine steps them in lockstep. Entry `i` is
+/// bitwise `simulate(model, engine, t_end, sample_dt, seeds[i])`.
+pub fn simulate_lanes(
+    model: &CompiledModel,
+    engine: &mut dyn Engine,
+    t_end: f64,
+    sample_dt: f64,
+    seeds: &[u64],
+) -> Vec<Result<Trace, SimError>> {
+    let mut states = vec![model.initial_state(); seeds.len()];
+    let mut rngs: Vec<StdRng> = seeds.iter().map(|&s| StdRng::seed_from_u64(s)).collect();
+    let mut recorders: Vec<TraceRecorder> = seeds
+        .iter()
+        .map(|_| TraceRecorder::new(model, sample_dt))
+        .collect();
+    let mut observers: Vec<&mut dyn Observer> = recorders
+        .iter_mut()
+        .map(|recorder| recorder as &mut dyn Observer)
+        .collect();
+    let outcomes = engine.run_lanes(model, &mut states, t_end, &mut rngs, &mut observers);
+    recorders
+        .into_iter()
+        .zip(&states)
+        .zip(outcomes)
+        .map(|((recorder, state), outcome)| outcome.map(|()| recorder.finish(t_end, state)))
+        .collect()
+}
+
 /// Checks carried over from the sum tree that [`PropensitySet`]'s flat
 /// vector replaced: every behaviour the tree guaranteed — incremental
 /// updates bitwise equal to a rebuild, inverse-CDF selection, sizes that
