@@ -6,8 +6,9 @@
 //! response per line** on stdout (flushed immediately, with the
 //! request's `id` — if any — echoed back; string ids round-trip
 //! byte-exactly, numbers normalize through the JSON layer). Malformed
-//! produce an `{"Error": …}` response; the service keeps serving until
-//! stdin reaches EOF. Nothing but responses is ever written to stdout,
+//! lines, including ones that are not UTF-8, produce an
+//! `{"Error": …}` response; the service keeps serving until stdin
+//! reaches EOF. Nothing but responses is ever written to stdout,
 //! so the stream can be machine-consumed (diagnostics — including the
 //! bound metrics address — go to stderr).
 //!
@@ -24,9 +25,10 @@
 //! quarantines consistently failing slots, none of which can move a
 //! bit of the result. With `--spill-dir`, sessions
 //! *and pool health* survive eviction and process death: every Extend
-//! write-through-snapshots the session and persists
-//! `pool_health.json`, and a restarted service transparently resumes
-//! from the snapshots with quarantine state intact.
+//! write-through-snapshots the session, an Extend that changes a slot's
+//! failure, retry or quarantine record persists `pool_health.json`, and
+//! a restarted service transparently resumes from the snapshots with
+//! quarantine state intact.
 //!
 //! Flags:
 //!
@@ -56,20 +58,21 @@
 //!   printed to **stderr** (`metrics listening on …`), so `:0` picks a
 //!   free port without disturbing the protocol stream;
 //! * `--listen HOST:PORT` — serve the same line protocol (or GLCB
-//!   frames) to many concurrent TCP clients over a single-threaded
-//!   nonblocking readiness loop instead of stdin (see
-//!   [`serve_listener`]); the bound address is printed to **stdout**
-//!   (`glc-serve listening on …`), and the process still exits when
-//!   stdin reaches EOF.
+//!   frames) to many concurrent TCP clients instead of stdin, one
+//!   thread per connection with one request in flight each, all fed to
+//!   the one session store in arrival order (see [`serve_listener`]);
+//!   the bound address is printed to **stdout** (`glc-serve listening
+//!   on …`), and the process still exits when stdin reaches EOF.
 
 use glc_service::codec;
 use glc_service::{
     frame, metrics, transport, ExtendBackend, MetricsRegistry, SessionStore, Transport, WorkerPool,
 };
-use std::io::Write;
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 /// Parsed command line.
@@ -247,165 +250,28 @@ fn run() -> Result<(), String> {
     }
 }
 
-/// How one multiplexed client frames its requests, sniffed from the
-/// first byte it sends: the GLCF magic starts with `G`, while a JSON
-/// request line can only start with `{`, `"` or whitespace.
-enum ClientMode {
-    /// No bytes seen yet.
-    Sniffing,
-    /// Newline-delimited JSON lines.
-    Line,
-    /// Length-prefixed GLCF frames; after the hello exchange each
-    /// frame carries one session request as GLCB `Text`, answered by
-    /// one GLCB `Text` frame.
-    Framed {
-        decoder: frame::FrameDecoder,
-        hello_done: bool,
-    },
+/// One request line handed from a connection thread to the store,
+/// with the channel its encoded reply goes back on.
+struct Job {
+    line: String,
+    reply: mpsc::Sender<String>,
 }
 
-/// One multiplexed client connection: raw bytes in, complete request
-/// lines handled, response bytes queued back out.
-struct ClientConn {
-    stream: std::net::TcpStream,
-    peer: String,
-    mode: ClientMode,
-    /// Bytes received but not yet forming a complete request.
-    read_buf: Vec<u8>,
-    /// Response bytes not yet accepted by the socket.
-    write_buf: Vec<u8>,
-    /// The peer half-closed its sending side; the connection is
-    /// dropped once `write_buf` drains.
-    eof: bool,
-}
-
-impl ClientConn {
-    /// Handles every complete request buffered so far, appending the
-    /// responses to `write_buf`. `Err` means the connection is beyond
-    /// saving (protocol violation); the message has been logged.
-    fn pump(&mut self, store: &mut SessionStore, progressed: &mut bool) -> Result<(), ()> {
-        if matches!(self.mode, ClientMode::Sniffing) {
-            match self.read_buf.first() {
-                None => return Ok(()),
-                Some(&first) if first == glc_service::FRAME_MAGIC[0] => {
-                    self.mode = ClientMode::Framed {
-                        decoder: frame::FrameDecoder::new(),
-                        hello_done: false,
-                    };
-                }
-                Some(_) => self.mode = ClientMode::Line,
-            }
-        }
-        match &mut self.mode {
-            ClientMode::Sniffing => unreachable!("sniffed above"),
-            ClientMode::Line => {
-                // Complete lines → responses (requests keep their
-                // order: lines are handled in arrival order on this
-                // one thread).
-                while let Some(newline) = self.read_buf.iter().position(|&b| b == b'\n') {
-                    let line: Vec<u8> = self.read_buf.drain(..=newline).collect();
-                    let line = String::from_utf8_lossy(&line);
-                    let line = line.trim();
-                    if line.is_empty() {
-                        continue;
-                    }
-                    let encoded = store.handle_json_line(line);
-                    self.write_buf.extend_from_slice(encoded.as_bytes());
-                    self.write_buf.push(b'\n');
-                    *progressed = true;
-                }
-                // Same fail-closed ceiling as framed mode: a peer that
-                // never sends a newline cannot grow the buffer forever.
-                if self.read_buf.len() > glc_service::MAX_FRAME_PAYLOAD {
-                    eprintln!(
-                        "glc-serve: {} exceeded the {}-byte line cap",
-                        self.peer,
-                        glc_service::MAX_FRAME_PAYLOAD
-                    );
-                    return Err(());
-                }
-                Ok(())
-            }
-            ClientMode::Framed {
-                decoder,
-                hello_done,
-            } => {
-                decoder.push(&self.read_buf);
-                self.read_buf.clear();
-                loop {
-                    let payload = match decoder.next_frame() {
-                        Ok(Some(payload)) => payload,
-                        Ok(None) => return Ok(()),
-                        Err(err) => {
-                            eprintln!("glc-serve: bad frame from {}: {err}", self.peer);
-                            return Err(());
-                        }
-                    };
-                    *progressed = true;
-                    if !*hello_done {
-                        if let Err(err) = codec::decode_hello(&payload) {
-                            eprintln!("glc-serve: bad hello from {}: {err}", self.peer);
-                            return Err(());
-                        }
-                        let reply = codec::encode_hello();
-                        metrics::count_frame_tx(reply.len());
-                        match frame::encode_frame(&reply) {
-                            Ok(framed) => self.write_buf.extend_from_slice(&framed),
-                            Err(err) => {
-                                eprintln!("glc-serve: encoding hello for {}: {err}", self.peer);
-                                return Err(());
-                            }
-                        }
-                        *hello_done = true;
-                        continue;
-                    }
-                    // One request per frame; the reply line bytes are
-                    // byte-identical to the stdin protocol's.
-                    metrics::count_frame_rx(payload.len());
-                    let line = match codec::decode_text(&payload) {
-                        Ok(line) => line,
-                        Err(err) => {
-                            eprintln!("glc-serve: bad GLCB text from {}: {err}", self.peer);
-                            return Err(());
-                        }
-                    };
-                    let reply = codec::encode_text(&store.handle_json_line(line.trim()));
-                    metrics::count_frame_tx(reply.len());
-                    match frame::encode_frame(&reply) {
-                        Ok(framed) => self.write_buf.extend_from_slice(&framed),
-                        Err(err) => {
-                            eprintln!("glc-serve: encoding reply for {}: {err}", self.peer);
-                            return Err(());
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Whether the connection still owes or may produce work.
-    fn open(&self) -> bool {
-        let drained = match &self.mode {
-            ClientMode::Framed { decoder, .. } => !decoder.has_partial(),
-            _ => self.read_buf.iter().all(|&b| b.is_ascii_whitespace()),
-        };
-        !(self.eof && drained && self.write_buf.is_empty())
-    }
-}
-
-/// The nonblocking multiplexed front-end behind `--listen`: one
-/// thread, a hand-rolled readiness loop over `std::net` (the vendored
-/// crate policy rules out mio/tokio), serving many concurrent clients
-/// that each pipeline newline-delimited requests over one socket.
+/// The multiplexed front-end behind `--listen`: one thread per
+/// accepted connection doing blocking I/O, and the session store on
+/// the calling thread, fed over one channel.
 ///
 /// The protocol is byte-for-byte the stdin protocol — one
 /// `Request`-as-JSON per line, one response line back, `Envelope` ids
 /// echoed — so anything scripted against the stdin loop works
-/// unchanged against a socket, and responses to one client's
-/// pipelined requests come back **in request order** (the store is
-/// driven from this single thread; determinism of the store does the
-/// rest). Fairness is round-robin: each pass drains whatever complete
-/// lines every connection has accumulated.
+/// unchanged against a socket. Each connection keeps one request in
+/// flight: its thread reads a request, hands it to the store, waits
+/// for the reply and writes it before reading the next, so replies to
+/// one client's pipelined requests come back **in request order**.
+/// The store serves requests from all connections one at a time in
+/// the order they arrive. A connection's thread writes its own
+/// replies, so a client that stops reading blocks only that thread,
+/// never the store.
 ///
 /// Each connection's framing is sniffed from its first byte: line
 /// clients send newline-delimited requests (capped at the frame
@@ -426,112 +292,100 @@ fn serve_listener(addr: &str, store: &mut SessionStore) -> Result<(), String> {
     let bound = listener
         .local_addr()
         .map_err(|e| format!("reading bound address: {e}"))?;
-    listener
-        .set_nonblocking(true)
-        .map_err(|e| format!("cannot make listener nonblocking: {e}"))?;
     println!("glc-serve listening on {bound}");
     std::io::stdout()
         .flush()
         .map_err(|e| format!("flushing address line: {e}"))?;
-    std::thread::spawn(|| {
-        let mut sink = Vec::new();
-        let _ = std::io::Read::read_to_end(&mut std::io::stdin(), &mut sink);
-        std::process::exit(0);
-    });
-
-    let mut conns: Vec<ClientConn> = Vec::new();
-    let mut scratch = [0u8; 16 * 1024];
-    loop {
-        let mut progressed = false;
-
-        // Accept every connection already waiting.
-        loop {
-            match listener.accept() {
-                Ok((stream, peer)) => {
-                    if let Err(err) = stream.set_nonblocking(true) {
-                        eprintln!("glc-serve: cannot make {peer} nonblocking: {err}");
+    let (jobs, requests) = mpsc::channel::<Job>();
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            let _ = std::io::copy(&mut std::io::stdin(), &mut std::io::sink());
+            std::process::exit(0);
+        });
+        scope.spawn(move || {
+            for stream in listener.incoming() {
+                let stream = match stream {
+                    Ok(stream) => stream,
+                    Err(err) => {
+                        eprintln!("glc-serve: accept failed: {err}");
                         continue;
                     }
-                    let _ = stream.set_nodelay(true);
-                    conns.push(ClientConn {
-                        stream,
-                        peer: peer.to_string(),
-                        mode: ClientMode::Sniffing,
-                        read_buf: Vec::new(),
-                        write_buf: Vec::new(),
-                        eof: false,
-                    });
-                    progressed = true;
-                }
-                Err(err) if err.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(err) if err.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(err) => {
-                    eprintln!("glc-serve: accept failed: {err}");
-                    break;
-                }
-            }
-        }
-
-        // Round-robin over connections: read what's there, handle the
-        // complete lines, push out what the socket will take.
-        conns.retain_mut(|conn| {
-            use std::io::{Read as _, Write as _};
-            // Readable bytes.
-            if !conn.eof {
-                loop {
-                    match conn.stream.read(&mut scratch) {
-                        Ok(0) => {
-                            conn.eof = true;
-                            break;
-                        }
-                        Ok(n) => {
-                            conn.read_buf.extend_from_slice(&scratch[..n]);
-                            progressed = true;
-                        }
-                        Err(err) if err.kind() == std::io::ErrorKind::WouldBlock => break,
-                        Err(err) if err.kind() == std::io::ErrorKind::Interrupted => {}
-                        Err(err) => {
-                            eprintln!("glc-serve: reading from {}: {err}", conn.peer);
-                            return false;
-                        }
+                };
+                let jobs = jobs.clone();
+                scope.spawn(move || {
+                    let peer = stream
+                        .peer_addr()
+                        .map_or_else(|_| "a client".to_string(), |peer| peer.to_string());
+                    if let Err(err) = serve_connection(&stream, &jobs) {
+                        eprintln!("glc-serve: {peer}: {err}");
                     }
-                }
+                });
             }
-            // Complete requests → responses, in whichever framing
-            // this client sniffed to.
-            if conn.pump(store, &mut progressed).is_err() {
-                return false;
-            }
-            // Writable bytes.
-            while !conn.write_buf.is_empty() {
-                match conn.stream.write(&conn.write_buf) {
-                    Ok(0) => {
-                        eprintln!("glc-serve: {} stopped accepting bytes", conn.peer);
-                        return false;
-                    }
-                    Ok(n) => {
-                        conn.write_buf.drain(..n);
-                        progressed = true;
-                    }
-                    Err(err) if err.kind() == std::io::ErrorKind::WouldBlock => break,
-                    Err(err) if err.kind() == std::io::ErrorKind::Interrupted => {}
-                    Err(err) => {
-                        eprintln!("glc-serve: writing to {}: {err}", conn.peer);
-                        return false;
-                    }
-                }
-            }
-            // A half-closed peer is dropped once everything owed it
-            // (including replies to requests that arrived with the
-            // EOF) has been handled and flushed.
-            conn.open()
         });
-
-        if !progressed {
-            // Nothing readable, writable or pending anywhere: idle.
-            std::thread::sleep(Duration::from_millis(1));
+        for job in requests {
+            // A connection that hung up while its request ran no
+            // longer wants the reply.
+            let _ = job.reply.send(store.handle_json_line(&job.line));
         }
+    });
+    Ok(())
+}
+
+/// Serves one `--listen` connection until the peer closes it: sniffs
+/// its framing from the first byte, then hands each request to the
+/// store and writes the reply before reading the next. `Err` names
+/// the protocol violation or I/O failure that ended the connection.
+fn serve_connection(stream: &TcpStream, jobs: &mpsc::Sender<Job>) -> Result<(), String> {
+    let _ = stream.set_nodelay(true);
+    let mut reader = BufReader::new(stream);
+    let mut writer = stream;
+    let (reply, replies) = mpsc::channel();
+    let ask = |line: String| -> Result<String, String> {
+        let job = Job {
+            line,
+            reply: reply.clone(),
+        };
+        jobs.send(job)
+            .map_err(|_| "the store stopped".to_string())?;
+        replies.recv().map_err(|_| "the store stopped".to_string())
+    };
+    // The GLCF magic starts with `G`, while a JSON request line can
+    // only start with `{`, `"` or whitespace.
+    let framed = match reader.fill_buf() {
+        Ok([]) => return Ok(()),
+        Ok(bytes) => bytes[0] == glc_service::FRAME_MAGIC[0],
+        Err(err) => return Err(format!("reading: {err}")),
+    };
+    if !framed {
+        while let Some(line) = frame::read_line_capped(&mut reader).map_err(|e| e.to_string())? {
+            if line.trim().is_empty() {
+                continue;
+            }
+            let mut encoded = ask(line)?;
+            encoded.push('\n');
+            writer
+                .write_all(encoded.as_bytes())
+                .map_err(|e| format!("writing: {e}"))?;
+        }
+        return Ok(());
     }
+    let Some(hello) = frame::read_frame(&mut reader).map_err(|e| e.to_string())? else {
+        return Ok(());
+    };
+    codec::decode_hello(&hello).map_err(|e| format!("bad hello: {e}"))?;
+    let hello = codec::encode_hello();
+    metrics::count_frame_tx(hello.len());
+    frame::write_frame(&mut writer, &hello).map_err(|e| e.to_string())?;
+    // One request per frame; the reply line bytes are byte-identical
+    // to the stdin protocol's.
+    while let Some(payload) = frame::read_frame(&mut reader).map_err(|e| e.to_string())? {
+        metrics::count_frame_rx(payload.len());
+        let line = codec::decode_text(&payload).map_err(|e| e.to_string())?;
+        let encoded = codec::encode_text(&ask(line)?);
+        metrics::count_frame_tx(encoded.len());
+        frame::write_frame(&mut writer, &encoded).map_err(|e| e.to_string())?;
+    }
+    Ok(())
 }
 
 fn main() -> ExitCode {

@@ -17,10 +17,7 @@
 //!
 //! Decoding **fails closed**: a bad magic, an oversized length, or an
 //! EOF inside a frame is an error, never a partial result, and an
-//! oversized length is rejected *before* any allocation. The
-//! [`FrameDecoder`] accepts bytes in arbitrary splits (nonblocking
-//! readers hand it whatever the socket had), and validates the header
-//! prefix as soon as enough bytes exist to falsify it.
+//! oversized length is rejected *before* any allocation.
 
 use crate::ServiceError;
 use std::io::{Read, Write};
@@ -107,7 +104,10 @@ pub fn read_frame<R: Read>(reader: &mut R) -> Result<Option<Vec<u8>>, ServiceErr
 /// closed once the line exceeds [`MAX_FRAME_PAYLOAD`] bytes, so a peer
 /// streaming garbage without a newline cannot grow the buffer without
 /// bound; this mirrors the frame cap onto the line paths. `Ok(None)`
-/// is EOF before any byte of a line.
+/// is EOF before any byte of a line. Bytes that are not UTF-8 read as
+/// U+FFFD, so a garbled line is the request parser's to reject with
+/// an error reply, like any other malformed line, rather than the end
+/// of the stream.
 pub fn read_line_capped<R: std::io::BufRead>(
     reader: &mut R,
 ) -> Result<Option<String>, ServiceError> {
@@ -142,9 +142,9 @@ pub fn read_line_capped<R: std::io::BufRead>(
     if line.last() == Some(&b'\n') {
         line.pop();
     }
-    String::from_utf8(line)
-        .map(Some)
-        .map_err(|err| ServiceError::Protocol(format!("request line is not UTF-8: {err}")))
+    Ok(Some(String::from_utf8(line).unwrap_or_else(|err| {
+        String::from_utf8_lossy(err.as_bytes()).into_owned()
+    })))
 }
 
 /// Checks magic and length of a complete 8-byte header; returns the
@@ -163,64 +163,6 @@ fn validate_header(header: &[u8; FRAME_HEADER_LEN]) -> Result<usize, ServiceErro
         )));
     }
     Ok(len)
-}
-
-/// Incremental frame decoder for nonblocking readers: push bytes in
-/// whatever splits the transport produced, pull complete frames out.
-/// Violations surface on the first byte that proves them — a wrong
-/// magic byte fails before the header is even complete.
-#[derive(Debug, Default)]
-pub struct FrameDecoder {
-    buf: Vec<u8>,
-}
-
-impl FrameDecoder {
-    /// An empty decoder.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Appends raw bytes from the transport.
-    pub fn push(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
-    }
-
-    /// Pops the next complete frame payload, `Ok(None)` if more bytes
-    /// are needed. Once it returns `Err`, the stream is poisoned — the
-    /// caller must drop the connection (resynchronizing inside a
-    /// corrupt binary stream would be guesswork).
-    pub fn next_frame(&mut self) -> Result<Option<Vec<u8>>, ServiceError> {
-        let have = self.buf.len().min(4);
-        if self.buf[..have] != FRAME_MAGIC[..have] {
-            let bad = self.buf[..have]
-                .iter()
-                .map(|b| format!("{b:02x}"))
-                .collect::<Vec<_>>()
-                .join(" ");
-            return Err(ServiceError::Protocol(format!(
-                "bad frame magic {bad} (expected \"GLCF\")"
-            )));
-        }
-        if self.buf.len() < FRAME_HEADER_LEN {
-            return Ok(None);
-        }
-        let mut header = [0u8; FRAME_HEADER_LEN];
-        header.copy_from_slice(&self.buf[..FRAME_HEADER_LEN]);
-        let len = validate_header(&header)?;
-        if self.buf.len() < FRAME_HEADER_LEN + len {
-            return Ok(None);
-        }
-        let payload = self.buf[FRAME_HEADER_LEN..FRAME_HEADER_LEN + len].to_vec();
-        self.buf.drain(..FRAME_HEADER_LEN + len);
-        Ok(Some(payload))
-    }
-
-    /// True when bytes of an incomplete frame are buffered. A peer
-    /// that hangs up here died mid-frame: the caller must treat the
-    /// connection as failed, not as cleanly closed.
-    pub fn has_partial(&self) -> bool {
-        !self.buf.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -266,17 +208,6 @@ mod tests {
         wire.extend_from_slice(&[0u8; 16]);
         let err = read_frame(&mut &wire[..]).unwrap_err().to_string();
         assert!(err.contains("exceeds"), "{err}");
-        let mut decoder = FrameDecoder::new();
-        decoder.push(&wire);
-        let err = decoder.next_frame().unwrap_err().to_string();
-        assert!(err.contains("exceeds"), "{err}");
-    }
-
-    #[test]
-    fn the_decoder_rejects_bad_magic_on_the_first_wrong_byte() {
-        let mut decoder = FrameDecoder::new();
-        decoder.push(b"{\"");
-        assert!(decoder.next_frame().is_err());
     }
 
     #[test]

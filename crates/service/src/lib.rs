@@ -55,7 +55,7 @@ pub mod session;
 pub mod transport;
 
 pub use codec::{BinaryReply, GLCB_MAGIC, GLCB_VERSION};
-pub use frame::{FrameDecoder, FRAME_HEADER_LEN, FRAME_MAGIC, MAX_FRAME_PAYLOAD};
+pub use frame::{FRAME_HEADER_LEN, FRAME_MAGIC, MAX_FRAME_PAYLOAD};
 pub use metrics::{HistogramSnapshot, MetricsRegistry, RequestKind};
 pub use session::{
     Envelope, ExtendBackend, ExtendRequest, Extended, Queried, QueryRequest, Request,

@@ -47,6 +47,7 @@ use crate::{EngineSpec, ModelSource, ServiceError, SlotHealth, WorkOrder, Worker
 use glc_ssa::{run_partial_from, CompiledModel, EnsemblePartial, ModelCache, Trace};
 use glc_vasim::stats::{ensemble_noise, NoisePoint};
 use serde::{DeError, Deserialize, Serialize, Value};
+use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant, SystemTime};
@@ -368,6 +369,10 @@ struct Session {
     /// same circuit (same model fingerprint) hold one compiled model.
     model: Arc<CompiledModel>,
     partial: EnsemblePartial,
+    /// `partial.footprint_bytes()`, refreshed whenever the partial
+    /// changes: the footprint walks every cell, too slow for the gauge
+    /// snapshot published after every request.
+    footprint_bytes: u64,
     /// LRU clock stamp of the last touch.
     last_used: u64,
 }
@@ -422,7 +427,14 @@ pub struct SessionStore {
     /// Bytes currently held by session snapshot files (refreshed
     /// after every snapshot write and GC pass).
     spill_bytes: u64,
+    /// Size of each session snapshot file as of the last directory
+    /// scan plus the writes since, so that with no GC bound a write
+    /// moves `spill_bytes` without rescanning the directory.
+    spill_sizes: HashMap<PathBuf, u64>,
     spill_gc_evictions: u64,
+    /// The pool health `pool_health.json` last held, in its
+    /// [`restart_view`]; `None` before the first write or restore.
+    persisted_health: Option<PoolHealthSnapshot>,
     /// Attached observability sink: request latencies recorded in
     /// [`SessionStore::handle`], gauge snapshot published after every
     /// request. Recording never touches a seed or a partial.
@@ -456,7 +468,9 @@ impl SessionStore {
             spill_max_bytes: None,
             spill_max_age: None,
             spill_bytes: 0,
+            spill_sizes: HashMap::new(),
             spill_gc_evictions: 0,
+            persisted_health: None,
             metrics: None,
         })
     }
@@ -485,12 +499,13 @@ impl SessionStore {
     /// pool's durable health from `<dir>/pool_health.json` when one
     /// exists, so a restarted service does not forget a quarantined
     /// host (a missing or damaged health file starts the pool fresh and
-    /// is overwritten at the next persisted run).
+    /// is overwritten at the next Extend).
     pub fn with_spill_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.spill_dir = Some(dir.into());
         if let (Some(dir), ExtendBackend::Pool(pool)) = (&self.spill_dir, &mut self.backend) {
             if let Ok(Some(snapshot)) = read_pool_health(dir) {
                 pool.restore_health(&snapshot);
+                self.persisted_health = Some(restart_view(&pool.health_snapshot()));
             }
         }
         self.collect_spill_garbage(None);
@@ -641,6 +656,7 @@ impl SessionStore {
             key: key.clone(),
             spec: spec.clone(),
             model,
+            footprint_bytes: partial.footprint_bytes() as u64,
             partial,
             last_used: self.clock,
         });
@@ -738,6 +754,7 @@ impl SessionStore {
             key: key.to_string(),
             spec,
             model,
+            footprint_bytes: partial.footprint_bytes() as u64,
             partial,
             last_used: self.clock,
         });
@@ -789,13 +806,14 @@ impl SessionStore {
                 .run(&self.sessions[slot].spec.work_order(first, count))
                 .map(|(partial, _)| partial),
         };
-        // A pool's health moved whether or not the run succeeded (a
+        // A pool's health can move whether or not the run succeeded (a
         // failing run is when it moves most — failures and quarantine);
         // persist it before propagating any error.
         self.persist_pool_health();
         let fresh = fresh?;
         let resident = &mut self.sessions[slot];
         resident.partial.merge(&fresh)?;
+        resident.footprint_bytes = resident.partial.footprint_bytes() as u64;
         let resident_now = resident.partial.replicates();
         if let Some(dir) = self.spill_dir.clone() {
             // The merge already stands when a snapshot write fails, so
@@ -898,7 +916,7 @@ impl SessionStore {
                 session: session.key.clone(),
                 replicates: session.partial.replicates(),
                 cells: session.partial.cells() as u64,
-                bytes: session.partial.footprint_bytes() as u64,
+                bytes: session.footprint_bytes,
             })
             .collect();
         let latency = match &self.metrics {
@@ -932,13 +950,20 @@ impl SessionStore {
 
     /// Best-effort durable pool health: writes
     /// `<spill-dir>/pool_health.json` (atomic temp+rename) when the
-    /// backend is a pool and a spill directory is attached. Health is
-    /// advisory — a failed write only forgets accounting, never data —
-    /// so errors are swallowed rather than failing the request that
-    /// triggered the persist.
+    /// backend is a pool, a spill directory is attached, and the
+    /// pool's [`restart_view`] differs from what the file last held.
+    /// Health is advisory — a failed write only forgets accounting,
+    /// never data — so errors are swallowed rather than failing the
+    /// request that triggered the persist (the next Extend retries).
     fn persist_pool_health(&mut self) {
         if let (Some(dir), ExtendBackend::Pool(pool)) = (&self.spill_dir, &self.backend) {
-            let _ = write_pool_health(dir, &pool.health_snapshot());
+            let snapshot = pool.health_snapshot();
+            let view = restart_view(&snapshot);
+            if self.persisted_health.as_ref() != Some(&view)
+                && write_pool_health(dir, &snapshot).is_ok()
+            {
+                self.persisted_health = Some(view);
+            }
         }
     }
 
@@ -949,11 +974,21 @@ impl SessionStore {
     /// the `spill_bytes` gauge either way. `just_written` — the
     /// snapshot that triggered the pass — and the newest snapshot are
     /// never evicted, so the active session keeps its durability even
-    /// when it alone exceeds the bound.
+    /// when it alone exceeds the bound. With neither bound set there
+    /// is nothing to collect, so a pass after a write only re-reads the
+    /// size of the file just written.
     fn collect_spill_garbage(&mut self, just_written: Option<&Path>) {
         let Some(dir) = self.spill_dir.clone() else {
             return;
         };
+        let unbounded = self.spill_max_age.is_none() && self.spill_max_bytes.is_none();
+        if let (true, Some(path)) = (unbounded, just_written) {
+            if let Ok(meta) = std::fs::metadata(path) {
+                let before = self.spill_sizes.insert(path.to_path_buf(), meta.len());
+                self.spill_bytes = self.spill_bytes + meta.len() - before.unwrap_or(0);
+            }
+            return;
+        }
         let mut entries = scan_spill_sessions(&dir);
         if let Some(max_age) = self.spill_max_age {
             let now = SystemTime::now();
@@ -989,6 +1024,10 @@ impl SessionStore {
             entries = kept;
         }
         self.spill_bytes = entries.iter().map(|entry| entry.bytes).sum();
+        self.spill_sizes = entries
+            .into_iter()
+            .map(|entry| (entry.path, entry.bytes))
+            .collect();
     }
 
     /// Index of the resident session with the given key, transparently
@@ -1116,6 +1155,23 @@ fn scan_spill_sessions(dir: &Path) -> Vec<SpillEntry> {
             .then_with(|| a.path.cmp(&b.path))
     });
     entries
+}
+
+/// The part of a pool's health that only a failure moves: each slot's
+/// `failures`, `consecutive_failures`, `retries` and `quarantined`, and
+/// the pool's `retried_shards`, with the fields every successful run
+/// moves (successes, replicates, busy time) zeroed. `pool_health.json`
+/// is rewritten only when this part changes, so the throughput totals
+/// a restart restores lag behind; they only size chunks, which moves
+/// no bit of a result.
+fn restart_view(snapshot: &PoolHealthSnapshot) -> PoolHealthSnapshot {
+    let mut view = snapshot.clone();
+    for record in &mut view.slots {
+        record.health.successes = 0;
+        record.health.replicates = 0;
+        record.health.busy_secs = 0.0;
+    }
+    view
 }
 
 /// The pool-health snapshot path under `dir`.

@@ -1,16 +1,13 @@
 //! Frame-codec robustness: the length-prefixed wire format must fail
 //! **closed** under everything a broken pipe, a hostile peer, or a
-//! nonblocking socket can produce — split reads at arbitrary
-//! boundaries, interleaved correlation ids, oversized length
-//! prefixes, truncated frames — with no panic and no partially
-//! trusted payload.
+//! socket can produce — short reads at arbitrary boundaries,
+//! interleaved correlation ids, oversized length prefixes, truncated
+//! frames — with no panic and no partially trusted payload.
 
 use glc_service::codec::{self, BinaryReply};
-use glc_service::frame::{
-    encode_frame, read_frame, write_frame, FrameDecoder, FRAME_HEADER_LEN, FRAME_MAGIC,
-    MAX_FRAME_PAYLOAD,
-};
+use glc_service::frame::{encode_frame, read_frame, write_frame, FRAME_MAGIC, MAX_FRAME_PAYLOAD};
 use proptest::prelude::*;
+use std::io::Read;
 
 /// A deterministic pseudo-random payload: the vendored proptest has no
 /// byte strategies, so bytes are synthesized from a u64 seed with a
@@ -27,30 +24,45 @@ fn payload_bytes(seed: u64, len: usize) -> Vec<u8> {
         .collect()
 }
 
-/// Splits `wire` at pseudo-random points derived from `seed` and
-/// feeds the pieces to the decoder, returning every decoded frame.
-fn feed_in_splits(decoder: &mut FrameDecoder, wire: &[u8], seed: u64) -> Vec<Vec<u8>> {
-    let mut frames = Vec::new();
-    let mut state = seed | 1;
-    let mut at = 0;
-    while at < wire.len() {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
+/// A reader that hands out its bytes in pieces split at pseudo-random
+/// points, the way a socket's short reads arrive.
+struct Splits<'a> {
+    wire: &'a [u8],
+    state: u64,
+}
+
+impl Read for Splits<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        self.state ^= self.state << 13;
+        self.state ^= self.state >> 7;
+        self.state ^= self.state << 17;
         // Piece sizes from 1 byte to ~32: small enough to cut headers
         // and payloads everywhere interesting.
-        let take = (1 + (state as usize) % 32).min(wire.len() - at);
-        decoder.push(&wire[at..at + take]);
-        at += take;
-        while let Some(frame) = decoder.next_frame().expect("valid wire never errors") {
-            frames.push(frame);
-        }
+        let take = (1 + (self.state as usize) % 32)
+            .min(self.wire.len())
+            .min(buf.len());
+        buf[..take].copy_from_slice(&self.wire[..take]);
+        self.wire = &self.wire[take..];
+        Ok(take)
+    }
+}
+
+/// Reads every frame of `wire`, delivered in pieces split at points
+/// derived from `seed`, up to the clean EOF after the last one.
+fn read_in_splits(wire: &[u8], seed: u64) -> Vec<Vec<u8>> {
+    let mut reader = Splits {
+        wire,
+        state: seed | 1,
+    };
+    let mut frames = Vec::new();
+    while let Some(frame) = read_frame(&mut reader).expect("valid wire never errors") {
+        frames.push(frame);
     }
     frames
 }
 
 proptest! {
-    /// Any sequence of frames survives any split pattern: the decoder
+    /// Any sequence of frames survives any split pattern: the reader
     /// reassembles exactly the payloads that were written, in order,
     /// and ends at a clean frame boundary.
     #[test]
@@ -68,14 +80,10 @@ proptest! {
         for payload in &payloads {
             write_frame(&mut wire, payload).unwrap();
         }
-        let mut decoder = FrameDecoder::new();
-        let frames = feed_in_splits(&mut decoder, &wire, split_seed);
-        prop_assert_eq!(&frames, &payloads);
-        prop_assert!(!decoder.has_partial(), "ended inside a frame");
+        prop_assert_eq!(&read_in_splits(&wire, split_seed), &payloads);
     }
 
-    /// A frame truncated at any cut point is an error (blocking
-    /// reader) or a held partial (incremental decoder) — never a
+    /// A frame truncated at any cut point is an error — never a
     /// payload, never a panic.
     #[test]
     fn truncation_never_yields_a_partial_payload(
@@ -87,7 +95,7 @@ proptest! {
         // Cut strictly inside the frame.
         let cut = 1 + (cut_frac as usize * (frame.len() - 2)) / 1000;
         let truncated = &frame[..cut];
-        // Blocking reader: EOF mid-frame is a protocol error.
+        // EOF mid-frame is a protocol error.
         let outcome = read_frame(&mut &truncated[..]);
         match outcome {
             Err(err) => prop_assert!(
@@ -96,18 +104,10 @@ proptest! {
             ),
             Ok(got) => prop_assert!(false, "cut {cut} produced {got:?}"),
         }
-        // Incremental decoder: the bytes are held as a partial, so the
-        // connection owner can tell a mid-frame hangup from a clean
-        // close.
-        let mut decoder = FrameDecoder::new();
-        decoder.push(truncated);
-        prop_assert_eq!(decoder.next_frame().unwrap(), None);
-        prop_assert!(decoder.has_partial());
     }
 
     /// A length prefix beyond the cap is rejected as soon as the
-    /// header is complete — before any payload allocation — on both
-    /// decode paths.
+    /// header is complete — before any payload allocation.
     #[test]
     fn oversized_lengths_fail_closed_before_allocation(
         extra in 1u64..u64::from(u32::MAX) - MAX_FRAME_PAYLOAD as u64,
@@ -116,21 +116,17 @@ proptest! {
         let len = MAX_FRAME_PAYLOAD as u32 + extra as u32;
         let mut wire = Vec::from(FRAME_MAGIC);
         wire.extend_from_slice(&len.to_be_bytes());
-        // A few junk bytes after the header: the decoder must not
+        // A few junk bytes after the header: the reader must not
         // wait for `len` bytes before rejecting.
         wire.extend_from_slice(&payload_bytes(junk_seed, 8));
         let err = read_frame(&mut &wire[..]).unwrap_err().to_string();
         prop_assert!(err.contains("exceeds"), "{err}");
-        let mut decoder = FrameDecoder::new();
-        decoder.push(&wire[..FRAME_HEADER_LEN]);
-        let err = decoder.next_frame().unwrap_err().to_string();
-        prop_assert!(err.contains("exceeds"), "{err}");
     }
 
-    /// A corrupted magic fails on the first byte that proves it wrong,
-    /// whichever of the four bytes was flipped.
+    /// A corrupted magic fails closed, whichever of the four bytes was
+    /// flipped.
     #[test]
-    fn corrupt_magic_fails_on_the_first_wrong_byte(
+    fn corrupt_magic_fails_closed(
         byte_index in 0usize..4,
         flip in 1u64..256,
         seed in 0u64..u64::MAX,
@@ -138,12 +134,6 @@ proptest! {
         let mut frame = encode_frame(&payload_bytes(seed, 16)).unwrap();
         frame[byte_index] ^= flip as u8;
         let err = read_frame(&mut &frame[..]).unwrap_err().to_string();
-        prop_assert!(err.contains("bad frame magic"), "{err}");
-        // The incremental decoder needs only the bytes up to and
-        // including the corrupt one.
-        let mut decoder = FrameDecoder::new();
-        decoder.push(&frame[..=byte_index]);
-        let err = decoder.next_frame().unwrap_err().to_string();
         prop_assert!(err.contains("bad frame magic"), "{err}");
     }
 
@@ -160,8 +150,7 @@ proptest! {
             let body = BinaryReply::Error(format!("reply-{id}"));
             write_frame(&mut wire, &codec::encode_reply(id, &body)).unwrap();
         }
-        let mut decoder = FrameDecoder::new();
-        let frames = feed_in_splits(&mut decoder, &wire, split_seed);
+        let frames = read_in_splits(&wire, split_seed);
         prop_assert_eq!(frames.len(), ids.len());
         for (frame, &wanted) in frames.iter().zip(&ids) {
             let (id, reply) = codec::decode_reply(frame).unwrap();

@@ -15,13 +15,16 @@
 //! CI runs this file on every push (`query-service` job).
 
 use glc_service::{
-    EngineSpec, ExtendBackend, ExtendRequest, ModelSource, PipelinedWorker, QueryRequest, Request,
-    Response, SessionSpec, SessionStore, Transport, WorkerPool,
+    codec, frame, EngineSpec, ExtendBackend, ExtendRequest, ModelSource, PipelinedWorker,
+    QueryRequest, Request, Response, SessionSpec, SessionStore, Transport, WorkerPool,
 };
 use glc_ssa::run_partial_from;
 use proptest::prelude::*;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{Shutdown, TcpStream};
 use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
+use std::sync::{Arc, Barrier};
+use std::time::Duration;
 
 /// Paths of the freshly built binaries under test.
 fn serve_bin() -> &'static str {
@@ -410,16 +413,223 @@ fn glc_serve_relay_backend_matches_fresh_run() {
 #[test]
 fn glc_serve_survives_garbage_lines() {
     let mut client = ServeClient::spawn(&[]);
-    writeln!(client.stdin, "this is not json").unwrap();
-    client.stdin.flush().unwrap();
-    let mut reply = String::new();
-    client.stdout.read_line(&mut reply).unwrap();
-    let decoded: Response = serde_json::from_str(reply.trim()).unwrap();
-    assert!(matches!(decoded, Response::Error(_)), "{decoded:?}");
+    for garbage in [&b"this is not json"[..], b"{\"Stats\xff\":null}"] {
+        client.stdin.write_all(garbage).unwrap();
+        writeln!(client.stdin).unwrap();
+        client.stdin.flush().unwrap();
+        let mut reply = String::new();
+        client.stdout.read_line(&mut reply).unwrap();
+        let decoded: Response = serde_json::from_str(reply.trim()).unwrap();
+        assert!(matches!(decoded, Response::Error(_)), "{decoded:?}");
+    }
     // Still serving after the error.
     let Response::Stats(stats) = client.request(&Request::Stats) else {
         panic!("expected Stats");
     };
     assert_eq!(stats.sessions, 0);
     client.shutdown();
+}
+
+/// A `glc-serve --listen 127.0.0.1:0` child and the address it bound.
+struct Listener {
+    child: Child,
+    stdin: Option<ChildStdin>,
+    addr: String,
+}
+
+impl Listener {
+    fn spawn() -> Self {
+        let mut child = Command::new(serve_bin())
+            .args(["--capacity", "8", "--listen", "127.0.0.1:0"])
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::null())
+            .spawn()
+            .expect("spawn glc-serve --listen");
+        let mut banner = String::new();
+        BufReader::new(child.stdout.take().expect("stdout piped"))
+            .read_line(&mut banner)
+            .expect("read the listen banner");
+        let addr = banner
+            .trim()
+            .strip_prefix("glc-serve listening on ")
+            .unwrap_or_else(|| panic!("unexpected banner `{banner}`"))
+            .to_string();
+        Listener {
+            stdin: child.stdin.take(),
+            child,
+            addr,
+        }
+    }
+
+    /// A connection whose reads fail after a minute instead of hanging
+    /// the test when the service stops answering.
+    fn connect(&self) -> TcpStream {
+        let stream = TcpStream::connect(&self.addr).expect("connect to --listen");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(60)))
+            .expect("read timeout");
+        stream
+    }
+
+    fn shutdown(mut self) {
+        drop(self.stdin.take()); // EOF ends the service.
+        let status = self.child.wait().expect("glc-serve exits");
+        assert!(status.success(), "glc-serve exited with {status}");
+    }
+}
+
+/// Submit, Extend(`replicates`) and a whole-partial Query of `spec`,
+/// each as a request line.
+fn session_lines(spec: &SessionSpec, replicates: u64) -> Vec<String> {
+    let session = spec.fingerprint();
+    [
+        Request::Submit(spec.clone()),
+        Request::Extend(ExtendRequest {
+            session: session.clone(),
+            replicates,
+        }),
+        Request::Query(QueryRequest {
+            session,
+            species: vec![],
+        }),
+    ]
+    .iter()
+    .map(|request| serde_json::to_string(request).expect("encode request"))
+    .collect()
+}
+
+/// The replies a fresh in-process store gives `lines`, served one at a
+/// time over stdin's framing.
+fn serial_replies(lines: &[String]) -> Vec<String> {
+    let mut store = SessionStore::new(8, ExtendBackend::InProcess).unwrap();
+    lines
+        .iter()
+        .map(|line| store.handle_json_line(line))
+        .collect()
+}
+
+/// Reads `count` reply lines, newline stripped.
+fn read_lines(reader: &mut impl BufRead, count: usize) -> Vec<String> {
+    (0..count)
+        .map(|_| {
+            let mut reply = String::new();
+            reader.read_line(&mut reply).expect("read reply line");
+            assert!(reply.ends_with('\n'), "truncated reply `{reply}`");
+            reply.pop();
+            reply
+        })
+        .collect()
+}
+
+#[test]
+fn listener_serves_other_clients_while_one_stops_reading() {
+    // The stalled client pipelines enough large Query replies to fill
+    // both socket buffers and never reads them; a second client's
+    // Submit, Extend and Query must still be answered.
+    let listener = Listener::spawn();
+    let mut big = SessionSpec::new(
+        ModelSource::Catalog("book_and".into()),
+        EngineSpec::Direct,
+        41,
+        2000.0,
+        1.0,
+    );
+    for input in ["LacI", "TetR"] {
+        big = big.with_amount(input, 15.0);
+    }
+    let stalled_lines = session_lines(&big, 2);
+    let queries = 12;
+    let mut stalled = listener.connect();
+    let burst: String = stalled_lines
+        .iter()
+        .chain(std::iter::repeat_n(&stalled_lines[2], queries - 1))
+        .map(|line| format!("{line}\n"))
+        .collect();
+    stalled
+        .write_all(burst.as_bytes())
+        .expect("write the burst");
+
+    let lines = session_lines(&catalog_spec("book_not", EngineSpec::Direct, 3), 3);
+    let mut other = listener.connect();
+    let mut reader = BufReader::new(other.try_clone().unwrap());
+    for (line, expected) in lines.iter().zip(serial_replies(&lines)) {
+        writeln!(other, "{line}").unwrap();
+        assert_eq!(read_lines(&mut reader, 1), [expected]);
+    }
+
+    // The stalled client still gets every reply, complete and in order.
+    let expected = serial_replies(&stalled_lines);
+    let replies = read_lines(&mut BufReader::new(&stalled), 2 + queries);
+    assert!(
+        replies.iter().map(String::len).sum::<usize>() > 16 << 20,
+        "the replies must outgrow the socket buffers for the stall to bite"
+    );
+    assert_eq!(replies[..3], expected[..]);
+    assert!(replies[2..].iter().all(|reply| *reply == expected[2]));
+    listener.shutdown();
+}
+
+#[test]
+fn listener_replies_to_pipelined_bursts_as_a_serial_run_would() {
+    // A line client and a GLCB client each write Submit, Extend and
+    // Query in one write, at the same moment; each gets its three
+    // replies complete and in order, byte-identical to the store
+    // serving that client's lines serially.
+    let listener = Listener::spawn();
+    let start = Arc::new(Barrier::new(2));
+    let line_client = {
+        let mut stream = listener.connect();
+        let start = Arc::clone(&start);
+        std::thread::spawn(move || {
+            let lines = session_lines(&catalog_spec("book_and", EngineSpec::Direct, 5), 3);
+            let burst: String = lines.iter().map(|line| format!("{line}\n")).collect();
+            start.wait();
+            stream.write_all(burst.as_bytes()).unwrap();
+            let replies = read_lines(&mut BufReader::new(&stream), 3);
+            assert_eq!(replies, serial_replies(&lines));
+        })
+    };
+    let framed_client = {
+        let mut stream = listener.connect();
+        std::thread::spawn(move || {
+            let lines = session_lines(&catalog_spec("cello_0x1C", EngineSpec::Direct, 9), 2);
+            let mut burst = frame::encode_frame(&codec::encode_hello()).unwrap();
+            for line in &lines {
+                burst.extend(frame::encode_frame(&codec::encode_text(line)).unwrap());
+            }
+            start.wait();
+            stream.write_all(&burst).unwrap();
+            let hello = frame::read_frame(&mut stream).unwrap().expect("hello");
+            codec::decode_hello(&hello).unwrap();
+            let replies: Vec<String> = (0..lines.len())
+                .map(|_| {
+                    let payload = frame::read_frame(&mut stream).unwrap().expect("reply");
+                    codec::decode_text(&payload).unwrap()
+                })
+                .collect();
+            assert_eq!(replies, serial_replies(&lines));
+        })
+    };
+    line_client.join().unwrap();
+    framed_client.join().unwrap();
+    listener.shutdown();
+}
+
+#[test]
+fn listener_answers_a_client_that_half_closes_after_writing() {
+    let listener = Listener::spawn();
+    let lines = session_lines(&catalog_spec("book_and", EngineSpec::Direct, 13), 2);
+    let mut stream = listener.connect();
+    let burst: String = lines.iter().map(|line| format!("{line}\n")).collect();
+    stream.write_all(burst.as_bytes()).unwrap();
+    stream.shutdown(Shutdown::Write).unwrap();
+    let mut transcript = String::new();
+    stream.read_to_string(&mut transcript).unwrap();
+    let expected: String = serial_replies(&lines)
+        .iter()
+        .map(|reply| format!("{reply}\n"))
+        .collect();
+    assert_eq!(transcript, expected);
+    listener.shutdown();
 }

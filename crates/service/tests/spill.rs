@@ -19,13 +19,14 @@
 //!   stale snapshots, and a just-written snapshot is never its own
 //!   GC victim;
 //! * a pool slot quarantined before a SIGKILL is still quarantined
-//!   after the restart, read back from `pool_health.json`.
+//!   after the restart, read back from `pool_health.json`, which an
+//!   Extend rewrites only when a slot's failure record moves.
 //!
 //! CI runs this file on every push (`spill-resume` job).
 
 use glc_service::{
-    session, EngineSpec, ExtendBackend, ExtendRequest, ModelSource, QueryRequest, Request,
-    Response, ServiceError, SessionSpec, SessionStore,
+    session, EngineSpec, ExtendBackend, ExtendRequest, ModelSource, PipelinedWorker, QueryRequest,
+    Request, Response, ServiceError, SessionSpec, SessionStore, Transport, WorkerPool,
 };
 use glc_ssa::run_partial_from;
 use proptest::prelude::*;
@@ -791,6 +792,79 @@ fn killed_glc_serve_restarts_with_quarantine_intact() {
         "pool failover + restart must not move a bit"
     );
     reborn.kill();
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(script.parent().unwrap());
+}
+
+#[test]
+fn stats_footprints_follow_the_partial_through_extend_and_reload() {
+    let dir = spill_dir("footprint");
+    let mut store = SessionStore::new(1, ExtendBackend::InProcess)
+        .unwrap()
+        .with_spill_dir(&dir);
+    let check = |store: &SessionStore, key: &str| {
+        let stats = store.stats();
+        let footprint = stats
+            .footprints
+            .iter()
+            .find(|footprint| footprint.session == key)
+            .expect("resident session has a footprint");
+        let partial = store.partial(key).expect("resident");
+        assert_eq!(footprint.bytes, partial.footprint_bytes() as u64);
+        assert_eq!(footprint.replicates, partial.replicates());
+    };
+    let a = store.submit(&tiny_spec(1)).unwrap().session;
+    check(&store, &a);
+    store.extend(&a, 2).unwrap();
+    check(&store, &a);
+    store.extend(&a, 3).unwrap();
+    check(&store, &a);
+    // Capacity 1: submitting another session spills this one, and the
+    // next Extend reloads it from its snapshot.
+    let b = store.submit(&tiny_spec(2)).unwrap().session;
+    check(&store, &b);
+    store.extend(&a, 1).unwrap();
+    check(&store, &a);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[cfg(unix)]
+#[test]
+fn pool_health_is_rewritten_only_when_a_failure_record_moves() {
+    let dir = spill_dir("health-writes");
+    let script = dead_worker_script("health-writes");
+    let pool = WorkerPool::new(vec![
+        Box::new(PipelinedWorker::new(env!("CARGO_BIN_EXE_glc-worker"))) as Box<dyn Transport>,
+        Box::new(PipelinedWorker::new(&script)),
+    ])
+    .unwrap()
+    .with_quarantine_after(1)
+    .unwrap();
+    let mut store = SessionStore::new(2, ExtendBackend::Pool(pool))
+        .unwrap()
+        .with_spill_dir(&dir);
+    let key = store.submit(&tiny_spec(3)).unwrap().session;
+    let health = session::pool_health_path(&dir);
+
+    // The dead slot fails and is quarantined: a restart must see that.
+    store.extend(&key, 4).unwrap();
+    let written = session::read_pool_health(&dir)
+        .unwrap()
+        .expect("health written");
+    assert!(written.slots[1].health.quarantined, "{written:?}");
+
+    // Only the healthy slot's success totals move now, which a restart
+    // needs no rewrite for.
+    std::fs::remove_file(&health).unwrap();
+    store.extend(&key, 3).unwrap();
+    assert!(
+        !health.exists(),
+        "a healthy Extend rewrote pool_health.json"
+    );
+    assert_eq!(
+        store.partial(&key).unwrap(),
+        &fresh_reference(&tiny_spec(3), 7)
+    );
     let _ = std::fs::remove_dir_all(&dir);
     let _ = std::fs::remove_dir_all(script.parent().unwrap());
 }
