@@ -63,8 +63,9 @@ pub struct AnalyzerConfig {
     /// `ThVAL`: the threshold applied to every I/O species (the paper
     /// uses 15 molecules in the main experiments).
     pub threshold: f64,
-    /// Optional per-input thresholds overriding [`threshold`]
-    /// (`AnalyzerConfig::threshold`); one per input, in input order.
+    /// Optional per-input thresholds overriding
+    /// [`threshold`](AnalyzerConfig::threshold); one per input, in input
+    /// order.
     pub input_thresholds: Option<Vec<f64>>,
     /// Optional output threshold overriding the shared one.
     pub output_threshold: Option<f64>,

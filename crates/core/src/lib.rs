@@ -27,7 +27,7 @@
 //! * [`qmc`] — Quine–McCluskey two-level minimization, used to print
 //!   compact expressions and to synthesize gate netlists;
 //! * [`bdd`] — a reduced ordered binary decision diagram package used to
-//!   check extracted logic against intended logic ([`verify`]).
+//!   check extracted logic against intended logic ([`verify`](mod@verify)).
 //!
 //! # Example
 //!

@@ -30,8 +30,9 @@
 //!
 //! Decoding is fail-closed end to end: a missing magic, another
 //! version, truncation, unknown tags/variants, trailing bytes, and
-//! structurally invalid partials (via `EnsemblePartial::validate`) are
-//! all errors.
+//! structurally invalid partials are all errors. A partial is checked
+//! once, inside `EnsemblePartial::decode_binary`, the only way one
+//! enters a process from bytes.
 //!
 //! # Hello
 //!
@@ -250,7 +251,7 @@ pub fn encode_reply(id: u64, reply: &BinaryReply) -> Vec<u8> {
 }
 
 /// Decodes a GLCB chunk reply, returning `(id, reply)`. Embedded
-/// partials are structurally validated (`EnsemblePartial::validate`).
+/// partials are structurally checked by `EnsemblePartial::decode_binary`.
 ///
 /// # Errors
 ///

@@ -215,7 +215,7 @@ pub struct Queried {
     /// Ensemble standard deviation (population).
     pub std_dev: Trace,
     /// Per-species noise figures (mean/σ/variance/Fano/CV per sample),
-    /// read off the borrowed partial.
+    /// read off `mean` and `std_dev`.
     pub noise: Vec<SpeciesNoise>,
     /// Replicates simulated while serving this request (always 0 —
     /// the acceptance criterion of the resident refactor).
@@ -866,10 +866,7 @@ impl SessionStore {
         let mut noise = Vec::with_capacity(names.len());
         for name in names {
             // Read the figures off the traces finalize already
-            // materialized rather than rounding every exact cell a
-            // second time through the borrowed-partial path — the two
-            // are pinned bitwise-identical (`glc_vasim::stats` parity
-            // test).
+            // materialized: the one moments path.
             let points = ensemble_noise(&ensemble, &name).ok_or_else(|| {
                 ServiceError::Order(format!("session does not aggregate species `{name}`"))
             })?;
@@ -1084,8 +1081,8 @@ pub fn write_spill(
 /// # Errors
 ///
 /// [`ServiceError::Spill`] for I/O failures, undecodable snapshots,
-/// and partials failing `EnsemblePartial::validate` — a snapshot file
-/// arrives from disk, not from this process, so nothing in it is
+/// and partials `EnsemblePartial::decode_binary` rejects — a snapshot
+/// file arrives from disk, not from this process, so nothing in it is
 /// trusted unchecked.
 pub fn read_spill(
     dir: &Path,

@@ -44,7 +44,7 @@ use crate::metrics::MetricsRegistry;
 use crate::{frame, metrics, RunReport, ServiceError, WorkOrder};
 use glc_ssa::EnsemblePartial;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::io::{BufReader, Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::path::PathBuf;
@@ -92,8 +92,8 @@ pub trait ChunkChannel: Send {
     fn submit(&mut self, id: u64, order: &WorkOrder) -> Result<(), ServiceError>;
 
     /// Receives the next correlated reply — exactly one per submitted
-    /// order — in whatever order the peer finished them. Partials are structurally validated before they
-    /// are returned.
+    /// order — in whatever order the peer finished them. Partials are
+    /// structurally checked at decode before they are returned.
     fn recv(&mut self) -> Result<(u64, BinaryReply), ServiceError>;
 }
 
@@ -568,11 +568,12 @@ impl WorkerPool {
     /// window of orders in flight on its slot's persistent connection,
     /// and a slot whose own queue runs dry **steals** from the back of
     /// the longest remaining queue, so stragglers and mid-run failures
-    /// stop gating the run. Completed chunks stream-merge through a chunk-index
-    /// reorder buffer, so the merged partial is bitwise independent of
-    /// scheduling, stealing, transport and retry choices. Chunks that
-    /// failed in the parallel phase are retried sequentially afterwards
-    /// on the other slots, through the same driver.
+    /// stop gating the run. Each chunk's partial merges into the running
+    /// total as it arrives: exact merges are associative and commutative
+    /// bit for bit, so the merged partial is independent of scheduling,
+    /// stealing, transport and retry choices. Chunks that failed in the
+    /// parallel phase are retried sequentially afterwards on the other
+    /// slots, through the same driver, and merge as each retry lands.
     ///
     /// # Errors
     ///
@@ -639,9 +640,9 @@ impl WorkerPool {
         };
         let (tx, rx) = mpsc::channel::<Event>();
         let mut merged: Option<EnsemblePartial> = None;
-        let mut buffer: BTreeMap<usize, EnsemblePartial> = BTreeMap::new();
-        let mut next_merge = 0usize;
-        let mut merge_error: Option<ServiceError> = None;
+        let mut merged_chunks = 0usize;
+        // The first merge failure, then the retry pass's terminal error.
+        let mut failure: Option<ServiceError> = None;
         // (chunk index, error of the failed attempt, slot it failed on)
         let mut pending: Vec<(usize, ServiceError, usize)> = Vec::new();
         let mut health = self.health();
@@ -675,8 +676,10 @@ impl WorkerPool {
                         if let Some(metrics) = &metrics {
                             metrics.observe_shard(slot, Duration::from_secs_f64(elapsed_secs));
                         }
-                        buffer.insert(chunk, partial);
-                        drain_merges(&mut buffer, &mut next_merge, &mut merged, &mut merge_error);
+                        if failure.is_none() {
+                            failure = merge_chunk(&mut merged, partial).err();
+                            merged_chunks += 1;
+                        }
                     }
                     Event::ChunkFailed { slot, chunk, error } => {
                         health[slot].note_failure(self.quarantine_after);
@@ -715,43 +718,35 @@ impl WorkerPool {
             pending.push((chunk, ServiceError::Worker(cause), home));
         }
 
-        if merge_error.is_none() {
-            // Sequential retry pass, lowest replicate range first,
-            // under the rotation, quarantine and accounting rules of
-            // `retry`.
-            pending.sort_by_key(|&(chunk, ..)| chunk);
-            let mut terminal: Option<ServiceError> = None;
-            for (chunk, error, failed_slot) in pending {
-                if terminal.is_some() {
-                    break; // Deterministic error: the lowest failing chunk wins.
-                }
-                match self.retry(failed_slot, &chunks[chunk], error, &mut report) {
-                    Ok(partial) => {
-                        buffer.insert(chunk, partial);
-                    }
-                    Err(err) => terminal = Some(err),
-                }
+        // Sequential retry pass, lowest replicate range first, under
+        // the rotation, quarantine and accounting rules of `retry`.
+        pending.sort_by_key(|&(chunk, ..)| chunk);
+        for (chunk, error, failed_slot) in pending {
+            if failure.is_some() {
+                break; // Deterministic error: the lowest failing chunk wins.
             }
-            merge_error = terminal;
+            match self
+                .retry(failed_slot, &chunks[chunk], error, &mut report)
+                .and_then(|partial| merge_chunk(&mut merged, partial))
+            {
+                Ok(()) => merged_chunks += 1,
+                Err(err) => failure = Some(err),
+            }
         }
 
         report.quarantined_slots = (0..self.slots.len())
             .filter(|&i| self.slots[i].health.quarantined)
             .collect();
-        // Finish the in-order stream merge with the retried chunks.
-        drain_merges(&mut buffer, &mut next_merge, &mut merged, &mut merge_error);
-        if let Some(failure) = merge_error {
+        if let Some(failure) = failure {
             return Err(failure);
         }
-        if next_merge < chunks.len() {
-            return Err(ServiceError::Worker(format!(
-                "chunk {next_merge} of {} was never completed",
+        match merged {
+            Some(merged) if merged_chunks == chunks.len() => Ok((merged, report)),
+            _ => Err(ServiceError::Worker(format!(
+                "only {merged_chunks} of {} chunks completed",
                 chunks.len()
-            )));
+            ))),
         }
-        let merged =
-            merged.ok_or_else(|| ServiceError::Worker("no chunk produced a partial".into()))?;
-        Ok((merged, report))
     }
 
     /// Re-drives a failed chunk on the other slots, in rotation order
@@ -1047,37 +1042,24 @@ impl ChunkQueue {
     }
 }
 
-/// Advances the in-order stream merge over the reorder buffer: merges
-/// every contiguous ready chunk into the running total. The first
-/// merge failure is latched into `merge_error`.
-fn drain_merges(
-    buffer: &mut BTreeMap<usize, EnsemblePartial>,
-    next_merge: &mut usize,
+/// Merges one chunk's partial into the running total, whatever order
+/// the chunks arrive in: exact merges move no bit with the order.
+fn merge_chunk(
     merged: &mut Option<EnsemblePartial>,
-    merge_error: &mut Option<ServiceError>,
-) {
-    while let Some(ready) = buffer.remove(&*next_merge) {
-        *next_merge += 1;
-        let outcome = match merged {
-            None => {
-                *merged = Some(ready);
-                Ok(())
-            }
-            Some(total) => total.merge(&ready).map_err(ServiceError::from),
-        };
-        if let Err(err) = outcome {
-            if merge_error.is_none() {
-                *merge_error = Some(err);
-            }
-        }
+    partial: EnsemblePartial,
+) -> Result<(), ServiceError> {
+    if let Some(total) = merged {
+        return Ok(total.merge(&partial)?);
     }
+    *merged = Some(partial);
+    Ok(())
 }
 
 /// What a slot driver tells the scheduler thread. Per-slot event
 /// order is the slot's execution order (mpsc preserves per-sender
 /// FIFO), which is what the health accounting relies on.
 enum Event {
-    /// A chunk completed with a validated partial.
+    /// A chunk completed with a partial covering exactly its seeds.
     Done {
         slot: usize,
         chunk: usize,
@@ -1254,27 +1236,43 @@ fn drive_slot(
                         busy += started.elapsed().as_secs_f64();
                     }
                 }
-                match reply {
-                    BinaryReply::Partial(partial) => {
-                        let _ = tx.send(Event::Done {
-                            slot: index,
-                            chunk,
-                            elapsed_secs: started.elapsed().as_secs_f64(),
-                            stolen,
-                            partial,
-                        });
+                // A partial must cover exactly its chunk's seeds: one for
+                // other seeds is well formed but must not reach the merge.
+                let order = &chunks[chunk];
+                let first = order.base_seed.wrapping_add(order.first_replicate);
+                let outcome = match reply {
+                    BinaryReply::Partial(partial)
+                        if partial.replicates() == order.replicates
+                            && partial.covers_contiguous_from(first) =>
+                    {
+                        Ok(partial)
                     }
-                    BinaryReply::Error(message) => {
-                        // One chunk failed; the connection is fine.
-                        // Stop pulling new work, drain the rest.
+                    BinaryReply::Partial(partial) => Err(ServiceError::Protocol(format!(
+                        "reply for seeds {first}+{} covers {:?} instead",
+                        order.replicates,
+                        partial.covered_seeds()
+                    ))),
+                    BinaryReply::Error(message) => Err(ServiceError::Worker(message)),
+                };
+                let _ = tx.send(match outcome {
+                    Ok(partial) => Event::Done {
+                        slot: index,
+                        chunk,
+                        elapsed_secs: started.elapsed().as_secs_f64(),
+                        stolen,
+                        partial,
+                    },
+                    // One chunk failed; the connection is fine. Stop
+                    // pulling new work, drain the rest.
+                    Err(error) => {
                         failed = true;
-                        let _ = tx.send(Event::ChunkFailed {
+                        Event::ChunkFailed {
                             slot: index,
                             chunk,
-                            error: ServiceError::Worker(message),
-                        });
+                            error,
+                        }
                     }
-                }
+                });
             }
             Err(error) => {
                 failed = true;

@@ -204,6 +204,9 @@ struct TestPipelined {
     /// Fails every chunk this slot runs (inner error: the connection
     /// survives).
     always_fail: bool,
+    /// Answers every chunk with a well-formed partial for the seeds
+    /// 1000 replicates further on.
+    shifted: bool,
     /// Connection failures left to inject (outer error: the channel
     /// is broken, every in-flight chunk is lost).
     outer_failures: Arc<AtomicU64>,
@@ -220,6 +223,7 @@ impl TestPipelined {
             gate: None,
             fail_chunk: None,
             always_fail: false,
+            shifted: false,
             outer_failures: Arc::new(AtomicU64::new(0)),
             opens: Arc::new(AtomicU64::new(0)),
         }
@@ -247,6 +251,11 @@ impl TestPipelined {
 
     fn always_failing(mut self) -> Self {
         self.always_fail = true;
+        self
+    }
+
+    fn shifted(mut self) -> Self {
+        self.shifted = true;
         self
     }
 
@@ -311,7 +320,7 @@ impl ChunkChannel for TestChannel {
     }
 
     fn recv(&mut self) -> Result<(u64, BinaryReply), ServiceError> {
-        let (id, order) = self
+        let (id, mut order) = self
             .pending
             .pop_front()
             .ok_or_else(|| ServiceError::Worker("recv with nothing in flight".into()))?;
@@ -331,6 +340,9 @@ impl ChunkChannel for TestChannel {
                 });
         if scripted {
             return Ok((id, BinaryReply::Error("test chunk failed".into())));
+        }
+        if self.cfg.shifted {
+            order.first_replicate += 1000;
         }
         let reply = match order.execute() {
             Ok(partial) => BinaryReply::Partial(partial),
@@ -400,25 +412,75 @@ proptest! {
 fn fast_slots_steal_from_stragglers_without_moving_a_bit() {
     // The slow slot holds its first chunk until the fast slot has
     // drained its own queue and stolen from the slow one (its third
-    // submit): the steal is forced by the gate, not by a sleep race —
-    // and the merged bits must not notice.
-    let order = book_not_order(23, 20);
+    // submit): the steal is forced by the gate, not by a sleep race,
+    // and chunk 0 arrives last. Chunks merge as they arrive, so the
+    // merged bits must not notice — on Direct's integer cells and on
+    // Langevin's digit-window cells alike.
+    for engine in [EngineSpec::Direct, EngineSpec::Langevin(0.01)] {
+        let mut order = book_not_order(23, 20);
+        order.engine = engine.clone();
+        let reference = order.execute().unwrap();
+        let gate = Gate::new(2);
+        let slow = TestPipelined::new(1).gated(&gate, 1);
+        let fast = TestPipelined::new(1).gated(&gate, 3);
+        let mut pool =
+            WorkerPool::new(vec![Box::new(slow) as Box<dyn Transport>, Box::new(fast)]).unwrap();
+        let (partial, report) = pool.run(&order).unwrap();
+        assert_eq!(
+            partial, reference,
+            "{engine:?}: stealing must not move a bit"
+        );
+        assert_eq!(partial.to_binary(), reference.to_binary(), "{engine:?}");
+        assert_eq!(report.chunks, 4, "a cold pool cuts two chunks per slot");
+        assert!(report.steals >= 1, "the fast slot stole work: {report:?}");
+        assert_eq!(report.total_failures(), 0, "{report:?}");
+        assert_eq!(pool.lifetime_steals(), report.steals);
+        assert!(
+            report.slot_replicates[1] > report.slot_replicates[0],
+            "the fast slot carried more replicates: {report:?}"
+        );
+    }
+}
+
+#[test]
+fn replies_for_the_wrong_seeds_are_retried_elsewhere() {
+    // The shifted slot answers with a well-formed partial for seeds
+    // 1000 replicates away. The pool checks each reply's coverage
+    // against its chunk, so those chunks fail and re-run on the honest
+    // slot: the bits are the reference's.
+    let order = book_not_order(7, 4);
     let reference = order.execute().unwrap();
-    let gate = Gate::new(2);
-    let slow = TestPipelined::new(1).gated(&gate, 1);
-    let fast = TestPipelined::new(1).gated(&gate, 3);
-    let mut pool =
-        WorkerPool::new(vec![Box::new(slow) as Box<dyn Transport>, Box::new(fast)]).unwrap();
+    let mut pool = WorkerPool::new(vec![
+        Box::new(TestPipelined::new(1).shifted()) as Box<dyn Transport>,
+        Box::new(TestPipelined::new(1)),
+    ])
+    .unwrap();
     let (partial, report) = pool.run(&order).unwrap();
-    assert_eq!(partial, reference, "stealing must not move a bit");
-    assert_eq!(report.chunks, 4, "a cold pool cuts two chunks per slot");
-    assert!(report.steals >= 1, "the fast slot stole work: {report:?}");
-    assert_eq!(report.total_failures(), 0, "{report:?}");
-    assert_eq!(pool.lifetime_steals(), report.steals);
+    assert_eq!(partial, reference);
+    assert_eq!(partial.covered_seeds(), &[(7, 4)]);
+    assert!(report.worker_failures[0] >= 1, "{report:?}");
+    assert_eq!(report.worker_failures[1], 0, "{report:?}");
+}
+
+#[test]
+fn replies_for_the_wrong_seeds_never_reach_a_session() {
+    let shifted = TestPipelined::new(1).shifted();
+    let mut pool = WorkerPool::new(vec![
+        Box::new(shifted.clone()) as Box<dyn Transport>,
+        Box::new(shifted.clone()),
+    ])
+    .unwrap();
+    let err = pool.run(&book_not_order(7, 4)).unwrap_err();
     assert!(
-        report.slot_replicates[1] > report.slot_replicates[0],
-        "the fast slot carried more replicates: {report:?}"
+        matches!(&err, ServiceError::Protocol(msg) if msg.contains("7+")),
+        "{err}"
     );
+    // An Extend over the same pool fails and merges nothing.
+    let mut store = pooled_store(vec![Box::new(shifted.clone()), Box::new(shifted)]);
+    let spec = catalog_spec("book_and", EngineSpec::Direct, 7);
+    let session = store.submit(&spec).unwrap().session;
+    store.extend(&session, 4).unwrap_err();
+    assert_eq!(store.partial(&session).map(|p| p.replicates()), Some(0));
 }
 
 #[test]

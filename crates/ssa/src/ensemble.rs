@@ -39,7 +39,6 @@ use crate::exact::ExactSum;
 use crate::simulate_lanes;
 use crate::trace::Trace;
 use crate::wire::{put_f64_bits, put_string, put_varint, Reader, WireError};
-use serde::{Deserialize, Serialize};
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
@@ -59,7 +58,7 @@ pub struct Ensemble {
 /// Two partials may only merge when their fingerprints match exactly:
 /// a mismatch means the shards simulated different systems or sampled
 /// different grids, and merging them would silently produce garbage.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PartialFingerprint {
     /// Model identifier.
     pub model_id: String,
@@ -73,7 +72,7 @@ pub struct PartialFingerprint {
     pub samples: u64,
 }
 
-/// A mergeable, serializable shard of an ensemble aggregate.
+/// A mergeable shard of an ensemble aggregate.
 ///
 /// Holds the per-species / per-sample sum and sum-of-squares over some
 /// set of replicates, in exact accumulators, plus the replicate count,
@@ -96,7 +95,17 @@ pub struct PartialFingerprint {
 /// adjacent ranges coalesce, a partial extended `0..R` then `R..R+N`
 /// is *equal* (including its coverage) to one accumulated `0..R+N`
 /// fresh.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// # One way in
+///
+/// A partial enters a process only through [`EnsemblePartial::new`],
+/// [`EnsemblePartial::accumulate`], [`EnsemblePartial::merge`],
+/// `clone`, or the GLCB decoder [`EnsemblePartial::decode_binary`].
+/// The first four keep every structural invariant by construction;
+/// the decoder checks them once, on the untrusted bytes. So `merge`
+/// and `finalize` trust their operands' shape and check only what two
+/// valid partials can still disagree on.
+#[derive(Debug, Clone, PartialEq)]
 pub struct EnsemblePartial {
     fingerprint: PartialFingerprint,
     /// `sums[s * samples + k]` = Σ over replicates of species `s` at
@@ -247,22 +256,21 @@ impl EnsemblePartial {
         Ok(())
     }
 
-    /// Re-checks every structural invariant a well-formed partial
-    /// holds: a non-degenerate fingerprint, accumulator grids sized
+    /// Checks every structural invariant a well-formed partial holds:
+    /// a non-degenerate fingerprint, accumulator grids sized
     /// `species × samples` on both sides, canonical seed coverage
     /// (sorted, disjoint, coalesced, non-wrapping runs), and a
     /// replicate count that equals the covered seed total.
     ///
-    /// Derived deserialization accepts whatever shape the bytes spell,
-    /// so every trust boundary — worker replies, relay replies,
-    /// file-backed session snapshots — funnels through this before the
-    /// partial is merged or finalized. (A short accumulator grid would
-    /// otherwise truncate a zip-merge silently or panic `finalize`.)
+    /// Decoded bytes spell whatever shape the sender wrote, so
+    /// [`EnsemblePartial::decode_binary`] runs this before a partial
+    /// exists. (A short accumulator grid would otherwise truncate a
+    /// zip-merge silently or panic `finalize`.)
     ///
     /// # Errors
     ///
     /// [`SimError::InvalidConfig`] naming the first violated invariant.
-    pub fn validate(&self) -> Result<(), SimError> {
+    fn validate(&self) -> Result<(), SimError> {
         let fp = &self.fingerprint;
         if fp.species.is_empty() {
             return Err(SimError::InvalidConfig(
@@ -312,13 +320,11 @@ impl EnsemblePartial {
     ///
     /// # Errors
     ///
-    /// [`SimError::InvalidConfig`] on a fingerprint mismatch, when the
+    /// [`SimError::InvalidConfig`] on a fingerprint mismatch or when the
     /// two coverages overlap (the shards double-counted at least one
-    /// replicate), or when either side fails [`EnsemblePartial::
-    /// validate`] — partials arrive deserialized from worker replies,
-    /// so the invariants are re-checked rather than trusted. Validation
-    /// happens before any accumulator is touched, so a rejected merge
-    /// leaves `self` unchanged.
+    /// replicate). Both checks run before any accumulator is touched,
+    /// so a rejected merge leaves `self` unchanged. Each side's own
+    /// shape is not re-checked: see "One way in" on the type.
     pub fn merge(&mut self, other: &EnsemblePartial) -> Result<(), SimError> {
         if self.fingerprint != other.fingerprint {
             return Err(SimError::InvalidConfig(format!(
@@ -326,12 +332,10 @@ impl EnsemblePartial {
                 self.fingerprint, other.fingerprint
             )));
         }
-        self.validate()?;
-        other.validate()?;
-        // Rebuild the combined coverage from scratch on a scratch
-        // list: per-side runs were just validated, so any rejection
-        // here is a genuine cross-side overlap — and the scratch copy
-        // keeps merge all-or-nothing.
+        // Rebuild the combined coverage on a scratch list: each side's
+        // runs are canonical, so any rejection here is a genuine
+        // cross-side overlap — and the scratch copy keeps merge
+        // all-or-nothing.
         let mut coverage = Vec::with_capacity(self.seed_ranges.len() + other.seed_ranges.len());
         for &(start, count) in self.seed_ranges.iter().chain(&other.seed_ranges) {
             insert_seed_run(&mut coverage, start, count)?;
@@ -345,56 +349,6 @@ impl EnsemblePartial {
         self.replicates += other.replicates;
         self.seed_ranges = coverage;
         Ok(())
-    }
-
-    /// `(t, mean, population σ)` of `species` at every sample instant,
-    /// read directly off the exact accumulators without materializing
-    /// the full mean/σ traces — the borrowed-partial path the resident
-    /// query service answers per-species noise queries from. The
-    /// figures are bitwise-identical to the corresponding samples of
-    /// the [`EnsemblePartial::finalize`] traces.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::InvalidConfig`] for an unknown species, an empty
-    /// partial, or a cell poisoned by non-finite trace values (the
-    /// same conditions `finalize` rejects).
-    pub fn species_moments(&self, species: &str) -> Result<Vec<(f64, f64, f64)>, SimError> {
-        let Some(s) = self
-            .fingerprint
-            .species
-            .iter()
-            .position(|name| name == species)
-        else {
-            return Err(SimError::InvalidConfig(format!(
-                "partial does not aggregate species `{species}`"
-            )));
-        };
-        if self.replicates == 0 {
-            return Err(SimError::InvalidConfig(
-                "cannot read moments off a partial with zero replicates".into(),
-            ));
-        }
-        self.validate()?;
-        let samples = self.fingerprint.samples as usize;
-        let n = self.replicates as f64;
-        let base = s * samples;
-        (0..samples)
-            .map(|k| {
-                let sum = self.sums[base + k].value();
-                let square = self.squares[base + k].value();
-                if !(sum.is_finite() && square.is_finite()) {
-                    return Err(SimError::InvalidConfig(format!(
-                        "partial poisoned by non-finite values (species `{species}`, sample {k})"
-                    )));
-                }
-                // Exactly the finalize arithmetic, so the borrowed
-                // path reproduces the materialized traces bitwise.
-                let m = sum / n;
-                let sd = (square / n - m * m).max(0.0).sqrt();
-                Ok((k as f64 * self.fingerprint.sample_dt, m, sd))
-            })
-            .collect()
     }
 
     /// Resident memory of this partial in bytes: both accumulator
@@ -472,10 +426,10 @@ impl EnsemblePartial {
     }
 
     /// Decodes the [`EnsemblePartial::encode_binary`] form off
-    /// `reader` and re-runs [`EnsemblePartial::validate`] — binary
-    /// payloads arrive from the same trust boundaries JSON ones do
-    /// (worker replies, spill files), so nothing decoded is trusted
-    /// unchecked. Fail-closed on truncation and corrupt counts.
+    /// `reader` and checks every structural invariant of the result —
+    /// the one gate between untrusted bytes (worker replies, spill
+    /// files) and a partial. Fail-closed on truncation, corrupt counts,
+    /// mis-sized grids and non-canonical coverage.
     pub fn decode_binary(reader: &mut Reader<'_>) -> Result<Self, WireError> {
         let model_id = reader.string("partial model id")?;
         let species_count = reader.length("partial species", 1 << 20)?;
@@ -545,7 +499,6 @@ impl EnsemblePartial {
                 "cannot finalize a partial with zero replicates".into(),
             ));
         }
-        self.validate()?;
         let species = self.fingerprint.species.len();
         let samples = self.fingerprint.samples as usize;
         let n = self.replicates as f64;
@@ -594,9 +547,9 @@ impl EnsemblePartial {
 /// records as its two non-wrapping halves (which keeps fresh and
 /// extended coverage of the same seeds structurally identical).
 ///
-/// Rejects malformed runs (`count == 0`, or a run crossing the top of
-/// the seed space) rather than assuming them away: merge feeds this
-/// with ranges deserialized from worker replies, which are untrusted.
+/// Rejects a malformed incoming run (`count == 0`, or a run crossing
+/// the top of the seed space): `validate` feeds this with decoded runs,
+/// which are untrusted. The runs already in `ranges` are canonical.
 fn insert_seed_run(ranges: &mut Vec<(u64, u64)>, start: u64, count: u64) -> Result<(), SimError> {
     if count == 0 {
         return Err(SimError::InvalidConfig(format!(
@@ -610,30 +563,18 @@ fn insert_seed_run(ranges: &mut Vec<(u64, u64)>, start: u64, count: u64) -> Resu
             "seed range {start}+{count} wraps the seed space"
         )));
     };
-    // Inclusive end of an *existing* run. Existing entries normally
-    // came through this function, but `accumulate` trusts whatever a
-    // derived Deserialize produced — so malformed neighbours are
-    // errors here too, not unchecked arithmetic.
-    let run_end = |s: u64, c: u64| {
-        c.checked_sub(1)
-            .and_then(|span| s.checked_add(span))
-            .ok_or_else(|| {
-                SimError::InvalidConfig(format!("malformed covered range {s}+{c} in coverage list"))
-            })
-    };
     // Index of the first covered run starting after `start`.
     let at = ranges.partition_point(|&(s, _)| s <= start);
     if let Some(&(s, c)) = at.checked_sub(1).and_then(|i| ranges.get(i)) {
         // Predecessor starts at or before `start`: overlap iff it
         // reaches `start`.
-        if run_end(s, c)? >= start {
+        if s + (c - 1) >= start {
             return Err(SimError::InvalidConfig(format!(
                 "seed range {start}+{count} overlaps covered range {s}+{c}"
             )));
         }
     }
     if let Some(&(s, c)) = ranges.get(at) {
-        run_end(s, c)?; // Reject a malformed successor before touching it.
         if s <= end {
             return Err(SimError::InvalidConfig(format!(
                 "seed range {start}+{count} overlaps covered range {s}+{c}"
@@ -909,6 +850,33 @@ mod tests {
         CompiledModel::new(&model).unwrap()
     }
 
+    /// GLCB bytes of a `birth_death` partial on the `[0, 2]` grid
+    /// sampled every 1.0 (3 samples), spelled field by field so a test
+    /// can forge its replicate count, its seed runs, or the cell counts
+    /// of its sums and squares grids (every cell zero).
+    fn forged(replicates: u64, runs: &[(u64, u64)], sums: usize, squares: usize) -> Vec<u8> {
+        let mut buf = Vec::new();
+        put_string(&mut buf, "bd");
+        put_varint(&mut buf, 1);
+        put_string(&mut buf, "X");
+        put_f64_bits(&mut buf, 1.0);
+        put_f64_bits(&mut buf, 2.0);
+        put_varint(&mut buf, 3); // samples
+        put_varint(&mut buf, replicates);
+        put_varint(&mut buf, runs.len() as u64);
+        for &(start, count) in runs {
+            put_varint(&mut buf, start);
+            put_varint(&mut buf, count);
+        }
+        for cells in [sums, squares] {
+            put_varint(&mut buf, cells as u64);
+            for _ in 0..cells {
+                ExactSum::new().encode_binary(&mut buf);
+            }
+        }
+        buf
+    }
+
     #[test]
     fn ensemble_mean_tracks_the_ode_solution() {
         let model = birth_death();
@@ -1037,20 +1005,6 @@ mod tests {
     }
 
     #[test]
-    fn partial_serde_round_trip_is_bitwise() {
-        let model = birth_death();
-        let engine = || Box::new(Langevin::new(0.1).unwrap()) as Box<dyn Engine>;
-        let partial = run_partial(&model, engine, 3..7, 8.0, 2.0).unwrap();
-        let json = serde_json::to_string(&partial).unwrap();
-        let back: EnsemblePartial = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, partial);
-        let a = partial.finalize().unwrap();
-        let b = back.finalize().unwrap();
-        assert_eq!(a.mean, b.mean);
-        assert_eq!(a.std_dev, b.std_dev);
-    }
-
-    #[test]
     fn partial_binary_round_trip_is_bitwise_and_fails_closed() {
         let model = birth_death();
         let engine = || Box::new(Langevin::new(0.1).unwrap()) as Box<dyn Engine>;
@@ -1074,19 +1028,6 @@ mod tests {
             let back = EnsemblePartial::from_binary(&bytes).unwrap();
             assert_eq!(&back, partial);
             assert_eq!(back.to_binary(), bytes, "canonical re-encode");
-            // The binary and JSON paths decode to the same value —
-            // where JSON can: its numbers travel through f64, so seed
-            // ranges beyond 2^53 lose low bits there, while the binary
-            // varints are exact for the full u64 range.
-            if partial
-                .covered_seeds()
-                .iter()
-                .all(|&(s, c)| s < (1 << 53) && c < (1 << 53))
-            {
-                let via_json: EnsemblePartial =
-                    serde_json::from_str(&serde_json::to_string(partial).unwrap()).unwrap();
-                assert_eq!(via_json, back);
-            }
             // Truncations fail closed (sampled for speed).
             for cut in (0..bytes.len()).step_by(17) {
                 assert!(EnsemblePartial::from_binary(&bytes[..cut]).is_err());
@@ -1097,30 +1038,11 @@ mod tests {
             assert!(EnsemblePartial::from_binary(&trailing).is_err());
         }
         // A structurally invalid payload (overlapping coverage) is
-        // rejected by the embedded validate, not trusted.
-        let clean = run_partial(&model, engine, 1..3, 2.0, 1.0).unwrap();
-        let mut buf = Vec::new();
-        put_string(&mut buf, &clean.fingerprint.model_id);
-        put_varint(&mut buf, 1);
-        put_string(&mut buf, "X");
-        put_f64_bits(&mut buf, 1.0);
-        put_f64_bits(&mut buf, 2.0);
-        put_varint(&mut buf, 3); // samples
-        put_varint(&mut buf, 2); // replicates
-        put_varint(&mut buf, 2); // two overlapping ranges
-        for _ in 0..2 {
-            put_varint(&mut buf, 1);
-            put_varint(&mut buf, 1);
-        }
-        put_varint(&mut buf, 3);
-        for _ in 0..3 {
-            ExactSum::new().encode_binary(&mut buf);
-        }
-        put_varint(&mut buf, 3);
-        for _ in 0..3 {
-            ExactSum::new().encode_binary(&mut buf);
-        }
-        assert!(EnsemblePartial::from_binary(&buf).is_err());
+        // rejected at decode, not trusted; the same bytes with one run
+        // decode, so the overlap is what fails.
+        let control = EnsemblePartial::from_binary(&forged(1, &[(1, 1)], 3, 3)).unwrap();
+        assert_eq!(control.covered_seeds(), &[(1, 1)]);
+        assert!(EnsemblePartial::from_binary(&forged(2, &[(1, 1), (1, 1)], 3, 3)).is_err());
     }
 
     #[test]
@@ -1219,115 +1141,37 @@ mod tests {
 
     #[test]
     fn malformed_deserialized_coverage_is_rejected_not_trusted() {
-        // The derived Deserialize accepts seed_ranges verbatim, so a
-        // corrupt reply can claim a wrapping or empty run that
-        // insert_seed_run would never produce. Both accumulate and
-        // merge must reject such a partial with InvalidConfig — no
-        // overflow panic, no silent double-count.
-        let model = birth_death();
-        let engine = || Box::new(Direct::new()) as Box<dyn Engine>;
-        let clean = run_partial(&model, engine, 1..2, 2.0, 1.0).unwrap();
-        let json = serde_json::to_string(&clean).unwrap();
-        assert!(json.contains("[[1.0,1.0]]"), "fixture drifted: {json}");
-        // A run wrapping the seed space (the 2^64-ish count saturates
-        // to u64::MAX through the JSON number layer) and an empty run.
-        for bogus in ["[[10.0,18446744073709551615.0]]", "[[5.0,0.0]]"] {
-            let corrupt: EnsemblePartial =
-                serde_json::from_str(&json.replace("[[1.0,1.0]]", bogus)).unwrap();
-            assert_ne!(corrupt.covered_seeds(), clean.covered_seeds());
-            let mut victim = corrupt.clone();
-            let trace = simulate(&model, &mut Direct::new(), 2.0, 1.0, 12).unwrap();
-            let err = victim.accumulate(&trace, 12).unwrap_err();
-            assert!(matches!(err, SimError::InvalidConfig(_)), "{err:?}");
-            let other = run_partial(&model, engine, 30..31, 2.0, 1.0).unwrap();
-            let mut victim = corrupt.clone();
-            let err = victim.merge(&other).unwrap_err();
-            assert!(matches!(err, SimError::InvalidConfig(_)), "{err:?}");
+        // Decoded bytes may claim a wrapping or empty run that
+        // accumulate would never produce, or a replicate count the
+        // coverage does not hold. Each forgery fails closed at decode,
+        // so no partial downstream ever carries one.
+        assert!(EnsemblePartial::from_binary(&forged(1, &[(1, 1)], 3, 3)).is_ok());
+        for bogus in [
+            forged(u64::MAX, &[(10, u64::MAX)], 3, 3), // wraps the seed space
+            forged(0, &[(5, 0)], 3, 3),                // an empty run
+            forged(3, &[(1, 1)], 3, 3),                // 3 replicates, 1 seed
+        ] {
+            let err = EnsemblePartial::from_binary(&bogus).unwrap_err();
+            assert!(err.0.contains("invalid partial payload"), "{err}");
         }
-        // A replicate count disagreeing with the coverage is rejected
-        // by merge as well.
-        let lying: EnsemblePartial =
-            serde_json::from_str(&json.replace("\"replicates\":1.0", "\"replicates\":3.0"))
-                .unwrap();
-        let other = run_partial(&model, engine, 30..31, 2.0, 1.0).unwrap();
-        let mut victim = lying.clone();
-        let err = victim.merge(&other).unwrap_err();
-        assert!(matches!(err, SimError::InvalidConfig(_)), "{err:?}");
     }
 
     #[test]
     fn truncated_accumulator_grids_are_rejected_not_zipped_short() {
-        // A deserialized partial whose accumulator vectors are shorter
-        // than species × samples (a truncated or hand-corrupted
-        // snapshot file) used to truncate the zip in `merge` silently
-        // and panic `finalize`. validate() now rejects it at every
-        // trust boundary.
-        let model = birth_death();
-        let engine = || Box::new(Direct::new()) as Box<dyn Engine>;
-        let clean = run_partial(&model, engine, 1..3, 2.0, 1.0).unwrap();
-        let json = serde_json::to_string(&clean).unwrap();
-        let truncated = {
-            // Drop the last cell of the sums array textually.
-            let sums_start = json.find("\"sums\":[").unwrap() + "\"sums\":[".len();
-            let sums_end = json[sums_start..].find("],\"squares\"").unwrap() + sums_start;
-            let body = &json[sums_start..sums_end];
-            let last_obj = body.rfind(",{").unwrap();
-            format!(
-                "{}{}{}",
-                &json[..sums_start],
-                &body[..last_obj],
-                &json[sums_end..]
-            )
-        };
-        let corrupt: EnsemblePartial = serde_json::from_str(&truncated).unwrap();
-        let err = corrupt.validate().unwrap_err();
-        assert!(matches!(err, SimError::InvalidConfig(_)), "{err:?}");
-        assert!(matches!(
-            corrupt.finalize(),
-            Err(SimError::InvalidConfig(_))
-        ));
-        assert!(matches!(
-            corrupt.species_moments("X"),
-            Err(SimError::InvalidConfig(_))
-        ));
-        let other = run_partial(&model, engine, 10..11, 2.0, 1.0).unwrap();
-        let mut victim = other.clone();
-        let err = victim.merge(&corrupt).unwrap_err();
-        assert!(matches!(err, SimError::InvalidConfig(_)), "{err:?}");
-        assert_eq!(victim, other, "rejected merge leaves self untouched");
-        // Non-canonical (unsorted / uncoalesced) coverage is rejected
-        // even when disjoint.
-        let swapped: EnsemblePartial = serde_json::from_str(
-            &serde_json::to_string(&clean)
-                .unwrap()
-                .replace("[[1.0,2.0]]", "[[2.0,1.0],[1.0,1.0]]"),
-        )
-        .unwrap();
-        assert!(swapped.validate().is_err());
-        // The clean partial passes.
-        clean.validate().unwrap();
-    }
-
-    #[test]
-    fn species_moments_match_finalized_traces_bitwise() {
-        let model = birth_death();
-        let engine = || Box::new(Langevin::new(0.05).unwrap()) as Box<dyn Engine>;
-        let partial = run_partial(&model, engine, 3..9, 10.0, 2.0).unwrap();
-        let ensemble = partial.finalize().unwrap();
-        let moments = partial.species_moments("X").unwrap();
-        let mean = ensemble.mean.series("X").unwrap();
-        let std = ensemble.std_dev.series("X").unwrap();
-        assert_eq!(moments.len(), mean.len());
-        for (k, &(t, m, sd)) in moments.iter().enumerate() {
-            assert_eq!(t.to_bits(), ensemble.mean.time(k).to_bits());
-            assert_eq!(m.to_bits(), mean[k].to_bits(), "mean at {k}");
-            assert_eq!(sd.to_bits(), std[k].to_bits(), "σ at {k}");
+        // A grid shorter than species × samples (a truncated or
+        // hand-corrupted snapshot) would truncate `merge`'s zip silently
+        // and panic `finalize`; unsorted or uncoalesced coverage would
+        // make equal partials compare unequal. Decode rejects them all.
+        assert!(EnsemblePartial::from_binary(&forged(2, &[(1, 2)], 3, 3)).is_ok());
+        for bogus in [
+            forged(2, &[(1, 2)], 2, 3),         // sums one cell short
+            forged(2, &[(1, 2)], 3, 2),         // squares one cell short
+            forged(2, &[(2, 1), (1, 1)], 3, 3), // unsorted coverage
+            forged(2, &[(1, 1), (2, 1)], 3, 3), // uncoalesced coverage
+        ] {
+            let err = EnsemblePartial::from_binary(&bogus).unwrap_err();
+            assert!(err.0.contains("invalid partial payload"), "{err}");
         }
-        // Unknown species and empty partials are rejected like
-        // finalize rejects them.
-        assert!(partial.species_moments("ghost").is_err());
-        let empty = EnsemblePartial::new(&model, 10.0, 2.0).unwrap();
-        assert!(empty.species_moments("X").is_err());
     }
 
     #[test]

@@ -66,7 +66,6 @@
 //! digits. Equal totals therefore always encode to identical bytes.
 
 use crate::wire::{put_varint, put_zigzag, Reader, WireError};
-use serde::{DeError, Deserialize, Serialize, Value};
 use std::ops::Range;
 
 /// Number of conceptual base-2^32 digits: 66 cover bit positions
@@ -648,71 +647,6 @@ impl PartialEq for ExactSum {
     }
 }
 
-// Serialized sparsely as `{"lo": first-digit-index, "digits": [...]}`,
-// the canonical window of the total (lane included; each digit below
-// 2^32 in magnitude, well inside the JSON layer's 2^53 exact-integer
-// range, and carrying the total's sign); a zero total has no digits,
-// and a poisoned accumulator serializes as `{"non_finite": true}`.
-impl Serialize for ExactSum {
-    fn to_value(&self) -> Value {
-        if self.non_finite {
-            return Value::Object(vec![("non_finite".to_string(), Value::Bool(true))]);
-        }
-        let (negative, window) = self.canonical().unwrap_or_default();
-        let mut digits = Vec::with_capacity(window.len());
-        self.for_each_canonical_digit(negative, &window, |d| digits.push(Value::Num(d as f64)));
-        Value::Object(vec![
-            ("lo".to_string(), Value::Num(window.start as f64)),
-            ("digits".to_string(), Value::Array(digits)),
-        ])
-    }
-}
-
-impl Deserialize for ExactSum {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        if let Some(Value::Bool(true)) = value.get("non_finite") {
-            return Ok(ExactSum {
-                non_finite: true,
-                ..ExactSum::new()
-            });
-        }
-        let lo = match value.get("lo") {
-            Some(Value::Num(n)) if n.fract() == 0.0 && *n >= 0.0 => *n as usize,
-            other => return Err(DeError(format!("ExactSum: bad `lo` field: {other:?}"))),
-        };
-        let digits = match value.get("digits") {
-            Some(Value::Array(items)) => items,
-            other => return Err(DeError(format!("ExactSum: bad `digits` field: {other:?}"))),
-        };
-        if lo + digits.len() > DIGITS {
-            return Err(DeError(format!(
-                "ExactSum: {} digits starting at {lo} exceed capacity {DIGITS}",
-                digits.len()
-            )));
-        }
-        let mut window = Vec::with_capacity(digits.len());
-        for item in digits {
-            match item {
-                Value::Num(n) if n.fract() == 0.0 && n.abs() <= 9.0e15 => {
-                    window.push(*n as i64);
-                }
-                other => return Err(DeError::expected("ExactSum digit", other)),
-            }
-        }
-        let mut sum = ExactSum {
-            lo: lo as u8,
-            digits: window,
-            pending: 1,
-            ..ExactSum::new()
-        };
-        // Canonical payloads have no zero edge digits, but compacting
-        // tolerates hand-built ones (and re-establishes the trimmed
-        // window invariant either way).
-        sum.compact();
-        Ok(sum)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -880,7 +814,7 @@ mod tests {
     fn negative_totals_stay_compact_in_memory() {
         // A negative running total must not expand the window to the
         // conceptual top digit (that all-ones spelling is reserved for
-        // the canonical serialized form): compaction keeps one signed
+        // the canonical encoded form): compaction keeps one signed
         // top-of-window digit instead.
         // Fractional inputs, so the total lives in the window.
         let mut acc = sum_of(&[-1.5, -3.25, 2.75]);
@@ -931,30 +865,17 @@ mod tests {
     }
 
     #[test]
-    fn serde_round_trip_is_bitwise() {
-        let mut rng = StdRng::seed_from_u64(11);
-        let values: Vec<f64> = (0..64).map(|_| rng.gen_range(-1.0e9..1.0e9)).collect();
-        let acc = sum_of(&values);
-        let json = serde_json::to_string(&acc).unwrap();
-        let back: ExactSum = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, acc);
-        assert_eq!(back.value().to_bits(), acc.value().to_bits());
-        // Zero and poisoned forms round-trip too.
-        let zero = ExactSum::new();
-        let back: ExactSum = serde_json::from_str(&serde_json::to_string(&zero).unwrap()).unwrap();
-        assert_eq!(back, zero);
-        let mut poisoned = ExactSum::new();
-        poisoned.add(f64::NAN);
-        let back: ExactSum =
-            serde_json::from_str(&serde_json::to_string(&poisoned).unwrap()).unwrap();
-        assert!(back.is_poisoned());
-    }
-
-    #[test]
     fn binary_round_trip_is_bitwise_and_fails_closed() {
         let mut rng = StdRng::seed_from_u64(23);
         let values: Vec<f64> = (0..64).map(|_| rng.gen_range(-1.0e9..1.0e9)).collect();
-        let mut cases = vec![sum_of(&values), sum_of(&[-0.1, -0.2]), ExactSum::new()];
+        // Negative totals take the canonical signed window (-0.3) or
+        // the lane (-2, reached through the window) like positive ones.
+        let mut cases = vec![
+            sum_of(&values),
+            sum_of(&[-0.1, -0.2]),
+            sum_of(&[-1e30, 1.0, 1e30, -3.0]),
+            ExactSum::new(),
+        ];
         let mut poisoned = sum_of(&[1.0]);
         poisoned.add(f64::NAN);
         cases.push(poisoned);
@@ -966,7 +887,7 @@ mod tests {
             reader.expect_end("ExactSum").unwrap();
             assert_eq!(&back, acc);
             assert_eq!(back.value().to_bits(), acc.value().to_bits());
-            // The binary form mirrors the canonical JSON form, so two
+            // The binary form is a function of the total alone, so two
             // equal accumulators encode to identical bytes.
             let mut again = Vec::new();
             back.encode_binary(&mut again);
@@ -1043,11 +964,5 @@ mod tests {
         // Correctly rounded -(0.1 + 0.2) exact sum, not the sequential
         // rounding: both happen to agree here, which pins the sign path.
         assert_eq!(acc.value(), -(0.1f64 + 0.2f64));
-        // A negative total serializes to the canonical all-ones-to-top
-        // spelling and round-trips bitwise.
-        let json = serde_json::to_string(&acc).unwrap();
-        let back: ExactSum = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, acc);
-        assert_eq!(back.value().to_bits(), acc.value().to_bits());
     }
 }

@@ -1,4 +1,4 @@
-//! Propagation-delay estimation (D-VASim's timing analysis [10]).
+//! Propagation-delay estimation (D-VASim's timing analysis \[10\]).
 //!
 //! The propagation delay "specifies the time required to reflect the
 //! changes in input species concentrations on the concentration of

@@ -9,7 +9,7 @@
 //! input high level defaults to the analysis threshold.
 
 use crate::error::VasimError;
-use crate::stats::{ensemble_noise_from_partial, NoisePoint};
+use crate::stats::{ensemble_noise, NoisePoint};
 use glc_core::data::AnalogData;
 use glc_model::Model;
 use glc_ssa::{
@@ -136,10 +136,9 @@ impl ExperimentResult {
 /// The outcome of a replicated sweep: the mergeable, resident
 /// [`EnsemblePartial`] over the sweep grid (the same partial format
 /// the distributed `glc-worker` protocol ships and the query service
-/// keeps warm), with every noise figure read off the **borrowed
-/// partial** — nothing is re-derived from raw traces and no mean/σ
-/// traces are materialized unless [`ReplicatedSweep::ensemble`] asks
-/// for them.
+/// keeps warm). Every noise figure is read off the partial's finalized
+/// mean/σ traces ([`crate::stats::ensemble_noise`]) — nothing is
+/// re-derived from raw traces.
 #[derive(Debug, Clone)]
 pub struct ReplicatedSweep {
     /// Exact cross-replicate aggregate over the sweep's sampling grid.
@@ -181,8 +180,8 @@ impl ReplicatedSweep {
         self.partial.replicates()
     }
 
-    /// Finalizes the partial into mean/σ traces — the one place a
-    /// sweep materializes them; the noise accessors below do not.
+    /// Finalizes the partial into mean/σ traces, the ones every noise
+    /// accessor below reads.
     ///
     /// # Errors
     ///
@@ -193,11 +192,12 @@ impl ReplicatedSweep {
             .map_err(|e| VasimError::InvalidConfig(e.to_string()))
     }
 
-    /// Per-sample noise figures of `species`, read off the borrowed
-    /// partial (see [`crate::stats::ensemble_noise_from_partial`]);
-    /// `None` for unknown species.
+    /// Per-sample noise figures of `species`, read off the finalized
+    /// partial (see [`crate::stats::ensemble_noise`]); `None` for
+    /// unknown species or a partial `finalize` rejects (zero
+    /// replicates, poisoned cells).
     pub fn noise(&self, species: &str) -> Option<Vec<NoisePoint>> {
-        ensemble_noise_from_partial(&self.partial, species)
+        ensemble_noise(&self.partial.finalize().ok()?, species)
     }
 
     /// Noise figures of `species` over the settled second half of hold
@@ -306,7 +306,7 @@ impl Experiment {
     /// means and variances from raw traces downstream, the sweep
     /// produces the same exact, mergeable aggregate the distributed
     /// worker protocol ships and the query service caches, and every
-    /// noise figure is read off the borrowed partial.
+    /// noise figure is read off its finalized mean/σ traces.
     ///
     /// # Errors
     ///
@@ -560,9 +560,9 @@ mod tests {
             "ensemble Fano {} too far from Poisson",
             high.fano
         );
-        // Per-sample noise series covers the whole sweep grid, and the
-        // borrowed-partial path agrees bitwise with reading the same
-        // figures off the finalized ensemble.
+        // Per-sample noise series covers the whole sweep grid, and
+        // agrees bitwise with reading the same figures off the
+        // finalized ensemble.
         let points = sweep.noise("Y").unwrap();
         let ensemble = sweep.ensemble().unwrap();
         assert_eq!(points.len(), ensemble.mean.len());

@@ -3,7 +3,7 @@
 //! D-VASim's defining feature is *interactivity*: "an interactive
 //! virtual laboratory environment" where the user changes input-species
 //! concentrations while the stochastic simulation is running and watches
-//! the circuit respond [8]. [`VirtualLab`] is the programmatic
+//! the circuit respond \[8\]. [`VirtualLab`] is the programmatic
 //! equivalent: load a model, advance simulated time in increments,
 //! inject or wash out species between increments, inspect live amounts,
 //! and export the full session trace for logic analysis.

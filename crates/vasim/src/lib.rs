@@ -1,10 +1,10 @@
 //! Virtual-lab environment for genetic circuits (D-VASim substrate).
 //!
-//! The paper obtains its simulation data from D-VASim [8]: a virtual
+//! The paper obtains its simulation data from D-VASim \[8\]: a virtual
 //! laboratory that stochastically simulates an SBML circuit while the
 //! user applies input-species concentrations, and that estimates the
 //! *threshold value* and *propagation delay* the logic analyzer needs
-//! [10]. This crate reproduces that functionality:
+//! \[10\]. This crate reproduces that functionality:
 //!
 //! * [`experiment`] — drive a circuit through all `2^N` input
 //!   combinations (hold each for a configurable time, the paper uses
@@ -48,6 +48,6 @@ pub use delay::{estimate_delay, DelayEstimate};
 pub use error::VasimError;
 pub use experiment::{Experiment, ExperimentConfig, ExperimentResult, ReplicatedSweep};
 pub use lab::VirtualLab;
-pub use stats::{ensemble_noise, ensemble_noise_from_partial, NoisePoint};
+pub use stats::{ensemble_noise, NoisePoint};
 pub use threshold::{estimate_threshold, ThresholdEstimate};
 pub use timing::{analyze_timing, TimingReport, TransitionKind};

@@ -1,6 +1,6 @@
 //! Summary statistics for stochastic traces.
 //!
-//! Gene expression is "a noisy business" [6]: analyses of genetic
+//! Gene expression is "a noisy business" \[6\]: analyses of genetic
 //! circuits routinely report the noise figures this module computes —
 //! mean/variance, the Fano factor (variance/mean, 1 for a Poisson
 //! birth–death process), the coefficient of variation, and lagged
@@ -11,17 +11,15 @@
 //!
 //! Two sources feed the figures: single-trajectory windows
 //! ([`stats`], time-averaged) and replicate ensembles — population
-//! moments straight from the exact order-independent sums of an
-//! `EnsemblePartial`, so the noise path never re-derives moments ad
-//! hoc from raw traces. The ensemble figures can be read off a
-//! finalized `glc_ssa::Ensemble` ([`ensemble_noise`]) or directly off
-//! a **borrowed partial** ([`ensemble_noise_from_partial`]) without
-//! materializing the mean/σ traces — the path the resident query
-//! service uses to answer noise queries from its cached partials.
-//! The two paths are bitwise-identical on `mean`/`std_dev` (and on
-//! every derived ratio), which is pinned by test.
+//! moments read off a finalized `glc_ssa::Ensemble`
+//! ([`ensemble_noise`]), whose mean/σ traces are rounded from the
+//! exact order-independent sums of an `EnsemblePartial`, so the noise
+//! path never re-derives moments ad hoc from raw traces. It is the one
+//! moments path: the resident query service and
+//! `ReplicatedSweep::noise` finalize their cached partial and read the
+//! figures off it the same way.
 
-use glc_ssa::{Ensemble, EnsemblePartial};
+use glc_ssa::Ensemble;
 use serde::{Deserialize, Serialize};
 
 /// Summary statistics of one series window.
@@ -138,30 +136,6 @@ pub fn ensemble_noise(ensemble: &Ensemble, species: &str) -> Option<Vec<NoisePoi
             .zip(std_dev)
             .enumerate()
             .map(|(k, (&m, &sd))| NoisePoint::from_moments(ensemble.mean.time(k), m, sd * sd))
-            .collect(),
-    )
-}
-
-/// Per-sample noise figures of `species`, read directly off a borrowed
-/// [`EnsemblePartial`] — no mean/σ traces are materialized, no
-/// replicate is re-simulated. This is how the resident query service
-/// answers noise queries from a cached partial; the figures are
-/// bitwise-identical to [`ensemble_noise`] over the finalized
-/// ensemble. `None` if the species is not aggregated by the partial or
-/// the partial cannot produce figures (zero replicates, poisoned
-/// cells — the same conditions `finalize` rejects).
-pub fn ensemble_noise_from_partial(
-    partial: &EnsemblePartial,
-    species: &str,
-) -> Option<Vec<NoisePoint>> {
-    let moments = partial.species_moments(species).ok()?;
-    Some(
-        moments
-            .into_iter()
-            // σ·σ rather than the raw variance: the exact arithmetic
-            // `ensemble_noise` performs over finalized traces, so the
-            // two paths agree bit for bit on every figure.
-            .map(|(t, mean, sd)| NoisePoint::from_moments(t, mean, sd * sd))
             .collect(),
     )
 }
@@ -307,44 +281,6 @@ mod tests {
             assert_eq!(p.std_dev.to_bits(), std[k].to_bits());
         }
         assert!(ensemble_noise(&ensemble, "ghost").is_none());
-    }
-
-    #[test]
-    fn borrowed_partial_noise_matches_finalized_path_bitwise() {
-        use glc_ssa::{run_partial, Engine, Langevin};
-        // Langevin: continuous-valued traces, so every bit of the
-        // mean/σ arithmetic is exercised (integer traces would let
-        // sloppy re-derivations pass unnoticed).
-        let model = ModelBuilder::new("bd")
-            .species("X", 10.0)
-            .parameter("kp", 5.0)
-            .parameter("kd", 0.1)
-            .reaction("prod", &[], &["X"], "kp")
-            .unwrap()
-            .reaction("deg", &["X"], &[], "kd * X")
-            .unwrap()
-            .build()
-            .unwrap();
-        let compiled = CompiledModel::new(&model).unwrap();
-        let engine = || Box::new(Langevin::new(0.05).unwrap()) as Box<dyn Engine>;
-        let partial = run_partial(&compiled, engine, 3..11, 20.0, 4.0).unwrap();
-        let from_partial = ensemble_noise_from_partial(&partial, "X").unwrap();
-        let finalized = partial.finalize().unwrap();
-        let from_ensemble = ensemble_noise(&finalized, "X").unwrap();
-        assert_eq!(from_partial.len(), from_ensemble.len());
-        for (k, (a, b)) in from_partial.iter().zip(&from_ensemble).enumerate() {
-            assert_eq!(a.t.to_bits(), b.t.to_bits(), "t at {k}");
-            assert_eq!(a.mean.to_bits(), b.mean.to_bits(), "mean at {k}");
-            assert_eq!(a.std_dev.to_bits(), b.std_dev.to_bits(), "σ at {k}");
-            assert_eq!(a.variance.to_bits(), b.variance.to_bits(), "var at {k}");
-            assert_eq!(a.fano.to_bits(), b.fano.to_bits(), "Fano at {k}");
-            assert_eq!(a.cv.to_bits(), b.cv.to_bits(), "CV at {k}");
-        }
-        // Unknown species and empty partials yield None, like the
-        // ensemble path yields None for unknown species.
-        assert!(ensemble_noise_from_partial(&partial, "ghost").is_none());
-        let empty = glc_ssa::EnsemblePartial::new(&compiled, 20.0, 4.0).unwrap();
-        assert!(ensemble_noise_from_partial(&empty, "X").is_none());
     }
 
     #[test]

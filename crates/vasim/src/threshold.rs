@@ -1,4 +1,4 @@
-//! Threshold-value estimation (D-VASim's threshold analysis [10]).
+//! Threshold-value estimation (D-VASim's threshold analysis \[10\]).
 //!
 //! The threshold is "a significant amount of concentration, which
 //! categorizes the analog concentrations into digital logics 0 and 1".

@@ -1,7 +1,7 @@
 //! Per-transition timing analysis of genetic circuits.
 //!
 //! The companion IWBDA'16 paper is titled "Logic *and Timing* Analysis
-//! of Genetic Logic Circuits" [10]: beyond a single propagation-delay
+//! of Genetic Logic Circuits" \[10\]: beyond a single propagation-delay
 //! number, circuit designers want the rise/fall behaviour of each input
 //! transition — genetic gates switch asymmetrically, because turning a
 //! protein *on* means producing molecules (fast at high promoter
